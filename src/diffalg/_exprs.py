@@ -2,7 +2,8 @@
 
 Accepts +, -, *, /, integer powers, parentheses, integer literals, names,
 and calls like sigma(x) or sigma(x, 2) or t(-1).  The caller provides an
-ops object mapping literals, names and calls into its value domain.
+ops object mapping literals, names and calls into its value domain; RingOps
+is that object for any ring of sparse polynomials over a base field.
 """
 
 from __future__ import annotations
@@ -12,6 +13,44 @@ import ast
 
 class ExpressionError(ValueError):
     pass
+
+
+class RingOps:
+    """Expression ops over a ring exposing const/add/sub/mul/neg/power/scale/
+    sigma, whose elements are dicts with () as the constant monomial.
+
+    name(s) resolves identifiers; call(fname, args), when given, handles the
+    ring's own calls and returns None for names it does not know.
+    """
+
+    def __init__(self, ring, name, call=None):
+        self.ring = ring
+        self.name = name
+        self._call = call
+        self.add, self.sub, self.mul = ring.add, ring.sub, ring.mul
+        self.neg, self.pow = ring.neg, ring.power
+
+    def from_int(self, n):
+        return self.ring.const(self.ring.base.from_int(n))
+
+    def div(self, a, b):
+        if len(b) == 1 and () in b:
+            return self.ring.scale(a, self.ring.base.inv(b[()]))
+        raise ExpressionError("division only by constants")
+
+    def call(self, fname, args):
+        if self._call is not None:
+            out = self._call(fname, args)
+            if out is not None:
+                return out
+        if fname == "sigma" and len(args) in (1, 2):
+            v = self.from_int(args[0]) if isinstance(args[0], int) else args[0]
+            steps = 1 if len(args) == 1 else args[1]
+            if isinstance(steps, int):
+                for _ in range(steps):
+                    v = self.ring.sigma(v)
+                return v
+        raise ExpressionError(f"unknown call {fname!r}")
 
 
 def evaluate(text, ops):

@@ -35,15 +35,6 @@ def _dot(k, row, v):
     return acc
 
 
-def mat_mul(k, a, b):
-    cols = list(zip(*b)) if b else []
-    return [[_dot(k, row, col) for col in cols] for row in a]
-
-
-def transpose(m):
-    return [list(c) for c in zip(*m)] if m else []
-
-
 def rref(k, m):
     """Reduced row echelon form; returns (rref_rows, pivot_columns)."""
     m = copy(m)

@@ -6,6 +6,11 @@ mapping monomials to nonzero field elements; {} is zero.  Variable indices
 are arbitrary integers, which lets the shift fields address transforms
 t_i for i < 0 after inversive-closure deepening.
 
+This is the package's one sparse-polynomial kernel: iadd/add, mul, power and
+eq also serve presentations (monomials of ((j, i), exp) pairs), towers
+(dense exponent tuples) and the Hopf tensors (tuples of basis keys), since
+mul takes the monomial product as an argument and power the ring product.
+
 The gcd is the classical primitive-PRS recursion on the largest variable.
 Degrees stay tiny in this artifact, so simplicity wins over asymptotics.
 """
@@ -59,8 +64,8 @@ def variables(f):
     return out
 
 
-def add(k, f, g):
-    out = dict(f)
+def iadd(k, out, g):
+    """Add g into out in place, dropping terms that cancel; returns out."""
     for m, c in g.items():
         s = k.add(out.get(m, k.zero()), c)
         if k.is_zero(s):
@@ -68,6 +73,10 @@ def add(k, f, g):
         else:
             out[m] = s
     return out
+
+
+def add(k, f, g):
+    return iadd(k, dict(f), g)
 
 
 def neg(k, f):
@@ -84,7 +93,9 @@ def scale(k, f, a):
     return {m: k.mul(c, a) for m, c in f.items()}
 
 
-def mul(k, f, g):
+def mul(k, f, g, mono_mul=mono_mul):
+    """Product of f and g; mono_mul multiplies two monomials, so any monomial
+    format (sorted pairs, dense exponent tuples, tensor keys) shares the loop."""
     out = {}
     for m1, c1 in f.items():
         for m2, c2 in g.items():
@@ -95,6 +106,18 @@ def mul(k, f, g):
             else:
                 out[m] = s
     return out
+
+
+def power(f, e, one, mul):
+    """f^e by binary powering under the ring product mul, from the unit one."""
+    acc = one
+    while e:
+        if e & 1:
+            acc = mul(acc, f)
+        e >>= 1
+        if e:
+            f = mul(f, f)
+    return acc
 
 
 def eq(k, f, g):
@@ -112,12 +135,6 @@ def leading(f):
     return m, f[m]
 
 
-def total_degree(f):
-    if not f:
-        return -1
-    return max(sum(e for _, e in m) for m in f)
-
-
 def map_coeffs(k_out, f, fn):
     out = {}
     for m, c in f.items():
@@ -130,22 +147,6 @@ def map_coeffs(k_out, f, fn):
 def shift_vars(f, offset):
     """Rename every variable index v to v + offset."""
     return {tuple((v + offset, e) for v, e in m): c for m, c in f.items()}
-
-
-def substitute(k, f, assignment):
-    """Substitute polynomials for variables; assignment maps index -> poly."""
-    out = {}
-    for m, c in f.items():
-        term = const(k, c)
-        for v, e in m:
-            rep = assignment.get(v)
-            if rep is None:
-                rep = var(k, v)
-            for _ in range(e):
-                term = mul(k, term, rep)
-        out_new = add(k, out, term)
-        out = out_new
-    return out
 
 
 def evaluate(k, f, assignment):
@@ -203,20 +204,6 @@ def _uni_trim(cs):
     return cs
 
 
-def _uni_mul(k, a, b):
-    if not a or not b:
-        return []
-    out = [{} for _ in range(len(a) + len(b) - 1)]
-    for i, ca in enumerate(a):
-        if not ca:
-            continue
-        for j, cb in enumerate(b):
-            if not cb:
-                continue
-            out[i + j] = add(k, out[i + j], mul(k, ca, cb))
-    return _uni_trim(out)
-
-
 def _uni_scale(k, a, c):
     return _uni_trim([mul(k, ci, c) for ci in a])
 
@@ -270,13 +257,6 @@ def _prem(k, f_uni, g_uni):
     return f
 
 
-def _pow(k, f, e):
-    acc = const(k, k.one())
-    for _ in range(e):
-        acc = mul(k, acc, f)
-    return acc
-
-
 def _subresultant_last(k, a, b, v):
     """Last nonzero member of the subresultant remainder sequence in v."""
     r0 = to_univariate(a, v)
@@ -285,6 +265,10 @@ def _subresultant_last(k, a, b, v):
         r0, r1 = r1, r0
     g_ = const(k, k.one())
     h = const(k, k.one())
+
+    def pw(f, e):
+        return power(f, e, const(k, k.one()), lambda x, y: mul(k, x, y))
+
     while True:
         if not r1:
             return from_univariate(r0, v)
@@ -292,12 +276,12 @@ def _subresultant_last(k, a, b, v):
             return from_univariate(r1, v)
         d = len(r0) - len(r1)
         rem = _prem(k, r0, r1)
-        divisor = mul(k, g_, _pow(k, h, d))
+        divisor = mul(k, g_, pw(h, d))
         rem = [exact_div(k, c, divisor) for c in rem]
         r0, r1 = r1, rem
         g_ = r0[-1]
         if d > 0:
-            h = exact_div(k, _pow(k, g_, d), _pow(k, h, d - 1))
+            h = exact_div(k, pw(g_, d), pw(h, d - 1))
 
 
 def gcd(k, f, g):

@@ -145,14 +145,6 @@ def evaluate(k, f, a):
     return acc
 
 
-def compose(k, f, g):
-    """f(g(x))."""
-    acc = []
-    for c in reversed(f):
-        acc = add(k, mul(k, acc, g), const(k, c))
-    return acc
-
-
 def derivative(k, f):
     out = []
     for i in range(1, len(f)):

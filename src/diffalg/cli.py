@@ -3,7 +3,8 @@
 Every command loads JSON descriptions, dispatches to the library, and emits
 a certificate that embeds the instance it certifies, so `verify-cert` can
 re-run it with no external state.  Exit codes: 0 verified/true, 2 refuted
-with witness, 3 inconclusive at the configured horizon, 1 input error.
+with witness, 3 inconclusive at the configured horizon, 1 input error
+(a usage error included; `--help` exits 0).
 """
 
 from __future__ import annotations
@@ -97,20 +98,21 @@ def execute(command, payload, config):
         return code, report.to_json()
 
     if command == "babbitt-verify":
+        _object(payload, "tower")
         chain = BabbittChain.from_json(payload)
         cert = babbitt_verify(chain, horizon=config.get("horizon", 4))
         code = {"verified": 0, "refuted": 2, "inconclusive": 3}[cert["verdict"]]
         return code, cert
 
     if command == "babbitt-search":
-        T = tower_from_json(payload["tower"])
+        T = tower_from_json(_object(payload, "tower"))
         report = babbitt_search(T, payload.get("candidates", []),
                                 horizon=config.get("horizon", 4))
         return (0 if report.get("found") else 3), report
 
     if command == "compat":
-        TA = tower_from_json(payload["towerA"])
-        TB = tower_from_json(payload["towerB"])
+        TA = tower_from_json(_object(payload, "towerA"))
+        TB = tower_from_json(_object(payload, "towerB"))
         verdict = compatible(TA, TB)
         result = {"compatible": verdict.compatible, "witness": verdict.witness,
                   "details": verdict.details}
@@ -164,6 +166,14 @@ def execute(command, payload, config):
     raise InputError(f"unknown command {command!r}")
 
 
+def _object(payload, key):
+    """payload[key], which must be a JSON object."""
+    doc = payload[key]
+    if not isinstance(doc, dict):
+        raise InputError(f"{key} must be a JSON object")
+    return doc
+
+
 def _element_json(pres, x):
     k = pres.base
     return [[[list(v) for v in m], k.scalar_to_json(c)]
@@ -172,9 +182,9 @@ def _element_json(pres, x):
 
 def _load_hopf(payload):
     if "presentation" in payload:
-        pres = Presentation.from_json(payload["presentation"])
+        pres = Presentation.from_json(_object(payload, "presentation"))
         return "truncated", TruncatedGroupLikeHopf(pres)
-    A = FinSigmaAlgebra.from_json(payload["algebra"])
+    A = FinSigmaAlgebra.from_json(_object(payload, "algebra"))
     k = A.base
     dec = k.scalar_from_json
     comul = [[dec(c) for c in row] for row in payload["comul"]]
@@ -198,6 +208,8 @@ def verify_certificate(cert):
     """Re-run the embedded command and compare results exactly."""
     if not isinstance(cert, dict) or cert.get("format") != CERT_FORMAT:
         raise InputError("not a recognized certificate")
+    _object(cert, "instance")
+    _object(cert, "config")
     code, result = execute(cert["command"], cert["instance"], cert["config"])
     same = (code == cert["exit_code"] and result == cert["result"])
     return same, {"recomputed_exit_code": code, "matches": same}
@@ -232,13 +244,21 @@ def _emit_text(obj, stream, indent=0):
         stream.write(f"{pad}{obj}\n")
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """Usage errors exit 1, the input-error code; argparse's 2 means refuted."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
+
+
 def build_parser():
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=["json", "text"],
                         default=argparse.SUPPRESS)
     common.add_argument("--seed", type=int, default=argparse.SUPPRESS,
                         help="PRNG seed (default: DIFFALG_SEED or 42)")
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="diffalg",
         description="exact difference-algebra decision procedures with "
                     "machine-checkable certificates")
@@ -304,18 +324,26 @@ def build_parser():
     return parser
 
 
-def _load_json(path):
+def _load_json(path, expect=dict):
+    """Load a JSON document that must be an object (or, with expect=list,
+    an array)."""
     try:
         with open(path) as fh:
-            return json.load(fh)
+            doc = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
+    if not isinstance(doc, expect):
+        kind = "an object" if expect is dict else "an array"
+        raise InputError(f"{path}: the document must be {kind}")
+    return doc
 
 
 def run(argv):
     """Parse arguments, dispatch, and return (exit_code, report)."""
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    return _dispatch(build_parser().parse_args(argv))
+
+
+def _dispatch(args):
     seed = args.seed if args.seed is not None else default_seed()
     try:
         if args.command == "verify-cert":
@@ -368,7 +396,7 @@ def run(argv):
                                               code, result)
             payload = {"tower": _load_json(args.file), "candidates": []}
             if args.candidates:
-                payload["candidates"] = _load_json(args.candidates)
+                payload["candidates"] = _load_json(args.candidates, list)
             config = {"horizon": args.horizon}
             code, result = execute("babbitt-search", payload, config)
             return code, make_certificate("babbitt-search", payload, config,
@@ -399,14 +427,9 @@ def run(argv):
 
 
 def main(argv=None):
-    code, report = run(sys.argv[1:] if argv is None else argv)
-    fmt = "text"
-    raw = sys.argv[1:] if argv is None else argv
-    if "--format" in raw:
-        fmt = raw[raw.index("--format") + 1]
-    elif any(a.startswith("--format=") for a in raw):
-        fmt = next(a.split("=", 1)[1] for a in raw if a.startswith("--format="))
-    emit(report, fmt)
+    args = build_parser().parse_args(sys.argv[1:] if argv is None else argv)
+    code, report = _dispatch(args)
+    emit(report, args.format)
     return code
 
 

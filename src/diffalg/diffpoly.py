@@ -19,6 +19,7 @@ from dataclasses import dataclass, field
 
 from . import _exprs
 from . import _linalg as la
+from . import _multipoly as mp
 from .exactfield import GaloisField, PrimeField
 from .findiff import FinSigmaAlgebra, strong_core as _fin_strong_core
 from .poly import Poly, factor_over_finite_field
@@ -30,13 +31,6 @@ class UnsupportedPresentationError(ValueError):
 
 # elements: dict mapping monomials to scalars; a monomial is a sorted tuple
 # of ((j, i), exp) pairs
-
-
-def _mono_mul(m1, m2):
-    d = dict(m1)
-    for v, e in m2:
-        d[v] = d.get(v, 0) + e
-    return tuple(sorted(d.items()))
 
 
 def _mono_key(m):
@@ -63,7 +57,17 @@ class Presentation:
     # -- parsing -----------------------------------------------------------
 
     def parse(self, text):
-        return _exprs.evaluate(text, _PresentationOps(self))
+        return _exprs.evaluate(text, _exprs.RingOps(self, self._name))
+
+    def _name(self, s):
+        for j, vn in enumerate(self.var_names):
+            if s.startswith(vn):
+                tail = s[len(vn):]
+                if tail.startswith("_"):
+                    tail = tail[1:]
+                if tail.isdigit():
+                    return self.var_element(j, int(tail))
+        raise _exprs.ExpressionError(f"unknown name {s!r}")
 
     def _add_generator(self, text):
         g = self.parse(text)
@@ -166,53 +170,25 @@ class Presentation:
         return self.normalize({(((j, i), 1),): self.base.one()})
 
     def add(self, f, g):
-        k = self.base
-        out = dict(f)
-        for m, c in g.items():
-            s = k.add(out.get(m, k.zero()), c)
-            if k.is_zero(s):
-                out.pop(m, None)
-            else:
-                out[m] = s
-        return out
+        return mp.add(self.base, f, g)
 
     def neg(self, f):
-        return {m: self.base.neg(c) for m, c in f.items()}
+        return mp.neg(self.base, f)
 
     def sub(self, f, g):
-        return self.add(f, self.neg(g))
+        return mp.sub(self.base, f, g)
 
     def scale(self, f, c):
-        if self.base.is_zero(c):
-            return {}
-        return {m: self.base.mul(x, c) for m, x in f.items()}
+        return mp.scale(self.base, f, c)
 
     def mul(self, f, g):
-        k = self.base
-        out = {}
-        for m1, c1 in f.items():
-            for m2, c2 in g.items():
-                m = _mono_mul(m1, m2)
-                s = k.add(out.get(m, k.zero()), k.mul(c1, c2))
-                if k.is_zero(s):
-                    out.pop(m, None)
-                else:
-                    out[m] = s
-        return self.normalize(out)
+        return self.normalize(mp.mul(self.base, f, g))
 
     def power(self, f, e):
-        acc = self.one()
-        while e:
-            if e & 1:
-                acc = self.mul(acc, f)
-            f = self.mul(f, f)
-            e >>= 1
-        return acc
+        return mp.power(f, e, self.one(), self.mul)
 
     def eq(self, f, g):
-        if len(f) != len(g):
-            return False
-        return all(m in g and self.base.eq(c, g[m]) for m, c in f.items())
+        return mp.eq(self.base, f, g)
 
     def is_zero(self, f):
         return not f
@@ -238,26 +214,11 @@ class Presentation:
             for m, c in f.items():
                 e = dict(m).get((j, i), 0)
                 if not e:
-                    out2 = {m: c}
-                else:
-                    stripped = tuple((v, x) for v, x in m if v != (j, i))
-                    term = {stripped: c}
-                    rep = self._plain_power(rhs, e)
-                    out2 = {}
-                    for m1, c1 in term.items():
-                        for m2, c2 in rep.items():
-                            mm = _mono_mul(m1, m2)
-                            s = k.add(out2.get(mm, k.zero()), k.mul(c1, c2))
-                            if k.is_zero(s):
-                                out2.pop(mm, None)
-                            else:
-                                out2[mm] = s
-                for m2, c2 in out2.items():
-                    s = k.add(out.get(m2, k.zero()), c2)
-                    if k.is_zero(s):
-                        out.pop(m2, None)
-                    else:
-                        out[m2] = s
+                    mp.iadd(k, out, {m: c})
+                    continue
+                stripped = tuple((v, x) for v, x in m if v != (j, i))
+                rep = mp.power(rhs, e, {(): k.one()}, lambda a, b: mp.mul(k, a, b))
+                mp.iadd(k, out, mp.mul(k, {stripped: c}, rep))
             f = out
         # power pass
         while True:
@@ -275,56 +236,13 @@ class Presentation:
             d = self.power_rules[j][1]
             c = f.pop(m)
             stripped = tuple((v, x) for v, x in m if v != (j, i))
-            base_term = {_mono_mul(stripped, (((j, i), e - d),) if e - d else ()): c}
+            base_term = {mp.mono_mul(stripped, (((j, i), e - d),) if e - d else ()): c}
             rhs = {}
             for exp_, coef in enumerate(self._power_rhs_coeffs(j, i)):
                 if k.is_zero(coef):
                     continue
                 rhs[(((j, i), exp_),) if exp_ else ()] = coef
-            add_in = {}
-            for m1, c1 in base_term.items():
-                for m2, c2 in rhs.items():
-                    mm = _mono_mul(m1, m2)
-                    s = k.add(add_in.get(mm, k.zero()), k.mul(c1, c2))
-                    if k.is_zero(s):
-                        add_in.pop(mm, None)
-                    else:
-                        add_in[mm] = s
-            for m2, c2 in add_in.items():
-                s = k.add(f.get(m2, k.zero()), c2)
-                if k.is_zero(s):
-                    f.pop(m2, None)
-                else:
-                    f[m2] = s
-
-    def _plain_power(self, f, e):
-        acc = {(): self.base.one()}
-        k = self.base
-        while e:
-            if e & 1:
-                out = {}
-                for m1, c1 in acc.items():
-                    for m2, c2 in f.items():
-                        mm = _mono_mul(m1, m2)
-                        s = k.add(out.get(mm, k.zero()), k.mul(c1, c2))
-                        if k.is_zero(s):
-                            out.pop(mm, None)
-                        else:
-                            out[mm] = s
-                acc = out
-            if e > 1:
-                out = {}
-                for m1, c1 in f.items():
-                    for m2, c2 in f.items():
-                        mm = _mono_mul(m1, m2)
-                        s = k.add(out.get(mm, k.zero()), k.mul(c1, c2))
-                        if k.is_zero(s):
-                            out.pop(mm, None)
-                        else:
-                            out[mm] = s
-                f = out
-            e >>= 1
-        return acc
+            mp.iadd(k, f, mp.mul(k, base_term, rhs))
 
     def _shift(self, f, steps):
         if steps == 0:
@@ -361,7 +279,7 @@ class Presentation:
         vars_caps = self.free_variables(n)
         monos = [()]
         for v, cap in vars_caps:
-            monos = [_mono_mul(m, ((v, e),) if e else ()) for m in monos
+            monos = [mp.mono_mul(m, ((v, e),) if e else ()) for m in monos
                      for e in range(cap)]
         return sorted(monos, key=_mono_key)
 
@@ -386,55 +304,6 @@ class Presentation:
 
         base = base if base is not None else field_make(data["base"])
         return Presentation(base, data["vars"], [g["poly"] for g in data["gens"]])
-
-
-class _PresentationOps:
-    def __init__(self, pres):
-        self.p = pres
-
-    def from_int(self, n):
-        return self.p.const(self.p.base.from_int(n))
-
-    def add(self, a, b):
-        return self.p.add(a, b)
-
-    def sub(self, a, b):
-        return self.p.sub(a, b)
-
-    def mul(self, a, b):
-        return self.p.mul(a, b)
-
-    def div(self, a, b):
-        if not self.p.is_zero(b) and len(b) == 1 and () in b:
-            return self.p.scale(a, self.p.base.inv(b[()]))
-        raise _exprs.ExpressionError("division only by constants")
-
-    def neg(self, a):
-        return self.p.neg(a)
-
-    def pow(self, a, e):
-        return self.p.power(a, e)
-
-    def name(self, s):
-        for j, vn in enumerate(self.p.var_names):
-            if s.startswith(vn):
-                tail = s[len(vn):]
-                if tail.startswith("_"):
-                    tail = tail[1:]
-                if tail.isdigit():
-                    return self.p.var_element(j, int(tail))
-        raise _exprs.ExpressionError(f"unknown name {s!r}")
-
-    def call(self, fname, args):
-        if fname == "sigma":
-            if len(args) == 1:
-                return self.p.sigma(args[0])
-            if len(args) == 2 and isinstance(args[1], int):
-                v = args[0]
-                for _ in range(args[1]):
-                    v = self.p.sigma(v)
-                return v
-        raise _exprs.ExpressionError(f"unknown call {fname!r}")
 
 
 @dataclass
@@ -659,7 +528,7 @@ def strong_core_truncated(pres: Presentation, n: int, horizon: int = 64) -> Trun
     for v in sorted(window):
         if v not in caps:
             raise UnsupportedPresentationError("window variable outside the free basis")
-        monos = [_mono_mul(m, ((v, e),) if e else ()) for m in monos
+        monos = [mp.mono_mul(m, ((v, e),) if e else ()) for m in monos
                  for e in range(caps[v])]
     monos = sorted(monos, key=_mono_key)
     k = pres.base

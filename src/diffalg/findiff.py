@@ -533,24 +533,6 @@ def tensor_product(A: FinSigmaAlgebra, B: FinSigmaAlgebra) -> FinSigmaAlgebra:
     return FinSigmaAlgebra(k, mul, unit, sig)
 
 
-def factor_embeddings(A, B):
-    """The canonical morphisms A -> A (x) B and B -> A (x) B."""
-    k = A.base
-    T = tensor_product(A, B)
-    nb = B.dim
-    left = [[k.zero()] * A.dim for _ in range(T.dim)]
-    for i in range(A.dim):
-        for j in range(nb):
-            if not k.is_zero(B.unit[j]):
-                left[i * nb + j][i] = B.unit[j]
-    right = [[k.zero()] * B.dim for _ in range(T.dim)]
-    for j in range(B.dim):
-        for i in range(A.dim):
-            if not k.is_zero(A.unit[i]):
-                right[i * nb + j][j] = A.unit[i]
-    return T, SigmaAlgebraMorphism(A, T, left), SigmaAlgebraMorphism(B, T, right)
-
-
 def quotient_by_sigma_ideal(A: FinSigmaAlgebra, gens):
     """Quotient by the sigma-ideal generated by gens, with the projection."""
     k = A.base

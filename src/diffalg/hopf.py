@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import _linalg as la
+from . import _multipoly as mp
 from .diffpoly import (LevelAlgebra, Presentation, sigma_kernel_slice,
                        strong_core_truncated)
 from .findiff import (FinSigmaAlgebra, ValidationReport, algebra_validate,
@@ -46,15 +47,8 @@ class SigmaHopf:
     def comul_apply(self, v):
         k = self.carrier.base
         out = {}
-        for j, c in enumerate(v):
-            if k.is_zero(c):
-                continue
-            for key, d in self.comul_of_basis(j).items():
-                s = k.add(out.get(key, k.zero()), k.mul(c, d))
-                if k.is_zero(s):
-                    out.pop(key, None)
-                else:
-                    out[key] = s
+        for j, c in _sparse(k, v).items():
+            mp.iadd(k, out, mp.scale(k, self.comul_of_basis(j), c))
         return out
 
     def antipode_apply(self, v):
@@ -68,12 +62,22 @@ class SigmaHopf:
         return acc
 
 
-def _tensor_add(k, t, key, c):
-    s = k.add(t.get(key, k.zero()), c)
-    if k.is_zero(s):
-        t.pop(key, None)
-    else:
-        t[key] = s
+# Tensors are sparse dicts keyed by tuples of basis indices or monomials,
+# one entry per factor; _multipoly's kernel does their arithmetic.  The
+# product of two keys is their pair (x (x) y) or, when they are already
+# tuples of factors, their concatenation.
+
+
+def _pair(a, b):
+    return (a, b)
+
+
+def _concat(a, b):
+    return a + b
+
+
+def _sparse(k, v):
+    return {i: x for i, x in enumerate(v) if not k.is_zero(x)}
 
 
 def _tensor_mul(H, t1, t2):
@@ -82,16 +86,9 @@ def _tensor_mul(H, t1, t2):
     out = {}
     for (a, b), c in t1.items():
         for (a2, b2), d in t2.items():
-            left = A.multiply(A.basis_vec(a), A.basis_vec(a2))
-            right = A.multiply(A.basis_vec(b), A.basis_vec(b2))
-            cd = k.mul(c, d)
-            for i, x in enumerate(left):
-                if k.is_zero(x):
-                    continue
-                for j, y in enumerate(right):
-                    if k.is_zero(y):
-                        continue
-                    _tensor_add(k, out, (i, j), k.mul(cd, k.mul(x, y)))
+            left = _sparse(k, A.multiply(A.basis_vec(a), A.basis_vec(a2)))
+            right = _sparse(k, A.multiply(A.basis_vec(b), A.basis_vec(b2)))
+            mp.iadd(k, out, mp.scale(k, mp.mul(k, left, right, _pair), k.mul(c, d)))
     return out
 
 
@@ -100,23 +97,20 @@ def _tensor_sigma(H, t):
     k = A.base
     out = {}
     for (a, b), c in t.items():
-        sa = A.apply_sigma(A.basis_vec(a))
-        sb = A.apply_sigma(A.basis_vec(b))
-        sc = k.sigma(c)
-        for i, x in enumerate(sa):
-            if k.is_zero(x):
-                continue
-            for j, y in enumerate(sb):
-                if k.is_zero(y):
-                    continue
-                _tensor_add(k, out, (i, j), k.mul(sc, k.mul(x, y)))
+        sa = _sparse(k, A.apply_sigma(A.basis_vec(a)))
+        sb = _sparse(k, A.apply_sigma(A.basis_vec(b)))
+        mp.iadd(k, out, mp.scale(k, mp.mul(k, sa, sb, _pair), k.sigma(c)))
     return out
 
 
-def _tensor_eq(k, t1, t2):
-    if len(t1) != len(t2):
-        return False
-    return all(key in t2 and k.eq(c, t2[key]) for key, c in t1.items())
+def _coassociativity_sides(k, delta, comul):
+    """(comul (x) id) delta and (id (x) comul) delta as 3-index tensors."""
+    left = {}
+    right = {}
+    for (a, b), c in delta.items():
+        mp.iadd(k, left, mp.mul(k, comul(a), {(b,): c}, _concat))
+        mp.iadd(k, right, mp.mul(k, {(a,): c}, comul(b), _concat))
+    return left, right
 
 
 def hopf_validate(H: SigmaHopf) -> ValidationReport:
@@ -129,16 +123,11 @@ def hopf_validate(H: SigmaHopf) -> ValidationReport:
     if not carrier_report.ok:
         violations.extend(("carrier", v) for v in carrier_report.violations)
 
-    unit_tensor = {}
-    for i, x in enumerate(A.unit):
-        if k.is_zero(x):
-            continue
-        for j, y in enumerate(A.unit):
-            if not k.is_zero(y):
-                _tensor_add(k, unit_tensor, (i, j), k.mul(x, y))
+    unit = _sparse(k, A.unit)
+    unit_tensor = mp.mul(k, unit, unit, _pair)
 
     # comultiplication and counit are algebra morphisms
-    if not _tensor_eq(k, H.comul_apply(A.unit), unit_tensor):
+    if not mp.eq(k, H.comul_apply(A.unit), unit_tensor):
         violations.append(("comul-unital", None))
     if not k.eq(H.counit_apply(A.unit), k.one()):
         violations.append(("counit-unital", None))
@@ -149,7 +138,7 @@ def hopf_validate(H: SigmaHopf) -> ValidationReport:
             prod = A.mul[i][j]
             lhs = H.comul_apply(prod)
             rhs = _tensor_mul(H, H.comul_of_basis(i), H.comul_of_basis(j))
-            if not _tensor_eq(k, lhs, rhs):
+            if not mp.eq(k, lhs, rhs):
                 violations.append(("comul-multiplicative", (i, j)))
             if not k.eq(H.counit_apply(prod),
                         k.mul(H.counit_apply(A.basis_vec(i)),
@@ -163,15 +152,8 @@ def hopf_validate(H: SigmaHopf) -> ValidationReport:
 
     for j in range(n):
         delta = H.comul_of_basis(j)
-        # coassociativity
-        left = {}
-        right = {}
-        for (a, b), c in delta.items():
-            for (x, y), d in H.comul_of_basis(a).items():
-                _tensor_add3(k, left, (x, y, b), k.mul(c, d))
-            for (x, y), d in H.comul_of_basis(b).items():
-                _tensor_add3(k, right, (a, x, y), k.mul(c, d))
-        if not _tensor_eq(k, left, right):
+        left, right = _coassociativity_sides(k, delta, H.comul_of_basis)
+        if not mp.eq(k, left, right):
             violations.append(("coassociativity", j))
         # counit law
         lhs1 = A.zero_vec()
@@ -196,7 +178,7 @@ def hopf_validate(H: SigmaHopf) -> ValidationReport:
             violations.append(("antipode-law", j))
         # sigma compatibility
         sj = A.apply_sigma(A.basis_vec(j))
-        if not _tensor_eq(k, H.comul_apply(sj), _tensor_sigma(H, delta)):
+        if not mp.eq(k, H.comul_apply(sj), _tensor_sigma(H, delta)):
             violations.append(("comul-sigma", j))
         if not A.vec_eq(H.antipode_apply(sj),
                         A.apply_sigma(H.antipode_apply(A.basis_vec(j)))):
@@ -204,14 +186,6 @@ def hopf_validate(H: SigmaHopf) -> ValidationReport:
         if not k.eq(H.counit_apply(sj), k.sigma(H.counit_apply(A.basis_vec(j)))):
             violations.append(("counit-sigma", j))
     return ValidationReport(not violations, violations)
-
-
-def _tensor_add3(k, t, key, c):
-    s = k.add(t.get(key, k.zero()), c)
-    if k.is_zero(s):
-        t.pop(key, None)
-    else:
-        t[key] = s
 
 
 def strong_core_is_hopf_subalgebra(H: SigmaHopf) -> dict:
@@ -229,18 +203,8 @@ def strong_core_is_hopf_subalgebra(H: SigmaHopf) -> dict:
                 "reason": "strong core is only a lower bound on this base"}
     basis = [core.inclusion.column(j) for j in range(core.algebra.dim)]
     r = len(basis)
-    n = A.dim
-    pair_cols = []
-    for a in range(r):
-        for b in range(r):
-            col = {}
-            for i, x in enumerate(basis[a]):
-                if k.is_zero(x):
-                    continue
-                for j, y in enumerate(basis[b]):
-                    if not k.is_zero(y):
-                        col[(i, j)] = k.mul(x, y)
-            pair_cols.append(col)
+    sparse_basis = [_sparse(k, v) for v in basis]
+    pair_cols = [mp.mul(k, va, vb, _pair) for va in sparse_basis for vb in sparse_basis]
     keys = sorted({key for col in pair_cols for key in col}
                   | {key for v in basis for key in H.comul_apply(v)})
     key_index = {key: t for t, key in enumerate(keys)}
@@ -327,19 +291,7 @@ def _trunc_tensor_mul(p, t1, t2):
                          {a2: k.one()} if a2 else p.one())
             right = p.mul({b1: k.one()} if b1 else p.one(),
                           {b2: k.one()} if b2 else p.one())
-            cd = k.mul(c, d)
-            for ml, cl in left.items():
-                for mr, cr in right.items():
-                    _tensor_add(k, out, (ml, mr), k.mul(cd, k.mul(cl, cr)))
-    return out
-
-
-def _trunc_tensor_of(p, f, g):
-    k = p.base
-    out = {}
-    for m1, c1 in f.items():
-        for m2, c2 in g.items():
-            _tensor_add(k, out, (m1, m2), k.mul(c1, c2))
+            mp.iadd(k, out, mp.scale(k, mp.mul(k, left, right, _pair), k.mul(c, d)))
     return out
 
 
@@ -354,14 +306,9 @@ def hopf_validate_truncated(H: TruncatedGroupLikeHopf, level: int) -> Validation
         delta = H.comul(x)
         # coassociativity and counit laws are immediate for group-likes but
         # get checked against the generic expansions anyway
-        left = {}
-        right = {}
-        for (a, b), c in delta.items():
-            for (u, v), d in H.comul({a: k.one()} if a else p.one()).items():
-                _tensor_add3(k, left, (u, v, b), k.mul(c, d))
-            for (u, v), d in H.comul({b: k.one()} if b else p.one()).items():
-                _tensor_add3(k, right, (a, u, v), k.mul(c, d))
-        if not _tensor_eq(k, left, right):
+        left, right = _coassociativity_sides(
+            k, delta, lambda a: H.comul({a: k.one()} if a else p.one()))
+        if not mp.eq(k, left, right):
             violations.append(("coassociativity", m))
         recon = p.zero()
         for (a, b), c in delta.items():
@@ -384,9 +331,8 @@ def hopf_validate_truncated(H: TruncatedGroupLikeHopf, level: int) -> Validation
         for (a, b), c in delta.items():
             sa = p.sigma({a: k.one()} if a else p.one())
             sb = p.sigma({b: k.one()} if b else p.one())
-            for key, val in _trunc_tensor_of(p, sa, sb).items():
-                _tensor_add(k, rhs, key, k.mul(k.sigma(c), val))
-        if not _tensor_eq(k, lhs, rhs):
+            mp.iadd(k, rhs, mp.scale(k, mp.mul(k, sa, sb, _pair), k.sigma(c)))
+        if not mp.eq(k, lhs, rhs):
             violations.append(("comul-sigma", m))
         if not p.eq(H.antipode(sx), p.sigma(H.antipode(x))):
             violations.append(("antipode-sigma", m))
@@ -400,7 +346,7 @@ def hopf_validate_truncated(H: TruncatedGroupLikeHopf, level: int) -> Validation
             prod = p.mul(x1, x2)
             lhs = H.comul(prod)
             rhs = _trunc_tensor_mul(p, H.comul(x1), H.comul(x2))
-            if not _tensor_eq(k, lhs, rhs):
+            if not mp.eq(k, lhs, rhs):
                 violations.append(("comul-multiplicative", (m1, m2)))
     return ValidationReport(not violations, violations)
 
@@ -416,7 +362,7 @@ def strong_core_is_hopf_subalgebra_truncated(H: TruncatedGroupLikeHopf,
     cols = []
     for a in basis:
         for b in basis:
-            cols.append(_trunc_tensor_of(p, a, b))
+            cols.append(mp.mul(k, a, b, _pair))
     keys = sorted({key for col in cols for key in col}
                   | {key for x in basis for key in H.comul(x)})
     key_index = {key: t for t, key in enumerate(keys)}

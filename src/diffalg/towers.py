@@ -25,6 +25,7 @@ import random
 
 from . import _exprs
 from . import _linalg as la
+from . import _multipoly as mp
 from . import _polycore as pc
 from .exactfield import (DifferenceField, FunctionField, GaloisField, PrimeField,
                          Rationals, ShiftField)
@@ -168,26 +169,16 @@ class TowerExtension:
         return self.gen(self.ensure_name(name))
 
     def add(self, f, g):
-        k = self.base
-        out = dict(f)
-        for m, c in g.items():
-            s = k.add(out.get(m, k.zero()), c)
-            if k.is_zero(s):
-                out.pop(m, None)
-            else:
-                out[m] = s
-        return out
+        return mp.add(self.base, f, g)
 
     def neg(self, f):
-        return {m: self.base.neg(c) for m, c in f.items()}
+        return mp.neg(self.base, f)
 
     def sub(self, f, g):
-        return self.add(f, self.neg(g))
+        return mp.sub(self.base, f, g)
 
     def scale(self, f, c):
-        if self.base.is_zero(c):
-            return {}
-        return {m: self.base.mul(x, c) for m, x in f.items()}
+        return mp.scale(self.base, f, c)
 
     @staticmethod
     def _mono_mul(m1, m2):
@@ -201,30 +192,11 @@ class TowerExtension:
             out.pop()
         return tuple(out)
 
-    def _raw_mul(self, f, g):
-        k = self.base
-        out = {}
-        for m1, c1 in f.items():
-            for m2, c2 in g.items():
-                m = self._mono_mul(m1, m2)
-                s = k.add(out.get(m, k.zero()), k.mul(c1, c2))
-                if k.is_zero(s):
-                    out.pop(m, None)
-                else:
-                    out[m] = s
-        return out
-
     def mul(self, f, g):
-        return self._reduce(self._raw_mul(f, g))
+        return self._reduce(mp.mul(self.base, f, g, self._mono_mul))
 
     def power(self, f, e):
-        acc = self.one()
-        while e:
-            if e & 1:
-                acc = self.mul(acc, f)
-            f = self.mul(f, f)
-            e >>= 1
-        return acc
+        return mp.power(f, e, self.one(), self.mul)
 
     def _reduce(self, f):
         k = self.base
@@ -249,25 +221,17 @@ class TowerExtension:
                 rest.pop()
             base_term = {tuple(rest): c}
             # a_t^d = -(lower coefficients of the minimal polynomial)
-            rhs = self.zero()
+            rhs = {}
             for e, coeff_el in enumerate(lv.minpoly[:-1]):
                 term = self.scale(coeff_el, k.from_int(-1))
                 if e:
                     mono = tuple([0] * t + [e])
-                    term = self._raw_mul(term, {mono: k.one()})
-                rhs = self.add(rhs, term)
-            add_in = self._raw_mul(base_term, rhs)
-            for m2, c2 in add_in.items():
-                s = k.add(f.get(m2, k.zero()), c2)
-                if k.is_zero(s):
-                    f.pop(m2, None)
-                else:
-                    f[m2] = s
+                    term = mp.mul(k, term, {mono: k.one()}, self._mono_mul)
+                mp.iadd(k, rhs, term)
+            mp.iadd(k, f, mp.mul(k, base_term, rhs, self._mono_mul))
 
     def eq(self, f, g):
-        if len(f) != len(g):
-            return False
-        return all(m in g and self.base.eq(c, g[m]) for m, c in f.items())
+        return mp.eq(self.base, f, g)
 
     def is_zero(self, f):
         return not f
@@ -324,7 +288,29 @@ class TowerExtension:
     # -- expression parsing ------------------------------------------------------
 
     def parse(self, text):
-        return _exprs.evaluate(text, _TowerOps(self))
+        return _exprs.evaluate(text, _exprs.RingOps(self, self._name, self._call))
+
+    def _name(self, s):
+        base = self.base
+        if isinstance(base, ShiftField):
+            if s.startswith("t"):
+                tail = s[1:]
+                if tail.isdigit():
+                    return self.const(base.t(int(tail)))
+                if tail.startswith("_m") and tail[2:].isdigit():
+                    return self.const(base.t(-int(tail[2:])))
+        if isinstance(base, FunctionField) and s == "t":
+            return self.const(base.t())
+        if isinstance(base, GaloisField) and s == "x":
+            return self.const(base.generator())
+        return self.gen_by_name(s)
+
+    def _call(self, fname, args):
+        if fname == "t" and len(args) == 1 and isinstance(args[0], int):
+            if isinstance(self.base, ShiftField):
+                return self.const(self.base.t(args[0]))
+            raise _exprs.ExpressionError("t(i) needs a shift-field base")
+        return None
 
     # -- linear algebra over the base ---------------------------------------------
 
@@ -518,65 +504,6 @@ class TowerExtension:
             raise TowerError(f"level {level.name!r} is inseparable")
 
 
-class _TowerOps:
-    def __init__(self, tower):
-        self.t = tower
-
-    def from_int(self, n):
-        return self.t.const(self.t.base.from_int(n))
-
-    def add(self, a, b):
-        return self.t.add(a, b)
-
-    def sub(self, a, b):
-        return self.t.sub(a, b)
-
-    def mul(self, a, b):
-        return self.t.mul(a, b)
-
-    def div(self, a, b):
-        if self.t.in_base(b) and not self.t.is_zero(b):
-            return self.t.scale(a, self.t.base.inv(self.t.base_value(b)))
-        raise _exprs.ExpressionError("division only by base constants")
-
-    def neg(self, a):
-        return self.t.neg(a)
-
-    def pow(self, a, e):
-        return self.t.power(a, e)
-
-    def name(self, s):
-        base = self.t.base
-        if isinstance(base, ShiftField):
-            if s.startswith("t"):
-                tail = s[1:]
-                if tail.isdigit():
-                    return self.t.const(base.t(int(tail)))
-                if tail.startswith("_m") and tail[2:].isdigit():
-                    return self.t.const(base.t(-int(tail[2:])))
-        if isinstance(base, FunctionField) and s == "t":
-            return self.t.const(base.t())
-        if isinstance(base, GaloisField) and s == "x":
-            return self.t.const(base.generator())
-        return self.t.gen_by_name(s)
-
-    def call(self, fname, args):
-        if fname == "t" and len(args) == 1 and isinstance(args[0], int):
-            base = self.t.base
-            if isinstance(base, ShiftField):
-                return self.t.const(base.t(args[0]))
-            raise _exprs.ExpressionError("t(i) needs a shift-field base")
-        if fname == "sigma":
-            if len(args) == 1:
-                return self.t.sigma(args[0])
-            if len(args) == 2 and isinstance(args[1], int):
-                v = args[0]
-                for _ in range(args[1]):
-                    v = self.t.sigma(v)
-                return v
-        raise _exprs.ExpressionError(f"unknown call {fname!r}")
-
-
 class _TowerFieldView:
     """Field protocol over the elements of a tower prefix."""
 
@@ -666,7 +593,6 @@ def _specialize_scalar(k, val, rng):
         dv = pc.evaluate(base0, list(den), point)
         return base0.mul(nv, base0.inv(dv))
     if isinstance(k, ShiftField):
-        from . import _multipoly as mp
 
         num, den = val
         vs = sorted(mp.variables(num) | mp.variables(den))
@@ -832,7 +758,6 @@ def _finite_roots(kf, f):
 def _embed_constant(k, c):
     """Constant of the coefficient field into a function/shift field."""
     if isinstance(k, ShiftField):
-        from . import _multipoly as mp
 
         return k._make(mp.const(k.base, c), mp.const(k.base, k.base.one()))
     if isinstance(k, FunctionField):

@@ -208,3 +208,44 @@ def test_json_format_emission(capsys):
     assert code == 0
     parsed = json.loads(out)
     assert parsed["result"]["core_dimension"] == 1
+
+
+@pytest.mark.parametrize("argv", [
+    # an abbreviation argparse accepts
+    ["--form", "json", "gallery", "nope"],
+    # repeated: the last value wins
+    ["--format", "text", "gallery", "nope", "--format", "json"],
+    ["gallery", "nope", "--format=text", "--format=json"],
+])
+def test_output_format_is_the_parsed_one(capsys, argv):
+    from diffalg.cli import main
+
+    code = main(argv)
+    assert code == 1
+    assert json.loads(capsys.readouterr().out) == {
+        "error": "unknown gallery item 'nope'"}
+
+
+@pytest.mark.parametrize("argv", [
+    ["check"],
+    ["check", "a.json"],
+    ["nope"],
+    ["babbitt"],
+    ["suite", "all", "--seed", "x"],
+])
+def test_usage_errors_exit_one(capsys, argv):
+    from diffalg.cli import main
+
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 1
+    assert "error:" in capsys.readouterr().err
+
+
+def test_help_exits_zero(capsys):
+    from diffalg.cli import main
+
+    with pytest.raises(SystemExit) as exc:
+        main(["check", "--help"])
+    assert exc.value.code == 0
+    assert "--predicate" in capsys.readouterr().out

@@ -1,8 +1,11 @@
-"""verify-cert must reject non-certificate JSON with an input error."""
+"""Documents of the wrong JSON type must end in an input error, not a
+traceback."""
 
 import json
 
-from diffalg.cli import run
+import pytest
+
+from diffalg.cli import CERT_FORMAT, run
 
 
 def test_verify_cert_rejects_non_certificate_json(tmp_path):
@@ -14,3 +17,48 @@ def test_verify_cert_rejects_non_certificate_json(tmp_path):
     p2.write_text(json.dumps({"chain": []}))
     code2, rep2 = run(["verify-cert", str(p2)])
     assert code2 == 1 and "error" in rep2
+
+
+@pytest.mark.parametrize("argv", [
+    ["check", "{f}", "--predicate", "etale"],
+    ["core", "{f}"],
+    ["ld", "{f}"],
+    ["compat", "{f}", "{f}"],
+    ["hopf", "validate", "{f}"],
+    ["hopf", "core-check", "{f}"],
+    ["babbitt", "verify", "{f}"],
+    ["babbitt", "search", "{f}"],
+])
+def test_top_level_array_is_an_input_error(tmp_path, argv):
+    p = tmp_path / "array.json"
+    p.write_text(json.dumps([1, 2]))
+    code, rep = run([a.format(f=p) for a in argv])
+    assert code == 1 and "must be an object" in rep["error"]
+
+
+@pytest.mark.parametrize("command, instance", [
+    ("check", [1]),
+    ("core", [1]),
+    ("ld", [1]),
+    ("compat", {"towerA": [1], "towerB": [1]}),
+    ("babbitt-search", {"tower": [1], "candidates": []}),
+    ("babbitt-verify", {"tower": [1], "chain": []}),
+    ("hopf-validate", {"presentation": [1]}),
+    ("hopf-core-check", {"algebra": [1]}),
+])
+def test_certificate_with_non_object_instance_is_an_input_error(
+        tmp_path, command, instance):
+    cert = {"format": CERT_FORMAT, "command": command,
+            "config": {"predicate": "etale"}, "instance": instance,
+            "result": {}, "exit_code": 0}
+    p = tmp_path / "cert.json"
+    p.write_text(json.dumps(cert))
+    code, rep = run(["verify-cert", str(p)])
+    assert code == 1 and "must be a JSON object" in rep["error"]
+
+
+def test_babbitt_candidates_must_be_an_array(tmp_path):
+    p = tmp_path / "obj.json"
+    p.write_text(json.dumps({"a": 1}))
+    code, rep = run(["babbitt", "search", str(p), "--candidates", str(p)])
+    assert code == 1 and "must be an array" in rep["error"]
