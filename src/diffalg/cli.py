@@ -5,7 +5,10 @@ a certificate that embeds the instance it certifies, so `verify-cert` can
 re-run it with no external state.  Exit codes: 0 verified/true, 2 refuted
 with witness, 3 inconclusive at the configured horizon, 1 input error
 (a usage error included; `--help` exits 0).
-"""
+
+One table, `COMMANDS`, drives the parser, the dispatch and `execute`.  A
+certificate's config is checked against it: a missing key takes the table
+default; a value of the wrong type, or outside the key's choices, exits 1."""
 
 from __future__ import annotations
 
@@ -13,6 +16,7 @@ import argparse
 import json
 import os
 import sys
+from collections import namedtuple
 
 from . import gallery
 from .diffpoly import Presentation, strong_core_truncated
@@ -26,7 +30,8 @@ from .hopf import (SigmaHopf, TruncatedGroupLikeHopf, hopf_validate,
                    union_of_etale_subalgebras_probe)
 from .suites import SUITES, run_suite
 from .towers import (BabbittChain, TowerError, babbitt_search, babbitt_verify,
-                     compatible, limit_degree, tower_from_json)
+                     compatible, element_to_json, limit_degree,
+                     strong_core_finite_ext, tower_from_json)
 
 CERT_FORMAT = "diffalg-cert-1"
 PREDICATES = {
@@ -35,135 +40,183 @@ PREDICATES = {
     "sseparable": is_sigma_separable,
     "ssetale": is_strongly_sigma_etale,
 }
+VERDICT_CODES = {"verified": 0, "refuted": 2, "inconclusive": 3}
 
 
 class InputError(ValueError):
     pass
 
 
-def default_seed():
-    try:
-        return int(os.environ.get("DIFFALG_SEED", "42"))
-    except ValueError:
-        return 42
+# Rows of the command table.  Opt: a config key, its type, its one default and
+# its argv spelling: a flag (required if the default is None), a positional,
+# or None for the global --seed.  File: an input file's argument, its payload
+# key (None: the document is the payload) and its JSON type; an optional file
+# left out gives an empty one.  Commands on one argv path are told apart by
+# `when`, a payload test: the first that passes runs, one without runs last.
+Opt = namedtuple("Opt", "key type default arg choices help", defaults=(None, None))
+File = namedtuple("File", "arg key kind help", defaults=(None, dict, None))
+Command = namedtuple("Command", "name argv files run options when help",
+                     defaults=((), None, None))
+
+
+def _check(payload, cfg):
+    value = PREDICATES[cfg["predicate"]](FinSigmaAlgebra.from_json(payload))
+    return (0 if value else 2), {"predicate": cfg["predicate"], "value": bool(value)}
+
+
+def _core(payload, cfg):
+    A = FinSigmaAlgebra.from_json(payload)
+    res = strong_core(A)
+    basis = [[A.base.scalar_to_json(c) for c in res.inclusion.column(j)]
+             for j in range(res.algebra.dim)]
+    return (0 if res.complete else 3), {"dimension": res.algebra.dim,
+                                        "complete": res.complete, "basis": basis}
+
+
+def _core_truncated(payload, cfg):
+    pres = Presentation.from_json(payload)
+    res = strong_core_truncated(pres, cfg["level"], cfg["horizon"])
+    basis = [[[[list(v) for v in m], pres.base.scalar_to_json(c)]
+              for m, c in sorted(x.items())] for x in res.basis]
+    return (0 if res.status == "exact" else 3), {
+        "dimension": len(res.basis), "status": res.status, "basis": basis,
+        "window": [list(v) for v in res.window_vars]}
+
+
+def _core_tower(payload, cfg):
+    T = tower_from_json(payload)
+    res = strong_core_finite_ext(T)
+    return 0, {"dimension": res.algebra.dim, "stabilized_at": res.stabilized_at,
+               "strongly_sigma_etale": res.strongly_sigma_etale,
+               "radicial_exponents": dict(sorted(res.radicial_exponents.items())),
+               "basis": [element_to_json(T, x) for x in res.basis_elements]}
+
+
+def _ld(payload, cfg):
+    report = limit_degree(tower_from_json(payload), horizon=cfg["horizon"],
+                          window=cfg["window"])
+    return (0 if report.value is not None else 3), report.to_json()
+
+
+def _babbitt_verify(payload, cfg):
+    _object(payload, "tower")
+    cert = babbitt_verify(BabbittChain.from_json(payload), horizon=cfg["horizon"])
+    return VERDICT_CODES[cert["verdict"]], cert
+
+
+def _babbitt_search(payload, cfg):
+    T = tower_from_json(_object(payload, "tower"))
+    report = babbitt_search(T, payload.get("candidates", []), horizon=cfg["horizon"])
+    return (0 if report.get("found") else 3), report
+
+
+def _compat(payload, cfg):
+    verdict = compatible(tower_from_json(_object(payload, "towerA")),
+                         tower_from_json(_object(payload, "towerB")))
+    return (0 if verdict.compatible else 2), {
+        "compatible": verdict.compatible, "witness": verdict.witness,
+        "details": verdict.details}
+
+
+def _hopf_validate(payload, cfg):
+    kind, H = _load_hopf(payload)
+    rep = hopf_validate(H) if kind == "matrix" else hopf_validate_truncated(H, cfg["level"])
+    return (0 if rep.ok else 2), {
+        "ok": rep.ok, "violations": [[str(v[0]), repr(v[1])] for v in rep.violations]}
+
+
+def _hopf_core_check(payload, cfg):
+    kind, H = _load_hopf(payload)
+    cert = (strong_core_is_hopf_subalgebra(H) if kind == "matrix" else
+            strong_core_is_hopf_subalgebra_truncated(H, cfg["level"], cfg["horizon"]))
+    return VERDICT_CODES[cert["status"]], cert
+
+
+def _gallery(payload, cfg):
+    if cfg["name"] != "example-core-not-hopf":
+        raise InputError(f"unknown gallery item {cfg['name']!r}")
+    char, level = cfg["char"], cfg["level"]
+    pres = gallery.product_carrier(char)
+    core = strong_core_truncated(pres, level)
+    probe = union_of_etale_subalgebras_probe(pres, level)
+    hopf_cert = strong_core_is_hopf_subalgebra_truncated(
+        gallery.product_carrier_hopf(char), level)
+    ok = (len(core.basis) == 1 and core.status == "exact"
+          and probe["slice_dimension"] >= 2 ** level
+          and hopf_cert["status"] == "verified")
+    return (0 if ok else 2), {
+        "char": char, "level": level, "core_dimension": len(core.basis),
+        "core_status": core.status,
+        "etale_union_lower_bound": probe["slice_dimension"],
+        "hopf_core_check": hopf_cert["status"]}
+
+
+def _suite(payload, cfg):
+    report = run_suite(cfg["name"], seed=cfg["seed"])
+    return (0 if report["passed"] else 2), report
+
+
+ONE = (File("file"),)
+SEED = Opt("seed", int, 42, None)
+HORIZON4 = (Opt("horizon", int, 4, "--horizon"),)
+GROUPS = {"babbitt": "verify or search decomposition chains",
+          "hopf": "Hopf structure checks"}
+
+COMMANDS = {c.name: c for c in [
+    Command("check", "check", ONE, _check,
+            [Opt("predicate", str, None, "--predicate", tuple(sorted(PREDICATES)))],
+            help="decide a predicate on an algebra file"),
+    Command("core", "core", ONE, _core,
+            help="strong core of an algebra, presentation or tower file"),
+    Command("core-truncated", "core", ONE, _core_truncated,
+            [Opt("level", int, 2, "--level", help="truncation level for presentations"),
+             Opt("horizon", int, 64, "--horizon")], when=lambda p: "gens" in p),
+    Command("core-tower", "core", ONE, _core_tower,
+            when=lambda p: "levels" in p or "families" in p),
+    Command("ld", "ld", ONE, _ld,
+            [Opt("horizon", int, 6, "--horizon"), Opt("window", int, 4, "--window")],
+            help="limit degree of a tower file"),
+    Command("babbitt-verify", "babbitt verify", ONE, _babbitt_verify, HORIZON4,
+            help="verify a decomposition chain"),
+    Command("babbitt-search", "babbitt search",
+            (File("file", "tower"), File("--candidates", "candidates", list,
+                                         "JSON file with a list of candidate expressions")),
+            _babbitt_search, HORIZON4, help="search for a decomposition chain"),
+    Command("compat", "compat", (File("towerA", "towerA"), File("towerB", "towerB")),
+            _compat, help="compatibility of two tower files"),
+    Command("hopf-validate", "hopf validate", ONE, _hopf_validate,
+            [Opt("level", int, 1, "--level")], help="check the Hopf axioms"),
+    Command("hopf-core-check", "hopf core-check", ONE, _hopf_core_check,
+            [Opt("level", int, 2, "--level"), Opt("horizon", int, 64, "--horizon")],
+            help="check that the strong core is a Hopf subalgebra"),
+    Command("gallery", "gallery", (), _gallery,
+            [Opt("name", str, None, "name"), Opt("level", int, 2, "--level"),
+             Opt("char", int, 5, "--char")], help="run a shipped worked example"),
+    Command("suite", "suite", (), _suite,
+            [Opt("name", str, "all", "name", tuple(sorted(SUITES)) + ("all",)), SEED],
+            help="run a property suite"),
+]}
 
 
 def execute(command, payload, config):
-    """Run one command on an embedded payload; returns (exit_code, result)."""
-    if command == "check":
-        predicate = config.get("predicate")
-        if predicate not in PREDICATES:
-            raise InputError(f"unknown predicate {predicate!r}; "
-                             f"pick one of {sorted(PREDICATES)}")
-        A = FinSigmaAlgebra.from_json(payload)
-        value = PREDICATES[predicate](A)
-        return (0 if value else 2), {"predicate": predicate, "value": bool(value)}
-
-    if command == "core":
-        A = FinSigmaAlgebra.from_json(payload)
-        res = strong_core(A)
-        k = A.base
-        basis = [[k.scalar_to_json(c) for c in res.inclusion.column(j)]
-                 for j in range(res.algebra.dim)]
-        code = 0 if res.complete else 3
-        return code, {"dimension": res.algebra.dim, "complete": res.complete,
-                      "basis": basis}
-
-    if command == "core-truncated":
-        pres = Presentation.from_json(payload)
-        res = strong_core_truncated(pres, config.get("level", 2),
-                                    config.get("horizon", 64))
-        basis = [_element_json(pres, x) for x in res.basis]
-        code = 0 if res.status == "exact" else 3
-        return code, {"dimension": len(res.basis), "status": res.status,
-                      "basis": basis,
-                      "window": [list(v) for v in res.window_vars]}
-
-    if command == "core-tower":
-        from .towers import element_to_json, strong_core_finite_ext
-
-        T = tower_from_json(payload)
-        res = strong_core_finite_ext(T)
-        return 0, {"dimension": res.algebra.dim,
-                   "strongly_sigma_etale": res.strongly_sigma_etale,
-                   "stabilized_at": res.stabilized_at,
-                   "radicial_exponents": dict(sorted(res.radicial_exponents.items())),
-                   "basis": [element_to_json(T, x) for x in res.basis_elements]}
-
-    if command == "ld":
-        T = tower_from_json(payload)
-        report = limit_degree(T, horizon=config.get("horizon", 6),
-                              window=config.get("window", 4))
-        code = 0 if report.value is not None else 3
-        return code, report.to_json()
-
-    if command == "babbitt-verify":
-        _object(payload, "tower")
-        chain = BabbittChain.from_json(payload)
-        cert = babbitt_verify(chain, horizon=config.get("horizon", 4))
-        code = {"verified": 0, "refuted": 2, "inconclusive": 3}[cert["verdict"]]
-        return code, cert
-
-    if command == "babbitt-search":
-        T = tower_from_json(_object(payload, "tower"))
-        report = babbitt_search(T, payload.get("candidates", []),
-                                horizon=config.get("horizon", 4))
-        return (0 if report.get("found") else 3), report
-
-    if command == "compat":
-        TA = tower_from_json(_object(payload, "towerA"))
-        TB = tower_from_json(_object(payload, "towerB"))
-        verdict = compatible(TA, TB)
-        result = {"compatible": verdict.compatible, "witness": verdict.witness,
-                  "details": verdict.details}
-        return (0 if verdict.compatible else 2), result
-
-    if command == "hopf-validate":
-        kind, H = _load_hopf(payload)
-        if kind == "matrix":
-            rep = hopf_validate(H)
-        else:
-            rep = hopf_validate_truncated(H, config.get("level", 1))
-        result = {"ok": rep.ok,
-                  "violations": [[str(v[0]), repr(v[1])] for v in rep.violations]}
-        return (0 if rep.ok else 2), result
-
-    if command == "hopf-core-check":
-        kind, H = _load_hopf(payload)
-        if kind == "matrix":
-            cert = strong_core_is_hopf_subalgebra(H)
-        else:
-            cert = strong_core_is_hopf_subalgebra_truncated(
-                H, config.get("level", 2), config.get("horizon", 64))
-        code = {"verified": 0, "refuted": 2, "inconclusive": 3}[cert["status"]]
-        return code, cert
-
-    if command == "gallery":
-        name = config.get("name")
-        if name != "example-core-not-hopf":
-            raise InputError(f"unknown gallery item {name!r}")
-        char = config.get("char", 5)
-        level = config.get("level", 2)
-        pres = gallery.product_carrier(char)
-        core = strong_core_truncated(pres, level)
-        probe = union_of_etale_subalgebras_probe(pres, level)
-        hopf_cert = strong_core_is_hopf_subalgebra_truncated(
-            gallery.product_carrier_hopf(char), level)
-        ok = (len(core.basis) == 1 and core.status == "exact"
-              and probe["slice_dimension"] >= 2 ** level
-              and hopf_cert["status"] == "verified")
-        result = {"char": char, "level": level,
-                  "core_dimension": len(core.basis), "core_status": core.status,
-                  "etale_union_lower_bound": probe["slice_dimension"],
-                  "hopf_core_check": hopf_cert["status"]}
-        return (0 if ok else 2), result
-
-    if command == "suite":
-        name = config.get("name", "all")
-        report = run_suite(name, seed=config.get("seed", 42))
-        return (0 if report["passed"] else 2), report
-
-    raise InputError(f"unknown command {command!r}")
+    """Run one command on an embedded payload; returns (exit_code, result).
+    A missing config key takes the table default; a declared key of the wrong
+    type (int: a non-bool int) or outside its choices is an InputError."""
+    cmd = COMMANDS.get(command) if isinstance(command, str) else None
+    if cmd is None:
+        raise InputError(f"unknown command {command!r}")
+    cfg = {}
+    for opt in cmd.options:
+        value = config.get(opt.key, opt.default)
+        if opt.key in config and (isinstance(value, bool)
+                                  or not isinstance(value, opt.type)):
+            raise InputError(f"config {opt.key!r} must be of type "
+                             f"{opt.type.__name__}, not {value!r}")
+        if opt.choices and value not in opt.choices:
+            raise InputError(f"unknown {opt.key} {value!r}; "
+                             f"pick one of {list(opt.choices)}")
+        cfg[opt.key] = value
+    return cmd.run(payload, cfg)
 
 
 def _object(payload, key):
@@ -174,19 +227,12 @@ def _object(payload, key):
     return doc
 
 
-def _element_json(pres, x):
-    k = pres.base
-    return [[[list(v) for v in m], k.scalar_to_json(c)]
-            for m, c in sorted(x.items())]
-
-
 def _load_hopf(payload):
     if "presentation" in payload:
         pres = Presentation.from_json(_object(payload, "presentation"))
         return "truncated", TruncatedGroupLikeHopf(pres)
     A = FinSigmaAlgebra.from_json(_object(payload, "algebra"))
-    k = A.base
-    dec = k.scalar_from_json
+    dec = A.base.scalar_from_json
     comul = [[dec(c) for c in row] for row in payload["comul"]]
     antipode = [[dec(c) for c in row] for row in payload["antipode"]]
     counit = [dec(c) for c in payload["counit"]]
@@ -194,14 +240,8 @@ def _load_hopf(payload):
 
 
 def make_certificate(command, payload, config, code, result):
-    return {
-        "format": CERT_FORMAT,
-        "command": command,
-        "config": config,
-        "instance": payload,
-        "result": result,
-        "exit_code": code,
-    }
+    return {"format": CERT_FORMAT, "command": command, "config": config,
+            "instance": payload, "result": result, "exit_code": code}
 
 
 def verify_certificate(cert):
@@ -218,8 +258,7 @@ def verify_certificate(cert):
 def emit(report, fmt, stream=None):
     stream = stream or sys.stdout
     if fmt == "json":
-        stream.write(json.dumps(report, sort_keys=True, separators=(",", ":")))
-        stream.write("\n")
+        stream.write(json.dumps(report, sort_keys=True, separators=(",", ":")) + "\n")
     else:
         _emit_text(report, stream)
 
@@ -253,80 +292,46 @@ class _ArgumentParser(argparse.ArgumentParser):
 
 
 def build_parser():
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--format", choices=["json", "text"],
-                        default=argparse.SUPPRESS)
-    common.add_argument("--seed", type=int, default=argparse.SUPPRESS,
-                        help="PRNG seed (default: DIFFALG_SEED or 42)")
+    try:
+        seed = int(os.environ.get("DIFFALG_SEED", SEED.default))
+    except ValueError:
+        seed = SEED.default
     parser = _ArgumentParser(
         prog="diffalg",
         description="exact difference-algebra decision procedures with "
                     "machine-checkable certificates")
-    parser.add_argument("--format", choices=["json", "text"], default="text")
-    parser.add_argument("--seed", type=int, default=None,
-                        help="PRNG seed (default: DIFFALG_SEED or 42)")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_parser(sp, name, **kw):
-        return sp.add_parser(name, parents=[common], **kw)
-
-    p = add_parser(sub, "check", help="decide a predicate on an algebra file")
-    p.add_argument("file")
-    p.add_argument("--predicate", required=True, choices=sorted(PREDICATES))
-
-    p = add_parser(sub, "core", help="strong core of an algebra file")
-    p.add_argument("file")
-    p.add_argument("--level", type=int, default=2,
-                   help="truncation level for presentation inputs")
-    p.add_argument("--horizon", type=int, default=64)
-
-    p = add_parser(sub, "ld", help="limit degree of a tower file")
-    p.add_argument("file")
-    p.add_argument("--horizon", type=int, default=6)
-    p.add_argument("--window", type=int, default=4)
-
-    p = add_parser(sub, "babbitt", help="verify or search decomposition chains")
-    bsub = p.add_subparsers(dest="subcommand", required=True)
-    pv = add_parser(bsub, "verify")
-    pv.add_argument("file")
-    pv.add_argument("--horizon", type=int, default=4)
-    ps = add_parser(bsub, "search")
-    ps.add_argument("file")
-    ps.add_argument("--candidates", default=None,
-                    help="JSON file with a list of candidate expressions")
-    ps.add_argument("--horizon", type=int, default=4)
-
-    p = add_parser(sub, "compat", help="compatibility of two tower files")
-    p.add_argument("towerA")
-    p.add_argument("towerB")
-
-    p = add_parser(sub, "hopf", help="Hopf structure checks")
-    hsub = p.add_subparsers(dest="subcommand", required=True)
-    pv = add_parser(hsub, "validate")
-    pv.add_argument("file")
-    pv.add_argument("--level", type=int, default=1)
-    pc_ = add_parser(hsub, "core-check")
-    pc_.add_argument("file")
-    pc_.add_argument("--level", type=int, default=2)
-    pc_.add_argument("--horizon", type=int, default=64)
-
-    p = add_parser(sub, "gallery", help="run a shipped worked example")
-    p.add_argument("name")
-    p.add_argument("--level", type=int, default=2)
-    p.add_argument("--char", type=int, default=5)
-
-    p = add_parser(sub, "suite", help="run a property suite")
-    p.add_argument("name", choices=sorted(SUITES) + ["all"])
-
-    p = add_parser(sub, "verify-cert", help="re-verify an emitted certificate")
-    p.add_argument("file")
-
+    common = argparse.ArgumentParser(add_help=False)
+    # given after a sub-command, --format and --seed override the top level
+    for p, fmt, default in ((parser, "text", seed),
+                            (common, argparse.SUPPRESS, argparse.SUPPRESS)):
+        p.add_argument("--format", choices=["json", "text"], default=fmt)
+        p.add_argument("--seed", type=int, default=default,
+                       help=f"PRNG seed (default: DIFFALG_SEED or {SEED.default})")
+    subs, leaves = {"": parser.add_subparsers(dest="command", required=True)}, {}
+    for cmd in COMMANDS.values():
+        group, _, name = cmd.argv.rpartition(" ")
+        if group not in subs:
+            subs[group] = subs[""].add_parser(
+                group, parents=[common], help=GROUPS[group]
+            ).add_subparsers(dest="subcommand", required=True)
+        if cmd.argv not in leaves:
+            leaf = leaves[cmd.argv] = subs[group].add_parser(
+                name, parents=[common], help=cmd.help)
+            leaf.set_defaults(argv=cmd.argv)
+            for f in cmd.files:
+                leaf.add_argument(f.arg, help=f.help)
+        for opt in (o for o in cmd.options if o.arg):
+            kw = dict(type=opt.type, choices=opt.choices, help=opt.help)
+            if opt.arg.startswith("-"):
+                kw.update(default=opt.default, required=opt.default is None)
+            leaves[cmd.argv].add_argument(opt.arg, **kw)
+    subs[""].add_parser("verify-cert", parents=[common],
+                        help="re-verify an emitted certificate").add_argument("file")
     return parser
 
 
 def _load_json(path, expect=dict):
-    """Load a JSON document that must be an object (or, with expect=list,
-    an array)."""
+    """Load a JSON document that must be an object (or with expect=list, an array)."""
     try:
         with open(path) as fh:
             doc = json.load(fh)
@@ -343,91 +348,35 @@ def run(argv):
     return _dispatch(build_parser().parse_args(argv))
 
 
+def _load_payload(files, args):
+    """The document of the file without a payload key, else the documents by key."""
+    docs = {}
+    for f in files:
+        path = getattr(args, f.arg.lstrip("-"))
+        docs[f.key] = f.kind() if path is None else _load_json(path, f.kind)
+    return docs.pop(None, docs)
+
+
 def _dispatch(args):
-    seed = args.seed if args.seed is not None else default_seed()
     try:
         if args.command == "verify-cert":
-            cert = _load_json(args.file)
-            ok, result = verify_certificate(cert)
+            ok, result = verify_certificate(_load_json(args.file))
             return (0 if ok else 2), {"verify": result, "file": args.file}
-
-        if args.command == "suite":
-            config = {"name": args.name, "seed": seed}
-            code, result = execute("suite", {}, config)
-            return code, make_certificate("suite", {}, config, code, result)
-
-        if args.command == "gallery":
-            config = {"name": args.name, "level": args.level, "char": args.char}
-            code, result = execute("gallery", {}, config)
-            return code, make_certificate("gallery", {}, config, code, result)
-
-        if args.command == "check":
-            payload = _load_json(args.file)
-            config = {"predicate": args.predicate}
-            code, result = execute("check", payload, config)
-            return code, make_certificate("check", payload, config, code, result)
-
-        if args.command == "core":
-            payload = _load_json(args.file)
-            if "gens" in payload:
-                config = {"level": args.level, "horizon": args.horizon}
-                code, result = execute("core-truncated", payload, config)
-                return code, make_certificate("core-truncated", payload, config,
-                                              code, result)
-            if "levels" in payload or "families" in payload:
-                code, result = execute("core-tower", payload, {})
-                return code, make_certificate("core-tower", payload, {},
-                                              code, result)
-            code, result = execute("core", payload, {})
-            return code, make_certificate("core", payload, {}, code, result)
-
-        if args.command == "ld":
-            payload = _load_json(args.file)
-            config = {"horizon": args.horizon, "window": args.window}
-            code, result = execute("ld", payload, config)
-            return code, make_certificate("ld", payload, config, code, result)
-
-        if args.command == "babbitt":
-            if args.subcommand == "verify":
-                payload = _load_json(args.file)
-                config = {"horizon": args.horizon}
-                code, result = execute("babbitt-verify", payload, config)
-                return code, make_certificate("babbitt-verify", payload, config,
-                                              code, result)
-            payload = {"tower": _load_json(args.file), "candidates": []}
-            if args.candidates:
-                payload["candidates"] = _load_json(args.candidates, list)
-            config = {"horizon": args.horizon}
-            code, result = execute("babbitt-search", payload, config)
-            return code, make_certificate("babbitt-search", payload, config,
-                                          code, result)
-
-        if args.command == "compat":
-            payload = {"towerA": _load_json(args.towerA),
-                       "towerB": _load_json(args.towerB)}
-            code, result = execute("compat", payload, {})
-            return code, make_certificate("compat", payload, {}, code, result)
-
-        if args.command == "hopf":
-            payload = _load_json(args.file)
-            if args.subcommand == "validate":
-                config = {"level": args.level}
-                code, result = execute("hopf-validate", payload, config)
-                return code, make_certificate("hopf-validate", payload, config,
-                                              code, result)
-            config = {"level": args.level, "horizon": args.horizon}
-            code, result = execute("hopf-core-check", payload, config)
-            return code, make_certificate("hopf-core-check", payload, config,
-                                          code, result)
-
-        raise InputError(f"unhandled command {args.command!r}")
+        # commands with a `when` test first, in table order
+        entries = sorted((c for c in COMMANDS.values() if c.argv == args.argv),
+                         key=lambda c: c.when is None)
+        payload = _load_payload(entries[0].files, args)
+        cmd = next(c for c in entries if c.when is None or c.when(payload))
+        config = {opt.key: getattr(args, opt.key) for opt in cmd.options}
+        code, result = execute(cmd.name, payload, config)
+        return code, make_certificate(cmd.name, payload, config, code, result)
     except (InputError, FieldError, TowerError, RestrictedAutomationError,
             KeyError, ValueError) as exc:
         return 1, {"error": str(exc) or type(exc).__name__}
 
 
 def main(argv=None):
-    args = build_parser().parse_args(sys.argv[1:] if argv is None else argv)
+    args = build_parser().parse_args(argv)
     code, report = _dispatch(args)
     emit(report, args.format)
     return code

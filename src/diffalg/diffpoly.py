@@ -300,10 +300,14 @@ class Presentation:
 
     @staticmethod
     def from_json(data, base=None):
-        from .exactfield import field_make
+        from .exactfield import field_make, json_list
 
         base = base if base is not None else field_make(data["base"])
-        return Presentation(base, data["vars"], [g["poly"] for g in data["gens"]])
+        gens = json_list(data["gens"], "gens", dict)
+        if not all(isinstance(g.get("poly"), str) for g in gens):
+            raise ValueError("each generator's poly must be a string")
+        return Presentation(base, json_list(data["vars"], "vars", str),
+                            [g["poly"] for g in gens])
 
 
 @dataclass

@@ -685,10 +685,23 @@ class ShiftField(DifferenceField):
                 "min_index": self.min_index}
 
 
+def json_list(value, what, item=None):
+    """value, which must be a JSON array (of `item`s, when given); otherwise
+    a ValueError naming the field `what`."""
+    if not isinstance(value, list) or (
+            item is not None and not all(isinstance(x, item) for x in value)):
+        kinds = {list: "arrays", dict: "objects", str: "strings"}
+        raise ValueError(f"{what} must be a JSON array"
+                         + (f" of {kinds[item]}" if item else ""))
+    return value
+
+
 def field_make(descriptor):
     """Build and validate a difference field from a JSON-style descriptor."""
     if isinstance(descriptor, DifferenceField):
         return descriptor
+    if not isinstance(descriptor, dict):
+        raise FieldError("a field descriptor must be a JSON object")
     kind = descriptor.get("kind")
     if kind == "Q":
         return Rationals()

@@ -141,13 +141,14 @@ class FinSigmaAlgebra:
 
     @staticmethod
     def from_json(data, base=None):
-        from .exactfield import field_make
+        from .exactfield import field_make, json_list
 
         base = base if base is not None else field_make(data["base"])
         dec = base.scalar_from_json
-        mul = [[[dec(c) for c in cell] for cell in row] for row in data["mul"]]
-        unit = [dec(c) for c in data["unit"]]
-        sigma = [[dec(c) for c in row] for row in data["sigma"]]
+        mul = [[[dec(c) for c in cell] for cell in json_list(row, "mul row", list)]
+               for row in json_list(data["mul"], "mul", list)]
+        unit = [dec(c) for c in json_list(data["unit"], "unit")]
+        sigma = [[dec(c) for c in row] for row in json_list(data["sigma"], "sigma", list)]
         return FinSigmaAlgebra(base, mul, unit, sigma)
 
 

@@ -188,6 +188,32 @@ def hopf_validate(H: SigmaHopf) -> ValidationReport:
     return ValidationReport(not violations, violations)
 
 
+_OUTSIDE_CORE_SQUARE = "comultiplication image outside core (x) core"
+
+
+def _comul_witness(k, basis, images):
+    """Coordinates of each comultiplication image in the products b (x) b' of
+    the core basis (sparse dicts), or None when one lies outside core (x) core."""
+    cols = [mp.mul(k, a, b, _pair) for a in basis for b in basis]
+    keys = sorted({key for col in cols for key in col}
+                  | {key for img in images for key in img})
+    key_index = {key: t for t, key in enumerate(keys)}
+    matrix = [[k.zero()] * len(cols) for _ in keys]
+    for c_idx, col in enumerate(cols):
+        for key, val in col.items():
+            matrix[key_index[key]][c_idx] = val
+    witness = []
+    for img in images:
+        target = [k.zero()] * len(keys)
+        for key, val in img.items():
+            target[key_index[key]] = val
+        sol = la.solve(k, matrix, target)
+        if sol is None:
+            return None
+        witness.append([k.scalar_to_json(c) for c in sol])
+    return witness
+
+
 def strong_core_is_hopf_subalgebra(H: SigmaHopf) -> dict:
     """Certificate that the strong core is closed under the Hopf maps.
 
@@ -203,28 +229,10 @@ def strong_core_is_hopf_subalgebra(H: SigmaHopf) -> dict:
                 "reason": "strong core is only a lower bound on this base"}
     basis = [core.inclusion.column(j) for j in range(core.algebra.dim)]
     r = len(basis)
-    sparse_basis = [_sparse(k, v) for v in basis]
-    pair_cols = [mp.mul(k, va, vb, _pair) for va in sparse_basis for vb in sparse_basis]
-    keys = sorted({key for col in pair_cols for key in col}
-                  | {key for v in basis for key in H.comul_apply(v)})
-    key_index = {key: t for t, key in enumerate(keys)}
-    matrix = [[k.zero()] * len(pair_cols) for _ in keys]
-    for c_idx, col in enumerate(pair_cols):
-        for key, val in col.items():
-            matrix[key_index[key]][c_idx] = val
-    comul_witness = []
-    for v in basis:
-        target = [k.zero()] * len(keys)
-        for key, val in H.comul_apply(v).items():
-            if key not in key_index:
-                return {"status": "refuted", "reason": "comultiplication leaves "
-                        "the tensor square of the core"}
-            target[key_index[key]] = val
-        sol = la.solve(k, matrix, target)
-        if sol is None:
-            return {"status": "refuted",
-                    "reason": "comultiplication image outside core (x) core"}
-        comul_witness.append([k.scalar_to_json(c) for c in sol])
+    comul_witness = _comul_witness(k, [_sparse(k, v) for v in basis],
+                                   [H.comul_apply(v) for v in basis])
+    if comul_witness is None:
+        return {"status": "refuted", "reason": _OUTSIDE_CORE_SQUARE}
     span = core.span
     antipode_witness = []
     for v in basis:
@@ -359,30 +367,9 @@ def strong_core_is_hopf_subalgebra_truncated(H: TruncatedGroupLikeHopf,
     if core.status != "exact":
         return {"status": "inconclusive", "reason": "core status " + core.status}
     basis = core.basis
-    cols = []
-    for a in basis:
-        for b in basis:
-            cols.append(mp.mul(k, a, b, _pair))
-    keys = sorted({key for col in cols for key in col}
-                  | {key for x in basis for key in H.comul(x)})
-    key_index = {key: t for t, key in enumerate(keys)}
-    matrix = [[k.zero()] * len(cols) for _ in keys]
-    for c_idx, col in enumerate(cols):
-        for key, val in col.items():
-            matrix[key_index[key]][c_idx] = val
-    comul_witness = []
-    for x in basis:
-        target = [k.zero()] * len(keys)
-        for key, val in H.comul(x).items():
-            if key not in key_index:
-                return {"status": "refuted",
-                        "reason": "comultiplication leaves the core tensor square"}
-            target[key_index[key]] = val
-        sol = la.solve(k, matrix, target)
-        if sol is None:
-            return {"status": "refuted",
-                    "reason": "comultiplication image outside core (x) core"}
-        comul_witness.append([k.scalar_to_json(c) for c in sol])
+    comul_witness = _comul_witness(k, basis, [H.comul(x) for x in basis])
+    if comul_witness is None:
+        return {"status": "refuted", "reason": _OUTSIDE_CORE_SQUARE}
     # antipode containment
     mono_set = sorted({m for x in basis for m in x} | {()}, key=lambda m: (len(m), m))
     idx = {m: t for t, m in enumerate(mono_set)}

@@ -1130,17 +1130,20 @@ def tower_to_json(T: TowerExtension) -> dict:
 
 
 def tower_from_json(data) -> TowerExtension:
-    from .exactfield import field_make
+    from .exactfield import field_make, json_list
+
+    def array(key, item=dict):
+        return list(json_list(data.get(key, []), key, item))
 
     base = field_make(data["base"])
     T = TowerExtension(base)
-    T.explicit_specs = list(data.get("levels", []))
+    T.explicit_specs = array("levels")
     for spec in T.explicit_specs:
         T.add_explicit_level(spec["name"], spec["minpoly"], spec["sigma"],
                              spec.get("cert"))
     for t in range(len(T.levels)):
         T._sigma_gen(t)
-    fams = list(data.get("families", []))
+    fams = array("families")
     T.family_specs = fams
     all_radical = True
     for s in fams:
@@ -1151,8 +1154,8 @@ def tower_from_json(data) -> TowerExtension:
             _install_radical_on(T, s["name"], s["r"], s["on"], s.get("shift", 1))
         else:
             raise TowerError(f"unsupported serialized family kind {kind!r}")
-    T.explicit_groups = [list(g) for g in data.get("explicit_groups", [])]
-    T.family_groups = [dict(f) for f in data.get("family_groups", [])]
+    T.explicit_groups = [list(g) for g in array("explicit_groups", list)]
+    T.family_groups = [dict(f) for f in array("family_groups")]
     if fams:
         T.group_rule = _make_group_rule(T, T.explicit_groups, T.family_groups)
         T.certified_kind = "mixed-radical" if all_radical else None

@@ -1,5 +1,5 @@
-"""Documents of the wrong JSON type must end in an input error, not a
-traceback."""
+"""Documents, fields and certificate configs of the wrong JSON type must end
+in an input error, not a traceback."""
 
 import json
 
@@ -62,3 +62,55 @@ def test_babbitt_candidates_must_be_an_array(tmp_path):
     p.write_text(json.dumps({"a": 1}))
     code, rep = run(["babbitt", "search", str(p), "--candidates", str(p)])
     assert code == 1 and "must be an array" in rep["error"]
+
+
+def _algebra():
+    from diffalg.exactfield import PrimeField
+    from diffalg.instances import diagonal_algebra
+
+    return diagonal_algebra(PrimeField(5), [1, 0]).to_json()
+
+
+def _presentation():
+    from diffalg.gallery import product_carrier
+
+    return product_carrier(5).to_json()
+
+
+def _tower():
+    from diffalg.gallery import collapse_tower_f5
+    from diffalg.towers import tower_to_json
+
+    return tower_to_json(collapse_tower_f5())
+
+
+@pytest.mark.parametrize("make, field, value, named", [
+    (_algebra, "mul", 5, "mul"),
+    (_tower, "levels", 5, "levels"),
+    (_presentation, "gens", [{"poly": 7}], "poly"),
+], ids=["algebra-mul", "tower-levels", "presentation-poly"])
+def test_field_of_wrong_json_type_is_an_input_error(tmp_path, make, field, value,
+                                                    named):
+    doc = dict(make(), **{field: value})
+    p = tmp_path / "doc.json"
+    p.write_text(json.dumps(doc))
+    code, rep = run(["core", str(p)])
+    assert code == 1 and set(rep) == {"error"} and named in rep["error"]
+
+
+@pytest.mark.parametrize("command, make, config", [
+    ("check", _algebra, {"predicate": ["etale"]}),
+    ("core-truncated", _presentation, {"level": "2"}),
+    ("ld", _tower, {"horizon": "6"}),
+    ("gallery", dict, {"name": "example-core-not-hopf", "char": "5"}),
+    ("suite", dict, {"name": "babbitt", "seed": "x"}),
+], ids=["predicate", "level", "horizon", "char", "seed"])
+def test_certificate_config_of_wrong_type_is_an_input_error(
+        tmp_path, command, make, config):
+    cert = {"format": CERT_FORMAT, "command": command, "config": config,
+            "instance": make(), "result": {}, "exit_code": 0}
+    p = tmp_path / "cert.json"
+    p.write_text(json.dumps(cert))
+    code, rep = run(["verify-cert", str(p)])
+    assert code == 1 and set(rep) == {"error"}
+    assert "must be of type" in rep["error"]

@@ -64,6 +64,17 @@ def test_core_containment_on_matrix_carriers():
         assert len(cert["comul_witness"]) == cert["core_dimension"]
 
 
+def test_core_containment_refuted_when_comul_leaves_core_square():
+    H = collapsed_dual_hopf(5)
+    k = H.carrier.base
+    # the core is the scalars; moving one entry of Delta(e_0) takes
+    # Delta(1) = Delta(e_0) + Delta(e_1) off the line through 1 (x) 1
+    H.comul[0][0] = k.add(H.comul[0][0], k.one())
+    cert = strong_core_is_hopf_subalgebra(H)
+    assert cert["status"] == "refuted"
+    assert "outside core (x) core" in cert["reason"]
+
+
 def test_core_containment_on_truncated_carrier():
     for char in (5, 7):
         cert = strong_core_is_hopf_subalgebra_truncated(
