@@ -187,7 +187,7 @@ def is_irreducible(k, f, q):
         h = _frob_power(k, h, q, f)
     if not eq(k, h, mod(k, x, f)):
         return False
-    for ell in _prime_divisors(n):
+    for ell in prime_divisors(n):
         h = mod(k, x, f)
         for _ in range(n // ell):
             h = _frob_power(k, h, q, f)
@@ -196,7 +196,7 @@ def is_irreducible(k, f, q):
     return True
 
 
-def _prime_divisors(n):
+def prime_divisors(n):
     out = []
     d = 2
     while d * d <= n:

@@ -20,7 +20,7 @@ from collections import namedtuple
 
 from . import gallery
 from .diffpoly import Presentation, strong_core_truncated
-from .exactfield import FieldError
+from .exactfield import FieldError, json_list
 from .findiff import (FinSigmaAlgebra, RestrictedAutomationError, is_etale,
                       is_sigma_reduced, is_sigma_separable,
                       is_strongly_sigma_etale, strong_core)
@@ -67,8 +67,20 @@ def _check(payload, cfg):
 def _core(payload, cfg):
     A = FinSigmaAlgebra.from_json(payload)
     res = strong_core(A)
-    basis = [[A.base.scalar_to_json(c) for c in res.inclusion.column(j)]
-             for j in range(res.algebra.dim)]
+    # one JSON value per distinct scalar, so a caller keeping many results
+    # holds each scalar once
+    encoded = {}
+
+    def enc(c):
+        try:
+            return encoded[c]
+        except KeyError:
+            value = encoded[c] = A.base.scalar_to_json(c)
+            return value
+        except TypeError:  # unhashable: a shift-field fraction
+            return A.base.scalar_to_json(c)
+
+    basis = [[enc(c) for c in res.inclusion.column(j)] for j in range(res.algebra.dim)]
     return (0 if res.complete else 3), {"dimension": res.algebra.dim,
                                         "complete": res.complete, "basis": basis}
 
@@ -233,9 +245,18 @@ def _load_hopf(payload):
         return "truncated", TruncatedGroupLikeHopf(pres)
     A = FinSigmaAlgebra.from_json(_object(payload, "algebra"))
     dec = A.base.scalar_from_json
-    comul = [[dec(c) for c in row] for row in payload["comul"]]
-    antipode = [[dec(c) for c in row] for row in payload["antipode"]]
-    counit = [dec(c) for c in payload["counit"]]
+    what = "comul"
+    try:
+        comul = [[dec(c) for c in row]
+                 for row in json_list(payload["comul"], "comul", list)]
+        what = "antipode"
+        antipode = [[dec(c) for c in row]
+                    for row in json_list(payload["antipode"], "antipode", list)]
+        what = "counit"
+        counit = [dec(c) for c in json_list(payload["counit"], "counit")]
+    except TypeError as exc:
+        raise InputError(f"{what} holds a scalar of the wrong JSON type "
+                         f"for its base field ({exc})") from None
     return "matrix", SigmaHopf(A, comul, antipode, counit)
 
 

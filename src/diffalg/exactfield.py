@@ -19,6 +19,7 @@ all arithmetic goes through the owning field object.
 from __future__ import annotations
 
 from dataclasses import dataclass
+import functools
 from fractions import Fraction
 import random
 
@@ -235,6 +236,18 @@ class GaloisField(DifferenceField):
 
     Elements are length-n tuples of ints, coordinates in the power basis of
     the class of x.
+
+    A field of order at most TABLE_MAX_ORDER multiplies, inverts and applies
+    sigma through a pair of log/antilog tables: exp[i] = g^i for a primitive
+    element g and log its inverse on nonzero elements, so a*b is
+    exp[log a + log b], 1/a is exp[-log a] and a^(p^m) is exp[p^m log a],
+    exponents taken mod q - 1.  The pair is built once per (p, defpoly) and
+    cached for the process; fields differing only in the Frobenius power
+    share it.  The cap bounds memory: the pair holds q - 1 tuples and a dict
+    over them, 1.1 MB at q = 2^12 but 2.7 MB at q = 5^6.  A larger field,
+    such as a user's F_p^n with large p, builds no tables and keeps the
+    polynomial path: a dense product reduced mod defpoly, an extended gcd,
+    repeated p-th powers.
     """
 
     kind = "Fq"
@@ -257,13 +270,17 @@ class GaloisField(DifferenceField):
         self.degree = n
         self.order = p ** n
         self.frobenius_power = frobenius_power
+        self._zero = (0,) * n
+        self._exp = self._log = None
+        if self.order <= TABLE_MAX_ORDER:
+            self._exp, self._log = _log_tables(p, self.defpoly)
 
     def _lift(self, coeffs):
         c = list(coeffs) + [0] * (self.degree - len(coeffs))
         return tuple(c[: self.degree])
 
     def zero(self):
-        return (0,) * self.degree
+        return self._zero
 
     def one(self):
         return self._lift([1])
@@ -278,35 +295,49 @@ class GaloisField(DifferenceField):
         return tuple((-x) % self.p for x in a)
 
     def mul(self, a, b):
-        prod = pc.mul(self.prime, list(a), list(b))
-        return self._lift(pc.mod(self.prime, prod, list(self.defpoly)))
+        log = self._log
+        if log is None:
+            prod = pc.mul(self.prime, list(a), list(b))
+            return self._lift(pc.mod(self.prime, prod, list(self.defpoly)))
+        if a == self._zero or b == self._zero:
+            return self._zero
+        exp = self._exp
+        return exp[(log[a] + log[b]) % len(exp)]
 
     def inv(self, a):
-        if self.is_zero(a):
+        if a == self._zero:
             raise ZeroDivisionError("inverse of zero")
-        r = pc.invmod(self.prime, pc.trim(self.prime, list(a)), list(self.defpoly))
-        return self._lift(r)
+        if self._log is None:
+            r = pc.invmod(self.prime, pc.trim(self.prime, list(a)), list(self.defpoly))
+            return self._lift(r)
+        return self._exp[-self._log[a] % len(self._exp)]
 
     def eq(self, a, b):
         return a == b
 
     def is_zero(self, a):
-        return all(x == 0 for x in a)
+        return a == self._zero
 
     def from_int(self, n):
         return self._lift([n % self.p])
 
     def sigma(self, a):
-        m = self.frobenius_power % self.degree
-        for _ in range(m):
-            a = self.pow(a, self.p)
-        return a
+        return self._frobenius(a, self.frobenius_power)
 
     def sigma_inverse(self, a):
-        m = (-self.frobenius_power) % self.degree
-        for _ in range(m):
-            a = self.pow(a, self.p)
-        return a
+        return self._frobenius(a, -self.frobenius_power)
+
+    def _frobenius(self, a, m):
+        """a^(p^m), m taken mod the degree."""
+        m %= self.degree
+        if self._log is None:
+            for _ in range(m):
+                a = self.pow(a, self.p)
+            return a
+        if a == self._zero:
+            return a
+        q1 = len(self._exp)
+        return self._exp[self._log[a] * pow(self.p, m, q1) % q1]
 
     def canon(self, a):
         return self._lift([int(x) % self.p for x in a])
@@ -346,6 +377,31 @@ class GaloisField(DifferenceField):
             "defpoly": [int(c) for c in self.defpoly],
             "frobenius_power": self.frobenius_power,
         }
+
+
+TABLE_MAX_ORDER = 4096
+
+
+@functools.lru_cache(maxsize=32)
+def _log_tables(p, defpoly):
+    """(exp, log) for F_p[x]/(defpoly), defpoly a monic irreducible tuple:
+    exp[i] = g^i for i < q - 1 and log[exp[i]] = i, for g the first element
+    in the order x, x + 1, ..., x + p - 1, 2x, ..., x^2, ... (coordinates
+    the base-p digits of p, p + 1, ...) whose (q-1)/r-th power is not one for
+    any prime r dividing q - 1, that is the first primitive element."""
+    fp, f = PrimeField(p), list(defpoly)
+    n = len(f) - 1
+    q1 = p ** n - 1
+    primes = pc.prime_divisors(q1)
+    for k in range(p, q1 + 1):
+        g = pc.trim(fp, [k // p ** i % p for i in range(n)])
+        if all(pc.pow_mod(fp, g, q1 // r, f) != [1] for r in primes):
+            break
+    exp = [(1,) + (0,) * (n - 1)]
+    for _ in range(q1 - 1):
+        c = pc.mod(fp, pc.mul(fp, list(exp[-1]), g), f)
+        exp.append(tuple(c) + (0,) * (n - len(c)))
+    return tuple(exp), {a: i for i, a in enumerate(exp)}
 
 
 def _certify_irreducible_over_prime(fp, poly):
@@ -690,9 +746,18 @@ def json_list(value, what, item=None):
     a ValueError naming the field `what`."""
     if not isinstance(value, list) or (
             item is not None and not all(isinstance(x, item) for x in value)):
-        kinds = {list: "arrays", dict: "objects", str: "strings"}
+        kinds = {list: "arrays", dict: "objects", str: "strings", int: "integers"}
         raise ValueError(f"{what} must be a JSON array"
                          + (f" of {kinds[item]}" if item else ""))
+    return value
+
+
+def _json_int(descriptor, key, default=None):
+    """descriptor[key], or the default when it is absent and one is given; it
+    must be an integer (not a boolean)."""
+    value = descriptor[key] if default is None else descriptor.get(key, default)
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise FieldError(f"{key} must be an integer, not {value!r}")
     return value
 
 
@@ -706,9 +771,11 @@ def field_make(descriptor):
     if kind == "Q":
         return Rationals()
     if kind == "Fq":
-        p = descriptor["p"]
-        m = descriptor.get("frobenius_power", 1)
+        p = _json_int(descriptor, "p")
+        m = _json_int(descriptor, "frobenius_power", 1)
         defpoly = descriptor.get("defpoly")
+        if defpoly is not None:
+            json_list(defpoly, "defpoly", int)
         if defpoly:
             trimmed = list(defpoly)
             while trimmed and trimmed[-1] % p == 0:
@@ -726,7 +793,8 @@ def field_make(descriptor):
         if "base" in descriptor:
             base = field_make(descriptor["base"])
         else:
-            base = PrimeField(descriptor["p"], descriptor.get("frobenius_power", 1))
+            base = PrimeField(_json_int(descriptor, "p"),
+                              _json_int(descriptor, "frobenius_power", 1))
         return ShiftField(base, descriptor.get("min_index", 0))
     raise FieldError(f"unknown field kind {kind!r}")
 

@@ -145,10 +145,18 @@ class FinSigmaAlgebra:
 
         base = base if base is not None else field_make(data["base"])
         dec = base.scalar_from_json
-        mul = [[[dec(c) for c in cell] for cell in json_list(row, "mul row", list)]
-               for row in json_list(data["mul"], "mul", list)]
-        unit = [dec(c) for c in json_list(data["unit"], "unit")]
-        sigma = [[dec(c) for c in row] for row in json_list(data["sigma"], "sigma", list)]
+        what = "mul"
+        try:
+            mul = [[[dec(c) for c in cell] for cell in json_list(row, "mul row", list)]
+                   for row in json_list(data["mul"], "mul", list)]
+            what = "unit"
+            unit = [dec(c) for c in json_list(data["unit"], "unit")]
+            what = "sigma"
+            sigma = [[dec(c) for c in row]
+                     for row in json_list(data["sigma"], "sigma", list)]
+        except TypeError as exc:
+            raise ValueError(f"{what} holds a scalar of the wrong JSON type "
+                             f"for its base field ({exc})") from None
         return FinSigmaAlgebra(base, mul, unit, sigma)
 
 

@@ -28,7 +28,7 @@ from . import _linalg as la
 from . import _multipoly as mp
 from . import _polycore as pc
 from .exactfield import (DifferenceField, FunctionField, GaloisField, PrimeField,
-                         Rationals, ShiftField)
+                         Rationals, ShiftField, field_make, json_list)
 from .findiff import (FinSigmaAlgebra, is_strongly_sigma_etale,
                       primitive_idempotents, tensor_product,
                       RestrictedAutomationError)
@@ -1130,8 +1130,6 @@ def tower_to_json(T: TowerExtension) -> dict:
 
 
 def tower_from_json(data) -> TowerExtension:
-    from .exactfield import field_make, json_list
-
     def array(key, item=dict):
         return list(json_list(data.get(key, []), key, item))
 
@@ -1190,7 +1188,7 @@ class BabbittChain:
     @staticmethod
     def from_json(data):
         return BabbittChain(tower_from_json(data["tower"]),
-                            [dict(s) for s in data["chain"]])
+                            [dict(s) for s in json_list(data["chain"], "chain", dict)])
 
 
 def _finite_part_count(T):

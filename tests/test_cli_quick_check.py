@@ -84,17 +84,44 @@ def _tower():
     return tower_to_json(collapse_tower_f5())
 
 
-@pytest.mark.parametrize("make, field, value, named", [
-    (_algebra, "mul", 5, "mul"),
-    (_tower, "levels", 5, "levels"),
-    (_presentation, "gens", [{"poly": 7}], "poly"),
-], ids=["algebra-mul", "tower-levels", "presentation-poly"])
-def test_field_of_wrong_json_type_is_an_input_error(tmp_path, make, field, value,
-                                                    named):
+def _chain():
+    from diffalg.gallery import chain_for, radical_tower_f5
+
+    return chain_for(radical_tower_f5()).to_json()
+
+
+def _hopf_matrix():
+    from diffalg.gallery import group_dual_hopf
+
+    H = group_dual_hopf(5, (2,), lambda g: g)
+    enc = H.carrier.base.scalar_to_json
+    return {"algebra": H.carrier.to_json(),
+            "comul": [[enc(c) for c in row] for row in H.comul],
+            "antipode": [[enc(c) for c in row] for row in H.antipode],
+            "counit": [enc(c) for c in H.counit]}
+
+
+@pytest.mark.parametrize("argv, make, field, value, named", [
+    (["core"], _algebra, "mul", 5, "mul"),
+    (["core"], _tower, "levels", 5, "levels"),
+    (["core"], _presentation, "gens", [{"poly": 7}], "poly"),
+    (["hopf", "validate"], _hopf_matrix, "comul", 5, "comul"),
+    (["hopf", "validate"], _hopf_matrix, "counit", [None, "0"], "counit"),
+    (["babbitt", "verify"], _chain, "chain", 5, "chain"),
+    (["core"], _algebra, "mul", [[[None, "0"], ["0", "0"]], [["0", "0"], ["0", "1"]]],
+     "mul"),
+    (["core"], _algebra, "base", {"kind": "Fq", "p": "5"}, "p"),
+    (["core"], _algebra, "base", {"kind": "Fq", "p": 5, "defpoly": [2, 0, "x"]},
+     "defpoly"),
+], ids=["algebra-mul", "tower-levels", "presentation-poly", "hopf-comul",
+        "hopf-null-scalar", "babbitt-chain", "mul-null-scalar", "base-p-string",
+        "defpoly-string"])
+def test_field_of_wrong_json_type_is_an_input_error(tmp_path, argv, make, field,
+                                                    value, named):
     doc = dict(make(), **{field: value})
     p = tmp_path / "doc.json"
     p.write_text(json.dumps(doc))
-    code, rep = run(["core", str(p)])
+    code, rep = run(argv + [str(p)])
     assert code == 1 and set(rep) == {"error"} and named in rep["error"]
 
 

@@ -6,9 +6,10 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
-from diffalg.exactfield import (FieldError, FrobeniusDescriptor, FunctionField,
-                                GaloisField, PrimeField, Rationals, ShiftField,
-                                field_make, is_inversive, sigma_apply)
+from diffalg import _polycore as pc
+from diffalg.exactfield import (TABLE_MAX_ORDER, FieldError, FrobeniusDescriptor,
+                                FunctionField, GaloisField, PrimeField, Rationals,
+                                ShiftField, field_make, is_inversive, sigma_apply)
 
 F4 = GaloisField(2, [1, 1, 1])
 F9 = GaloisField(3, [1, 0, 1])
@@ -122,6 +123,93 @@ def test_function_field_substitution():
 def test_shift_field_index_shift():
     t0, t1, t2 = S5.t(0), S5.t(1), S5.t(2)
     assert S5.eq(S5.sigma(S5.mul(t0, t1)), S5.mul(t1, t2))
+
+
+# -- log/antilog tables against the polynomial arithmetic -------------------------
+
+# (p, defpoly): every pair in the first six, seeded pairs in the rest.  x is
+# not primitive modulo x^2 + 1 over F_3, x^4 + x + 4 over F_5 or
+# x^12 + x^3 + 1 over F_2; 5^6 is above the table cap.
+SMALL_FIELDS = [(2, [1, 1, 1]), (2, [1, 1, 0, 1]), (3, [1, 0, 1]),
+                (2, [1, 1, 0, 0, 1]), (5, [2, 1, 1]), (3, [1, 2, 0, 1])]
+LARGE_FIELDS = [(5, [4, 1, 0, 0, 1]), (3, [2, 1, 0, 0, 0, 0, 1]),
+                (2, [1, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 1]),
+                (5, [2, 1, 0, 0, 0, 0, 1])]
+
+
+def _oracle(F):
+    """Product and Frobenius power computed with _polycore over F_p."""
+    fp, f = PrimeField(F.p), list(F.defpoly)
+
+    def lift(c):
+        return tuple(c) + (0,) * (F.degree - len(c))
+
+    def mul(a, b):
+        return lift(pc.mod(fp, pc.mul(fp, pc.trim(fp, list(a)), pc.trim(fp, list(b))), f))
+
+    def frobenius(a, m):
+        return lift(pc.pow_mod(fp, pc.trim(fp, list(a)), F.p ** m, f))
+
+    return mul, frobenius
+
+
+def _check_elements(F, elems, pairs):
+    mul, frobenius = _oracle(F)
+    for a, b in pairs:
+        assert F.mul(a, b) == mul(a, b)
+    for a in elems:
+        if not F.is_zero(a):
+            assert F.mul(a, F.inv(a)) == F.one()
+    for m in (1, 2):
+        G = GaloisField(F.p, F.defpoly, m)
+        for a in elems:
+            assert G.sigma(a) == frobenius(a, m % F.degree)
+            assert G.sigma_inverse(a) == frobenius(a, -m % F.degree)
+            assert G.sigma_inverse(G.sigma(a)) == a
+
+
+def _sampled_elements(F, rng):
+    """Elements from every public constructor, zero and one included."""
+    elems = [F.zero(), F.one(), F.generator()]
+    elems += [F.from_int(rng.randrange(-50, 50)) for _ in range(10)]
+    elems += [F.scalar_from_json([rng.randrange(F.p) for _ in range(F.degree)])
+              for _ in range(10)]
+    elems += [F.scalar_from_json(str([rng.randrange(F.p) for _ in range(F.degree)]))
+              for _ in range(10)]
+    elems += [F.canon([rng.randrange(-99, 99) for _ in range(F.degree)])
+              for _ in range(10)]
+    elems += [F.sample(rng) for _ in range(60)]
+    return elems
+
+
+@pytest.mark.parametrize("p, defpoly", SMALL_FIELDS,
+                         ids=[f"F{p ** (len(d) - 1)}" for p, d in SMALL_FIELDS])
+def test_tables_agree_with_polynomial_arithmetic_on_every_pair(p, defpoly):
+    F = GaloisField(p, defpoly)
+    elems = list(F.all_elements())
+    assert len(set(elems)) == F.order
+    _check_elements(F, elems, [(a, b) for a in elems for b in elems])
+
+
+@pytest.mark.parametrize("p, defpoly", LARGE_FIELDS,
+                         ids=[f"F{p ** (len(d) - 1)}" for p, d in LARGE_FIELDS])
+def test_tables_agree_with_polynomial_arithmetic_on_seeded_pairs(p, defpoly):
+    F = GaloisField(p, defpoly)
+    rng = random.Random(p * 1000 + len(defpoly))
+    elems = _sampled_elements(F, rng)
+    pairs = [(rng.choice(elems), rng.choice(elems)) for _ in range(1000)]
+    pairs += [(F.sample(rng), F.sample(rng)) for _ in range(1000)]
+    _check_elements(F, elems, pairs)
+
+
+def test_tables_are_shared_across_frobenius_powers_and_capped():
+    p, defpoly = SMALL_FIELDS[3]
+    F1, F3 = GaloisField(p, defpoly, 1), GaloisField(p, defpoly, 3)
+    assert F1._exp is F3._exp and F1._log is F3._log
+    assert len(F1._log) == F1.order - 1     # the table element is primitive
+    assert F3.sigma(F1.generator()) == F1.pow(F1.generator(), 8)
+    big = GaloisField(*LARGE_FIELDS[-1])
+    assert big.order > TABLE_MAX_ORDER and big._exp is None
 
 
 # -- inversivity ------------------------------------------------------------------
