@@ -245,15 +245,16 @@ def _load_hopf(payload):
         return "truncated", TruncatedGroupLikeHopf(pres)
     A = FinSigmaAlgebra.from_json(_object(payload, "algebra"))
     dec = A.base.scalar_from_json
+    n = A.dim
     what = "comul"
     try:
-        comul = [[dec(c) for c in row]
-                 for row in json_list(payload["comul"], "comul", list)]
+        comul = [[dec(c) for c in json_list(row, "comul row", length=n)]
+                 for row in json_list(payload["comul"], "comul", list, n * n)]
         what = "antipode"
-        antipode = [[dec(c) for c in row]
-                    for row in json_list(payload["antipode"], "antipode", list)]
+        antipode = [[dec(c) for c in json_list(row, "antipode row", length=n)]
+                    for row in json_list(payload["antipode"], "antipode", list, n)]
         what = "counit"
-        counit = [dec(c) for c in json_list(payload["counit"], "counit")]
+        counit = [dec(c) for c in json_list(payload["counit"], "counit", length=n)]
     except TypeError as exc:
         raise InputError(f"{what} holds a scalar of the wrong JSON type "
                          f"for its base field ({exc})") from None

@@ -342,9 +342,6 @@ class LevelAlgebra:
                 f[m] = c
         return f
 
-    def includes(self, f):
-        return self.coords(f) is not None
-
 
 @dataclass
 class TruncatedQuotient:

@@ -43,20 +43,42 @@ class FrobeniusDescriptor:
     m: int
 
     def __post_init__(self):
+        if self.p >= PRIME_BOUND:
+            raise FieldError(f"characteristic {self.p} is not below {PRIME_BOUND}, "
+                             "the bound of the exact primality test")
         if not _is_prime(self.p):
             raise FieldError(f"{self.p} is not prime")
         if self.m < 0:
             raise FieldError("Frobenius power must be >= 0")
 
 
+# No composite below PRIME_BOUND is a strong probable prime to every one of
+# the thirteen bases 2..41 (Sorenson and Webster, 2015), so Miller-Rabin on
+# them decides primality exactly below it.
+_PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+PRIME_BOUND = 3317044064679887385961981
+
+
 def _is_prime(n):
+    """Exact for n < PRIME_BOUND."""
     if n < 2:
         return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
+    for b in _PRIME_BASES:
+        if n % b == 0:
+            return n == b
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for b in _PRIME_BASES:
+        x = pow(b, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        d += 1
     return True
 
 
@@ -642,9 +664,6 @@ class ShiftField(DifferenceField):
             raise FieldError(f"t_{i} is below the minimal index {self.min_index}")
         return self._make(mp.var(self.base, i), mp.const(self.base, self.base.one()))
 
-    def from_poly(self, num):
-        return self._make(num, mp.const(self.base, self.base.one()))
-
     def zero(self):
         return ({}, mp.const(self.base, self.base.one()))
 
@@ -709,10 +728,6 @@ class ShiftField(DifferenceField):
             num = mp.const(base, base.one())
         return self._make(num, den)
 
-    def max_index(self, a):
-        vs = mp.variables(a[0]) | mp.variables(a[1])
-        return max(vs) if vs else None
-
     def is_inversive(self):
         return False
 
@@ -741,14 +756,17 @@ class ShiftField(DifferenceField):
                 "min_index": self.min_index}
 
 
-def json_list(value, what, item=None):
-    """value, which must be a JSON array (of `item`s, when given); otherwise
-    a ValueError naming the field `what`."""
+def json_list(value, what, item=None, length=None):
+    """value, which must be a JSON array (of `item`s, and of `length` entries,
+    when given); otherwise a ValueError naming the field `what`."""
     if not isinstance(value, list) or (
-            item is not None and not all(isinstance(x, item) for x in value)):
-        kinds = {list: "arrays", dict: "objects", str: "strings", int: "integers"}
+            item is not None and not all(isinstance(x, item) for x in value)) or (
+            length is not None and len(value) != length):
+        kinds = {None: "entries", list: "arrays", dict: "objects", str: "strings",
+                 int: "integers"}
+        count = "" if length is None else f"{length} "
         raise ValueError(f"{what} must be a JSON array"
-                         + (f" of {kinds[item]}" if item else ""))
+                         + (f" of {count}{kinds[item]}" if item or count else ""))
     return value
 
 

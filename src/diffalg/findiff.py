@@ -68,9 +68,6 @@ class FinSigmaAlgebra:
     def vec_add(self, u, v):
         return [self.base.add(a, b) for a, b in zip(u, v)]
 
-    def vec_sub(self, u, v):
-        return [self.base.sub(a, b) for a, b in zip(u, v)]
-
     def multiply(self, u, v):
         k = self.base
         out = self.zero_vec()
@@ -121,11 +118,6 @@ class FinSigmaAlgebra:
             acc = self.vec_add(acc, self.scalar_mul(c, unit))
         return acc
 
-    def mult_operator(self, v):
-        """Matrix of multiplication by v."""
-        cols = [self.multiply(v, self.basis_vec(j)) for j in range(self.dim)]
-        return [[cols[j][i] for j in range(self.dim)] for i in range(self.dim)]
-
     # -- serialization -----------------------------------------------------
 
     def to_json(self):
@@ -145,15 +137,20 @@ class FinSigmaAlgebra:
 
         base = base if base is not None else field_make(data["base"])
         dec = base.scalar_from_json
-        what = "mul"
+        what = "unit"
         try:
-            mul = [[[dec(c) for c in cell] for cell in json_list(row, "mul row", list)]
-                   for row in json_list(data["mul"], "mul", list)]
-            what = "unit"
             unit = [dec(c) for c in json_list(data["unit"], "unit")]
+            n = len(unit)
+            if not n:
+                raise ValueError("unit must be a non-empty JSON array")
+            what = "mul"
+            mul = [[[dec(c) for c in cell] for cell in json_list(row, "mul row", list, n)]
+                   for row in json_list(data["mul"], "mul", list, n)]
+            if any(len(cell) != n for row in mul for cell in row):
+                raise ValueError(f"mul cell must be a JSON array of {n} entries")
             what = "sigma"
-            sigma = [[dec(c) for c in row]
-                     for row in json_list(data["sigma"], "sigma", list)]
+            sigma = [[dec(c) for c in json_list(row, "sigma row", length=n)]
+                     for row in json_list(data["sigma"], "sigma", list, n)]
         except TypeError as exc:
             raise ValueError(f"{what} holds a scalar of the wrong JSON type "
                              f"for its base field ({exc})") from None
@@ -189,23 +186,25 @@ class SigmaAlgebraMorphism:
     def column(self, j):
         return [self.matrix[i][j] for i in range(len(self.matrix))]
 
+    def unit_ok(self):
+        return self.target.vec_eq(self.apply(self.source.unit), self.target.unit)
+
+    def multiplicative_ok(self, i, j):
+        lhs = self.apply(self.source.mul[i][j])
+        return self.target.vec_eq(lhs, self.target.multiply(self.column(i),
+                                                            self.column(j)))
+
+    def sigma_ok(self, j):
+        src = self.source
+        lhs = self.apply([src.sigma[i][j] for i in range(src.dim)])
+        return self.target.vec_eq(lhs, self.target.apply_sigma(self.column(j)))
+
     def validate(self):
-        src, tgt = self.source, self.target
-        k = src.base
-        violations = []
-        if not tgt.vec_eq(self.apply(src.unit), tgt.unit):
-            violations.append(("unit", None))
-        for i in range(src.dim):
-            for j in range(i, src.dim):
-                lhs = self.apply(src.mul[i][j])
-                rhs = tgt.multiply(self.column(i), self.column(j))
-                if not tgt.vec_eq(lhs, rhs):
-                    violations.append(("multiplicative", (i, j)))
-        for j in range(src.dim):
-            lhs = self.apply([src.sigma[i][j] for i in range(src.dim)])
-            rhs = tgt.apply_sigma(self.column(j))
-            if not tgt.vec_eq(lhs, rhs):
-                violations.append(("sigma-square", j))
+        n = self.source.dim
+        violations = [] if self.unit_ok() else [("unit", None)]
+        violations += [("multiplicative", (i, j)) for i in range(n)
+                       for j in range(i, n) if not self.multiplicative_ok(i, j)]
+        violations += [("sigma-square", j) for j in range(n) if not self.sigma_ok(j)]
         return ValidationReport(not violations, violations)
 
 

@@ -371,10 +371,6 @@ class TowerExtension:
         span, _, _ = self.subalgebra_span([a], level_count)
         return span.dim()
 
-    def span_contains(self, span, monos, index, el):
-        cv = self.coords(self._reduce(dict(el)), monos, index)
-        return cv is not None and span.contains(cv)
-
     # -- irreducibility certificates ------------------------------------------------
 
     def _certify_irreducible(self, level):

@@ -125,6 +125,57 @@ def test_field_of_wrong_json_type_is_an_input_error(tmp_path, argv, make, field,
     assert code == 1 and set(rep) == {"error"} and named in rep["error"]
 
 
+def _edit_algebra(field, change):
+    return lambda: dict(_algebra(), **{field: change(_algebra()[field])})
+
+
+def _edit_hopf(field, change):
+    return lambda: dict(_hopf_matrix(), **{field: change(_hopf_matrix()[field])})
+
+
+# Both carriers have dimension 2: mul is 2 x 2 cells of length 2, sigma and
+# antipode are 2 x 2, comul is 4 x 2 and unit and counit have length 2.
+@pytest.mark.parametrize("argv, make, named", [
+    (["hopf", "validate"], _edit_hopf("counit", lambda v: v[:1]), "counit"),
+    (["hopf", "validate"], _edit_hopf("counit", lambda v: v + v[:1]), "counit"),
+    (["hopf", "validate"], _edit_hopf("comul", lambda v: v + v[:1]), "comul"),
+    (["hopf", "validate"], _edit_hopf("comul", lambda v: v[:2]), "comul"),
+    (["hopf", "validate"], _edit_hopf("comul", lambda v: [r[:1] for r in v]), "comul row"),
+    (["hopf", "validate"], _edit_hopf("antipode", lambda v: [v[0] + v[0][:1], v[1]]),
+     "antipode row"),
+    (["hopf", "core-check"], _edit_hopf("antipode", lambda v: v[:1]), "antipode"),
+    (["core"], _edit_algebra("mul", lambda v: v[:1]), "mul"),
+    (["core"], _edit_algebra("mul", lambda v: [[v[0][0][:1], v[0][1]], v[1]]), "mul cell"),
+    (["core"], _edit_algebra("mul", lambda v: [v[0] + v[0][:1], v[1]]), "mul row"),
+    (["core"], _edit_algebra("sigma", lambda v: v[:1]), "sigma"),
+    (["core"], _edit_algebra("sigma", lambda v: [v[0][:1], v[1]]), "sigma row"),
+    (["core"], _edit_algebra("unit", lambda v: v + v[:1]), "mul"),
+    (["core"], lambda: dict(_algebra(), mul=[], unit=[], sigma=[]), "unit"),
+    (["check", "--predicate", "etale"], _edit_algebra("sigma", lambda v: v[:1]), "sigma"),
+], ids=["counit-short", "counit-long", "comul-extra-row", "comul-short",
+        "comul-one-column", "antipode-long-row", "antipode-core-check", "mul-short",
+        "mul-cell-short", "mul-row-long", "sigma-short", "sigma-row-short",
+        "unit-long", "zero-ring", "check-sigma-short"])
+def test_field_of_wrong_shape_is_an_input_error(tmp_path, argv, make, named):
+    p = tmp_path / "doc.json"
+    p.write_text(json.dumps(make()))
+    code, rep = run(argv + [str(p)])
+    assert code == 1 and set(rep) == {"error"} and named in rep["error"]
+
+
+@pytest.mark.parametrize("p, code", [
+    (10 ** 18 + 3, 0),
+    (3215031751, 1),            # a strong pseudoprime to the bases 2, 3, 5, 7
+    (10 ** 25 + 13, 1),         # a prime above the bound of the exact test
+], ids=["huge-prime", "pseudoprime", "above-bound"])
+def test_huge_characteristic_is_decided_at_once(tmp_path, p, code):
+    f = tmp_path / "doc.json"
+    f.write_text(json.dumps(dict(_algebra(), base={"kind": "Fq", "p": p})))
+    for argv in (["core"], ["check", "--predicate", "etale"]):
+        got, rep = run(argv + [str(f)])
+        assert got == code and (code == 0 or set(rep) == {"error"})
+
+
 @pytest.mark.parametrize("command, make, config", [
     ("check", _algebra, {"predicate": ["etale"]}),
     ("core-truncated", _presentation, {"level": "2"}),

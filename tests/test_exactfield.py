@@ -7,9 +7,10 @@ import pytest
 from hypothesis import given, strategies as st
 
 from diffalg import _polycore as pc
-from diffalg.exactfield import (TABLE_MAX_ORDER, FieldError, FrobeniusDescriptor,
-                                FunctionField, GaloisField, PrimeField, Rationals,
-                                ShiftField, field_make, is_inversive, sigma_apply)
+from diffalg.exactfield import (PRIME_BOUND, TABLE_MAX_ORDER, FieldError,
+                                FrobeniusDescriptor, FunctionField, GaloisField,
+                                PrimeField, Rationals, ShiftField, _is_prime,
+                                field_make, is_inversive, sigma_apply)
 
 F4 = GaloisField(2, [1, 1, 1])
 F9 = GaloisField(3, [1, 0, 1])
@@ -59,6 +60,23 @@ def test_frobenius_descriptor_validation():
     with pytest.raises(FieldError):
         FrobeniusDescriptor(5, -1)
     assert FrobeniusDescriptor(5, 0).m == 0
+
+
+def test_primality_test_is_exact_below_its_bound():
+    limit = 20000
+    sieve = [False, False] + [True] * (limit - 2)
+    for d in range(2, int(limit ** 0.5) + 1):
+        if sieve[d]:
+            sieve[d * d::d] = [False] * len(sieve[d * d::d])
+    assert [n for n in range(limit) if _is_prime(n)] == [
+        n for n in range(limit) if sieve[n]]
+    # strong pseudoprime to the bases 2, 3, 5 and 7: 151 * 751 * 28351
+    assert not _is_prime(3215031751)
+    assert _is_prime(10 ** 18 + 3) and FrobeniusDescriptor(10 ** 18 + 3, 1).p
+    # the bound is the least composite that passes all thirteen bases
+    assert _is_prime(PRIME_BOUND) and PRIME_BOUND == 1287836182261 * 2575672364521
+    with pytest.raises(FieldError):
+        FrobeniusDescriptor(PRIME_BOUND, 1)
 
 
 # -- sigma is a ring endomorphism ----------------------------------------------

@@ -2,12 +2,12 @@
 
 import pytest
 
-from diffalg.findiff import is_strongly_sigma_etale, strong_core
+from diffalg.findiff import FinSigmaAlgebra, is_strongly_sigma_etale, strong_core
 from diffalg.gallery import (broken_antipode_fixture, collapsed_dual_hopf,
                              group_automorphism_duals, group_dual_hopf,
                              invalid_swap_dual, product_carrier,
                              product_carrier_hopf, z3_inversion_dual)
-from diffalg.hopf import (TruncatedGroupLikeHopf, hopf_validate,
+from diffalg.hopf import (SigmaHopf, TruncatedGroupLikeHopf, hopf_validate,
                           hopf_validate_truncated,
                           strong_core_is_hopf_subalgebra,
                           strong_core_is_hopf_subalgebra_truncated,
@@ -129,3 +129,73 @@ def test_z4_inversion_dual_validates():
     H = group_dual_hopf(5, (4,), lambda g: ((-g[0]) % 4,))
     assert hopf_validate(H).ok
     assert strong_core_is_hopf_subalgebra(H)["status"] == "verified"
+
+
+def _corrupted_collapsed_dual(field, pos):
+    """collapsed_dual_hopf(5) with one entry of one matrix raised by one."""
+    H = collapsed_dual_hopf(5)
+    k = H.carrier.base
+    A = H.carrier
+    data = {"mul": [[list(c) for c in row] for row in A.mul], "unit": list(A.unit),
+            "sigma": [list(r) for r in A.sigma], "comul": [list(r) for r in H.comul],
+            "antipode": [list(r) for r in H.antipode], "counit": list(H.counit)}
+    ref = data[field]
+    for p in pos[:-1]:
+        ref = ref[p]
+    ref[pos[-1]] = k.add(ref[pos[-1]], k.one())
+    carrier = FinSigmaAlgebra(k, data["mul"], data["unit"], data["sigma"])
+    return SigmaHopf(carrier, data["comul"], data["antipode"], data["counit"])
+
+
+# Exact violation lists, in report order; the corrupted carriers hit each
+# violation kind at least once.
+@pytest.mark.parametrize("make, expected", [
+    (lambda: invalid_swap_dual(5),
+     [("comul-sigma", 0), ("counit-sigma", 0), ("comul-sigma", 1), ("counit-sigma", 1)]),
+    (lambda: broken_antipode_fixture(5), [("antipode-law", 1)]),
+    (lambda: _corrupted_collapsed_dual("sigma", (1, 0)),
+     [("carrier", ("sigma-unit", None)), ("carrier", ("sigma-multiplicative", (0, 0))),
+      ("comul-sigma", 0)]),
+    (lambda: _corrupted_collapsed_dual("comul", (3, 0)),
+     [("comul-unital", None), ("comul-multiplicative", (0, 0)), ("antipode-law", 0),
+      ("comul-sigma", 0)]),
+    (lambda: _corrupted_collapsed_dual("mul", (1, 1, 1)),
+     [("carrier", ("unit-law", 1)), ("carrier", ("sigma-multiplicative", (0, 0))),
+      ("comul-multiplicative", (0, 0)), ("antipode-law", 0)]),
+    (lambda: _corrupted_collapsed_dual("comul", (3, 1)),
+     [("comul-unital", None), ("comul-multiplicative", (0, 1)), ("comul-sigma", 0),
+      ("antipode-law", 1)]),
+    (lambda: _corrupted_collapsed_dual("unit", (0,)),
+     [("carrier", ("unit-law", 0)), ("carrier", ("sigma-unit", None)),
+      ("comul-unital", None), ("counit-unital", None), ("antipode-law", 0)]),
+    (lambda: _corrupted_collapsed_dual("counit", (0,)),
+     [("counit-unital", None), ("counit-multiplicative", (0, 0)), ("counit-law", 0),
+      ("antipode-law", 0), ("counit-law", 1)]),
+    (lambda: _corrupted_collapsed_dual("counit", (1,)),
+     [("counit-unital", None), ("counit-multiplicative", (0, 1)), ("counit-law", 0),
+      ("counit-sigma", 0), ("counit-law", 1), ("antipode-law", 1), ("counit-sigma", 1)]),
+    (lambda: _corrupted_collapsed_dual("antipode", (0, 0)),
+     [("antipode-unital", None), ("antipode-multiplicative", (0, 0)), ("antipode-law", 0),
+      ("antipode-sigma", 0)]),
+    (lambda: _corrupted_collapsed_dual("antipode", (1, 1)),
+     [("antipode-unital", None), ("antipode-multiplicative", (1, 1)), ("antipode-law", 0),
+      ("antipode-sigma", 0)]),
+    (lambda: _corrupted_collapsed_dual("antipode", (0, 1)),
+     [("antipode-unital", None), ("antipode-multiplicative", (0, 1)), ("antipode-sigma", 0),
+      ("antipode-law", 1), ("antipode-sigma", 1)]),
+    (lambda: _corrupted_collapsed_dual("comul", (1, 0)),
+     [("comul-unital", None), ("comul-multiplicative", (0, 1)), ("coassociativity", 0),
+      ("counit-law", 0), ("comul-sigma", 0), ("coassociativity", 1)]),
+    (lambda: _corrupted_collapsed_dual("comul", (1, 1)),
+     [("comul-unital", None), ("comul-multiplicative", (1, 1)), ("coassociativity", 0),
+      ("comul-sigma", 0), ("coassociativity", 1), ("counit-law", 1)]),
+    (lambda: _corrupted_collapsed_dual("antipode", (1, 0)),
+     [("antipode-unital", None), ("antipode-multiplicative", (0, 1)), ("antipode-sigma", 0),
+      ("antipode-law", 1)]),
+], ids=["invalid-swap-dual", "broken-antipode", "carrier", "comul-unital",
+        "comul-multiplicative", "comul-sigma", "counit-unital", "counit-multiplicative",
+        "counit-sigma", "antipode-unital", "antipode-multiplicative", "antipode-sigma",
+        "coassociativity", "counit-law", "antipode-law"])
+def test_exact_violation_lists(make, expected):
+    rep = hopf_validate(make())
+    assert rep.violations == expected and not rep.ok
