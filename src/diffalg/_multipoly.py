@@ -135,6 +135,10 @@ def leading(f):
     return m, f[m]
 
 
+def lc(f):
+    return leading(f)[1]
+
+
 def map_coeffs(k_out, f, fn):
     out = {}
     for m, c in f.items():

@@ -26,6 +26,14 @@ def is_zero(c):
     return not c
 
 
+def is_const(c):
+    return len(c) <= 1
+
+
+def lc(c):
+    return c[-1]
+
+
 def const(k, a):
     return trim(k, [a])
 
@@ -101,6 +109,11 @@ def divmod_(k, f, g):
 
 def mod(k, f, g):
     return divmod_(k, f, g)[1]
+
+
+def exact_div(k, f, g):
+    """f / g for a known divisor g."""
+    return divmod_(k, f, g)[0]
 
 
 def monic(k, f):

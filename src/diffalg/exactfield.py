@@ -12,6 +12,10 @@ and no rounding anywhere:
   * shift function fields k0(t_i : i >= min_index) with sigma(t_i) = t_(i+1),
     materialized lazily as computations touch new variables.
 
+The last two share one base, FractionField, for their reduced fractions and
+arithmetic: FunctionField runs it on dense _polycore tuples, ShiftField on
+sparse _multipoly dicts.
+
 Elements are plain immutable data (ints, Fractions, tuples, dict fractions);
 all arithmetic goes through the owning field object.
 """
@@ -112,6 +116,10 @@ class DifferenceField:
 
     def characteristic(self):
         raise NotImplementedError
+
+    def constant(self, c):
+        """c, an element of the coefficient field, as an element of this one."""
+        return c
 
     def check_canonical(self, a):
         if not self.eq(self.canon(a), a):
@@ -456,91 +464,113 @@ def _find_proper_factor(k, f, q):
     raise AssertionError("reducible polynomial with no findable factor")
 
 
-class FunctionField(DifferenceField):
-    """k0(t) with sigma(t) = g(t), sigma acting on k0 via its own field.
+class FractionField(DifferenceField):
+    """Fractions (num, den) of polynomials over `base` (Q or F_q) in the
+    kernel `_P`, coprime, with the denominator's leading coefficient one.  A
+    subclass supplies `_pair` (the stored form of a reduced pair), `zero`,
+    `neg`, `sigma`, `canon`, `sample`, `descriptor`, `as_multipoly`,
+    `from_multipoly` and the JSON coefficient lists `_encode`/`_decode`."""
 
-    Elements are (num, den) pairs of coefficient tuples over k0, den monic,
-    num and den coprime.
-    """
-
-    kind = "Qt"
-
-    def __init__(self, base, sigma_num, sigma_den):
-        if isinstance(base, (FunctionField, ShiftField)):
-            raise FieldError("function-field base must be Q or a finite field")
-        self.base = base
-        num = pc.trim(base, [base.canon(c) for c in sigma_num])
-        den = pc.trim(base, [base.canon(c) for c in sigma_den])
-        if not den:
-            raise FieldError("sigma(t) has zero denominator")
-        g = pc.gcd(base, num, den)
-        if pc.deg(g) > 0:
-            num = pc.divmod_(base, num, g)[0]
-            den = pc.divmod_(base, den, g)[0]
-        lc = base.inv(den[-1])
-        num = pc.scale(base, num, lc)
-        den = pc.scale(base, den, lc)
-        if pc.deg(num) <= 0 and pc.deg(den) <= 0:
-            raise FieldError("sigma(t) must be a nonconstant rational function")
-        self.sigma_num = tuple(num)
-        self.sigma_den = tuple(den)
+    _P = None
 
     def _make(self, num, den):
-        base = self.base
-        num = pc.trim(base, list(num))
-        den = pc.trim(base, list(den))
-        if not den:
+        P, base = self._P, self.base
+        if P.is_zero(den):
             raise ZeroDivisionError("zero denominator")
-        if not num:
-            return ((), (base.one(),))
-        g = pc.gcd(base, num, den)
-        if pc.deg(g) > 0:
-            num = pc.divmod_(base, num, g)[0]
-            den = pc.divmod_(base, den, g)[0]
-        lc = base.inv(den[-1])
-        return (tuple(pc.scale(base, num, lc)), tuple(pc.scale(base, den, lc)))
+        if P.is_zero(num):
+            return self.zero()
+        g = P.gcd(base, num, den)
+        if not P.is_const(g):
+            num = P.exact_div(base, num, g)
+            den = P.exact_div(base, den, g)
+        lc = P.lc(den)
+        if not base.eq(lc, base.one()):
+            ilc = base.inv(lc)
+            num = P.scale(base, num, ilc)
+            den = P.scale(base, den, ilc)
+        return self._pair(num, den)
 
-    def from_polys(self, num, den):
-        return self._make(num, den)
-
-    def t(self):
-        return self._make([self.base.zero(), self.base.one()], [self.base.one()])
-
-    def zero(self):
-        return ((), (self.base.one(),))
+    def constant(self, c):
+        """The element c of the base field."""
+        P, base = self._P, self.base
+        return self._pair(P.const(base, c), P.const(base, base.one()))
 
     def one(self):
-        return ((self.base.one(),), (self.base.one(),))
+        return self.constant(self.base.one())
+
+    def from_int(self, n):
+        return self.constant(self.base.from_int(n))
 
     def add(self, a, b):
-        base = self.base
-        n = pc.add(base, pc.mul(base, list(a[0]), list(b[1])),
-                   pc.mul(base, list(b[0]), list(a[1])))
-        d = pc.mul(base, list(a[1]), list(b[1]))
-        return self._make(n, d)
-
-    def neg(self, a):
-        return (tuple(pc.neg(self.base, list(a[0]))), a[1])
+        P, base = self._P, self.base
+        n = P.add(base, P.mul(base, a[0], b[1]), P.mul(base, b[0], a[1]))
+        return self._make(n, P.mul(base, a[1], b[1]))
 
     def mul(self, a, b):
-        base = self.base
-        return self._make(pc.mul(base, list(a[0]), list(b[0])),
-                          pc.mul(base, list(a[1]), list(b[1])))
+        P, base = self._P, self.base
+        return self._make(P.mul(base, a[0], b[0]), P.mul(base, a[1], b[1]))
 
     def inv(self, a):
         if self.is_zero(a):
             raise ZeroDivisionError("inverse of zero")
-        return self._make(list(a[1]), list(a[0]))
+        return self._make(a[1], a[0])
 
     def eq(self, a, b):
-        return a == b
+        P, base = self._P, self.base
+        return P.eq(base, a[0], b[0]) and P.eq(base, a[1], b[1])
 
     def is_zero(self, a):
-        return not a[0]
+        return self._P.is_zero(a[0])
 
-    def from_int(self, n):
-        v = self.base.from_int(n)
-        return self._make([v], [self.base.one()])
+    def characteristic(self):
+        return self.base.characteristic()
+
+    def scalar_to_json(self, a):
+        return {"num": self._encode(a[0]), "den": self._encode(a[1])}
+
+    def scalar_from_json(self, s):
+        return self._make(self._decode(s["num"]), self._decode(s["den"]))
+
+
+class FunctionField(FractionField):
+    """k0(t) with sigma(t) = g(t), sigma acting on k0 via its own field.
+
+    Numerator and denominator are coefficient tuples over k0, low degree
+    first.
+    """
+
+    kind = "Qt"
+    _P = pc
+    # perfbench's tracer wraps these names in this class's own namespace
+    mul, inv = FractionField.mul, FractionField.inv
+
+    def __init__(self, base, sigma_num, sigma_den):
+        if isinstance(base, FractionField):
+            raise FieldError("function-field base must be Q or a finite field")
+        self.base = base
+        den = pc.trim(base, [base.canon(c) for c in sigma_den])
+        if not den:
+            raise FieldError("sigma(t) has zero denominator")
+        self.sigma_num, self.sigma_den = self.from_polys(
+            [base.canon(c) for c in sigma_num], den)
+        if pc.deg(self.sigma_num) <= 0 and pc.deg(self.sigma_den) <= 0:
+            raise FieldError("sigma(t) must be a nonconstant rational function")
+
+    def _pair(self, num, den):
+        return (tuple(num), tuple(den))
+
+    def from_polys(self, num, den):
+        """num/den for coefficient lists over k0, low degree first."""
+        return self._make(pc.trim(self.base, num), pc.trim(self.base, den))
+
+    def t(self):
+        return self._pair([self.base.zero(), self.base.one()], [self.base.one()])
+
+    def zero(self):
+        return ((), (self.base.one(),))
+
+    def neg(self, a):
+        return (tuple(pc.neg(self.base, a[0])), a[1])
 
     def sigma(self, a):
         base = self.base
@@ -566,17 +596,26 @@ class FunctionField(DifferenceField):
         return self._make(plug(num), plug(den))
 
     def canon(self, a):
-        return self._make([self.base.canon(c) for c in a[0]],
-                          [self.base.canon(c) for c in a[1]])
+        return self.from_polys([self.base.canon(c) for c in a[0]],
+                               [self.base.canon(c) for c in a[1]])
 
     def sample(self, rng):
         base = self.base
         num = [base.sample(rng) for _ in range(rng.randint(1, 3))]
-        den = [base.sample(rng) for _ in range(rng.randint(1, 2))]
-        den = pc.trim(base, den)
-        if not den:
-            den = [base.one()]
-        return self._make(num, den)
+        den = pc.trim(base, [base.sample(rng) for _ in range(rng.randint(1, 2))])
+        return self.from_polys(num, den or [base.one()])
+
+    def as_multipoly(self, a):
+        """(num, den) as _multipoly dicts in the one variable t = t_0."""
+        return tuple({((0, i),) if i else (): c for i, c in enumerate(f)
+                      if not self.base.is_zero(c)} for f in a)
+
+    def from_multipoly(self, f):
+        """The polynomial f in t = t_0 as an element."""
+        num = [self.base.zero()] * (1 + max((m[0][1] for m in f if m), default=0))
+        for m, c in f.items():
+            num[m[0][1] if m else 0] = c
+        return self.from_polys(num, [self.base.one()])
 
     def sigma_degree(self):
         return max(pc.deg(list(self.sigma_num)), pc.deg(list(self.sigma_den)))
@@ -587,39 +626,32 @@ class FunctionField(DifferenceField):
         # Moebius substitution, bijective whenever the base map is
         return self.base.is_inversive()
 
-    def characteristic(self):
-        return self.base.characteristic()
+    def _encode(self, f):
+        return [self.base.scalar_to_json(c) for c in f]
 
-    def scalar_to_json(self, a):
-        return {"num": [self.base.scalar_to_json(c) for c in a[0]],
-                "den": [self.base.scalar_to_json(c) for c in a[1]]}
-
-    def scalar_from_json(self, s):
-        return self._make([self.base.scalar_from_json(c) for c in s["num"]],
-                          [self.base.scalar_from_json(c) for c in s["den"]])
+    def _decode(self, cs):
+        return pc.trim(self.base, [self.base.scalar_from_json(c) for c in cs])
 
     def descriptor(self):
-        return {
-            "kind": "Qt",
-            "base": self.base.descriptor(),
-            "sigma_t": {"num": [self.base.scalar_to_json(c) for c in self.sigma_num],
-                        "den": [self.base.scalar_to_json(c) for c in self.sigma_den]},
-        }
+        return {"kind": "Qt", "base": self.base.descriptor(),
+                "sigma_t": self.scalar_to_json((self.sigma_num, self.sigma_den))}
 
 
-class ShiftField(DifferenceField):
+class ShiftField(FractionField):
     """k0(t_i : i >= min_index) with sigma shifting every index by one.
 
-    Elements are (num, den) pairs of sparse multivariate polynomials over
-    k0, coprime, with the denominator's leading coefficient one.  Values are
-    immutable by convention; the field only records a monotone horizon of
-    the largest index any computation has touched.
+    Numerator and denominator are sparse _multipoly dicts over k0.  Values
+    are immutable by convention; the field only records a monotone horizon
+    of the largest index any computation has touched.
     """
 
     kind = "shift"
+    _P = mp
+    # perfbench's tracer wraps these names in this class's own namespace
+    add, mul, inv = FractionField.add, FractionField.mul, FractionField.inv
 
     def __init__(self, base, min_index=0):
-        if isinstance(base, (FunctionField, ShiftField)):
+        if isinstance(base, FractionField):
             raise FieldError("shift-field base must be Q or a finite field")
         self.base = base
         self.min_index = min_index
@@ -635,26 +667,7 @@ class ShiftField(DifferenceField):
             if hi > self.horizon:
                 self.horizon = hi
 
-    def _make(self, num, den):
-        base = self.base
-        if mp.is_zero(den):
-            raise ZeroDivisionError("zero denominator")
-        if mp.is_zero(num):
-            return ({}, mp.const(base, base.one()))
-        g = mp.gcd(base, num, den)
-        if not mp.is_const(g):
-            num = mp.exact_div(base, num, g)
-            den = mp.exact_div(base, den, g)
-        else:
-            c = mp.const_value(base, g)
-            if not base.eq(c, base.one()):
-                num = mp.scale(base, num, base.inv(c))
-                den = mp.scale(base, den, base.inv(c))
-        _, lc = mp.leading(den)
-        if not base.eq(lc, base.one()):
-            ilc = base.inv(lc)
-            num = mp.scale(base, num, ilc)
-            den = mp.scale(base, den, ilc)
+    def _pair(self, num, den):
         self._note(num)
         self._note(den)
         return (num, den)
@@ -662,50 +675,18 @@ class ShiftField(DifferenceField):
     def t(self, i=0):
         if i < self.min_index:
             raise FieldError(f"t_{i} is below the minimal index {self.min_index}")
-        return self._make(mp.var(self.base, i), mp.const(self.base, self.base.one()))
+        return self._pair(mp.var(self.base, i), mp.const(self.base, self.base.one()))
 
     def zero(self):
         return ({}, mp.const(self.base, self.base.one()))
 
-    def one(self):
-        c = mp.const(self.base, self.base.one())
-        return (c, dict(c))
-
-    def add(self, a, b):
-        base = self.base
-        n = mp.add(base, mp.mul(base, a[0], b[1]), mp.mul(base, b[0], a[1]))
-        return self._make(n, mp.mul(base, a[1], b[1]))
-
     def neg(self, a):
         return (mp.neg(self.base, a[0]), a[1])
 
-    def mul(self, a, b):
-        base = self.base
-        return self._make(mp.mul(base, a[0], b[0]), mp.mul(base, a[1], b[1]))
-
-    def inv(self, a):
-        if self.is_zero(a):
-            raise ZeroDivisionError("inverse of zero")
-        return self._make(dict(a[1]), dict(a[0]))
-
-    def eq(self, a, b):
-        return mp.eq(self.base, a[0], b[0]) and mp.eq(self.base, a[1], b[1])
-
-    def is_zero(self, a):
-        return mp.is_zero(a[0])
-
-    def from_int(self, n):
-        return self._make(mp.const(self.base, self.base.from_int(n)),
-                          mp.const(self.base, self.base.one()))
-
     def sigma(self, a):
         base = self.base
-        out = []
-        for f in a:
-            f = mp.shift_vars(f, 1)
-            f = mp.map_coeffs(base, f, base.sigma)
-            out.append(f)
-        return self._make(out[0], out[1])
+        num, den = (mp.map_coeffs(base, mp.shift_vars(f, 1), base.sigma) for f in a)
+        return self._make(num, den)
 
     def canon(self, a):
         base = self.base
@@ -728,28 +709,27 @@ class ShiftField(DifferenceField):
             num = mp.const(base, base.one())
         return self._make(num, den)
 
+    def as_multipoly(self, a):
+        """(num, den) as _multipoly dicts, t_i the variable of index i."""
+        return a
+
+    def from_multipoly(self, f):
+        """The polynomial f in the t_i as an element."""
+        return self._make(f, mp.const(self.base, self.base.one()))
+
     def is_inversive(self):
         return False
 
-    def characteristic(self):
-        return self.base.characteristic()
+    def _encode(self, f):
+        return [[[list(ve) for ve in m], self.base.scalar_to_json(c)]
+                for m, c in mp.to_terms(f)]
 
-    def scalar_to_json(self, a):
-        def enc(f):
-            return [[[list(ve) for ve in m], self.base.scalar_to_json(c)]
-                    for m, c in mp.to_terms(f)]
-
-        return {"num": enc(a[0]), "den": enc(a[1])}
-
-    def scalar_from_json(self, s):
-        def dec(terms):
-            f = {}
-            for m, c in terms:
-                mono = tuple(sorted((int(v), int(e)) for v, e in m))
-                f[mono] = self.base.scalar_from_json(c)
-            return f
-
-        return self._make(dec(s["num"]), dec(s["den"]))
+    def _decode(self, terms):
+        f = {}
+        for m, c in terms:
+            mono = tuple(sorted((int(v), int(e)) for v, e in m))
+            f[mono] = self.base.scalar_from_json(c)
+        return f
 
     def descriptor(self):
         return {"kind": "shift", "base": self.base.descriptor(),

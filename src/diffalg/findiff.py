@@ -260,15 +260,16 @@ def algebra_validate(A: FinSigmaAlgebra) -> ValidationReport:
 
 
 def is_sigma_separable(A: FinSigmaAlgebra) -> bool:
-    """The images of a basis stay linearly independent over the base."""
+    """Whether sigma maps a basis to a family linearly independent over the
+    base field (the sigma matrix has full rank): exactly sigma-separability.
+    It is also exactly sigma-reducedness (a trivial kernel) over inversive
+    bases, Q and the finite fields among them; over the others True still
+    proves a trivial kernel, while False only shows a rank drop."""
     return la.rank(A.base, A.sigma) == A.dim
 
 
-def is_sigma_reduced(A: FinSigmaAlgebra) -> bool:
-    """Trivial kernel of the semilinear endomorphism, decided by the rank of
-    the basis-image family over the base field.  Exact over inversive bases
-    and a sound sufficient criterion over the others."""
-    return la.rank(A.base, A.sigma) == A.dim
+# the same test, under the name of the property it decides over inversive bases
+is_sigma_reduced = is_sigma_separable
 
 
 def trace_gram_matrix(A: FinSigmaAlgebra):

@@ -12,8 +12,7 @@ import random
 
 from . import _multipoly as mp
 from . import _polycore as pc
-from .exactfield import (DifferenceField, FunctionField, GaloisField,
-                         PrimeField, ShiftField)
+from .exactfield import DifferenceField, FractionField, GaloisField, PrimeField
 
 DEFAULT_FACTOR_SEED = 0x0D1FFA17
 _X_INDEX = 1 << 60   # reserved multipoly index for the polynomial variable
@@ -146,34 +145,9 @@ def poly_gcd(f: Poly, g: Poly) -> Poly:
     runs in the joint polynomial ring, avoiding rational-function swell.
     """
     _same_base(f, g)
-    if isinstance(f.base, (FunctionField, ShiftField)):
+    if isinstance(f.base, FractionField):
         return _gcd_over_fraction_field(f, g)
     return Poly(tuple(pc.gcd(f.base, list(f.coeffs), list(g.coeffs))), f.base)
-
-
-def _scalar_to_mp(base, c):
-    """(numerator, denominator) of a field scalar as multipoly dicts."""
-    if isinstance(base, ShiftField):
-        return dict(c[0]), dict(c[1])
-    num = {((0, i),) if i else (): x for i, x in enumerate(c[0])
-           if not base.base.is_zero(x)}
-    den = {((0, i),) if i else (): x for i, x in enumerate(c[1])
-           if not base.base.is_zero(x)}
-    return num, den
-
-
-def _mp_to_scalar(base, poly):
-    if isinstance(base, ShiftField):
-        return base._make(poly, mp.const(base.base, base.base.one()))
-    deg = 0
-    for m in poly:
-        for v, e in m:
-            deg = max(deg, e)
-    num = [base.base.zero()] * (deg + 1)
-    for m, c in poly.items():
-        e = m[0][1] if m else 0
-        num[e] = c
-    return base.from_polys(num, [base.base.one()])
 
 
 def _gcd_over_fraction_field(f, g):
@@ -181,7 +155,7 @@ def _gcd_over_fraction_field(f, g):
     k0 = base.base
 
     def clear(poly):
-        parts = [_scalar_to_mp(base, c) for c in poly.coeffs]
+        parts = [base.as_multipoly(c) for c in poly.coeffs]
         common = mp.const(k0, k0.one())
         for _, den in parts:
             if not mp.is_zero(den):
@@ -202,7 +176,7 @@ def _gcd_over_fraction_field(f, g):
     if g.is_zero():
         return f.monic()
     D = mp.gcd(k0, clear(f), clear(g))
-    coeffs = [_mp_to_scalar(base, c) for c in mp.to_univariate(D, _X_INDEX)]
+    coeffs = [base.from_multipoly(c) for c in mp.to_univariate(D, _X_INDEX)]
     return Poly.make(base, coeffs).monic()
 
 

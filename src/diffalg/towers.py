@@ -20,15 +20,15 @@ exponents strictly below the level degrees.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 import random
 
 from . import _exprs
 from . import _linalg as la
 from . import _multipoly as mp
 from . import _polycore as pc
-from .exactfield import (DifferenceField, FunctionField, GaloisField, PrimeField,
-                         Rationals, ShiftField, field_make, json_list)
+from .exactfield import (DifferenceField, FractionField, FunctionField, GaloisField,
+                         PrimeField, Rationals, ShiftField, field_make, json_list)
 from .findiff import (FinSigmaAlgebra, is_strongly_sigma_etale,
                       primitive_idempotents, tensor_product,
                       RestrictedAutomationError)
@@ -411,7 +411,7 @@ class TowerExtension:
                 return "radical-fresh"
             if self._is_radical_generator(u):
                 return "radical-chain"
-        if prefix_count == 0 and isinstance(k, (FunctionField, ShiftField)):
+        if prefix_count == 0 and isinstance(k, FractionField):
             return "specialized"
         raise TowerError(
             f"cannot certify irreducibility for level {level.name!r}; "
@@ -574,7 +574,7 @@ def _as_univariate(tower, a, top):
 
 
 def _constants_field(k):
-    if isinstance(k, (FunctionField, ShiftField)):
+    if isinstance(k, FractionField):
         return k.base
     return k
 
@@ -730,7 +730,7 @@ def _verify_benign_galois(T, family, start):
                 f"{r} distinct roots of unity")
         b = T.gen(idx)
         for z in zetas:
-            _assert_root(T, lv, T.scale(b, _embed_constant(k, z)))
+            _assert_root(T, lv, T.scale(b, k.constant(z)))
         return
     raise NotGaloisError(
         "cannot certify the Galois property beyond quadratics and radicals")
@@ -749,16 +749,6 @@ def _finite_roots(kf, f):
     from .poly import roots
 
     return roots(f)
-
-
-def _embed_constant(k, c):
-    """Constant of the coefficient field into a function/shift field."""
-    if isinstance(k, ShiftField):
-
-        return k._make(mp.const(k.base, c), mp.const(k.base, k.base.one()))
-    if isinstance(k, FunctionField):
-        return k._make([c], [k.base.one()])
-    return c
 
 
 def stacked_radical_tower(base, r1=2, r2=2, shift=1, fam1="a", fam2="c") -> TowerExtension:
@@ -1132,9 +1122,12 @@ def tower_from_json(data) -> TowerExtension:
     base = field_make(data["base"])
     T = TowerExtension(base)
     T.explicit_specs = array("levels")
-    for spec in T.explicit_specs:
-        T.add_explicit_level(spec["name"], spec["minpoly"], spec["sigma"],
-                             spec.get("cert"))
+    for i, spec in enumerate(T.explicit_specs):
+        for key in ("name", "sigma"):
+            if not isinstance(spec.get(key), str):
+                raise ValueError(f"levels[{i}].{key} must be a string")
+        minpoly = json_list(spec.get("minpoly"), f"levels[{i}].minpoly")
+        T.add_explicit_level(spec["name"], minpoly, spec["sigma"], spec.get("cert"))
     for t in range(len(T.levels)):
         T._sigma_gen(t)
     fams = array("families")
@@ -1183,8 +1176,19 @@ class BabbittChain:
 
     @staticmethod
     def from_json(data):
-        return BabbittChain(tower_from_json(data["tower"]),
-                            [dict(s) for s in json_list(data["chain"], "chain", dict)])
+        """Load a chain; every step's generators must name a family or a level
+        of the tower."""
+        T = tower_from_json(data["tower"])
+        steps = [dict(s) for s in json_list(data["chain"], "chain", dict)]
+        if not steps:
+            raise ValueError("chain must hold at least its bottom step")
+        for i, step in enumerate(steps):
+            if not isinstance(step.get("benign_generator", ""), str):
+                raise ValueError(f"chain[{i}].benign_generator must be a string")
+            for name in json_list(step.get("generators", []), f"chain[{i}].generators", str):
+                if name not in T.families:
+                    T.ensure_name(name)
+        return BabbittChain(T, steps)
 
 
 def _finite_part_count(T):
@@ -1243,7 +1247,7 @@ def _verify_galois_level(T, lv):
                 f"x^{r} - u is not Galois: missing roots of unity in the constants")
         b = T.gen(idx)
         for z in zetas:
-            _assert_root(T, lv, T.scale(b, _embed_constant(k, z)))
+            _assert_root(T, lv, T.scale(b, k.constant(z)))
         return "radical-split"
     raise NotGaloisError("cannot certify the Galois property for this level")
 

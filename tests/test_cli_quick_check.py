@@ -113,9 +113,16 @@ def _hopf_matrix():
     (["core"], _algebra, "base", {"kind": "Fq", "p": "5"}, "p"),
     (["core"], _algebra, "base", {"kind": "Fq", "p": 5, "defpoly": [2, 0, "x"]},
      "defpoly"),
+    # level a of collapse_tower_f5 with one field of the wrong type
+    (["core"], _tower, "levels", [{"name": "a", "minpoly": ["-t", 0, 1], "sigma": 5}],
+     "sigma"),
+    (["core"], _tower, "levels", [{"name": 5, "minpoly": ["-t", 0, 1], "sigma": "t"}],
+     "name"),
+    (["core"], _tower, "levels", [{"name": "a", "minpoly": "x^2 - t", "sigma": "t"}],
+     "minpoly"),
 ], ids=["algebra-mul", "tower-levels", "presentation-poly", "hopf-comul",
         "hopf-null-scalar", "babbitt-chain", "mul-null-scalar", "base-p-string",
-        "defpoly-string"])
+        "defpoly-string", "tower-level-sigma", "tower-level-name", "tower-level-minpoly"])
 def test_field_of_wrong_json_type_is_an_input_error(tmp_path, argv, make, field,
                                                     value, named):
     doc = dict(make(), **{field: value})
@@ -131,6 +138,11 @@ def _edit_algebra(field, change):
 
 def _edit_hopf(field, change):
     return lambda: dict(_hopf_matrix(), **{field: change(_hopf_matrix()[field])})
+
+
+def _edit_chain(change):
+    # the chain of radical_tower_f5 is [L0: no generators, L1: family a]
+    return lambda: dict(_chain(), chain=change(_chain()["chain"]))
 
 
 # Both carriers have dimension 2: mul is 2 x 2 cells of length 2, sigma and
@@ -152,10 +164,19 @@ def _edit_hopf(field, change):
     (["core"], _edit_algebra("unit", lambda v: v + v[:1]), "mul"),
     (["core"], lambda: dict(_algebra(), mul=[], unit=[], sigma=[]), "unit"),
     (["check", "--predicate", "etale"], _edit_algebra("sigma", lambda v: v[:1]), "sigma"),
+    (["babbitt", "verify"], _edit_chain(lambda v: []), "chain"),
+    (["babbitt", "verify"], _edit_chain(lambda v: [v[0], dict(v[1], generators=5)]),
+     "chain[1].generators"),
+    (["babbitt", "verify"], _edit_chain(lambda v: [v[0], dict(v[1], generators=["nope"])]),
+     "nope"),
+    (["babbitt", "verify"], _edit_chain(lambda v: [v[0], dict(v[1], benign_generator=5)]),
+     "chain[1].benign_generator"),
 ], ids=["counit-short", "counit-long", "comul-extra-row", "comul-short",
         "comul-one-column", "antipode-long-row", "antipode-core-check", "mul-short",
         "mul-cell-short", "mul-row-long", "sigma-short", "sigma-row-short",
-        "unit-long", "zero-ring", "check-sigma-short"])
+        "unit-long", "zero-ring", "check-sigma-short", "chain-empty",
+        "chain-generators-not-array", "chain-unknown-generator",
+        "chain-benign-generator-not-string"])
 def test_field_of_wrong_shape_is_an_input_error(tmp_path, argv, make, named):
     p = tmp_path / "doc.json"
     p.write_text(json.dumps(make()))
