@@ -47,6 +47,8 @@ class RingOps:
             v = self.from_int(args[0]) if isinstance(args[0], int) else args[0]
             steps = 1 if len(args) == 1 else args[1]
             if isinstance(steps, int):
+                if steps < 0:
+                    raise ExpressionError("sigma counts must be non-negative")
                 for _ in range(steps):
                     v = self.ring.sigma(v)
                 return v

@@ -3,6 +3,11 @@
 Matrices are lists of row lists of field elements.  Everything here is
 fraction-free only in the sense of being exact; pivots are divided out, so
 the field must supply inv().
+
+Row operations skip zero entries: where the pivot row holds zero, an update
+keeps the entry it would have recomputed as a - c*0, and a scaling keeps
+zeros.  This is exact for every field kind, whose elements are stored in a
+reduced canonical form, so the skipped results equal the kept entries.
 """
 
 from __future__ import annotations
@@ -35,6 +40,16 @@ def _dot(k, row, v):
     return acc
 
 
+def _row_sub(k, v, c, row):
+    """v - c*row, keeping v's entry wherever row's entry is zero."""
+    return [a if k.is_zero(b) else k.sub(a, k.mul(c, b)) for a, b in zip(v, row)]
+
+
+def _row_scale(k, c, row):
+    """c*row, keeping zero entries."""
+    return [a if k.is_zero(a) else k.mul(c, a) for a in row]
+
+
 def rref(k, m):
     """Reduced row echelon form; returns (rref_rows, pivot_columns)."""
     m = copy(m)
@@ -51,12 +66,10 @@ def rref(k, m):
         if pivot is None:
             continue
         m[r], m[pivot] = m[pivot], m[r]
-        inv = k.inv(m[r][c])
-        m[r] = [k.mul(inv, a) for a in m[r]]
+        m[r] = _row_scale(k, k.inv(m[r][c]), m[r])
         for i in range(rows):
             if i != r and not k.is_zero(m[i][c]):
-                f = m[i][c]
-                m[i] = [k.sub(a, k.mul(f, b)) for a, b in zip(m[i], m[r])]
+                m[i] = _row_sub(k, m[i], m[i][c], m[r])
         pivots.append(c)
         r += 1
         if r == rows:
@@ -104,8 +117,7 @@ def det(k, m):
         for i in range(c + 1, n):
             if k.is_zero(m[i][c]):
                 continue
-            f = k.mul(m[i][c], inv)
-            m[i] = [k.sub(a, k.mul(f, b)) for a, b in zip(m[i], m[c])]
+            m[i] = _row_sub(k, m[i], k.mul(m[i][c], inv), m[c])
     return acc
 
 
@@ -151,7 +163,7 @@ class SpanBasis:
         for row, p in zip(self.rows, self.pivots):
             c = v[p]
             if not k.is_zero(c):
-                v = [k.sub(a, k.mul(c, b)) for a, b in zip(v, row)]
+                v = _row_sub(k, v, c, row)
         return v
 
     def contains(self, v):
@@ -163,8 +175,7 @@ class SpanBasis:
         r = self.reduce(v)
         for p in range(self.n):
             if not k.is_zero(r[p]):
-                inv = k.inv(r[p])
-                r = [k.mul(inv, a) for a in r]
+                r = _row_scale(k, k.inv(r[p]), r)
                 idx = 0
                 while idx < len(self.pivots) and self.pivots[idx] < p:
                     idx += 1
@@ -178,12 +189,9 @@ class SpanBasis:
         k = self.k
         p = self.pivots[idx]
         new_row = self.rows[idx]
-        for j in range(len(self.rows)):
-            if j == idx:
-                continue
-            c = self.rows[j][p]
-            if not k.is_zero(c):
-                self.rows[j] = [k.sub(a, k.mul(c, b)) for a, b in zip(self.rows[j], new_row)]
+        for j, row in enumerate(self.rows):
+            if j != idx and not k.is_zero(row[p]):
+                self.rows[j] = _row_sub(k, row, row[p], new_row)
 
     def dim(self):
         return len(self.rows)
@@ -197,7 +205,7 @@ class SpanBasis:
             c = v[p]
             coords.append(c)
             if not k.is_zero(c):
-                v = [k.sub(a, k.mul(c, b)) for a, b in zip(v, row)]
+                v = _row_sub(k, v, c, row)
         if any(not k.is_zero(a) for a in v):
             return None
         return coords

@@ -13,6 +13,7 @@ default; a value of the wrong type, or outside the key's choices, exits 1."""
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -318,6 +319,12 @@ def build_parser():
         seed = int(os.environ.get("DIFFALG_SEED", SEED.default))
     except ValueError:
         seed = SEED.default
+    return _parser(seed)
+
+
+@functools.lru_cache(maxsize=8)
+def _parser(seed):
+    """The parser with default seed `seed`; parse_args leaves it unchanged."""
     parser = _ArgumentParser(
         prog="diffalg",
         description="exact difference-algebra decision procedures with "

@@ -249,3 +249,27 @@ def test_help_exits_zero(capsys):
         main(["check", "--help"])
     assert exc.value.code == 0
     assert "--predicate" in capsys.readouterr().out
+
+
+def test_cached_parser_follows_the_environment_seed(monkeypatch, capsys):
+    from diffalg.cli import main
+
+    def seed(argv):
+        code, rep = run(["suite", "hopf"] + argv)
+        assert code == 0
+        return rep["config"]["seed"]
+
+    monkeypatch.setenv("DIFFALG_SEED", "11")
+    assert seed([]) == 11
+    monkeypatch.setenv("DIFFALG_SEED", "12")
+    assert seed([]) == 12
+    # an explicit seed does not become the next call's default
+    assert seed(["--seed", "7"]) == 7
+    assert seed([]) == 12
+    monkeypatch.delenv("DIFFALG_SEED")
+    assert seed([]) == 42
+    for _ in range(2):
+        with pytest.raises(SystemExit) as exc:
+            main(["--help"])
+        assert exc.value.code == 0
+        assert "usage: diffalg" in capsys.readouterr().out

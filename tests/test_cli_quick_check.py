@@ -213,3 +213,34 @@ def test_certificate_config_of_wrong_type_is_an_input_error(
     code, rep = run(["verify-cert", str(p)])
     assert code == 1 and set(rep) == {"error"}
     assert "must be of type" in rep["error"]
+
+
+def _line_with(poly):
+    from diffalg.gallery import collapsed_line
+
+    doc = collapsed_line(5).to_json()
+    doc["gens"] = [{"poly": "y0^2-1"}, {"poly": poly}]
+    return doc
+
+
+def _tower_with(sigma):
+    doc = _tower()
+    doc["levels"] = [dict(doc["levels"][0], sigma=sigma)]
+    return doc
+
+
+@pytest.mark.parametrize("doc, ok", [
+    (_line_with("sigma(y0,0)-1"), True),
+    (_line_with("sigma(y0,-1)-1"), False),
+    (_tower_with("sigma(t,0)"), True),
+    (_tower_with("sigma(t,-1)"), False),
+], ids=["presentation-zero", "presentation-negative", "tower-zero", "tower-negative"])
+def test_negative_sigma_count_is_an_input_error(tmp_path, doc, ok):
+    # sigma need not be invertible, so sigma(x, -1) has no meaning here
+    p = tmp_path / "doc.json"
+    p.write_text(json.dumps(doc))
+    code, rep = run(["core", str(p)])
+    if ok:
+        assert code == 0
+    else:
+        assert code == 1 and set(rep) == {"error"} and "sigma" in rep["error"]

@@ -1,0 +1,132 @@
+"""Differential test of exact linear algebra against sympy's DomainMatrix.
+
+Seeded matrices over F_p and Q, at least half of whose entries are zero so
+that the zero-skipping row operations run, must give the same rref, rank,
+nullspace, determinant, inverse and solvability as sympy, and SpanBasis
+must agree with sympy's rref of the rows it was fed.
+"""
+
+from fractions import Fraction
+import random
+
+import pytest
+
+sympy = pytest.importorskip("sympy")
+
+from sympy.polys.matrices import DomainMatrix  # noqa: E402
+
+from diffalg import _linalg as la  # noqa: E402
+from diffalg.exactfield import PrimeField, Rationals  # noqa: E402
+
+CASES = 40
+
+FIELDS = {
+    "F2": (PrimeField(2), sympy.GF(2)),
+    "F5": (PrimeField(5), sympy.GF(5)),
+    "F7": (PrimeField(7), sympy.GF(7)),
+    "Q": (Rationals(), sympy.QQ),
+}
+
+
+def _entry(k, rng):
+    if rng.random() < 0.6:
+        return k.zero()
+    p = k.characteristic()
+    if p:
+        return rng.randrange(1, p)
+    return Fraction(rng.choice([-1, 1]) * rng.randint(1, 9), rng.randint(1, 5))
+
+
+def _matrix(k, rng, rows, cols):
+    return [[_entry(k, rng) for _ in range(cols)] for _ in range(rows)]
+
+
+def _to_dm(K, m, cols):
+    return DomainMatrix([[K(a.numerator, a.denominator) if isinstance(a, Fraction)
+                          else K(a) for a in row] for row in m], (len(m), cols), K)
+
+
+def _from_sympy(k, x):
+    p = k.characteristic()
+    if p:
+        return int(x) % p
+    return Fraction(int(x.numerator), int(x.denominator))
+
+
+def _rows(k, dm):
+    return [[_from_sympy(k, x) for x in row] for row in dm.to_list()]
+
+
+def _samples(name):
+    k, K = FIELDS[name]
+    rng = random.Random(f"linalg-{name}")
+    for _ in range(CASES):
+        rows, cols = rng.randint(1, 6), rng.randint(1, 7)
+        yield k, K, _matrix(k, rng, rows, cols), rows, cols, rng
+
+
+def test_samples_are_mostly_zero():
+    for name in FIELDS:
+        k = FIELDS[name][0]
+        entries = [a for _, _, m, *_ in _samples(name) for row in m for a in row]
+        assert sum(k.is_zero(a) for a in entries) * 2 >= len(entries)
+
+
+@pytest.mark.parametrize("name", FIELDS)
+def test_rref_rank_nullspace(name):
+    for k, K, m, rows, cols, _ in _samples(name):
+        dm = _to_dm(K, m, cols)
+        red, pivots = la.rref(k, m)
+        sred, spivots = dm.rref()
+        assert pivots == list(spivots)
+        assert red == _rows(k, sred)[:len(pivots)]
+        assert la.rank(k, m) == dm.rank()
+        ns = la.nullspace(k, m)
+        assert len(ns) == cols - dm.rank()
+        for v in ns:
+            assert all(k.is_zero(a) for a in la.mat_vec(k, m, v))
+        if ns:
+            sns = _rows(k, dm.nullspace())
+            assert la.rref(k, ns)[0] == la.rref(k, sns)[0]
+
+
+@pytest.mark.parametrize("name", FIELDS)
+def test_det_inverse_solve(name):
+    for k, K, m, rows, cols, rng in _samples(name):
+        square = [row[:rows] + [k.zero()] * (rows - len(row[:rows])) for row in m]
+        dm = _to_dm(K, square, rows)
+        d = dm.det()
+        assert la.det(k, square) == _from_sympy(k, d)
+        if K.is_zero(d):
+            with pytest.raises(ArithmeticError):
+                la.inverse(k, square)
+        else:
+            assert la.inverse(k, square) == _rows(k, dm.inv())
+        b = [_entry(k, rng) for _ in range(rows)]
+        consistent = (_to_dm(K, [r + [c] for r, c in zip(m, b)], cols + 1).rank()
+                      == _to_dm(K, m, cols).rank())
+        x = la.solve(k, m, b)
+        assert (x is not None) == consistent
+        if x is not None:
+            assert la.mat_vec(k, m, x) == b
+
+
+@pytest.mark.parametrize("name", FIELDS)
+def test_span_basis(name):
+    for k, K, m, rows, cols, rng in _samples(name):
+        sb = la.SpanBasis(k, cols)
+        for row in m:
+            sb.add(row)
+        dm = _to_dm(K, m, cols)
+        assert sb.dim() == dm.rank()
+        assert sb.basis() == _rows(k, dm.rref()[0])[:dm.rank()]
+        for v in m + _matrix(k, rng, 3, cols):
+            inside = _to_dm(K, m + [v], cols).rank() == dm.rank()
+            assert sb.contains(v) == inside
+            coords = sb.coordinates(v)
+            assert (coords is not None) == inside
+            if coords is not None:
+                combo = [k.zero()] * cols
+                for c, row in zip(coords, sb.basis()):
+                    combo = [k.add(a, k.mul(c, r)) for a, r in zip(combo, row)]
+                assert combo == v
