@@ -10,6 +10,8 @@ This is the package's one sparse-polynomial kernel: iadd/add, mul, power and
 eq also serve presentations (monomials of ((j, i), exp) pairs), towers
 (dense exponent tuples) and the Hopf tensors (tuples of basis keys), since
 mul takes the monomial product as an argument and power the ring product.
+to_dense and from_dense are the one map between these sparse dicts and
+coordinate vectors over a list of monomials, for every kind of key.
 
 The gcd is the classical primitive-PRS recursion on the largest variable.
 Degrees stay tiny in this artifact, so simplicity wins over asymptotics.
@@ -333,6 +335,23 @@ def exact_div(k, f, g):
         sub_term = _uni_scale(k, [({} if i < d else b[i - d]) for i in range(len(b) + d)], qc)
         a = _uni_sub(k, a, sub_term)
     return from_univariate(q, v)
+
+
+def to_dense(k, f, index):
+    """f's coefficient vector, index mapping each monomial to its position;
+    None when a monomial of f has no position."""
+    out = [k.zero()] * len(index)
+    for m, c in f.items():
+        t = index.get(m)
+        if t is None:
+            return None
+        out[t] = c
+    return out
+
+
+def from_dense(k, v, monos):
+    """The polynomial with coefficient v[t] on monos[t]."""
+    return {m: c for m, c in zip(monos, v) if not k.is_zero(c)}
 
 
 def to_terms(f):

@@ -21,7 +21,7 @@ from . import _exprs
 from . import _linalg as la
 from . import _multipoly as mp
 from .exactfield import GaloisField, PrimeField
-from .findiff import FinSigmaAlgebra, strong_core as _fin_strong_core
+from .findiff import FinSigmaAlgebra, algebra_on_basis, strong_core as _fin_strong_core
 from .poly import Poly, factor_over_finite_field
 
 
@@ -326,21 +326,10 @@ class LevelAlgebra:
         return len(self.monomials)
 
     def coords(self, f):
-        idx = {m: t for t, m in enumerate(self.monomials)}
-        out = [self.pres.base.zero()] * len(self.monomials)
-        for m, c in f.items():
-            if m not in idx:
-                return None
-            out[idx[m]] = c
-        return out
+        return mp.to_dense(self.pres.base, f, {m: t for t, m in enumerate(self.monomials)})
 
     def element(self, coords):
-        k = self.pres.base
-        f = {}
-        for c, m in zip(coords, self.monomials):
-            if not k.is_zero(c):
-                f[m] = c
-        return f
+        return mp.from_dense(self.pres.base, coords, self.monomials)
 
 
 @dataclass
@@ -534,50 +523,20 @@ def strong_core_truncated(pres: Presentation, n: int, horizon: int = 64) -> Trun
     monos = sorted(monos, key=_mono_key)
     k = pres.base
     idx = {m: t for t, m in enumerate(monos)}
-    d = len(monos)
-
-    def coords(f):
-        out = [k.zero()] * d
-        for m, c in f.items():
-            if m not in idx:
-                return None
-            out[idx[m]] = c
-        return out
-
-    def elem(m):
-        return {m: k.one()} if m else {(): k.one()}
-
-    mul = [[None] * d for _ in range(d)]
-    for a in range(d):
-        for b in range(d):
-            prod = pres.mul(elem(monos[a]), elem(monos[b]))
-            cv = coords(prod)
-            if cv is None:
-                raise UnsupportedPresentationError("window is not multiplicatively closed")
-            mul[a][b] = cv
-    unit = coords(pres.one())
-    sig = [[k.zero()] * d for _ in range(d)]
-    for b in range(d):
-        img = pres.sigma(elem(monos[b]))
-        cv = coords(img)
-        if cv is None:
-            raise UnsupportedPresentationError("window is not sigma-stable")
-        for a in range(d):
-            sig[a][b] = cv[a]
-    A = FinSigmaAlgebra(k, mul, unit, sig)
+    A = algebra_on_basis(k, [{m: k.one()} for m in monos], pres.mul, pres.sigma, pres.one(),
+                         lambda f: mp.to_dense(k, f, idx), UnsupportedPresentationError)
     core = _fin_strong_core(A)
     basis = []
     for j in range(core.algebra.dim):
         col = core.inclusion.column(j)
-        basis.append(pres.normalize({m: c for m, c in zip(monos, col)
-                                     if not k.is_zero(c)}))
+        basis.append(pres.normalize(mp.from_dense(k, col, monos)))
     status = "exact" if not unknown and core.complete else "lower-bound"
     return TruncatedCoreResult(
         basis=basis, status=status,
         window_vars=sorted(window),
         algebra=core.algebra,
         details={"transient_vars": transient, "unknown_vars": unknown,
-                 "window_dim": d})
+                 "window_dim": len(monos)})
 
 
 def sigma_kernel_slice(pres: Presentation, n: int):

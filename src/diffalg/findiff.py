@@ -1,10 +1,18 @@
 """Finite-dimensional commutative difference algebras over a difference field.
 
 An algebra is given by structure constants, a unit vector and a semilinear
-endomorphism matrix.  This module hosts the separability and etale
-predicates, idempotent enumeration, and the strong-core engine: base-change
-to a splitting extension, the span of periodic idempotents there, and exact
-linear descent back to the ground field.
+endomorphism matrix: mul[i][j] is the coordinate vector of e_i * e_j, and
+sigma is stored transposed, sigma[i][j] being the i-th coordinate of
+sigma(e_j), so its columns are the images of the basis vectors.  This module
+hosts the separability and etale predicates, idempotent enumeration, and the
+strong-core engine: base-change to a splitting extension, the span of
+periodic idempotents there, and exact linear descent back to the ground
+field.
+
+Every subalgebra or quotient carved out of a bigger ring (the strong core,
+a sigma-closure, the quotient by a sigma-ideal, the truncated window, the
+core of a finite tower, k[a]) is built by algebra_on_basis from a list of
+ambient elements and a coordinate function.
 """
 
 from __future__ import annotations
@@ -31,12 +39,9 @@ class CompatibilityError(ValueError):
 
 
 class FinSigmaAlgebra:
-    """Commutative unital algebra with a semilinear endomorphism.
-
-    mul[i][j] is the coordinate vector of e_i * e_j; sigma[i][j] is the
-    i-th coordinate of sigma(e_j), so columns of sigma are the images of
-    basis vectors.  sigma acts on arbitrary vectors semilinearly:
-    sigma(sum v_j e_j) = sum sigma_base(v_j) sigma(e_j).
+    """Commutative unital algebra with a semilinear endomorphism, laid out
+    as the module docstring says.  sigma acts on arbitrary vectors
+    semilinearly: sigma(sum v_j e_j) = sum sigma_base(v_j) sigma(e_j).
     """
 
     def __init__(self, base, mul, unit, sigma):
@@ -308,9 +313,7 @@ def minimal_polynomial(A: FinSigmaAlgebra, v, unit=None) -> Poly:
     """Minimal polynomial of v in the unital subalgebra generated by v."""
     unit = A.unit if unit is None else unit
     k = A.base
-    span = la.SpanBasis(k, A.dim)
     powers = [list(unit)]
-    span.add(unit)
     cur = list(unit)
     while True:
         cur = A.multiply(cur, v)
@@ -318,7 +321,6 @@ def minimal_polynomial(A: FinSigmaAlgebra, v, unit=None) -> Poly:
         if coords is not None:
             return Poly.make(k, [k.neg(c) for c in coords] + [k.one()])
         powers.append(list(cur))
-        span.add(cur)
 
 
 def _coords_in(k, vectors, target):
@@ -474,30 +476,32 @@ def sigma_subalgebra_generated(A: FinSigmaAlgebra, gens):
     return _subalgebra_on_span(A, span)
 
 
+def algebra_on_basis(k, basis, mul, sigma, unit, coords, error=AssertionError):
+    """The FinSigmaAlgebra on a list of ambient elements.
+
+    mul and sigma act on the ambient ring and unit is its one; coords(x)
+    gives x's coordinates in basis, or None when x lies outside their span,
+    which raises error naming the failed law.  All products are evaluated
+    first, then the unit, then each sigma image.
+    """
+    def at(x, law):
+        c = coords(x)
+        if c is None:
+            raise error(f"basis span is not {law}")
+        return c
+
+    table = [[at(mul(a, b), "closed under products") for b in basis] for a in basis]
+    one = at(unit, "unital")
+    cols = [at(sigma(b), "sigma-stable") for b in basis]
+    return FinSigmaAlgebra(k, table, one, [[c[i] for c in cols] for i in range(len(basis))])
+
+
 def _subalgebra_on_span(A, span):
     """Package an echelon span that is closed under product and sigma."""
-    k = A.base
     basis = span.basis()
-    d = len(basis)
-    mul = [[None] * d for _ in range(d)]
-    for i in range(d):
-        for j in range(d):
-            coords = span.coordinates(A.multiply(basis[i], basis[j]))
-            if coords is None:
-                raise AssertionError("span not multiplicatively closed")
-            mul[i][j] = coords
-    unit = span.coordinates(A.unit)
-    if unit is None:
-        raise AssertionError("span does not contain the unit")
-    sig = [[k.zero()] * d for _ in range(d)]
-    for j in range(d):
-        coords = span.coordinates(A.apply_sigma(basis[j]))
-        if coords is None:
-            raise AssertionError("span not sigma-stable")
-        for i in range(d):
-            sig[i][j] = coords[i]
-    sub = FinSigmaAlgebra(k, mul, unit, sig)
-    matrix = [[basis[j][i] for j in range(d)] for i in range(A.dim)]
+    sub = algebra_on_basis(A.base, basis, A.multiply, A.apply_sigma, A.unit,
+                           span.coordinates)
+    matrix = [[b[i] for b in basis] for i in range(A.dim)]
     return sub, SigmaAlgebraMorphism(sub, A, matrix)
 
 
@@ -562,28 +566,15 @@ def quotient_by_sigma_ideal(A: FinSigmaAlgebra, gens):
         raise ZeroRingError("the sigma-ideal is the whole algebra")
     pivots = set(span.pivots)
     keep = [i for i in range(A.dim) if i not in pivots]
-    d = len(keep)
 
     def project(v):
         r = span.reduce(v)
         return [r[i] for i in keep]
 
-    def lift(i):
-        return A.basis_vec(keep[i])
-
-    mul = [[project(A.multiply(lift(i), lift(j))) for j in range(d)] for i in range(d)]
-    unit = project(A.unit)
-    sig = [[k.zero()] * d for _ in range(d)]
-    for j in range(d):
-        coords = project(A.apply_sigma(lift(j)))
-        for i in range(d):
-            sig[i][j] = coords[i]
-    Q = FinSigmaAlgebra(k, mul, unit, sig)
-    pm = [[k.zero()] * A.dim for _ in range(d)]
-    for col in range(A.dim):
-        coords = project(A.basis_vec(col))
-        for i in range(d):
-            pm[i][col] = coords[i]
+    Q = algebra_on_basis(k, [A.basis_vec(i) for i in keep], A.multiply, A.apply_sigma,
+                         A.unit, project)
+    cols = [project(A.basis_vec(col)) for col in range(A.dim)]
+    pm = [[c[i] for c in cols] for i in range(len(keep))]
     return Q, SigmaAlgebraMorphism(A, Q, pm)
 
 

@@ -16,7 +16,8 @@ from . import _multipoly as mp
 from .diffpoly import (LevelAlgebra, Presentation, sigma_kernel_slice,
                        strong_core_truncated)
 from .findiff import (FinSigmaAlgebra, SigmaAlgebraMorphism, ValidationReport,
-                      algebra_validate, is_etale, strong_core, tensor_product)
+                      algebra_on_basis, algebra_validate, is_etale, strong_core,
+                      tensor_product)
 
 
 @dataclass
@@ -62,10 +63,6 @@ def _pair(a, b):
 
 def _concat(a, b):
     return a + b
-
-
-def _sparse(k, v):
-    return {i: x for i, x in enumerate(v) if not k.is_zero(x)}
 
 
 def _coassociativity_sides(k, delta, comul):
@@ -137,16 +134,11 @@ def _comul_witness(k, basis, images):
     keys = sorted({key for col in cols for key in col}
                   | {key for img in images for key in img})
     key_index = {key: t for t, key in enumerate(keys)}
-    matrix = [[k.zero()] * len(cols) for _ in keys]
-    for c_idx, col in enumerate(cols):
-        for key, val in col.items():
-            matrix[key_index[key]][c_idx] = val
+    dense = [mp.to_dense(k, col, key_index) for col in cols]
+    matrix = [[col[r] for col in dense] for r in range(len(keys))]
     witness = []
     for img in images:
-        target = [k.zero()] * len(keys)
-        for key, val in img.items():
-            target[key_index[key]] = val
-        sol = la.solve(k, matrix, target)
+        sol = la.solve(k, matrix, mp.to_dense(k, img, key_index))
         if sol is None:
             return None
         witness.append([k.scalar_to_json(c) for c in sol])
@@ -168,7 +160,7 @@ def strong_core_is_hopf_subalgebra(H: SigmaHopf) -> dict:
                 "reason": "strong core is only a lower bound on this base"}
     basis = [core.inclusion.column(j) for j in range(core.algebra.dim)]
     r = len(basis)
-    comul_witness = _comul_witness(k, [_sparse(k, v) for v in basis],
+    comul_witness = _comul_witness(k, [mp.from_dense(k, v, range(A.dim)) for v in basis],
                                    [H.comul_apply(v) for v in basis])
     if comul_witness is None:
         return {"status": "refuted", "reason": _OUTSIDE_CORE_SQUARE}
@@ -305,24 +297,13 @@ def strong_core_is_hopf_subalgebra_truncated(H: TruncatedGroupLikeHopf,
     # antipode containment
     mono_set = sorted({m for x in basis for m in x} | {()}, key=lambda m: (len(m), m))
     idx = {m: t for t, m in enumerate(mono_set)}
-    rows = []
-    for x in basis:
-        v = [k.zero()] * len(mono_set)
-        for m, c in x.items():
-            v[idx[m]] = c
-        rows.append(v)
     span = la.SpanBasis(k, len(mono_set))
-    for v in rows:
-        span.add(v)
+    for x in basis:
+        span.add(mp.to_dense(k, x, idx))
     antipode_witness = []
     for x in basis:
-        img = H.antipode(x)
-        v = [k.zero()] * len(mono_set)
-        for m, c in img.items():
-            if m not in idx:
-                return {"status": "refuted", "reason": "antipode image outside the core"}
-            v[idx[m]] = c
-        coords = span.coordinates(v)
+        v = mp.to_dense(k, H.antipode(x), idx)
+        coords = None if v is None else span.coordinates(v)
         if coords is None:
             return {"status": "refuted", "reason": "antipode image outside the core"}
         antipode_witness.append([k.scalar_to_json(c) for c in coords])
@@ -348,17 +329,9 @@ def _power_basis_coords(k, elems, target):
     monos = sorted({m for x in elems for m in x} | set(target),
                    key=lambda m: (len(m), m))
     idx = {m: t for t, m in enumerate(monos)}
-    cols = []
-    for x in elems:
-        v = [k.zero()] * len(monos)
-        for m, c in x.items():
-            v[idx[m]] = c
-        cols.append(v)
-    rhs = [k.zero()] * len(monos)
-    for m, c in target.items():
-        rhs[idx[m]] = c
-    matrix = [[cols[c][r] for c in range(len(cols))] for r in range(len(monos))]
-    return la.solve(k, matrix, rhs)
+    cols = [mp.to_dense(k, x, idx) for x in elems]
+    matrix = [[col[r] for col in cols] for r in range(len(monos))]
+    return la.solve(k, matrix, mp.to_dense(k, target, idx))
 
 
 def _single_generator_algebra(pres, a, level):
@@ -371,17 +344,5 @@ def _single_generator_algebra(pres, a, level):
         if _power_basis_coords(k, elems, cur) is not None:
             break
         elems.append(cur)
-    d = len(elems)
-
-    def coords_of(x):
-        c = _power_basis_coords(k, elems, x)
-        if c is None:
-            raise AssertionError("element escaped the generated subalgebra")
-        return c
-
-    mul = [[coords_of(pres.mul(elems[i], elems[j])) for j in range(d)]
-           for i in range(d)]
-    unit = coords_of(pres.one())
-    sig_cols = [coords_of(pres.sigma(elems[j])) for j in range(d)]
-    sig = [[sig_cols[c][r] for c in range(d)] for r in range(d)]
-    return FinSigmaAlgebra(k, mul, unit, sig)
+    return algebra_on_basis(k, elems, pres.mul, pres.sigma, pres.one(),
+                            lambda x: _power_basis_coords(k, elems, x))

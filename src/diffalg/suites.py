@@ -21,7 +21,7 @@ from .findiff import (algebra_validate, base_change, is_etale, is_periodic,
                       is_strongly_sigma_etale, quotient_by_sigma_ideal,
                       restrict_scalars, sigma_subalgebra_generated,
                       splitting_extension, strong_core, tensor_product,
-                      twist_and_psi, SigmaAlgebraMorphism)
+                      twist_and_psi, SigmaAlgebraMorphism, _subalgebra_on_span)
 from .hopf import (hopf_validate, hopf_validate_truncated,
                    strong_core_is_hopf_subalgebra,
                    strong_core_is_hopf_subalgebra_truncated,
@@ -331,17 +331,11 @@ def _oracle_definitional_core(A):
                     break
         if not closed:
             continue
-        sub, _ = _subalgebra_from_span(A, span)
+        sub, _ = _subalgebra_on_span(A, span)
         if is_strongly_sigma_etale(sub):
             for v in rows:
                 union.add(list(v))
     return union
-
-
-def _subalgebra_from_span(A, span):
-    from .findiff import _subalgebra_on_span
-
-    return _subalgebra_on_span(A, span)
 
 
 def suite_core_oracle(seed=42, count=40, definitional_count=12):

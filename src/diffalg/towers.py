@@ -29,10 +29,10 @@ from . import _multipoly as mp
 from . import _polycore as pc
 from .exactfield import (DifferenceField, FractionField, FunctionField, GaloisField,
                          PrimeField, Rationals, ShiftField, field_make, json_list)
-from .findiff import (FinSigmaAlgebra, is_strongly_sigma_etale,
+from .findiff import (FinSigmaAlgebra, algebra_on_basis, is_strongly_sigma_etale,
                       primitive_idempotents, tensor_product,
                       RestrictedAutomationError)
-from .poly import Poly, is_irreducible
+from .poly import Poly, is_irreducible, roots
 
 SPECIALIZE_TRIALS = 12
 SPECIALIZE_SEED = 0x5BEC
@@ -275,15 +275,12 @@ class TowerExtension:
         img = lv.sigma_elem
         val = self.zero()
         for e in range(lv.degree, -1, -1):
-            coeff = self.one() if e == lv.degree else self._sigma_coeff(lv.minpoly[e])
+            coeff = self.one() if e == lv.degree else self.sigma(lv.minpoly[e])
             val = self.add(self.mul(val, img), coeff)
         if not self.is_zero(val):
             raise InconsistentDynamicsError(
                 f"sigma rule for {lv.name!r} does not satisfy the twisted "
                 "minimal polynomial")
-
-    def _sigma_coeff(self, el):
-        return self.sigma(el)
 
     # -- expression parsing ------------------------------------------------------
 
@@ -325,16 +322,10 @@ class TowerExtension:
 
     def coords(self, f, monos, index=None):
         idx = index if index is not None else {m: t for t, m in enumerate(monos)}
-        out = [self.base.zero()] * len(monos)
-        for m, c in f.items():
-            if m not in idx:
-                return None
-            out[idx[m]] = c
-        return out
+        return mp.to_dense(self.base, f, idx)
 
     def from_coords(self, v, monos):
-        k = self.base
-        return {m: c for m, c in zip(monos, v) if not k.is_zero(c)}
+        return mp.from_dense(self.base, v, monos)
 
     def dimension(self):
         d = 1
@@ -675,7 +666,7 @@ def benign_make(base, minpoly, kind="radical", family="b") -> TowerExtension:
         T.family_specs = [{"name": family, "kind": "radical-block",
                            "r": deg, "var_start": j0}]
         T.materialize_family(family, j0)
-        _verify_benign_galois(T, family, j0)
+        _verify_galois_level(T, T.levels[T.by_name[TowerExtension.level_name(family, j0)]])
         return T
 
     if kind != "specialization-verified":
@@ -701,39 +692,8 @@ def benign_make(base, minpoly, kind="radical", family="b") -> TowerExtension:
     T.family_specs = [{"name": family, "kind": "specialization-verified",
                        "minpoly": [base.scalar_to_json(c) for c in scalar_coeffs]}]
     T.materialize_family(family, 0)
-    _verify_benign_galois(T, family, 0)
+    _verify_galois_level(T, T.levels[T.by_name[TowerExtension.level_name(family, 0)]])
     return T
-
-
-def _verify_benign_galois(T, family, start):
-    """M = K(b) must be Galois: exact root finding inside the tower."""
-    idx = T.by_name[TowerExtension.level_name(family, start)]
-    lv = T.levels[idx]
-    k = T.base
-    if lv.degree == 2:
-        # separable quadratics are normal; exhibit the second root
-        b = T.gen(idx)
-        other = T.neg(T.add(b, lv.minpoly[1]))
-        _assert_root(T, lv, other)
-        return
-    u = T._radical_shape(lv)
-    if u is not None:
-        const_field = _constants_field(k)
-        r = lv.degree
-        xr1 = Poly.make(const_field,
-                        [const_field.neg(const_field.one())]
-                        + [const_field.zero()] * (r - 1) + [const_field.one()])
-        zetas = [root for root, mult in _finite_roots(const_field, xr1) if mult == 1]
-        if len(zetas) != r:
-            raise NotGaloisError(
-                f"x^{r} - u is not Galois here: the base constants lack "
-                f"{r} distinct roots of unity")
-        b = T.gen(idx)
-        for z in zetas:
-            _assert_root(T, lv, T.scale(b, k.constant(z)))
-        return
-    raise NotGaloisError(
-        "cannot certify the Galois property beyond quadratics and radicals")
 
 
 def _assert_root(T, lv, cand):
@@ -745,37 +705,13 @@ def _assert_root(T, lv, cand):
         raise NotGaloisError(f"claimed root of {lv.name!r} fails exact reduction")
 
 
-def _finite_roots(kf, f):
-    from .poly import roots
-
-    return roots(f)
-
-
 def stacked_radical_tower(base, r1=2, r2=2, shift=1, fam1="a", fam2="c") -> TowerExtension:
     """Two stacked radical benign blocks: a_i^r1 = t_i and c_i^r2 = a_(i+shift)."""
     if not isinstance(base, ShiftField):
         raise TowerError("stacked radical towers need a shift-field base")
     T = TowerExtension(base)
-
-    def rule_a(i):
-        return {"minpoly": [T.neg(T.const(base.t(i)))]
-                + [T.zero()] * (r1 - 1) + [T.one()],
-                "sigma": TowerExtension.level_name(fam1, i + 1),
-                "cert": "radical-fresh"}
-
-    def rule_c(i):
-        dep = TowerExtension.level_name(fam1, i + shift)
-        T.ensure_name(dep)
-        return {"minpoly": [T.neg(T.gen_by_name(dep))]
-                + [T.zero()] * (r2 - 1) + [T.one()],
-                "sigma": TowerExtension.level_name(fam2, i + 1),
-                "cert": "radical-chain"}
-
-    T.families[fam1] = rule_a
-    T.families[fam2] = rule_c
-    T.family_min[fam1] = 0
-    T.family_min[fam2] = 0
-
+    _install_radical_block(T, fam1, r1, 0)
+    _install_radical_on(T, fam2, r2, fam1, shift)
     T.explicit_groups = [[TowerExtension.level_name(fam1, i) for i in range(shift + 1)]
                          + [TowerExtension.level_name(fam2, 0)]]
     T.family_groups = [{"family": fam1, "start": shift}, {"family": fam2, "start": 0}]
@@ -787,7 +723,7 @@ def stacked_radical_tower(base, r1=2, r2=2, shift=1, fam1="a", fam2="c") -> Towe
     ]
     T.materialize_family(fam1, shift)
     T.materialize_family(fam2, 0)
-    _verify_benign_galois(T, fam1, 0)
+    _verify_galois_level(T, T.levels[T.by_name[TowerExtension.level_name(fam1, 0)]])
     return T
 
 
@@ -947,7 +883,12 @@ def strong_core_finite_ext(T: TowerExtension, over=None,
         cur_elems = [T.from_coords(v, monos) for v in new_span.basis()]
     stabilized = len(dims) - 2
     core_basis = [T.from_coords(v, monos) for v in span.basis()]
-    algebra = _span_algebra(T, span, monos, index)
+
+    def coords(x):
+        v = T.coords(x, monos, index)
+        return None if v is None else span.coordinates(v)
+
+    algebra = algebra_on_basis(T.base, core_basis, T.mul, T.sigma, T.one(), coords)
     ssetale = is_strongly_sigma_etale(algebra)
     exps = {}
     for lv in T.levels[:n_levels]:
@@ -968,29 +909,6 @@ def strong_core_finite_ext(T: TowerExtension, over=None,
                             stabilized_at=stabilized,
                             radicial_exponents=exps,
                             strongly_sigma_etale=ssetale)
-
-
-def _span_algebra(T, span, monos, index):
-    k = T.base
-    rows = span.basis()
-    d = len(rows)
-    elems = [T.from_coords(v, monos) for v in rows]
-    mul = [[None] * d for _ in range(d)]
-    for i in range(d):
-        for j in range(d):
-            coords = span.coordinates(T.coords(T.mul(elems[i], elems[j]), monos, index))
-            if coords is None:
-                raise AssertionError("core span is not multiplicatively closed")
-            mul[i][j] = coords
-    unit = span.coordinates(T.coords(T.one(), monos, index))
-    sig = [[k.zero()] * d for _ in range(d)]
-    for j in range(d):
-        coords = span.coordinates(T.coords(T.sigma(elems[j]), monos, index))
-        if coords is None:
-            raise AssertionError("core span is not sigma-stable")
-        for i in range(d):
-            sig[i][j] = coords[i]
-    return FinSigmaAlgebra(k, mul, unit, sig)
 
 
 def core_sradicial_over_strong_core_check(T: TowerExtension) -> dict:
@@ -1037,44 +955,15 @@ def _tower_inversive_closure(T, depth):
     if T.levels and any(lv.family is None for lv in T.levels):
         raise TowerError("inversive closure of explicit towers is unsupported")
     specs = getattr(T, "family_specs", None)
-    if not specs or any(s.get("kind") not in ("radical", "radical-block") for s in specs):
+    if not specs or any(s.get("kind") != "radical-block" for s in specs):
         raise TowerError("inversive closure needs radical families")
-    base = inversive_closure(T.base, depth)
-    out = TowerExtension(base)
+    out = TowerExtension(inversive_closure(T.base, depth))
     out.family_specs = specs
+    out.group_rule = T.group_rule
+    out.certified_kind = T.certified_kind
     for s in specs:
-        fam = s["name"]
-        if s["kind"] == "radical-block":
-            r = s["r"]
-
-            def rule(i, _r=r, _fam=fam):
-                return {"minpoly": [out.neg(out.const(base.t(i)))]
-                        + [out.zero()] * (_r - 1) + [out.one()],
-                        "sigma": TowerExtension.level_name(_fam, i + 1),
-                        "cert": "radical-fresh"}
-        else:
-            coeffs = [base.scalar_from_json(c) for c in s["minpoly"]]
-
-            def rule(i, _c=coeffs, _fam=fam):
-                k = base
-                twisted = []
-                for c in _c:
-                    v = c
-                    steps = i
-                    if steps >= 0:
-                        for _ in range(steps):
-                            v = k.sigma(v)
-                    else:
-                        raise TowerError("negative twists need shift coefficients")
-                    twisted.append(v)
-                return {"minpoly": [out.const(v) for v in twisted],
-                        "sigma": TowerExtension.level_name(_fam, i + 1),
-                        "cert": "radical-fresh"}
-        out.families[fam] = rule
-        out.family_min[fam] = -depth
-        out.group_rule = T.group_rule
-        out.certified_kind = T.certified_kind
-        out.materialize_family(fam, 0)
+        _install_radical_block(out, s["name"], s["r"], -depth)
+        out.materialize_family(s["name"], 0)
     out.inversive_depth = depth
     return out
 
@@ -1227,9 +1116,11 @@ def _sigma_closed_span(T, gens, level_count):
 
 
 def _verify_galois_level(T, lv):
+    """K(b) must be Galois over the prefix: exact root finding inside the tower."""
     k = T.base
     idx = T.by_name[lv.name]
     if lv.degree == 2:
+        # separable quadratics are normal; exhibit the second root
         b = T.gen(idx)
         other = T.neg(T.add(b, lv.minpoly[1]))
         _assert_root(T, lv, other)
@@ -1241,7 +1132,7 @@ def _verify_galois_level(T, lv):
         xr1 = Poly.make(const_field,
                         [const_field.neg(const_field.one())]
                         + [const_field.zero()] * (r - 1) + [const_field.one()])
-        zetas = [root for root, mult in _finite_roots(const_field, xr1) if mult == 1]
+        zetas = [root for root, mult in roots(xr1) if mult == 1]
         if len(zetas) != r:
             raise NotGaloisError(
                 f"x^{r} - u is not Galois: missing roots of unity in the constants")

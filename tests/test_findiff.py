@@ -6,8 +6,10 @@ import pytest
 
 import diffalg._linalg as la
 from diffalg.exactfield import GaloisField, PrimeField, Rationals
+from diffalg.diffpoly import UnsupportedPresentationError
 from diffalg.findiff import (FinSigmaAlgebra, RestrictedAutomationError,
-                             ZeroRingError, algebra_validate, base_change,
+                             ZeroRingError, algebra_on_basis, algebra_validate,
+                             base_change,
                              is_etale, is_periodic, is_sigma_reduced,
                              is_sigma_separable, is_strongly_sigma_etale,
                              minimal_polynomial, primitive_idempotents,
@@ -433,3 +435,37 @@ def test_restrict_scalars_keeps_strongly_setale():
     assert algebra_validate(flat).ok
     assert flat.dim == 2 * R.dim
     assert is_strongly_sigma_etale(flat)
+
+
+# -- the structure-constant builder ----------------------------------------------
+
+
+def test_algebra_on_basis_of_the_full_basis_is_the_algebra():
+    # sigma comes back transposed: column j holds the coordinates of sigma(e_j)
+    A = poly_quotient(F5, [1, 0, 0, 1], 2)
+    B = algebra_on_basis(F5, [A.basis_vec(i) for i in range(A.dim)], A.multiply,
+                         A.apply_sigma, A.unit, list)
+    assert (B.mul, B.unit, B.sigma) == (A.mul, A.unit, A.sigma)
+
+
+def _span_coords(A, vectors):
+    span = la.SpanBasis(A.base, A.dim)
+    for v in vectors:
+        span.add(v)
+    return span.basis(), span.coordinates
+
+
+@pytest.mark.parametrize("error", [AssertionError, UnsupportedPresentationError])
+@pytest.mark.parametrize("law", ["closed under products", "unital", "sigma-stable"])
+def test_algebra_on_basis_raises_the_given_error(error, law):
+    if law == "closed under products":
+        # 1 and y in k[y]/(y^3 - 2): y^2 falls outside
+        A = poly_quotient(F5, [3, 0, 0, 1], 1)
+        vectors = [A.unit, A.basis_vec(1)]
+    else:
+        # three points; sigma(e_0) = e_2
+        A = diagonal_algebra(F5, [1, 2, 0])
+        vectors = [A.basis_vec(0)] if law == "unital" else [A.unit, A.basis_vec(0)]
+    basis, coords = _span_coords(A, vectors)
+    with pytest.raises(error, match=law):
+        algebra_on_basis(F5, basis, A.multiply, A.apply_sigma, A.unit, coords, error)

@@ -100,3 +100,28 @@ def test_unknown_names_and_calls_raise():
     for text in ("w0", "f(y0)", "sigma(y0, y1)"):
         with pytest.raises(ExpressionError):
             pres.parse(text)
+
+
+# one monomial list per kind of key: presentation, tower, multipoly
+_MONOS = [
+    [(), (((0, 0), 1),), (((0, 0), 1), ((0, 1), 2))],
+    [(), (1,), (0, 1), (1, 1)],
+    [(), ((0, 1),), ((0, 2), (3, 1))],
+]
+
+
+@pytest.mark.parametrize("monos", _MONOS)
+def test_to_dense_and_from_dense_round_trip(monos):
+    index = {m: t for t, m in enumerate(monos)}
+    f = {monos[0]: 3, monos[-1]: 4}
+    v = mp.to_dense(F5, f, index)
+    assert v == [3] + [0] * (len(monos) - 2) + [4]
+    assert mp.from_dense(F5, v, monos) == f
+    assert mp.to_dense(F5, mp.from_dense(F5, [1, 0, 2], monos), index)[:3] == [1, 0, 2]
+
+
+@pytest.mark.parametrize("monos", _MONOS)
+def test_to_dense_refuses_an_unindexed_monomial(monos):
+    index = {m: t for t, m in enumerate(monos[:-1])}
+    assert mp.to_dense(F5, {monos[0]: 1, monos[-1]: 2}, index) is None
+    assert mp.to_dense(F5, {}, index) == [0] * len(index)

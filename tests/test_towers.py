@@ -168,6 +168,15 @@ def test_tower_inversive_closure_preimage_chain():
     assert Bs.eq(sq, Bs.const(Bs.base.t(-2)))
 
 
+def test_tower_inversive_closure_needs_radical_blocks():
+    # a radical-on family, and a specialization-verified family
+    K = FunctionField(F5, [1, 1], [1])
+    spec = benign_make(K, ["-t", 0, 1], kind="specialization-verified")
+    for T in (stacked_tower_f5(), spec):
+        with pytest.raises(TowerError, match="needs radical families"):
+            inversive_closure(T, 1)
+
+
 def test_inversive_closure_unsupported_for_expanding_function_field():
     K = FunctionField(F5, [0, 0, 1], [1])
     with pytest.raises(TowerError):
