@@ -15,6 +15,18 @@ class ExpressionError(ValueError):
     pass
 
 
+# The largest literal exponent or sigma count an expression may hold: far
+# above every one the gallery and the suites write, and small enough that one
+# power or sigma chain stays quick, where a literal like 10^8 would not end.
+MAX_LITERAL = 1000
+
+
+def _within_cap(n, what):
+    if n > MAX_LITERAL:
+        raise ExpressionError(f"{what} {n} is above the cap of {MAX_LITERAL}")
+    return n
+
+
 class RingOps:
     """Expression ops over a ring exposing const/add/sub/mul/neg/power/scale/
     sigma, whose elements are dicts with () as the constant monomial.
@@ -49,7 +61,7 @@ class RingOps:
             if isinstance(steps, int):
                 if steps < 0:
                     raise ExpressionError("sigma counts must be non-negative")
-                for _ in range(steps):
+                for _ in range(_within_cap(steps, "sigma count")):
                     v = self.ring.sigma(v)
                 return v
         raise ExpressionError(f"unknown call {fname!r}")
@@ -83,7 +95,7 @@ def _ev(node, ops):
             e = _int_literal(node.right)
             if e < 0:
                 raise ExpressionError("negative exponents are not supported")
-            return ops.pow(_ev(node.left, ops), e)
+            return ops.pow(_ev(node.left, ops), _within_cap(e, "exponent"))
         a = _ev(node.left, ops)
         b = _ev(node.right, ops)
         if isinstance(node.op, ast.Add):

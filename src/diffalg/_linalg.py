@@ -4,10 +4,9 @@ Matrices are lists of row lists of field elements.  Everything here is
 fraction-free only in the sense of being exact; pivots are divided out, so
 the field must supply inv().
 
-Row operations skip zero entries: where the pivot row holds zero, an update
-keeps the entry it would have recomputed as a - c*0, and a scaling keeps
-zeros.  This is exact for every field kind, whose elements are stored in a
-reduced canonical form, so the skipped results equal the kept entries.
+Row operations are the field's own row_sub and row_scale, which work on
+whole rows (see exactfield); the generic ones skip zero entries, keeping
+what they would have recomputed.
 """
 
 from __future__ import annotations
@@ -40,16 +39,6 @@ def _dot(k, row, v):
     return acc
 
 
-def _row_sub(k, v, c, row):
-    """v - c*row, keeping v's entry wherever row's entry is zero."""
-    return [a if k.is_zero(b) else k.sub(a, k.mul(c, b)) for a, b in zip(v, row)]
-
-
-def _row_scale(k, c, row):
-    """c*row, keeping zero entries."""
-    return [a if k.is_zero(a) else k.mul(c, a) for a in row]
-
-
 def rref(k, m):
     """Reduced row echelon form; returns (rref_rows, pivot_columns)."""
     m = copy(m)
@@ -66,10 +55,10 @@ def rref(k, m):
         if pivot is None:
             continue
         m[r], m[pivot] = m[pivot], m[r]
-        m[r] = _row_scale(k, k.inv(m[r][c]), m[r])
+        m[r] = k.row_scale(k.inv(m[r][c]), m[r])
         for i in range(rows):
             if i != r and not k.is_zero(m[i][c]):
-                m[i] = _row_sub(k, m[i], m[i][c], m[r])
+                m[i] = k.row_sub(m[i], m[i][c], m[r])
         pivots.append(c)
         r += 1
         if r == rows:
@@ -117,7 +106,7 @@ def det(k, m):
         for i in range(c + 1, n):
             if k.is_zero(m[i][c]):
                 continue
-            m[i] = _row_sub(k, m[i], k.mul(m[i][c], inv), m[c])
+            m[i] = k.row_sub(m[i], k.mul(m[i][c], inv), m[c])
     return acc
 
 
@@ -163,7 +152,7 @@ class SpanBasis:
         for row, p in zip(self.rows, self.pivots):
             c = v[p]
             if not k.is_zero(c):
-                v = _row_sub(k, v, c, row)
+                v = k.row_sub(v, c, row)
         return v
 
     def contains(self, v):
@@ -175,7 +164,7 @@ class SpanBasis:
         r = self.reduce(v)
         for p in range(self.n):
             if not k.is_zero(r[p]):
-                r = _row_scale(k, k.inv(r[p]), r)
+                r = k.row_scale(k.inv(r[p]), r)
                 idx = 0
                 while idx < len(self.pivots) and self.pivots[idx] < p:
                     idx += 1
@@ -191,7 +180,7 @@ class SpanBasis:
         new_row = self.rows[idx]
         for j, row in enumerate(self.rows):
             if j != idx and not k.is_zero(row[p]):
-                self.rows[j] = _row_sub(k, row, row[p], new_row)
+                self.rows[j] = k.row_sub(row, row[p], new_row)
 
     def dim(self):
         return len(self.rows)
@@ -205,7 +194,7 @@ class SpanBasis:
             c = v[p]
             coords.append(c)
             if not k.is_zero(c):
-                v = _row_sub(k, v, c, row)
+                v = k.row_sub(v, c, row)
         if any(not k.is_zero(a) for a in v):
             return None
         return coords

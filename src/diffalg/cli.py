@@ -245,17 +245,17 @@ def _load_hopf(payload):
         pres = Presentation.from_json(_object(payload, "presentation"))
         return "truncated", TruncatedGroupLikeHopf(pres)
     A = FinSigmaAlgebra.from_json(_object(payload, "algebra"))
-    dec = A.base.scalar_from_json
+    vec = A.base.vec_from_json
     n = A.dim
     what = "comul"
     try:
-        comul = [[dec(c) for c in json_list(row, "comul row", length=n)]
+        comul = [vec(json_list(row, "comul row", length=n))
                  for row in json_list(payload["comul"], "comul", list, n * n)]
         what = "antipode"
-        antipode = [[dec(c) for c in json_list(row, "antipode row", length=n)]
+        antipode = [vec(json_list(row, "antipode row", length=n))
                     for row in json_list(payload["antipode"], "antipode", list, n)]
         what = "counit"
-        counit = [dec(c) for c in json_list(payload["counit"], "counit", length=n)]
+        counit = vec(json_list(payload["counit"], "counit", length=n))
     except TypeError as exc:
         raise InputError(f"{what} holds a scalar of the wrong JSON type "
                          f"for its base field ({exc})") from None

@@ -17,13 +17,21 @@ arithmetic: FunctionField runs it on dense _polycore tuples, ShiftField on
 sparse _multipoly dicts.
 
 Elements are plain immutable data (ints, Fractions, tuples, dict fractions);
-all arithmetic goes through the owning field object.
+all arithmetic goes through the owning field object.  Each element has one
+canonical stored form, so `==` on stored elements decides equality.
+
+Vectors are lists of elements, and four methods work on whole lists:
+vec_from_json(cells) decodes a JSON array of scalars, dot(u, v) is
+sum u_i v_i, row_sub(v, c, row) is v - c*row and row_scale(c, row) is c*row.
+DifferenceField defines them as loops over the scalar methods; PrimeField
+overrides them with int arithmetic, one reduction mod p per output entry.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 import functools
+import operator
 from fractions import Fraction
 import random
 
@@ -93,6 +101,33 @@ class DifferenceField:
 
     # subclasses implement: zero one add neg mul inv eq is_zero from_int
     # sigma canon sample scalar_to_json scalar_from_json descriptor
+    #
+    # The vector protocol below loops over those scalar methods; a subclass
+    # may override it with whole-list kernels that give the same results.
+    # Elements are stored canonically, so where an entry is zero the loops
+    # skip the work, keeping the entry it would have recomputed.
+
+    def vec_from_json(self, cells):
+        """The JSON scalars `cells` decoded, one scalar_from_json each."""
+        dec = self.scalar_from_json
+        return [dec(c) for c in cells]
+
+    def dot(self, u, v):
+        """sum u_i v_i, skipping the terms where u_i is zero."""
+        acc = self.zero()
+        for a, b in zip(u, v):
+            if not self.is_zero(a):
+                acc = self.add(acc, self.mul(a, b))
+        return acc
+
+    def row_sub(self, v, c, row):
+        """v - c*row, keeping v's entry wherever row's entry is zero."""
+        return [a if self.is_zero(b) else self.sub(a, self.mul(c, b))
+                for a, b in zip(v, row)]
+
+    def row_scale(self, c, row):
+        """c*row, keeping zero entries."""
+        return [a if self.is_zero(a) else self.mul(c, a) for a in row]
 
     def sub(self, a, b):
         return self.add(a, self.neg(b))
@@ -257,8 +292,42 @@ class PrimeField(DifferenceField):
     def scalar_from_json(self, s):
         return int(s) % self.p
 
+    def vec_from_json(self, cells):
+        if self.p <= DECODE_TABLE_MAX_P:
+            try:
+                return list(map(_decode_table(self.p).__getitem__, cells))
+            except (KeyError, TypeError):
+                pass  # a cell outside the table: decode each one as below
+        p = self.p
+        return [int(c) % p for c in cells]
+
+    def dot(self, u, v):
+        return sum(map(operator.mul, u, v)) % self.p
+
+    def row_sub(self, v, c, row):
+        p = self.p
+        return [(a - c * b) % p for a, b in zip(v, row)]
+
+    def row_scale(self, c, row):
+        p = self.p
+        return [c * a % p for a in row]
+
     def descriptor(self):
         return {"kind": "Fq", "p": self.p, "frobenius_power": self.frobenius_power}
+
+
+# PrimeField.vec_from_json looks cells up in a table of 2p entries; above this
+# p it decodes with int() alone, so a large prime costs no memory.
+DECODE_TABLE_MAX_P = 4096
+
+
+@functools.lru_cache(maxsize=32)
+def _decode_table(p):
+    """Each canonical JSON scalar of F_p, "0".."p-1" and 0..p-1, mapped to
+    the value int(c) % p gives it."""
+    table = {str(i): i for i in range(p)}
+    table.update((i, i) for i in range(p))
+    return table
 
 
 class GaloisField(DifferenceField):
@@ -725,10 +794,17 @@ class ShiftField(FractionField):
                 for m, c in mp.to_terms(f)]
 
     def _decode(self, terms):
-        f = {}
+        # the sum of the terms, so zero coefficients, zero exponents and
+        # repeated variables or monomials still give the canonical dict
+        base, f = self.base, {}
         for m, c in terms:
-            mono = tuple(sorted((int(v), int(e)) for v, e in m))
-            f[mono] = self.base.scalar_from_json(c)
+            mono = mp.mono_mul((), [(int(v), int(e)) for v, e in m])
+            mono = tuple(ve for ve in mono if ve[1])
+            c = base.scalar_from_json(c)
+            if mono in f:
+                c = base.add(f.pop(mono), c)
+            if not base.is_zero(c):
+                f[mono] = c
         return f
 
     def descriptor(self):

@@ -141,24 +141,29 @@ class FinSigmaAlgebra:
         from .exactfield import field_make, json_list
 
         base = base if base is not None else field_make(data["base"])
-        dec = base.scalar_from_json
+        vec = base.vec_from_json
         what = "unit"
         try:
-            unit = [dec(c) for c in json_list(data["unit"], "unit")]
+            unit = vec(json_list(data["unit"], "unit"))
             n = len(unit)
             if not n:
                 raise ValueError("unit must be a non-empty JSON array")
             what = "mul"
-            mul = [[[dec(c) for c in cell] for cell in json_list(row, "mul row", list, n)]
+            mul = [[vec(cell) for cell in json_list(row, "mul row", list, n)]
                    for row in json_list(data["mul"], "mul", list, n)]
             if any(len(cell) != n for row in mul for cell in row):
                 raise ValueError(f"mul cell must be a JSON array of {n} entries")
             what = "sigma"
-            sigma = [[dec(c) for c in json_list(row, "sigma row", length=n)]
+            sigma = [vec(json_list(row, "sigma row", length=n))
                      for row in json_list(data["sigma"], "sigma", list, n)]
         except TypeError as exc:
             raise ValueError(f"{what} holds a scalar of the wrong JSON type "
                              f"for its base field ({exc})") from None
+        # decoded scalars are canonical, so == decides equal products
+        for i in range(n):
+            for j in range(i + 1, n):
+                if mul[i][j] != mul[j][i]:
+                    raise ValueError(f"mul is not commutative: mul[{i}][{j}] != mul[{j}][{i}]")
         return FinSigmaAlgebra(base, mul, unit, sigma)
 
 
@@ -290,13 +295,7 @@ def trace_gram_matrix(A: FinSigmaAlgebra):
     gram = [[k.zero()] * n for _ in range(n)]
     for i in range(n):
         for j in range(i, n):
-            acc = k.zero()
-            for m in range(n):
-                c = A.mul[i][j][m]
-                if not k.is_zero(c):
-                    acc = k.add(acc, k.mul(c, tr[m]))
-            gram[i][j] = acc
-            gram[j][i] = acc
+            gram[i][j] = gram[j][i] = k.dot(A.mul[i][j], tr)
     return gram
 
 

@@ -2,6 +2,8 @@
 in an input error, not a traceback."""
 
 import json
+import subprocess
+import sys
 
 import pytest
 
@@ -244,3 +246,43 @@ def test_negative_sigma_count_is_an_input_error(tmp_path, doc, ok):
         assert code == 0
     else:
         assert code == 1 and set(rep) == {"error"} and "sigma" in rep["error"]
+
+
+def _non_commutative(unit):
+    # e_0 e_1 = e_0 but e_1 e_0 = 0 over F_5
+    return {"base": {"kind": "Fq", "p": 5},
+            "mul": [[["1", "0"], ["1", "0"]], [["0", "0"], ["0", "1"]]],
+            "unit": unit, "sigma": [["1", "0"], ["0", "1"]]}
+
+
+@pytest.mark.parametrize("unit", [["1", "0"], ["1", "1"]], ids=["unit-e0", "unit-e0+e1"])
+@pytest.mark.parametrize("argv", [["core"], ["check", "--predicate", "etale"]],
+                         ids=["core", "check"])
+def test_non_commutative_mul_is_an_input_error(tmp_path, argv, unit):
+    p = tmp_path / "doc.json"
+    p.write_text(json.dumps(_non_commutative(unit)))
+    code, rep = run(argv + [str(p)])
+    assert code == 1 and set(rep) == {"error"}
+    assert "commutative" in rep["error"] and "mul[0][1]" in rep["error"]
+
+
+@pytest.mark.parametrize("poly, named", [
+    ("(y0+1)^1000000", "exponent 1000000"),
+    ("sigma(y0,100000000)-1", "sigma count 100000000"),
+], ids=["exponent", "sigma-count"])
+def test_huge_literal_is_an_input_error_at_once(tmp_path, poly, named):
+    from diffalg._exprs import MAX_LITERAL
+    from diffalg.gallery import collapsed_line
+
+    doc = collapsed_line(5).to_json()
+    doc["gens"] = [{"poly": poly}]
+    p = tmp_path / "doc.json"
+    p.write_text(json.dumps(doc))
+    # a fresh interpreter, so an evaluator without the cap fails by the
+    # timeout instead of hanging the suite
+    proc = subprocess.run([sys.executable, "-m", "diffalg.cli", "core", str(p),
+                           "--format", "json"], capture_output=True, text=True,
+                          timeout=5)
+    rep = json.loads(proc.stdout)
+    assert proc.returncode == 1 and set(rep) == {"error"}
+    assert named in rep["error"] and f"cap of {MAX_LITERAL}" in rep["error"]

@@ -7,10 +7,12 @@ import pytest
 from hypothesis import given, strategies as st
 
 from diffalg import _polycore as pc
-from diffalg.exactfield import (PRIME_BOUND, TABLE_MAX_ORDER, FieldError,
-                                FrobeniusDescriptor, FunctionField, GaloisField,
-                                PrimeField, Rationals, ShiftField, _is_prime,
-                                field_make, is_inversive, sigma_apply)
+from diffalg.exactfield import (DECODE_TABLE_MAX_P, PRIME_BOUND, TABLE_MAX_ORDER,
+                                DifferenceField, FieldError, FrobeniusDescriptor,
+                                FunctionField, GaloisField, PrimeField, Rationals,
+                                ShiftField, _decode_table, _is_prime, field_make,
+                                is_inversive, sigma_apply)
+from diffalg.findiff import FinSigmaAlgebra
 
 F4 = GaloisField(2, [1, 1, 1])
 F9 = GaloisField(3, [1, 0, 1])
@@ -341,3 +343,96 @@ def test_field_make_prime_shorthand():
 def test_field_make_unknown_kind():
     with pytest.raises(FieldError):
         field_make({"kind": "padic"})
+
+
+def test_shift_scalar_decode_is_canonical():
+    # zero coefficients, zero exponents and repeated monomials sum away
+    S = ShiftField(PrimeField(5))
+    assert S.scalar_from_json({"num": [[[], "0"]], "den": [[[], "1"]]}) == S.zero()
+    assert S.scalar_from_json({"num": [[[[3, 1]], "0"], [[], "2"]],
+                               "den": [[[], "1"]]}) == S.from_int(2)
+    assert S.scalar_from_json({"num": [[[[0, 1], [0, 0]], "2"], [[[0, 1]], "3"]],
+                               "den": [[[], "1"]]}) == S.zero()
+    assert S.scalar_from_json({"num": [[[[0, 1], [0, 1]], "1"]],
+                               "den": [[[], "1"]]}) == S.mul(S.t(0), S.t(0))
+    assert S.horizon == 0
+
+
+# -- the vector protocol ------------------------------------------------------------
+
+
+class PerScalarPrimeField(PrimeField):
+    """F_p with the generic, one-scalar-at-a-time vector protocol."""
+
+    vec_from_json = DifferenceField.vec_from_json
+    dot = DifferenceField.dot
+    row_sub = DifferenceField.row_sub
+    row_scale = DifferenceField.row_scale
+
+
+def _seeded_vectors(k, rng, count=40):
+    # about a third of the entries zero, lengths 0..12
+    return [[0 if rng.random() < 0.35 else k.sample(rng) for _ in range(rng.randint(0, 12))]
+            for _ in range(count)]
+
+
+@pytest.mark.parametrize("p", [2, 5, 7])
+def test_prime_vector_kernels_equal_the_generic_loops(p):
+    k, slow, rng = PrimeField(p), PerScalarPrimeField(p), random.Random(900 + p)
+    for v in _seeded_vectors(k, rng):
+        row = [k.sample(rng) for _ in v]
+        c = k.sample(rng)
+        assert k.dot(v, row) == slow.dot(v, row)
+        assert k.row_sub(v, c, row) == slow.row_sub(v, c, row)
+        assert k.row_scale(c, v) == slow.row_scale(c, v)
+        for cells in ([str(a) for a in v], list(v), [str(a) if a % 2 else a for a in v]):
+            assert k.vec_from_json(cells) == slow.vec_from_json(cells) == v
+
+
+def test_prime_decode_table_maps_canonical_scalars_to_themselves():
+    for p in (2, 5, 7):
+        assert _decode_table(p) == dict([(str(i), i) for i in range(p)]
+                                        + [(i, i) for i in range(p)])
+
+
+def _same_outcome(fast, slow):
+    """fast() returns what slow() returns, or raises the same exception type
+    with the same text; the common value, or None."""
+    try:
+        want = slow()
+    except (TypeError, ValueError) as exc:
+        with pytest.raises(type(exc)) as err:
+            fast()
+        assert str(err.value) == str(exc)
+        return None
+    assert fast() == want
+    return want
+
+
+@pytest.mark.parametrize("p", [5, 7, DECODE_TABLE_MAX_P + 3])
+def test_prime_vec_from_json_reduces_and_fails_like_scalar_decode(p):
+    k, slow = PrimeField(p), PerScalarPrimeField(p)
+    for cells in (["1", "7", "0"], ["-1", 3], [7, "0"], [-1], [True, False, 1.0],
+                  [" 2", "3"], [str(p), p], [None, "1"], ["1", "x"], ["0", [1]],
+                  ["0", 1.5]):
+        _same_outcome(lambda: k.vec_from_json(cells), lambda: slow.vec_from_json(cells))
+
+
+def _mul_cell_doc(cell):
+    # diag(1, 0) over F_5 with mul[1][1] replaced by the cell
+    return {"base": {"kind": "Fq", "p": 5},
+            "mul": [[["1", "0"], ["0", "0"]], [["0", "0"], cell]],
+            "unit": ["1", "0"], "sigma": [["1", "0"], ["0", "1"]]}
+
+
+@pytest.mark.parametrize("entry", ["7", "-1", 7, None, "x", [1], "1", 1])
+def test_algebra_decode_equals_the_per_scalar_decode(entry):
+    doc = _mul_cell_doc(["0", entry])
+
+    def load(base=None):
+        A = FinSigmaAlgebra.from_json(doc, base)
+        return A.mul, A.unit, A.sigma
+
+    got = _same_outcome(load, lambda: load(PerScalarPrimeField(5)))
+    if got is not None:
+        assert got[0][1][1] == [0, int(entry) % 5]
