@@ -28,8 +28,8 @@ def _within_cap(n, what):
 
 
 class RingOps:
-    """Expression ops over a ring exposing const/add/sub/mul/neg/power/scale/
-    sigma, whose elements are dicts with () as the constant monomial.
+    """Expression ops over a _multipoly.Ring exposing sigma, whose elements are
+    dicts with () as the constant monomial.
 
     name(s) resolves identifiers; call(fname, args), when given, handles the
     ring's own calls and returns None for names it does not know.
@@ -40,10 +40,7 @@ class RingOps:
         self.name = name
         self._call = call
         self.add, self.sub, self.mul = ring.add, ring.sub, ring.mul
-        self.neg, self.pow = ring.neg, ring.power
-
-    def from_int(self, n):
-        return self.ring.const(self.ring.base.from_int(n))
+        self.neg, self.pow, self.from_int = ring.neg, ring.power, ring.from_int
 
     def div(self, a, b):
         if len(b) == 1 and () in b:

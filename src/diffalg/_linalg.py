@@ -27,6 +27,12 @@ def copy(m):
     return [list(r) for r in m]
 
 
+def transpose(cols, nrows):
+    """The nrows-row matrix whose columns are cols; no columns give nrows
+    empty rows."""
+    return [[c[r] for c in cols] for r in range(nrows)]
+
+
 def mat_vec(k, m, v):
     return [_dot(k, row, v) for row in m]
 

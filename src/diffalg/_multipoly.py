@@ -11,7 +11,9 @@ eq also serve presentations (monomials of ((j, i), exp) pairs), towers
 (dense exponent tuples) and the Hopf tensors (tuples of basis keys), since
 mul takes the monomial product as an argument and power the ring product.
 to_dense and from_dense are the one map between these sparse dicts and
-coordinate vectors over a list of monomials, for every kind of key.
+coordinate vectors over a list of monomials, for every kind of key.  Ring
+holds the ring operations over a base field once, for the presentation and
+tower classes that differ only in their product.
 
 The gcd is the classical primitive-PRS recursion on the largest variable.
 Degrees stay tiny in this artifact, so simplicity wins over asymptotics.
@@ -357,3 +359,43 @@ def from_dense(k, v, monos):
 def to_terms(f):
     """Canonical sorted term list, highest monomial first."""
     return sorted(f.items(), key=lambda kv: mono_key(kv[0]), reverse=True)
+
+
+class Ring:
+    """The sparse-polynomial ring operations over the field self.base, shared
+    by presentations and towers; a subclass supplies mul, which multiplies
+    and brings the product to its normal form."""
+
+    def zero(self):
+        return {}
+
+    def one(self):
+        return {(): self.base.one()}
+
+    def const(self, c):
+        c = self.base.canon(c)
+        return {} if self.base.is_zero(c) else {(): c}
+
+    def from_int(self, n):
+        return self.const(self.base.from_int(n))
+
+    def add(self, f, g):
+        return add(self.base, f, g)
+
+    def neg(self, f):
+        return neg(self.base, f)
+
+    def sub(self, f, g):
+        return sub(self.base, f, g)
+
+    def scale(self, f, c):
+        return scale(self.base, f, c)
+
+    def power(self, f, e):
+        return power(f, e, self.one(), self.mul)
+
+    def eq(self, f, g):
+        return eq(self.base, f, g)
+
+    def is_zero(self, f):
+        return not f

@@ -5,7 +5,8 @@ trailing zeros ([] is the zero polynomial).  Every function takes the
 coefficient field as its first argument; the field supplies exact element
 operations (zero, one, add, sub, neg, mul, inv, eq, is_zero, from_int).
 This module is internal plumbing shared by the field constructors, the
-public polynomial layer and the tower machinery.
+public polynomial layer and the tower machinery; a tower passes itself as
+the field, its elements being the coefficients.
 """
 
 from __future__ import annotations

@@ -37,7 +37,7 @@ def _mono_key(m):
     return (sum(e for _, e in m), m)
 
 
-class Presentation:
+class Presentation(mp.Ring):
     """Parsed and validated presentation of k{y_1..y_m}/[generators]."""
 
     def __init__(self, base, var_names, generator_texts):
@@ -156,42 +156,11 @@ class Presentation:
 
     # -- element arithmetic --------------------------------------------------
 
-    def zero(self):
-        return {}
-
-    def one(self):
-        return {(): self.base.one()}
-
-    def const(self, c):
-        c = self.base.canon(c)
-        return {} if self.base.is_zero(c) else {(): c}
-
     def var_element(self, j, i):
         return self.normalize({(((j, i), 1),): self.base.one()})
 
-    def add(self, f, g):
-        return mp.add(self.base, f, g)
-
-    def neg(self, f):
-        return mp.neg(self.base, f)
-
-    def sub(self, f, g):
-        return mp.sub(self.base, f, g)
-
-    def scale(self, f, c):
-        return mp.scale(self.base, f, c)
-
     def mul(self, f, g):
         return self.normalize(mp.mul(self.base, f, g))
-
-    def power(self, f, e):
-        return mp.power(f, e, self.one(), self.mul)
-
-    def eq(self, f, g):
-        return mp.eq(self.base, f, g)
-
-    def is_zero(self, f):
-        return not f
 
     def normalize(self, f):
         """Apply substitutions, then cap exponents through power rules."""
@@ -455,8 +424,9 @@ class TruncatedCoreResult:
 
 
 def _variable_window(pres, n, horizon):
-    """Split variables into recurrent (orbit support stays bounded) and
-    transient (certified drifting) classes."""
+    """Split variables into recurrent (orbit support stays bounded within
+    level n) and transient (certified drifting) classes; the rest, a
+    recurrent orbit through orders above n included, are unknown."""
     window = set()
     transient = []
     unknown = []
@@ -480,7 +450,7 @@ def _variable_window(pres, n, horizon):
                 verdict = "transient"
                 break
             orbit.append(cur)
-        if verdict == "recurrent":
+        if verdict == "recurrent" and max(pres.max_order(f) for f in orbit) <= n:
             for f in orbit:
                 for m in f:
                     for v, _ in m:
@@ -500,7 +470,6 @@ def strong_core_truncated(pres: Presentation, n: int, horizon: int = 64) -> Trun
     the status is exact when every variable received a certificate.
     """
     window, transient, unknown = _variable_window(pres, n, horizon)
-    window = {v for v in window if v[1] <= n}
     # close the window under sigma inside level n
     for _ in range(horizon):
         grew = False
@@ -551,8 +520,7 @@ def sigma_kernel_slice(pres: Presentation, n: int):
         if cv is None:
             raise UnsupportedPresentationError("sigma image escaped the next level")
         cols.append(cv)
-    matrix = [[cols[c][r] for c in range(len(cols))] for r in range(level_up.dim())]
-    null = la.nullspace(k, matrix)
+    null = la.nullspace(k, la.transpose(cols, level_up.dim()))
     if not hasattr(k, "sigma_inverse"):
         raise UnsupportedPresentationError("base field without invertible endomorphism")
     out = []

@@ -325,8 +325,7 @@ def minimal_polynomial(A: FinSigmaAlgebra, v, unit=None) -> Poly:
 def _coords_in(k, vectors, target):
     if not vectors:
         return [] if all(k.is_zero(c) for c in target) else None
-    m = [[vectors[j][i] for j in range(len(vectors))] for i in range(len(vectors[0]))]
-    return la.solve(k, m, target)
+    return la.solve(k, la.transpose(vectors, len(vectors[0])), target)
 
 
 def _is_finite_base(base):
@@ -492,7 +491,7 @@ def algebra_on_basis(k, basis, mul, sigma, unit, coords, error=AssertionError):
     table = [[at(mul(a, b), "closed under products") for b in basis] for a in basis]
     one = at(unit, "unital")
     cols = [at(sigma(b), "sigma-stable") for b in basis]
-    return FinSigmaAlgebra(k, table, one, [[c[i] for c in cols] for i in range(len(basis))])
+    return FinSigmaAlgebra(k, table, one, la.transpose(cols, len(basis)))
 
 
 def _subalgebra_on_span(A, span):
@@ -500,8 +499,7 @@ def _subalgebra_on_span(A, span):
     basis = span.basis()
     sub = algebra_on_basis(A.base, basis, A.multiply, A.apply_sigma, A.unit,
                            span.coordinates)
-    matrix = [[b[i] for b in basis] for i in range(A.dim)]
-    return sub, SigmaAlgebraMorphism(sub, A, matrix)
+    return sub, SigmaAlgebraMorphism(sub, A, la.transpose(basis, A.dim))
 
 
 def tensor_product(A: FinSigmaAlgebra, B: FinSigmaAlgebra) -> FinSigmaAlgebra:
@@ -573,8 +571,7 @@ def quotient_by_sigma_ideal(A: FinSigmaAlgebra, gens):
     Q = algebra_on_basis(k, [A.basis_vec(i) for i in keep], A.multiply, A.apply_sigma,
                          A.unit, project)
     cols = [project(A.basis_vec(col)) for col in range(A.dim)]
-    pm = [[c[i] for c in cols] for i in range(len(keep))]
-    return Q, SigmaAlgebraMorphism(A, Q, pm)
+    return Q, SigmaAlgebraMorphism(A, Q, la.transpose(cols, len(keep)))
 
 
 def twist_and_psi(A: FinSigmaAlgebra):
@@ -707,8 +704,7 @@ def restrict_scalars(A: FinSigmaAlgebra, k) -> FinSigmaAlgebra:
             v = [K.zero()] * n
             v[j] = gammas[u]
             sig_cols.append(expand(A.apply_sigma(v)))
-    sig = [[sig_cols[c][r] for c in range(dim)] for r in range(dim)]
-    return FinSigmaAlgebra(k, mul, unit, sig)
+    return FinSigmaAlgebra(k, mul, unit, la.transpose(sig_cols, dim))
 
 
 def _relative_basis(k, K, embed):
@@ -737,11 +733,7 @@ def _relative_basis(k, K, embed):
             break
     if len(gammas) != N:
         raise AssertionError("failed to build a relative basis")
-    cols = []
-    for g in gammas:
-        for eb in emb_k:
-            cols.append(flat(K.mul(eb, g)))
-    m = [[cols[c][r] for c in range(len(cols))] for r in range(S)]
+    m = la.transpose([flat(K.mul(eb, g)) for g in gammas for eb in emb_k], S)
 
     def coord_fn(z):
         sol = la.solve(fp, m, flat(z))

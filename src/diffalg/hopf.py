@@ -134,8 +134,7 @@ def _comul_witness(k, basis, images):
     keys = sorted({key for col in cols for key in col}
                   | {key for img in images for key in img})
     key_index = {key: t for t, key in enumerate(keys)}
-    dense = [mp.to_dense(k, col, key_index) for col in cols]
-    matrix = [[col[r] for col in dense] for r in range(len(keys))]
+    matrix = la.transpose([mp.to_dense(k, col, key_index) for col in cols], len(keys))
     witness = []
     for img in images:
         sol = la.solve(k, matrix, mp.to_dense(k, img, key_index))
@@ -329,8 +328,7 @@ def _power_basis_coords(k, elems, target):
     monos = sorted({m for x in elems for m in x} | set(target),
                    key=lambda m: (len(m), m))
     idx = {m: t for t, m in enumerate(monos)}
-    cols = [mp.to_dense(k, x, idx) for x in elems]
-    matrix = [[col[r] for col in cols] for r in range(len(monos))]
+    matrix = la.transpose([mp.to_dense(k, x, idx) for x in elems], len(monos))
     return la.solve(k, matrix, mp.to_dense(k, target, idx))
 
 

@@ -43,10 +43,7 @@ def conjugate(A: FinSigmaAlgebra, P) -> FinSigmaAlgebra:
             prod = A.multiply(col(P, i), col(P, j))
             mul[i][j] = la.mat_vec(k, Pinv, prod)
     unit = la.mat_vec(k, Pinv, A.unit)
-    sig_cols = []
-    for j in range(n):
-        sig_cols.append(la.mat_vec(k, Pinv, A.apply_sigma(col(P, j))))
-    sigma = [[sig_cols[j][i] for j in range(n)] for i in range(n)]
+    sigma = la.transpose([la.mat_vec(k, Pinv, A.apply_sigma(col(P, j))) for j in range(n)], n)
     return FinSigmaAlgebra(k, mul, unit, sigma)
 
 
@@ -94,8 +91,7 @@ def truncated_quotient_algebra(k, rng, dim, frobenius_steps=None):
         ye = pc.mod(k, pc.shift(k, [k.one()], e * q), f)
         ye = ye + [k.zero()] * (n - len(ye))
         sig_cols.append(ye[:n])
-    sigma = [[sig_cols[c][r] for c in range(n)] for r in range(n)]
-    return FinSigmaAlgebra(k, mul, unit, sigma)
+    return FinSigmaAlgebra(k, mul, unit, la.transpose(sig_cols, n))
 
 
 def field_algebra(p, defpoly, frobenius_power=1) -> FinSigmaAlgebra:

@@ -62,8 +62,9 @@ class TowerLevel:
     sigma_elem: dict | None = None   # cached parsed sigma rule
 
 
-class TowerExtension:
-    """K(<levels>) with sigma rules; levels materialize append-only."""
+class TowerExtension(mp.Ring):
+    """K(<levels>) with sigma rules; levels materialize append-only.  The
+    tower is itself a field (inv), so _polycore runs over it directly."""
 
     def __init__(self, base: DifferenceField):
         self.base = base
@@ -151,34 +152,12 @@ class TowerExtension:
 
     # -- element arithmetic ----------------------------------------------------
 
-    def zero(self):
-        return {}
-
-    def one(self):
-        return {(): self.base.one()}
-
-    def const(self, c):
-        c = self.base.canon(c)
-        return {} if self.base.is_zero(c) else {(): c}
-
     def gen(self, idx):
         key = tuple([0] * idx + [1])
         return {key: self.base.one()}
 
     def gen_by_name(self, name):
         return self.gen(self.ensure_name(name))
-
-    def add(self, f, g):
-        return mp.add(self.base, f, g)
-
-    def neg(self, f):
-        return mp.neg(self.base, f)
-
-    def sub(self, f, g):
-        return mp.sub(self.base, f, g)
-
-    def scale(self, f, c):
-        return mp.scale(self.base, f, c)
 
     @staticmethod
     def _mono_mul(m1, m2):
@@ -194,9 +173,6 @@ class TowerExtension:
 
     def mul(self, f, g):
         return self._reduce(mp.mul(self.base, f, g, self._mono_mul))
-
-    def power(self, f, e):
-        return mp.power(f, e, self.one(), self.mul)
 
     def _reduce(self, f):
         k = self.base
@@ -230,11 +206,24 @@ class TowerExtension:
                 mp.iadd(k, rhs, term)
             mp.iadd(k, f, mp.mul(k, base_term, rhs, self._mono_mul))
 
-    def eq(self, f, g):
-        return mp.eq(self.base, f, g)
-
-    def is_zero(self, f):
-        return not f
+    def inv(self, a):
+        """The inverse through the extended gcd with the top level's minimal
+        polynomial, over the tower below that level."""
+        if self.is_zero(a):
+            raise ZeroDivisionError("inverse of zero in tower")
+        top = self.max_level(a)
+        if top < 0:
+            return self.const(self.base.inv(self.base_value(a)))
+        m_uni = [dict(c) for c in self.levels[top].minpoly]
+        d, s, _ = pc.xgcd(self, _as_univariate(a, top), m_uni)
+        if pc.deg(d) != 0:
+            raise ZeroDivisionError("element not invertible; level polynomial reducible?")
+        inv_c = self.inv(d[0])
+        out = self.zero()
+        for e, c in enumerate(s):
+            term = self.mul(c, {tuple([0] * top + [e]) if e else (): self.base.one()})
+            out = self.add(out, term)
+        return self.mul(out, inv_c)
 
     def in_base(self, f):
         return all(not m for m in f)
@@ -272,12 +261,10 @@ class TowerExtension:
 
     def _check_sigma_consistency(self, t):
         lv = self.levels[t]
-        img = lv.sigma_elem
-        val = self.zero()
-        for e in range(lv.degree, -1, -1):
-            coeff = self.one() if e == lv.degree else self.sigma(lv.minpoly[e])
-            val = self.add(self.mul(val, img), coeff)
-        if not self.is_zero(val):
+        # sigma the coefficients from the top down, the order in which they
+        # may materialize levels
+        twisted = [self.sigma(c) for c in reversed(lv.minpoly[:-1])]
+        if not self.is_zero(pc.evaluate(self, twisted[::-1] + [self.one()], lv.sigma_elem)):
             raise InconsistentDynamicsError(
                 f"sigma rule for {lv.name!r} does not satisfy the twisted "
                 "minimal polynomial")
@@ -371,12 +358,11 @@ class TowerExtension:
         if level.cert is None:
             level.cert = self._pick_cert(level, prefix_count)
         if level.cert == "finite":
-            view = _TowerFieldView(self, prefix_count)
             deg_prod = 1
             for lv in self.levels[:prefix_count]:
                 deg_prod *= lv.degree
             order = k.order ** deg_prod
-            if not pc.is_irreducible(view, list(coeffs), order):
+            if not pc.is_irreducible(self, list(coeffs), order):
                 raise TowerError(
                     f"level {level.name!r}: minimal polynomial is reducible "
                     "over its level")
@@ -396,8 +382,8 @@ class TowerExtension:
         k = self.base
         if isinstance(k, (PrimeField, GaloisField)):
             return "finite"
-        if isinstance(k, ShiftField) and self._radical_shape(level) is not None:
-            u = self._radical_shape(level)
+        u = self._radical_shape(level) if isinstance(k, ShiftField) else None
+        if u is not None:
             if self.in_base(u) and self._is_fresh_variable(u):
                 return "radical-fresh"
             if self._is_radical_generator(u):
@@ -437,16 +423,8 @@ class TowerExtension:
         return True
 
     def _is_radical_generator(self, u):
-        if len(u) != 1:
-            return False
-        (mono, coeff), = u.items()
-        if not self.base.eq(coeff, self.base.one()):
-            return False
-        nz = [(t, e) for t, e in enumerate(mono) if e]
-        if len(nz) != 1 or nz[0][1] != 1:
-            return False
-        t = nz[0][0]
-        return self.levels[t].cert in ("radical-fresh", "radical-chain")
+        t = _generator_level_of(self, u)
+        return t is not None and self.levels[t].cert in ("radical-fresh", "radical-chain")
 
     def _check_radical_fresh(self, level):
         u = self._radical_shape(level)
@@ -483,73 +461,13 @@ class TowerExtension:
         # gcd(f, f') must be one; radical shapes were already checked tame
         if level.cert in ("radical-fresh", "radical-chain"):
             return
-        prefix_count = len(self.levels)
-        view = _TowerFieldView(self, prefix_count)
         f = [dict(c) for c in level.minpoly]
-        g = pc.gcd(view, f, pc.derivative(view, f))
+        g = pc.gcd(self, f, pc.derivative(self, f))
         if pc.deg(g) != 0:
             raise TowerError(f"level {level.name!r} is inseparable")
 
 
-class _TowerFieldView:
-    """Field protocol over the elements of a tower prefix."""
-
-    def __init__(self, tower, level_count):
-        self.t = tower
-        self.n = level_count
-
-    def zero(self):
-        return self.t.zero()
-
-    def one(self):
-        return self.t.one()
-
-    def add(self, a, b):
-        return self.t.add(a, b)
-
-    def sub(self, a, b):
-        return self.t.sub(a, b)
-
-    def neg(self, a):
-        return self.t.neg(a)
-
-    def mul(self, a, b):
-        return self.t.mul(a, b)
-
-    def eq(self, a, b):
-        return self.t.eq(a, b)
-
-    def is_zero(self, a):
-        return self.t.is_zero(a)
-
-    def from_int(self, n):
-        return self.t.const(self.t.base.from_int(n))
-
-    def inv(self, a):
-        return self._inv_at(a, self.n)
-
-    def _inv_at(self, a, level_count):
-        t = self.t
-        if t.is_zero(a):
-            raise ZeroDivisionError("inverse of zero in tower")
-        top = t.max_level(a)
-        if top < 0:
-            return t.const(t.base.inv(t.base_value(a)))
-        sub = _TowerFieldView(t, top)
-        a_uni = _as_univariate(t, a, top)
-        m_uni = [dict(c) for c in t.levels[top].minpoly]
-        d, s, _ = pc.xgcd(sub, a_uni, m_uni)
-        if pc.deg(d) != 0:
-            raise ZeroDivisionError("element not invertible; level polynomial reducible?")
-        inv_c = sub.inv(d[0])
-        out = t.zero()
-        for e, c in enumerate(s):
-            term = t.mul(c, {tuple([0] * top + [e]) if e else (): t.base.one()})
-            out = t.add(out, term)
-        return t.mul(out, inv_c)
-
-
-def _as_univariate(tower, a, top):
+def _as_univariate(a, top):
     """View an element as a polynomial in generator `top` with lower coefficients."""
     coeffs = {}
     for m, c in a.items():
@@ -697,11 +615,7 @@ def benign_make(base, minpoly, kind="radical", family="b") -> TowerExtension:
 
 
 def _assert_root(T, lv, cand):
-    val = T.zero()
-    for e in range(lv.degree, -1, -1):
-        coeff = T.one() if e == lv.degree else lv.minpoly[e]
-        val = T.add(T.mul(val, cand), coeff)
-    if not T.is_zero(val):
+    if not T.is_zero(pc.evaluate(T, lv.minpoly, cand)):
         raise NotGaloisError(f"claimed root of {lv.name!r} fails exact reduction")
 
 
@@ -793,14 +707,8 @@ def is_sigma_radicial(T: TowerExtension, horizon: int = 6,
     evidence = {}
     ok = True
     for lv in list(T.levels):
-        g = T.gen(T.by_name[lv.name])
-        cur = dict(g)
-        found = None
-        for n in range(horizon + 1):
-            if _member(T, cur, subfield):
-                found = n
-                break
-            cur = T.sigma(cur)
+        found = _least_sigma_power(T, T.gen(T.by_name[lv.name]), horizon,
+                                   lambda el: _member(T, el, subfield))
         if found is None:
             ok = False
             evidence[lv.name] = {
@@ -810,6 +718,17 @@ def is_sigma_radicial(T: TowerExtension, horizon: int = 6,
         else:
             exps[lv.name] = found
     return RadicialVerdict("radicial" if ok else "unknown", exps, evidence)
+
+
+def _least_sigma_power(T, g, horizon, inside):
+    """The least n <= horizon with inside(sigma^n(g)), or None.  sigma runs
+    after every miss, the last one too, since it may materialize levels."""
+    cur = dict(g)
+    for n in range(horizon + 1):
+        if inside(cur):
+            return n
+        cur = T.sigma(cur)
+    return None
 
 
 def _member(T, el, subfield):
@@ -892,15 +811,8 @@ def strong_core_finite_ext(T: TowerExtension, over=None,
     ssetale = is_strongly_sigma_etale(algebra)
     exps = {}
     for lv in T.levels[:n_levels]:
-        g = T.gen(T.by_name[lv.name])
-        cur = dict(g)
-        found = None
-        for n in range(stabilized + 2):
-            cv = T.coords(T._reduce(dict(cur)), monos, index)
-            if cv is not None and span.contains(cv):
-                found = n
-                break
-            cur = T.sigma(cur)
+        found = _least_sigma_power(T, T.gen(T.by_name[lv.name]), stabilized + 1,
+                                   lambda el: _member(T, el, (span, monos, index)))
         if found is None:
             raise AssertionError("generator sigma power failed to land in the core")
         exps[lv.name] = found
@@ -1008,33 +920,44 @@ def tower_from_json(data) -> TowerExtension:
     def array(key, item=dict):
         return list(json_list(data.get(key, []), key, item))
 
+    def typed(spec, where, key, kind, default=None):
+        value = spec.get(key, default)
+        if isinstance(value, bool) or not isinstance(value, kind):
+            noun = "a string" if kind is str else "an integer"
+            raise ValueError(f"{where}.{key} must be {noun}")
+        return value
+
     base = field_make(data["base"])
     T = TowerExtension(base)
     T.explicit_specs = array("levels")
     for i, spec in enumerate(T.explicit_specs):
-        for key in ("name", "sigma"):
-            if not isinstance(spec.get(key), str):
-                raise ValueError(f"levels[{i}].{key} must be a string")
-        minpoly = json_list(spec.get("minpoly"), f"levels[{i}].minpoly")
-        T.add_explicit_level(spec["name"], minpoly, spec["sigma"], spec.get("cert"))
+        where = f"levels[{i}]"
+        name, sigma = typed(spec, where, "name", str), typed(spec, where, "sigma", str)
+        minpoly = json_list(spec.get("minpoly"), f"{where}.minpoly")
+        T.add_explicit_level(name, minpoly, sigma, spec.get("cert"))
     for t in range(len(T.levels)):
         T._sigma_gen(t)
     fams = array("families")
     T.family_specs = fams
-    all_radical = True
-    for s in fams:
-        kind = s["kind"]
+    for i, s in enumerate(fams):
+        where = f"families[{i}]"
+        kind = typed(s, where, "kind", str)
         if kind == "radical-block":
-            _install_radical_block(T, s["name"], s["r"], s.get("var_start", 0))
+            _install_radical_block(T, typed(s, where, "name", str), typed(s, where, "r", int),
+                                   typed(s, where, "var_start", int, 0))
         elif kind == "radical-on":
-            _install_radical_on(T, s["name"], s["r"], s["on"], s.get("shift", 1))
+            _install_radical_on(T, typed(s, where, "name", str), typed(s, where, "r", int),
+                                typed(s, where, "on", str), typed(s, where, "shift", int, 1))
         else:
             raise TowerError(f"unsupported serialized family kind {kind!r}")
-    T.explicit_groups = [list(g) for g in array("explicit_groups", list)]
+    T.explicit_groups = [list(json_list(g, f"explicit_groups[{i}]", str))
+                         for i, g in enumerate(array("explicit_groups", list))]
     T.family_groups = [dict(f) for f in array("family_groups")]
+    for i, f in enumerate(T.family_groups):
+        typed(f, f"family_groups[{i}]", "start", int)
     if fams:
         T.group_rule = _make_group_rule(T, T.explicit_groups, T.family_groups)
-        T.certified_kind = "mixed-radical" if all_radical else None
+        T.certified_kind = "mixed-radical"
     else:
         T.schedule = T.explicit_groups or [[lv.name for lv in T.levels]]
         T.certified_kind = "finite-levels"
@@ -1237,13 +1160,10 @@ def babbitt_verify(chain: BabbittChain, horizon: int = 4,
             cert["verdict"] = "refuted"
             cert["witness"] = {"step": step.get("name"), "degrees": degs}
         if prev_is_base and degree_checks > 0:
-            g = T.gen(idx)
-            lc = len(T.levels)
-            d0 = T.degree_over_base(g, lc)
-            pair, _, _ = T.subalgebra_span([g, T.sigma(g)], len(T.levels))
+            d0, rel = _degrees(T, T.gen(idx))
             entry["degree_over_base"] = d0
-            entry["relative_degree"] = pair.dim() // d0
-            if d0 != lv.degree or entry["relative_degree"] != lv.degree:
+            entry["relative_degree"] = rel
+            if d0 != lv.degree or rel != lv.degree:
                 entry["ok"] = False
                 entry["reason"] = "linear-algebra degree recheck failed"
                 cert["verdict"] = "refuted"
@@ -1265,15 +1185,8 @@ def babbitt_verify(chain: BabbittChain, horizon: int = 4,
                 leftovers.append(TowerExtension.level_name(fam, T.family_min.get(fam, 0)))
     top = {"name": "top", "radicial_exponents": {}, "ok": True}
     for name in leftovers:
-        idx = T.ensure_name(name)
-        g = T.gen(idx)
-        found = None
-        cur = dict(g)
-        for n in range(horizon + 1):
-            if _supported_on_covered(T, cur, covered):
-                found = n
-                break
-            cur = T.sigma(cur)
+        found = _least_sigma_power(T, T.gen(T.ensure_name(name)), horizon,
+                                   lambda el: _supported_on_covered(T, el, covered))
         if found is None:
             top["ok"] = False
             top["radicial_exponents"][name] = None
@@ -1283,6 +1196,14 @@ def babbitt_verify(chain: BabbittChain, horizon: int = 4,
             top["radicial_exponents"][name] = found
     cert["steps"].append(top)
     return cert
+
+
+def _degrees(T, a):
+    """[K(a):K] and the relative degree [K(a, sigma(a)):K(a)], both over all
+    levels materialized so far."""
+    d0 = T.degree_over_base(a, len(T.levels))
+    pair, _, _ = T.subalgebra_span([a, T.sigma(a)], len(T.levels))
+    return d0, pair.dim() // d0
 
 
 def _supported_on_covered(T, el, covered):
@@ -1347,10 +1268,7 @@ def babbitt_search(T: TowerExtension, candidates, horizon: int = 4) -> dict:
             entry["reason"] = f"not Galois: {exc}"
             report["candidates"].append(entry)
             continue
-        lc = len(T.levels)
-        d0 = T.degree_over_base(a, lc)
-        pair, _, _ = T.subalgebra_span([a, T.sigma(a)], len(T.levels))
-        rel = pair.dim() // d0
+        d0, rel = _degrees(T, a)
         entry.update({"degree": d0, "relative_degree": rel})
         if rel != ld.value:
             entry["reason"] = "relative transform degree differs from the limit degree"

@@ -49,6 +49,19 @@ def test_core_command_on_presentation(files):
     assert rep["result"]["dimension"] == 1 and rep["result"]["status"] == "exact"
 
 
+def test_core_on_a_period_above_the_level_is_a_lower_bound(files):
+    # y0 has period 4, so its orbit y0..y3 leaves level 2: no certificate there
+    pres = gallery.free_line(5).to_json()
+    pres["gens"].append({"poly": "sigma(y0,4)-y0"})
+    f = files("period4.json", pres)
+    code, rep = run(["core", f])
+    assert code == 3
+    assert rep["result"]["status"] == "lower-bound" and rep["result"]["window"] == []
+    code, rep = run(["core", f, "--level", "3"])
+    assert code == 0
+    assert rep["result"]["status"] == "exact" and rep["result"]["dimension"] == 16
+
+
 def test_core_command_on_tower(files):
     f = files("tower.json", tower_to_json(gallery.collapse_tower_f5()))
     code, rep = run(["core", f])

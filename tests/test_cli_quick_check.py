@@ -86,6 +86,20 @@ def _tower():
     return tower_to_json(collapse_tower_f5())
 
 
+def _radical_tower():
+    from diffalg.gallery import radical_tower_f5
+    from diffalg.towers import tower_to_json
+
+    return tower_to_json(radical_tower_f5())
+
+
+def _stacked_tower():
+    from diffalg.gallery import stacked_tower_f5
+    from diffalg.towers import tower_to_json
+
+    return tower_to_json(stacked_tower_f5())
+
+
 def _chain():
     from diffalg.gallery import chain_for, radical_tower_f5
 
@@ -122,9 +136,24 @@ def _hopf_matrix():
      "name"),
     (["core"], _tower, "levels", [{"name": "a", "minpoly": "x^2 - t", "sigma": "t"}],
      "minpoly"),
+    # radical_tower_f5 and stacked_tower_f5 with one family field of the wrong type
+    (["ld"], _radical_tower, "families",
+     [{"name": "a", "kind": "radical-block", "r": "2", "var_start": 0}], "families[0].r"),
+    (["ld"], _radical_tower, "families",
+     [{"name": "a", "kind": "radical-block", "r": 2, "var_start": "0"}],
+     "families[0].var_start"),
+    (["ld"], _radical_tower, "family_groups", [{"family": "a", "start": "0"}],
+     "family_groups[0].start"),
+    (["ld"], _stacked_tower, "families",
+     [{"name": "a", "kind": "radical-block", "r": 2, "var_start": 0},
+      {"name": "c", "kind": "radical-on", "r": 2, "on": "a", "shift": "1"}],
+     "families[1].shift"),
+    (["ld"], _stacked_tower, "explicit_groups", [["a0", 5]], "explicit_groups[0]"),
 ], ids=["algebra-mul", "tower-levels", "presentation-poly", "hopf-comul",
         "hopf-null-scalar", "babbitt-chain", "mul-null-scalar", "base-p-string",
-        "defpoly-string", "tower-level-sigma", "tower-level-name", "tower-level-minpoly"])
+        "defpoly-string", "tower-level-sigma", "tower-level-name", "tower-level-minpoly",
+        "family-r", "family-var-start", "family-group-start", "family-shift",
+        "explicit-group-name"])
 def test_field_of_wrong_json_type_is_an_input_error(tmp_path, argv, make, field,
                                                     value, named):
     doc = dict(make(), **{field: value})

@@ -74,13 +74,23 @@ def test_benign_galois_requires_roots_of_unity():
 
 def test_tower_inverse_through_levels():
     T = radical_tower_f5()
-    from diffalg.towers import _TowerFieldView
+    x = T.add(T.gen_by_name("a0"), T.one())
+    assert T.eq(T.mul(T.inv(x), x), T.one())
 
-    a0 = T.gen_by_name("a0")
-    x = T.add(a0, T.one())
-    view = _TowerFieldView(T, len(T.levels))
-    inv = view.inv(x)
-    assert T.eq(T.mul(inv, x), T.one())
+
+def test_tower_inverse_of_element_over_two_levels():
+    # c0 + a0 + 1 has c0 on top and a0 in its coefficients: inv recurses
+    # through the level below
+    T = stacked_tower_f5()
+    x = T.add(T.add(T.gen_by_name("c0"), T.gen_by_name("a0")), T.one())
+    assert T.max_level(x) == T.by_name["c0"] and T.max_level(x) > T.by_name["a0"]
+    assert T.eq(T.mul(T.inv(x), x), T.one())
+
+
+def test_tower_inverse_of_zero_raises():
+    T = stacked_tower_f5()
+    with pytest.raises(ZeroDivisionError):
+        T.inv(T.zero())
 
 
 # -- limit degree ----------------------------------------------------------------
