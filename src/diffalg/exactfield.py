@@ -20,11 +20,13 @@ Elements are plain immutable data (ints, Fractions, tuples, dict fractions);
 all arithmetic goes through the owning field object.  Each element has one
 canonical stored form, so `==` on stored elements decides equality.
 
-Vectors are lists of elements, and four methods work on whole lists:
+Vectors are lists of elements, and five methods work on whole lists:
 vec_from_json(cells) decodes a JSON array of scalars, dot(u, v) is
-sum u_i v_i, row_sub(v, c, row) is v - c*row and row_scale(c, row) is c*row.
-DifferenceField defines them as loops over the scalar methods; PrimeField
-overrides them with int arithmetic, one reduction mod p per output entry.
+sum u_i v_i, row_sub(v, c, row) is v - c*row, row_scale(c, row) is c*row and
+bilinear(u, v, table) is the product of u and v under sparse structure
+constants.  DifferenceField defines them as loops over the scalar methods;
+PrimeField overrides them with int arithmetic, one reduction mod p per output
+entry.
 """
 
 from __future__ import annotations
@@ -102,8 +104,9 @@ class DifferenceField:
     # subclasses implement: zero one add neg mul inv eq is_zero from_int
     # sigma canon sample scalar_to_json scalar_from_json descriptor
     #
-    # The vector protocol below loops over those scalar methods; a subclass
-    # may override it with whole-list kernels that give the same results.
+    # The vector protocol below (vec_from_json, dot, row_sub, row_scale,
+    # bilinear) loops over those scalar methods; a subclass may override it
+    # with whole-list kernels that give the same results.
     # Elements are stored canonically, so where an entry is zero the loops
     # skip the work, keeping the entry it would have recomputed.
 
@@ -128,6 +131,22 @@ class DifferenceField:
     def row_scale(self, c, row):
         """c*row, keeping zero entries."""
         return [a if self.is_zero(a) else self.mul(c, a) for a in row]
+
+    def bilinear(self, u, v, table):
+        """sum u_i v_j e_i e_j, where table[i][j] lists the nonzero (t, c) of
+        e_i e_j = sum c e_t; terms with u_i or v_j zero are skipped."""
+        out = [self.zero()] * len(u)
+        for i, a in enumerate(u):
+            if self.is_zero(a):
+                continue
+            row = table[i]
+            for j, b in enumerate(v):
+                if self.is_zero(b):
+                    continue
+                ab = self.mul(a, b)
+                for t, c in row[j]:
+                    out[t] = self.add(out[t], self.mul(ab, c))
+        return out
 
     def sub(self, a, b):
         return self.add(a, self.neg(b))
@@ -312,6 +331,18 @@ class PrimeField(DifferenceField):
         p = self.p
         return [c * a % p for a in row]
 
+    def bilinear(self, u, v, table):
+        out = [0] * len(u)
+        vs = [(j, b) for j, b in enumerate(v) if b]
+        for a, row in zip(u, table):
+            if a:
+                for j, b in vs:
+                    ab = a * b
+                    for t, c in row[j]:
+                        out[t] += ab * c
+        p = self.p
+        return [x % p for x in out]
+
     def descriptor(self):
         return {"kind": "Fq", "p": self.p, "frobenius_power": self.frobenius_power}
 
@@ -336,17 +367,22 @@ class GaloisField(DifferenceField):
     Elements are length-n tuples of ints, coordinates in the power basis of
     the class of x.
 
-    A field of order at most TABLE_MAX_ORDER multiplies, inverts and applies
-    sigma through a pair of log/antilog tables: exp[i] = g^i for a primitive
-    element g and log its inverse on nonzero elements, so a*b is
-    exp[log a + log b], 1/a is exp[-log a] and a^(p^m) is exp[p^m log a],
-    exponents taken mod q - 1.  The pair is built once per (p, defpoly) and
+    A field of order at most TABLE_MAX_ORDER computes through log/antilog
+    tables: exp[i] = g^i for a primitive element g and log its inverse on
+    nonzero elements, so a*b is exp[log a + log b], 1/a is exp[-log a] and
+    a^(p^m) is exp[p^m log a], exponents taken mod q - 1.  Addition uses
+    Zech logarithms (Lidl and Niederreiter, Finite Fields, 9.4): zech[i] is
+    log(1 + g^i), or None where 1 + g^i = 0, so g^i + g^j is
+    g^(i + zech[j - i]); -a is exp[log a + (q-1)/2] for odd q and a itself
+    in characteristic 2.  The tables are built once per (p, defpoly) and
     cached for the process; fields differing only in the Frobenius power
-    share it.  The cap bounds memory: the pair holds q - 1 tuples and a dict
-    over them, 1.1 MB at q = 2^12 but 2.7 MB at q = 5^6.  A larger field,
-    such as a user's F_p^n with large p, builds no tables and keeps the
-    polynomial path: a dense product reduced mod defpoly, an extended gcd,
-    repeated p-th powers.
+    share them; sub is add(a, neg(b)) on them.  The cap bounds memory: exp
+    holds q - 1 tuples and log a dict over them, 1.1 MB at q = 2^12 but
+    2.7 MB at q = 5^6, and zech, a tuple of q - 1 references to log's ints,
+    adds 33 KB at q = 2^12.  A larger field, such as a user's F_p^n with
+    large p, builds no tables and keeps the polynomial path: coordinatewise
+    sums, a dense product reduced mod defpoly, an extended gcd, repeated
+    p-th powers.
     """
 
     kind = "Fq"
@@ -370,9 +406,9 @@ class GaloisField(DifferenceField):
         self.order = p ** n
         self.frobenius_power = frobenius_power
         self._zero = (0,) * n
-        self._exp = self._log = None
+        self._exp = self._log = self._zech = None
         if self.order <= TABLE_MAX_ORDER:
-            self._exp, self._log = _log_tables(p, self.defpoly)
+            self._exp, self._log, self._zech = _log_tables(p, self.defpoly)
 
     def _lift(self, coeffs):
         c = list(coeffs) + [0] * (self.degree - len(coeffs))
@@ -388,10 +424,27 @@ class GaloisField(DifferenceField):
         return self._lift([0, 1])
 
     def add(self, a, b):
-        return tuple((x + y) % self.p for x, y in zip(a, b))
+        log = self._log
+        if log is None:
+            return tuple((x + y) % self.p for x, y in zip(a, b))
+        i, j = log.get(a), log.get(b)   # None for zero, the one tuple outside log
+        if i is None:
+            return b
+        if j is None:
+            return a
+        q1 = len(self._exp)
+        z = self._zech[(j - i) % q1]
+        return self._zero if z is None else self._exp[(i + z) % q1]
 
     def neg(self, a):
-        return tuple((-x) % self.p for x in a)
+        log = self._log
+        if log is None:
+            return tuple((-x) % self.p for x in a)
+        i = log.get(a)
+        if i is None or self.p == 2:
+            return a
+        q1 = len(self._exp)
+        return self._exp[(i + q1 // 2) % q1]
 
     def mul(self, a, b):
         log = self._log
@@ -483,8 +536,9 @@ TABLE_MAX_ORDER = 4096
 
 @functools.lru_cache(maxsize=32)
 def _log_tables(p, defpoly):
-    """(exp, log) for F_p[x]/(defpoly), defpoly a monic irreducible tuple:
-    exp[i] = g^i for i < q - 1 and log[exp[i]] = i, for g the first element
+    """(exp, log, zech) for F_p[x]/(defpoly), defpoly a monic irreducible
+    tuple: exp[i] = g^i for i < q - 1, log[exp[i]] = i and zech[i] =
+    log(1 + g^i), None where 1 + g^i = 0, for g the first element
     in the order x, x + 1, ..., x + p - 1, 2x, ..., x^2, ... (coordinates
     the base-p digits of p, p + 1, ...) whose (q-1)/r-th power is not one for
     any prime r dividing q - 1, that is the first primitive element."""
@@ -500,7 +554,8 @@ def _log_tables(p, defpoly):
     for _ in range(q1 - 1):
         c = pc.mod(fp, pc.mul(fp, list(exp[-1]), g), f)
         exp.append(tuple(c) + (0,) * (n - len(c)))
-    return tuple(exp), {a: i for i, a in enumerate(exp)}
+    log = {a: i for i, a in enumerate(exp)}
+    return tuple(exp), log, tuple(log.get(((a[0] + 1) % p,) + a[1:]) for a in exp)
 
 
 def _certify_irreducible_over_prime(fp, poly):

@@ -9,6 +9,11 @@ strong-core engine: base-change to a splitting extension, the span of
 periodic idempotents there, and exact linear descent back to the ground
 field.
 
+multiply runs the base field's bilinear kernel on a sparse copy of mul, the
+nonzero (t, c) pairs of each e_i e_j, built on the first product and kept
+off to_json.  factor memoises factor_over_finite_field on the algebra, so
+the memo lives as long as the algebra: one strong core or one CLI verdict.
+
 Every subalgebra or quotient carved out of a bigger ring (the strong core,
 a sigma-closure, the quotient by a sigma-ideal, the truncated window, the
 core of a finite tower, k[a]) is built by algebra_on_basis from a list of
@@ -21,6 +26,7 @@ from dataclasses import dataclass, field
 import random
 
 from . import _linalg as la
+from . import _multipoly as mp
 from . import _polycore as pc
 from .exactfield import GaloisField, PrimeField
 from .poly import Poly, factor_over_finite_field
@@ -50,6 +56,8 @@ class FinSigmaAlgebra:
         self.mul = mul
         self.unit = list(unit)
         self.sigma = [list(r) for r in sigma]
+        self._table = None   # mul's nonzero (t, c) pairs, read at the first product
+        self._factors = {}   # factor's memo, keyed by coefficient tuples
 
     # -- element helpers ---------------------------------------------------
 
@@ -75,29 +83,21 @@ class FinSigmaAlgebra:
 
     def multiply(self, u, v):
         k = self.base
-        out = self.zero_vec()
-        for i, a in enumerate(u):
-            if k.is_zero(a):
-                continue
-            for j, b in enumerate(v):
-                if k.is_zero(b):
-                    continue
-                c = k.mul(a, b)
-                row = self.mul[i][j]
-                for t in range(self.dim):
-                    if not k.is_zero(row[t]):
-                        out[t] = k.add(out[t], k.mul(c, row[t]))
-        return out
+        if self._table is None:
+            self._table = [[[(t, c) for t, c in enumerate(cell) if not k.is_zero(c)]
+                            for cell in row] for row in self.mul]
+        return k.bilinear(u, v, self._table)
 
     def power(self, v, e):
-        acc = list(self.unit)
-        base = list(v)
-        while e:
-            if e & 1:
-                acc = self.multiply(acc, base)
-            base = self.multiply(base, base)
-            e >>= 1
-        return acc
+        return mp.power(list(v), e, list(self.unit), self.multiply)
+
+    def factor(self, m: Poly):
+        """factor_over_finite_field(m) for m over the base, computed once per
+        coefficient tuple on this algebra."""
+        fl = self._factors.get(m.coeffs)
+        if fl is None:
+            fl = self._factors[m.coeffs] = factor_over_finite_field(m)
+        return fl
 
     def apply_sigma(self, v):
         k = self.base
@@ -393,7 +393,7 @@ def _split_fixed_factor(A, unit_vec, basis, prims):
             break
     if splitter is None:
         raise AssertionError("fixed-point factor of dim > 1 with no splitting element")
-    pieces = factor_over_finite_field(minpoly)
+    pieces = A.factor(minpoly)
     parts = []
     for g, mult in pieces.factors:
         if g.degree() != 1 or mult != 1:
@@ -820,7 +820,7 @@ def _lcm(a, b):
 def _irreducible_part(A, v, unit):
     """(degree, full minimal polynomial) of an element of a local factor."""
     m = minimal_polynomial(A, v, unit=unit)
-    fl = factor_over_finite_field(m)
+    fl = A.factor(m)
     degs = {g.degree() for g, _ in fl.factors}
     if len(degs) != 1:
         raise AssertionError("local factor with non-primary minimal polynomial")
@@ -869,7 +869,7 @@ def _split_primitives_over_extension(AN, K, embed, factors):
             continue
         bK = [embed(c) for c in b]
         mK = pc.trim(K, [embed(c) for c in m.coeffs])
-        pieces = factor_over_finite_field(Poly(tuple(mK), K)).factors
+        pieces = AN.factor(Poly(tuple(mK), K)).factors
         total = AN.zero_vec()
         for g, mult in pieces:
             if g.degree() != 1:

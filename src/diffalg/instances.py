@@ -103,7 +103,7 @@ def field_algebra(p, defpoly, frobenius_power=1) -> FinSigmaAlgebra:
     mul = [[[k.canon(c) for c in K.mul(basis[i], basis[j])] for j in range(n)]
            for i in range(n)]
     unit = list(K.one())
-    sigma = [[K.sigma(basis[j])[i] for j in range(n)] for i in range(n)]
+    sigma = la.transpose([K.sigma(b) for b in basis], n)
     return FinSigmaAlgebra(k, mul, unit, sigma)
 
 

@@ -225,11 +225,40 @@ def test_tables_agree_with_polynomial_arithmetic_on_seeded_pairs(p, defpoly):
 def test_tables_are_shared_across_frobenius_powers_and_capped():
     p, defpoly = SMALL_FIELDS[3]
     F1, F3 = GaloisField(p, defpoly, 1), GaloisField(p, defpoly, 3)
-    assert F1._exp is F3._exp and F1._log is F3._log
+    assert F1._exp is F3._exp and F1._log is F3._log and F1._zech is F3._zech
     assert len(F1._log) == F1.order - 1     # the table element is primitive
     assert F3.sigma(F1.generator()) == F1.pow(F1.generator(), 8)
     big = GaloisField(*LARGE_FIELDS[-1])
-    assert big.order > TABLE_MAX_ORDER and big._exp is None
+    assert big.order > TABLE_MAX_ORDER and big._exp is None and big._zech is None
+
+
+# every table field of order below 100: F_4, F_8, F_9, F_16, F_25, F_27, F_81
+ZECH_FIELDS = SMALL_FIELDS + [(3, [2, 0, 0, 2, 1])]
+
+
+@pytest.mark.parametrize("p, defpoly", ZECH_FIELDS,
+                         ids=[f"F{p ** (len(d) - 1)}" for p, d in ZECH_FIELDS])
+def test_zech_addition_equals_the_coordinate_formulas_on_every_pair(p, defpoly):
+    F = GaloisField(p, defpoly)
+    assert F._zech is not None
+    elems = list(F.all_elements())
+    for a in elems:
+        assert F.neg(a) == tuple((-x) % p for x in a)
+        for b in elems:
+            assert F.add(a, b) == tuple((x + y) % p for x, y in zip(a, b))
+            assert F.sub(a, b) == tuple((x - y) % p for x, y in zip(a, b))
+
+
+@pytest.mark.parametrize("p, defpoly", ZECH_FIELDS,
+                         ids=[f"F{p ** (len(d) - 1)}" for p, d in ZECH_FIELDS])
+def test_zech_table_is_the_log_of_one_plus_each_power(p, defpoly):
+    F = GaloisField(p, defpoly)
+    for i, z in enumerate(F._zech):
+        s = tuple((x + y) % p for x, y in zip(F.one(), F._exp[i]))
+        assert z == (None if F.is_zero(s) else F._log[s])
+    # 1 + g^i = 0 exactly at -1 = g^((q-1)/2) in odd characteristic, at 1 in even
+    assert [i for i, z in enumerate(F._zech) if z is None] == \
+        [0 if p == 2 else (F.order - 1) // 2]
 
 
 # -- inversivity ------------------------------------------------------------------

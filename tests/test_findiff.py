@@ -5,7 +5,7 @@ import random
 import pytest
 
 import diffalg._linalg as la
-from diffalg.exactfield import GaloisField, PrimeField, Rationals
+from diffalg.exactfield import DifferenceField, GaloisField, PrimeField, Rationals
 from diffalg.diffpoly import UnsupportedPresentationError
 from diffalg.findiff import (FinSigmaAlgebra, RestrictedAutomationError,
                              ZeroRingError, algebra_on_basis, algebra_validate,
@@ -20,7 +20,7 @@ from diffalg.instances import (conjugate, diagonal_algebra, field_algebra,
                                nilpotent_sigma_separable, random_invertible,
                                random_point_algebra, random_strongly_setale,
                                random_valid_algebra)
-from diffalg.poly import factor_over_finite_field
+from diffalg.poly import Poly, factor_over_finite_field
 
 F2 = PrimeField(2)
 F3 = PrimeField(3)
@@ -469,3 +469,76 @@ def test_algebra_on_basis_raises_the_given_error(error, law):
     basis, coords = _span_coords(A, vectors)
     with pytest.raises(error, match=law):
         algebra_on_basis(F5, basis, A.multiply, A.apply_sigma, A.unit, coords, error)
+
+
+# -- the sparse product kernel and the factor memo ---------------------------------
+
+
+# F_5^6 is above TABLE_MAX_ORDER, so it multiplies and adds on coordinate tuples
+KERNEL_FIELDS = {"F2": F2, "F7": PrimeField(7), "F9": GaloisField(3, [1, 0, 1]),
+                 "F5^6": GaloisField(5, [2, 1, 0, 0, 0, 0, 1]), "Q": Rationals()}
+
+
+def _sparse_sample(k, rng):
+    return k.zero() if rng.random() < 0.4 else k.sample(rng)
+
+
+def _seeded_structure(k, rng, n):
+    """Random commutative structure constants, about 40% zero; the product
+    need not be associative, which the kernel does not use."""
+    mul = [[None] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            mul[i][j] = mul[j][i] = [_sparse_sample(k, rng) for _ in range(n)]
+    return FinSigmaAlgebra(k, mul, [k.one()] + [k.zero()] * (n - 1),
+                           la.identity(k, n))
+
+
+def _dense_product(A, u, v):
+    """u*v by the dense triple loop over every (i, j, t), skipping nothing."""
+    k = A.base
+    out = [k.zero()] * A.dim
+    for i in range(A.dim):
+        for j in range(A.dim):
+            c = k.mul(u[i], v[j])
+            for t in range(A.dim):
+                out[t] = k.add(out[t], k.mul(c, A.mul[i][j][t]))
+    return out
+
+
+@pytest.mark.parametrize("name", sorted(KERNEL_FIELDS))
+def test_sparse_product_equals_the_dense_triple_loop(name):
+    k = KERNEL_FIELDS[name]
+    rng = random.Random(f"bilinear-{name}")
+    for n in (1, 2, 3, 5, 6):
+        A = _seeded_structure(k, rng, n)
+        for _ in range(6):
+            u = [_sparse_sample(k, rng) for _ in range(n)]
+            v = [_sparse_sample(k, rng) for _ in range(n)]
+            want = _dense_product(A, u, v)
+            assert A.multiply(u, v) == want
+            # the generic loop, which PrimeField overrides, on the same table
+            assert DifferenceField.bilinear(k, u, v, A._table) == want
+        assert A.multiply(A.zero_vec(), A.unit) == A.zero_vec()
+
+
+def test_sparse_table_stays_out_of_the_json_form():
+    A = _seeded_structure(F5, random.Random(3), 4)
+    before = A.to_json()
+    A.multiply(A.unit, A.unit)
+    assert A._table is not None and A.to_json() == before
+    assert FinSigmaAlgebra.from_json(before).mul == A.mul
+
+
+@pytest.mark.parametrize("k", [F3, GaloisField(2, [1, 1, 0, 1])], ids=["F3", "F8"])
+def test_factor_memo_returns_a_fresh_factorization(k):
+    rng = random.Random(f"factor-memo-{k.order}")
+    A, B = random_point_algebra(k, rng, 2), random_point_algebra(k, rng, 2)
+    # many polynomials of each degree, each asked for twice
+    polys = [Poly.make(k, [k.sample(rng) for _ in range(d)] + [k.one()])
+             for d in (1, 2, 3, 4) for _ in range(8)]
+    for f in polys + polys:
+        assert A.factor(f) == factor_over_finite_field(f)
+    assert all(A.factor(f) is A.factor(f) for f in polys)
+    assert B.factor(polys[0]) == A.factor(polys[0])
+    assert B.factor(polys[0]) is not A.factor(polys[0])   # one memo per algebra
