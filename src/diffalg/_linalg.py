@@ -4,9 +4,9 @@ Matrices are lists of row lists of field elements.  Everything here is
 fraction-free only in the sense of being exact; pivots are divided out, so
 the field must supply inv().
 
-Row operations are the field's own row_sub and row_scale, which work on
-whole rows (see exactfield); the generic ones skip zero entries, keeping
-what they would have recomputed.
+Row operations are the field's own row_sub and row_scale, and mat_vec its
+dot, which work on whole rows (see exactfield); the generic ones skip zero
+entries, keeping what they would have recomputed.
 """
 
 from __future__ import annotations
@@ -34,15 +34,7 @@ def transpose(cols, nrows):
 
 
 def mat_vec(k, m, v):
-    return [_dot(k, row, v) for row in m]
-
-
-def _dot(k, row, v):
-    acc = k.zero()
-    for a, b in zip(row, v):
-        if not k.is_zero(a) and not k.is_zero(b):
-            acc = k.add(acc, k.mul(a, b))
-    return acc
+    return [k.dot(row, v) for row in m]
 
 
 def rref(k, m):

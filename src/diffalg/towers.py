@@ -321,28 +321,25 @@ class TowerExtension(mp.Ring):
         return d
 
     def subalgebra_span(self, gens, level_count=None):
-        """Echelon span over K of the unital algebra generated by gens."""
+        """Echelon span over K of the unital algebra generated by gens.
+
+        The ring is commutative, so multiplying each element that enlarges
+        the span once by each generator that enlarged it closes the span."""
         monos = self.monomials(level_count)
         index = {m: t for t, m in enumerate(monos)}
         span = la.SpanBasis(self.base, len(monos))
         span.add(self.coords(self.one(), monos, index))
-        queue = [self._reduce(dict(g)) for g in gens]
-        for g in queue:
-            cv = self.coords(g, monos, index)
-            if cv is None:
-                raise TowerError("generator escapes the materialized tower")
-            span.add(cv)
-        changed = True
-        while changed:
-            changed = False
-            rows = span.basis()
-            for i in range(len(rows)):
-                fi = self.from_coords(rows[i], monos)
-                for j in range(i, len(rows)):
-                    fj = self.from_coords(rows[j], monos)
-                    p = self.mul(fi, fj)
-                    if span.add(self.coords(p, monos, index)):
-                        changed = True
+        gens = [self._reduce(dict(g)) for g in gens]
+        cvs = [self.coords(g, monos, index) for g in gens]
+        if any(cv is None for cv in cvs):
+            raise TowerError("generator escapes the materialized tower")
+        work = [g for g, cv in zip(gens, cvs) if span.add(cv)]
+        mults = list(work)
+        for f in work:
+            for g in mults:
+                p = self.mul(f, g)
+                if span.add(self.coords(p, monos, index)):
+                    work.append(p)
         return span, monos, index
 
     def degree_over_base(self, a, level_count=None):
@@ -782,24 +779,25 @@ def strong_core_finite_ext(T: TowerExtension, over=None,
     monos = T.monomials(n_levels)
     index = {m: t for t, m in enumerate(monos)}
     over_gens = [T._reduce(dict(g)) for g in (over or [])]
-    basis_elems = [T.from_coords(v, monos)
-                   for v in la.identity(T.base, len(monos))]
+    # each stage is K[gens]; sigma is a ring map, so the next one is
+    # K[over, sigma(gens)], and sigma(K[gens]) stays in the prefix exactly
+    # when sigma(gens) does
+    gens = [T.gen(t) for t in range(n_levels)]
     dims = [len(monos)]
     prev_span = None
-    cur_elems = basis_elems
     while True:
-        images = [T.sigma(b) for b in cur_elems]
+        images = [T.sigma(g) for g in gens]
         for el in images:
             if T.coords(el, monos, index) is None:
                 raise TowerError("sigma images escape the finite prefix; "
                                  "the extension is not sigma-closed")
-        new_span, _, _ = T.subalgebra_span(over_gens + images, n_levels)
+        gens = over_gens + images
+        new_span, _, _ = T.subalgebra_span(gens, n_levels)
         dims.append(new_span.dim())
         if dims[-1] == dims[-2]:
             span = prev_span if prev_span is not None else new_span
             break
         prev_span = new_span
-        cur_elems = [T.from_coords(v, monos) for v in new_span.basis()]
     stabilized = len(dims) - 2
     core_basis = [T.from_coords(v, monos) for v in span.basis()]
 
@@ -1024,15 +1022,18 @@ def _finite_part_count(T):
 
 
 def _sigma_closed_span(T, gens, level_count):
-    cur = [T._reduce(dict(g)) for g in gens]
-    span, monos, index = T.subalgebra_span(cur, level_count)
+    """K[gens, sigma(gens), sigma^2(gens), ...]; each round adds the sigma
+    images of the last round's new generators."""
+    gens = [T._reduce(dict(g)) for g in gens]
+    span, monos, index = T.subalgebra_span(gens, level_count)
+    fresh = gens
     while True:
-        elems = [T.from_coords(v, monos) for v in span.basis()]
-        extended = elems + [T.sigma(e) for e in elems]
-        for e in extended:
+        fresh = [T.sigma(g) for g in fresh]
+        for e in fresh:
             if T.coords(e, monos, index) is None:
                 raise TowerError("sigma closure escapes the finite prefix")
-        span2, _, _ = T.subalgebra_span(extended, level_count)
+        gens = gens + fresh
+        span2, _, _ = T.subalgebra_span(gens, level_count)
         if span2.dim() == span.dim():
             return span2, monos, index
         span = span2
@@ -1199,10 +1200,13 @@ def babbitt_verify(chain: BabbittChain, horizon: int = 4,
 
 
 def _degrees(T, a):
-    """[K(a):K] and the relative degree [K(a, sigma(a)):K(a)], both over all
-    levels materialized so far."""
-    d0 = T.degree_over_base(a, len(T.levels))
-    pair, _, _ = T.subalgebra_span([a, T.sigma(a)], len(T.levels))
+    """[K(a):K] and the relative degree [K(a, sigma(a)):K(a)], both on the
+    shortest prefix holding a and sigma(a); a subalgebra's dimension does not
+    depend on the ambient."""
+    sa = T.sigma(a)
+    n = max(T.max_level(a), T.max_level(sa)) + 1
+    d0 = T.degree_over_base(a, n)
+    pair, _, _ = T.subalgebra_span([a, sa], n)
     return d0, pair.dim() // d0
 
 

@@ -3,7 +3,9 @@
 On seeded sparse rows over ShiftField (F_5) and FunctionField (Q), rref and
 SpanBasis.add/reduce must return the very rows that a dense elimination,
 which recomputes a - c*0 and c*0, returns, and must leave the shift field's
-horizon where the dense elimination leaves it.
+horizon where the dense elimination leaves it.  mat_vec, which skips zero
+matrix entries, must equal the sum of every product on those fields and on
+F_7, F_9 and Q.
 """
 
 import random
@@ -11,7 +13,8 @@ import random
 import pytest
 
 from diffalg import _linalg as la
-from diffalg.exactfield import FunctionField, PrimeField, Rationals, ShiftField
+from diffalg.exactfield import (FunctionField, GaloisField, PrimeField, Rationals,
+                                ShiftField)
 
 FIELDS = {
     "F5(t_i : i >= 0), shift": lambda: ShiftField(PrimeField(5)),
@@ -100,3 +103,29 @@ def test_sparse_elimination_matches_dense(name):
         for v, dv in zip(extra, dextra):
             assert sb.reduce(v) == _dense_reduce(dense, rows, pivots, dv)
         assert getattr(fast, "horizon", None) == getattr(dense, "horizon", None)
+
+
+CONSTANT_FIELDS = {"F7": lambda: PrimeField(7), "F9": lambda: GaloisField(3, [1, 0, 1]),
+                   "Q": Rationals}
+
+
+@pytest.mark.parametrize("name", list(FIELDS) + list(CONSTANT_FIELDS))
+def test_mat_vec_matches_the_sum_of_every_product(name):
+    k = {**FIELDS, **CONSTANT_FIELDS}[name]()
+    rng = random.Random(f"mat-vec-{name}")
+
+    def entry():
+        if name in FIELDS:
+            return _entry(k, rng)
+        return k.zero() if rng.random() < 0.5 else k.sample(rng)
+
+    for _ in range(CASES):
+        m = [[entry() for _ in range(5)] for _ in range(4)]
+        v = [entry() for _ in range(5)]
+        want = []
+        for row in m:
+            acc = k.zero()
+            for a, b in zip(row, v):
+                acc = k.add(acc, k.mul(a, b))
+            want.append(acc)
+        assert la.mat_vec(k, m, v) == want

@@ -10,10 +10,13 @@ from diffalg.gallery import (chain_for, collapse_tower_f5, corrupted_chain,
                              cubic_tower_f7, fourth_root_tower_f5,
                              frobenius_tower, radical_tower_f5, repaired_chain,
                              stacked_tower_f5)
+from diffalg import _linalg as la
 from diffalg.towers import (BabbittChain, InconsistentDynamicsError,
                             NotGaloisError, TowerError, TowerExtension,
-                            babbitt_search, babbitt_verify, benign_make,
-                            compatible, core_sradicial_over_strong_core_check,
+                            _degrees, _least_sigma_power, _member,
+                            _sigma_closed_span, babbitt_search, babbitt_verify,
+                            benign_make, compatible,
+                            core_sradicial_over_strong_core_check,
                             field_sigma_radicial_over, inversive_closure,
                             is_sigma_radicial, limit_degree,
                             strong_core_finite_ext, tower_from_json,
@@ -242,6 +245,170 @@ def test_core_closed_under_realized_conjugation():
     conj = T.neg(g)   # the nontrivial conjugate of the generator
     cv = T.coords(conj, res.monos, res.index)
     assert cv is not None and res.span.contains(cv)
+
+
+# -- generator-based closures against the pairwise fixed point ------------------------
+
+
+def _pairwise_closure(T, gens, level_count):
+    """Reference span: multiply every pair of echelon rows until a round
+    adds nothing."""
+    monos = T.monomials(level_count)
+    index = {m: t for t, m in enumerate(monos)}
+    span = la.SpanBasis(T.base, len(monos))
+    span.add(T.coords(T.one(), monos, index))
+    for g in gens:
+        span.add(T.coords(T._reduce(dict(g)), monos, index))
+    changed = True
+    while changed:
+        changed = False
+        rows = span.basis()
+        for i in range(len(rows)):
+            fi = T.from_coords(rows[i], monos)
+            for j in range(i, len(rows)):
+                p = T.mul(fi, T.from_coords(rows[j], monos))
+                changed |= span.add(T.coords(p, monos, index))
+    return span
+
+
+def _reference_core(T, over=(), level_count=None):
+    """The strong core by sigma images of a whole basis, stage by stage."""
+    n = len(T.levels) if level_count is None else level_count
+    monos = T.monomials(n)
+    index = {m: t for t, m in enumerate(monos)}
+    over = [T._reduce(dict(g)) for g in over]
+    cur = [T.from_coords(v, monos) for v in la.identity(T.base, len(monos))]
+    dims = [len(monos)]
+    prev = None
+    while True:
+        span = _pairwise_closure(T, over + [T.sigma(b) for b in cur], n)
+        dims.append(span.dim())
+        if dims[-1] == dims[-2]:
+            span = prev or span
+            break
+        prev = span
+        cur = [T.from_coords(v, monos) for v in span.basis()]
+    stabilized = len(dims) - 2
+    exps = {lv.name: _least_sigma_power(T, T.gen(t), stabilized + 1,
+                                        lambda el: _member(T, el, (span, monos, index)))
+            for t, lv in enumerate(T.levels[:n])}
+    return span, stabilized, exps
+
+
+def _two_level_f3_tower():
+    # F_9 = F_3(g) and then F_729 = F_9(h), h^3 - h - 1 Artin-Schreier;
+    # sigma is the Frobenius on both levels
+    return tower_make(F3, [{"name": "g", "minpoly": [1, 0, 1], "sigma": "-g"},
+                           {"name": "h", "minpoly": [-1, -1, 0, 1], "sigma": "h+1"}])
+
+
+def _finite_towers():
+    return [frobenius_tower(3, [1, 0, 1], 1), frobenius_tower(2, [1, 1, 1], 0),
+            frobenius_tower(2, [1, 1, 0, 0, 1], 1), frobenius_tower(2, [1, 1, 0, 0, 1], 2),
+            frobenius_tower(5, [2, 0, 1], 1), _two_level_f3_tower(),
+            collapse_tower_f5(), fourth_root_tower_f5()]
+
+
+def _random_element(T, rng, level_count, terms):
+    monos = T.monomials(level_count)
+    k = T.base
+    return {m: k.from_int(rng.randrange(1, k.characteristic()))
+            for m in rng.sample(monos, min(terms, len(monos)))}
+
+
+def _assert_same_span(s1, s2):
+    assert s1.pivots == s2.pivots and s1.equals(s2)
+
+
+def test_subalgebra_span_equals_pairwise_closure_on_finite_towers():
+    rng = random.Random(1201)
+    for T in _finite_towers():
+        n = len(T.levels)
+        cases = [[T.gen(t) for t in range(n)], [], [T.one()]]
+        cases += [[_random_element(T, rng, n, rng.randint(1, 3))
+                   for _ in range(rng.randint(1, 2))] for _ in range(6)]
+        for gens in cases:
+            span, _, _ = T.subalgebra_span(gens, n)
+            _assert_same_span(span, _pairwise_closure(T, gens, n))
+
+
+def test_subalgebra_span_equals_pairwise_closure_on_family_towers():
+    rng = random.Random(1202)
+    deep = radical_tower_f5()
+    deep.materialize_family("a", 10)
+    assert len(deep.levels) == 11 and len(deep.monomials()) == 2048
+    for T, n in ((deep, 11), (stacked_tower_f5(), 3), (cubic_tower_f7(), 1)):
+        lo = T.monomials(min(n, 3))
+        for _ in range(5):
+            # sparse elements on a few levels keep the reference loop small
+            gens = [{m: T.base.from_int(rng.randrange(1, T.base.characteristic()))
+                     for m in rng.sample(lo, 2)} for _ in range(rng.randint(1, 2))]
+            if n == 11:
+                gens.append(T.gen(rng.randrange(3, 11)))
+            span, _, _ = T.subalgebra_span(gens, n)
+            _assert_same_span(span, _pairwise_closure(T, gens, n))
+
+
+def test_strong_core_equals_basis_image_reference():
+    for T in _finite_towers():
+        res = strong_core_finite_ext(T)
+        span, stabilized, exps = _reference_core(T)
+        _assert_same_span(res.span, span)
+        assert res.stabilized_at == stabilized
+        assert res.radicial_exponents == exps
+        a = T.gen(0)
+        for over in (res.basis_elements, [a], [T.mul(a, a)]):
+            again = strong_core_finite_ext(T, over=over)
+            span2, stabilized2, exps2 = _reference_core(T, over=over)
+            _assert_same_span(again.span, span2)
+            assert (again.stabilized_at, again.radicial_exponents) == (stabilized2, exps2)
+    T = corrupted_chain().tower
+    res = strong_core_finite_ext(T, level_count=1)
+    span, stabilized, exps = _reference_core(T, level_count=1)
+    _assert_same_span(res.span, span)
+    assert (res.stabilized_at, res.radicial_exponents) == (stabilized, exps)
+
+
+def test_degrees_on_the_prefix_equal_full_level_spans():
+    rng = random.Random(1203)
+    deep = radical_tower_f5()
+    deep.materialize_family("a", 10)
+    stacked = stacked_tower_f5()
+    stacked.materialize_family("c", 2)
+    elements = [(deep, deep.gen(t)) for t in (0, 4, 9)]
+    elements += [(deep, deep.add(deep.gen(rng.randrange(9)), deep.gen(rng.randrange(9))))
+                 for _ in range(3)]
+    elements += [(stacked, stacked.gen_by_name(n)) for n in ("a0", "c0", "c1")]
+    elements += [(T, T.gen(0)) for T in (collapse_tower_f5(), fourth_root_tower_f5(),
+                                         cubic_tower_f7())]
+    for T, a in elements:
+        d0, rel = _degrees(T, a)
+        n = len(T.levels)
+        full0 = _pairwise_closure(T, [a], n).dim()
+        full_pair = _pairwise_closure(T, [a, T.sigma(a)], n).dim()
+        assert (d0, rel) == (full0, full_pair // full0)
+
+
+def test_non_sigma_closed_prefix_still_raises():
+    T = radical_tower_f5()
+    with pytest.raises(TowerError, match="sigma images escape the finite prefix"):
+        strong_core_finite_ext(T, level_count=1)
+    T.materialize_family("a", 3)
+    # K[a0], K[a0, a1], ... escapes on the fourth round, at sigma(a3) = a4
+    for level_count in (1, 4):
+        with pytest.raises(TowerError, match="sigma closure escapes the finite prefix"):
+            _sigma_closed_span(T, [T.gen_by_name("a0")], level_count)
+
+
+def test_generator_outside_the_prefix_still_raises():
+    T = radical_tower_f5()
+    T.materialize_family("a", 3)
+    with pytest.raises(TowerError, match="generator escapes the materialized tower"):
+        T.subalgebra_span([T.gen(0), T.gen(3)], 2)
+    chain = chain_for(radical_tower_f5())
+    chain.steps[0]["generators"] = ["a0"]
+    with pytest.raises(TowerError, match="generator escapes the materialized tower"):
+        babbitt_verify(chain, horizon=3)
 
 
 # -- Babbitt chains -------------------------------------------------------------------------
