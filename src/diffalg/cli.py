@@ -8,7 +8,9 @@ with witness, 3 inconclusive at the configured horizon, 1 input error
 
 One table, `COMMANDS`, drives the parser, the dispatch and `execute`.  A
 certificate's config is checked against it: a missing key takes the table
-default; a value of the wrong type, or outside the key's choices, exits 1."""
+default; a value of the wrong type, or outside the key's choices, exits 1.
+Documents are read through `_load.Cursor`, so an input error carries the
+path of the value at fault and the JSON report shows it as "path"."""
 
 from __future__ import annotations
 
@@ -20,8 +22,8 @@ import sys
 from collections import namedtuple
 
 from . import gallery
+from ._load import InputError, cursor
 from .diffpoly import Presentation, strong_core_truncated
-from .exactfield import FieldError, json_list
 from .findiff import (FinSigmaAlgebra, RestrictedAutomationError, is_etale,
                       is_sigma_reduced, is_sigma_separable,
                       is_strongly_sigma_etale, strong_core)
@@ -30,7 +32,7 @@ from .hopf import (SigmaHopf, TruncatedGroupLikeHopf, hopf_validate,
                    strong_core_is_hopf_subalgebra_truncated,
                    union_of_etale_subalgebras_probe)
 from .suites import SUITES, run_suite
-from .towers import (BabbittChain, TowerError, babbitt_search, babbitt_verify,
+from .towers import (BabbittChain, babbitt_search, babbitt_verify,
                      compatible, element_to_json, limit_degree,
                      strong_core_finite_ext, tower_from_json)
 
@@ -43,19 +45,14 @@ PREDICATES = {
 }
 VERDICT_CODES = {"verified": 0, "refuted": 2, "inconclusive": 3}
 
-
-class InputError(ValueError):
-    pass
-
-
 # Rows of the command table.  Opt: a config key, its type, its one default and
 # its argv spelling: a flag (required if the default is None), a positional,
 # or None for the global --seed.  File: an input file's argument, its payload
-# key (None: the document is the payload) and its JSON type; an optional file
-# left out gives an empty one.  Commands on one argv path are told apart by
+# key (None: the document is the payload) and the type whose empty value an
+# optional file left out gives.  Commands on one argv path are told apart by
 # `when`, a payload test: the first that passes runs, one without runs last.
 Opt = namedtuple("Opt", "key type default arg choices help", defaults=(None, None))
-File = namedtuple("File", "arg key kind help", defaults=(None, dict, None))
+File = namedtuple("File", "arg key empty help", defaults=(None, dict, None))
 Command = namedtuple("Command", "name argv files run options when help",
                      defaults=((), None, None))
 
@@ -112,20 +109,20 @@ def _ld(payload, cfg):
 
 
 def _babbitt_verify(payload, cfg):
-    _object(payload, "tower")
     cert = babbitt_verify(BabbittChain.from_json(payload), horizon=cfg["horizon"])
     return VERDICT_CODES[cert["verdict"]], cert
 
 
 def _babbitt_search(payload, cfg):
-    T = tower_from_json(_object(payload, "tower"))
-    report = babbitt_search(T, payload.get("candidates", []), horizon=cfg["horizon"])
+    candidates = payload.get("candidates", []).array(str)
+    T = tower_from_json(payload.key("tower"))
+    report = babbitt_search(T, candidates, horizon=cfg["horizon"])
     return (0 if report.get("found") else 3), report
 
 
 def _compat(payload, cfg):
-    verdict = compatible(tower_from_json(_object(payload, "towerA")),
-                         tower_from_json(_object(payload, "towerB")))
+    verdict = compatible(tower_from_json(payload.key("towerA")),
+                         tower_from_json(payload.key("towerB")))
     return (0 if verdict.compatible else 2), {
         "compatible": verdict.compatible, "witness": verdict.witness,
         "details": verdict.details}
@@ -213,52 +210,35 @@ COMMANDS = {c.name: c for c in [
 
 def execute(command, payload, config):
     """Run one command on an embedded payload; returns (exit_code, result).
-    A missing config key takes the table default; a declared key of the wrong
-    type (int: a non-bool int) or outside its choices is an InputError."""
-    cmd = COMMANDS.get(command) if isinstance(command, str) else None
+    Each argument is a plain JSON value or a _load.Cursor into a certificate.
+    A missing config key takes the table default, and one without a default
+    is required; a declared key of the wrong JSON type (int: a non-bool int)
+    or outside its choices is an InputError."""
+    command, payload, config = cursor(command), cursor(payload), cursor(config)
+    cmd = COMMANDS.get(command.of(str))
     if cmd is None:
-        raise InputError(f"unknown command {command!r}")
+        raise command.error(f"names no command: {command.value!r}")
     cfg = {}
     for opt in cmd.options:
-        value = config.get(opt.key, opt.default)
-        if opt.key in config and (isinstance(value, bool)
-                                  or not isinstance(value, opt.type)):
-            raise InputError(f"config {opt.key!r} must be of type "
-                             f"{opt.type.__name__}, not {value!r}")
+        at = config.key(opt.key) if opt.default is None else config.get(opt.key, opt.default)
+        value = at.of(opt.type)
         if opt.choices and value not in opt.choices:
-            raise InputError(f"unknown {opt.key} {value!r}; "
-                             f"pick one of {list(opt.choices)}")
+            raise at.error(f"must be one of {list(opt.choices)}, not {value!r}")
         cfg[opt.key] = value
     return cmd.run(payload, cfg)
 
 
-def _object(payload, key):
-    """payload[key], which must be a JSON object."""
-    doc = payload[key]
-    if not isinstance(doc, dict):
-        raise InputError(f"{key} must be a JSON object")
-    return doc
-
-
 def _load_hopf(payload):
-    if "presentation" in payload:
-        pres = Presentation.from_json(_object(payload, "presentation"))
-        return "truncated", TruncatedGroupLikeHopf(pres)
-    A = FinSigmaAlgebra.from_json(_object(payload, "algebra"))
-    vec = A.base.vec_from_json
+    if "presentation" in payload.of(dict):
+        at = payload.key("presentation")
+        pres = Presentation.from_json(at)
+        with at.blame():
+            return "truncated", TruncatedGroupLikeHopf(pres)
+    A = FinSigmaAlgebra.from_json(payload.key("algebra"))
     n = A.dim
-    what = "comul"
-    try:
-        comul = [vec(json_list(row, "comul row", length=n))
-                 for row in json_list(payload["comul"], "comul", list, n * n)]
-        what = "antipode"
-        antipode = [vec(json_list(row, "antipode row", length=n))
-                    for row in json_list(payload["antipode"], "antipode", list, n)]
-        what = "counit"
-        counit = vec(json_list(payload["counit"], "counit", length=n))
-    except TypeError as exc:
-        raise InputError(f"{what} holds a scalar of the wrong JSON type "
-                         f"for its base field ({exc})") from None
+    comul = payload.key("comul").scalars(A.base, n * n, n)
+    antipode = payload.key("antipode").scalars(A.base, n, n)
+    counit = payload.key("counit").scalars(A.base, n)
     return "matrix", SigmaHopf(A, comul, antipode, counit)
 
 
@@ -269,12 +249,12 @@ def make_certificate(command, payload, config, code, result):
 
 def verify_certificate(cert):
     """Re-run the embedded command and compare results exactly."""
-    if not isinstance(cert, dict) or cert.get("format") != CERT_FORMAT:
-        raise InputError("not a recognized certificate")
-    _object(cert, "instance")
-    _object(cert, "config")
-    code, result = execute(cert["command"], cert["instance"], cert["config"])
-    same = (code == cert["exit_code"] and result == cert["result"])
+    doc = cursor(cert)
+    if doc.key("format").value != CERT_FORMAT:
+        raise doc.key("format").error(f"must be {CERT_FORMAT!r}: not a recognized certificate")
+    want = doc.key("exit_code").value, doc.key("result").value
+    code, result = execute(doc.key("command"), doc.key("instance"), doc.key("config"))
+    same = (code, result) == want
     return same, {"recomputed_exit_code": code, "matches": same}
 
 
@@ -359,17 +339,13 @@ def _parser(seed):
     return parser
 
 
-def _load_json(path, expect=dict):
-    """Load a JSON document that must be an object (or with expect=list, an array)."""
+def _load_json(path):
+    """The JSON document in the file at path."""
     try:
         with open(path) as fh:
-            doc = json.load(fh)
+            return json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
-    if not isinstance(doc, expect):
-        kind = "an object" if expect is dict else "an array"
-        raise InputError(f"{path}: the document must be {kind}")
-    return doc
 
 
 def run(argv):
@@ -382,7 +358,7 @@ def _load_payload(files, args):
     docs = {}
     for f in files:
         path = getattr(args, f.arg.lstrip("-"))
-        docs[f.key] = f.kind() if path is None else _load_json(path, f.kind)
+        docs[f.key] = f.empty() if path is None else _load_json(path)
     return docs.pop(None, docs)
 
 
@@ -399,9 +375,12 @@ def _dispatch(args):
         config = {opt.key: getattr(args, opt.key) for opt in cmd.options}
         code, result = execute(cmd.name, payload, config)
         return code, make_certificate(cmd.name, payload, config, code, result)
-    except (InputError, FieldError, TowerError, RestrictedAutomationError,
-            KeyError, ValueError) as exc:
-        return 1, {"error": str(exc) or type(exc).__name__}
+    # InputError, FieldError and TowerError are ValueErrors
+    except (ValueError, KeyError, RestrictedAutomationError) as exc:
+        report = {"error": str(exc) or type(exc).__name__}
+        if getattr(exc, "path", None) is not None:
+            report["path"] = exc.path
+        return 1, report
 
 
 def main(argv=None):

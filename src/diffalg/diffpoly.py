@@ -20,7 +20,8 @@ from dataclasses import dataclass, field
 from . import _exprs
 from . import _linalg as la
 from . import _multipoly as mp
-from .exactfield import GaloisField, PrimeField
+from ._load import cursor
+from .exactfield import GaloisField, PrimeField, field_make
 from .findiff import FinSigmaAlgebra, algebra_on_basis, strong_core as _fin_strong_core
 from .poly import Poly, factor_over_finite_field
 
@@ -269,14 +270,13 @@ class Presentation(mp.Ring):
 
     @staticmethod
     def from_json(data, base=None):
-        from .exactfield import field_make, json_list
-
-        base = base if base is not None else field_make(data["base"])
-        gens = json_list(data["gens"], "gens", dict)
-        if not all(isinstance(g.get("poly"), str) for g in gens):
-            raise ValueError("each generator's poly must be a string")
-        return Presentation(base, json_list(data["vars"], "vars", str),
-                            [g["poly"] for g in gens])
+        """Load a presentation from a plain JSON value or a _load.Cursor."""
+        doc = cursor(data)
+        base = base if base is not None else field_make(doc.key("base"))
+        gens = [g.key("poly").of(str) for g in doc.key("gens").each()]
+        var_names = doc.key("vars").array(str)
+        with doc.blame():
+            return Presentation(base, var_names, gens)
 
 
 @dataclass
@@ -286,16 +286,18 @@ class LevelAlgebra:
     pres: Presentation
     level: int
     monomials: list
+    index: dict     # each monomial's position in monomials
 
     @staticmethod
     def make(pres, n):
-        return LevelAlgebra(pres, n, pres.level_monomials(n))
+        monos = pres.level_monomials(n)
+        return LevelAlgebra(pres, n, monos, {m: t for t, m in enumerate(monos)})
 
     def dim(self):
         return len(self.monomials)
 
     def coords(self, f):
-        return mp.to_dense(self.pres.base, f, {m: t for t, m in enumerate(self.monomials)})
+        return mp.to_dense(self.pres.base, f, self.index)
 
     def element(self, coords):
         return mp.from_dense(self.pres.base, coords, self.monomials)

@@ -39,6 +39,7 @@ import random
 
 from . import _multipoly as mp
 from . import _polycore as pc
+from ._load import cursor
 
 
 class FieldError(ValueError):
@@ -867,65 +868,40 @@ class ShiftField(FractionField):
                 "min_index": self.min_index}
 
 
-def json_list(value, what, item=None, length=None):
-    """value, which must be a JSON array (of `item`s, and of `length` entries,
-    when given); otherwise a ValueError naming the field `what`."""
-    if not isinstance(value, list) or (
-            item is not None and not all(isinstance(x, item) for x in value)) or (
-            length is not None and len(value) != length):
-        kinds = {None: "entries", list: "arrays", dict: "objects", str: "strings",
-                 int: "integers"}
-        count = "" if length is None else f"{length} "
-        raise ValueError(f"{what} must be a JSON array"
-                         + (f" of {count}{kinds[item]}" if item or count else ""))
-    return value
-
-
-def _json_int(descriptor, key, default=None):
-    """descriptor[key], or the default when it is absent and one is given; it
-    must be an integer (not a boolean)."""
-    value = descriptor[key] if default is None else descriptor.get(key, default)
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise FieldError(f"{key} must be an integer, not {value!r}")
-    return value
-
-
 def field_make(descriptor):
-    """Build and validate a difference field from a JSON-style descriptor."""
-    if isinstance(descriptor, DifferenceField):
-        return descriptor
-    if not isinstance(descriptor, dict):
-        raise FieldError("a field descriptor must be a JSON object")
-    kind = descriptor.get("kind")
-    if kind == "Q":
-        return Rationals()
-    if kind == "Fq":
-        p = _json_int(descriptor, "p")
-        m = _json_int(descriptor, "frobenius_power", 1)
-        defpoly = descriptor.get("defpoly")
-        if defpoly is not None:
-            json_list(defpoly, "defpoly", int)
-        if defpoly:
+    """Build and validate a difference field from a JSON descriptor, given as
+    a plain value or as a _load.Cursor into its document; a DifferenceField
+    in its place is returned as it is."""
+    d = cursor(descriptor)
+    if isinstance(d.value, DifferenceField):
+        return d.value
+    kind = d.get("kind", None).value
+    with d.blame():
+        if kind == "Q":
+            return Rationals()
+        if kind == "Fq":
+            # the prime field first: it checks p before defpoly is reduced mod p
+            prime = PrimeField(d.key("p").of(int), d.get("frobenius_power", 1).of(int))
+            defpoly = d.get("defpoly", None)
+            defpoly = [] if defpoly.value is None else defpoly.array(int)
             trimmed = list(defpoly)
-            while trimmed and trimmed[-1] % p == 0:
+            while trimmed and trimmed[-1] % prime.p == 0:
                 trimmed.pop()
             if len(trimmed) > 2:
-                return GaloisField(p, defpoly, m)
-        return PrimeField(p, m)
-    if kind == "Qt":
-        base = field_make(descriptor.get("base", {"kind": "Q"}))
-        st = descriptor["sigma_t"]
-        num = [base.scalar_from_json(c) for c in st["num"]]
-        den = [base.scalar_from_json(c) for c in st.get("den", ["1"])]
-        return FunctionField(base, num, den)
-    if kind == "shift":
-        if "base" in descriptor:
-            base = field_make(descriptor["base"])
-        else:
-            base = PrimeField(_json_int(descriptor, "p"),
-                              _json_int(descriptor, "frobenius_power", 1))
-        return ShiftField(base, descriptor.get("min_index", 0))
-    raise FieldError(f"unknown field kind {kind!r}")
+                return GaloisField(prime.p, defpoly, prime.frobenius_power)
+            return prime
+        if kind == "Qt":
+            base = field_make(d.get("base", {"kind": "Q"}))
+            st = d.key("sigma_t")
+            return FunctionField(base, st.key("num").scalars(base, None),
+                                 st.get("den", ["1"]).scalars(base, None))
+        if kind == "shift":
+            if "base" in d.value:
+                base = field_make(d.key("base"))
+            else:
+                base = PrimeField(d.key("p").of(int), d.get("frobenius_power", 1).of(int))
+            return ShiftField(base, d.get("min_index", 0).of(int))
+        raise FieldError(f"unknown field kind {kind!r}")
 
 
 def sigma_apply(field, x):

@@ -23,12 +23,14 @@ ambient elements and a coordinate function.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+import math
 import random
 
 from . import _linalg as la
 from . import _multipoly as mp
 from . import _polycore as pc
-from .exactfield import GaloisField, PrimeField
+from ._load import cursor
+from .exactfield import GaloisField, PrimeField, field_make
 from .poly import Poly, factor_over_finite_field
 
 
@@ -138,32 +140,22 @@ class FinSigmaAlgebra:
 
     @staticmethod
     def from_json(data, base=None):
-        from .exactfield import field_make, json_list
-
-        base = base if base is not None else field_make(data["base"])
-        vec = base.vec_from_json
-        what = "unit"
-        try:
-            unit = vec(json_list(data["unit"], "unit"))
-            n = len(unit)
-            if not n:
-                raise ValueError("unit must be a non-empty JSON array")
-            what = "mul"
-            mul = [[vec(cell) for cell in json_list(row, "mul row", list, n)]
-                   for row in json_list(data["mul"], "mul", list, n)]
-            if any(len(cell) != n for row in mul for cell in row):
-                raise ValueError(f"mul cell must be a JSON array of {n} entries")
-            what = "sigma"
-            sigma = [vec(json_list(row, "sigma row", length=n))
-                     for row in json_list(data["sigma"], "sigma", list, n)]
-        except TypeError as exc:
-            raise ValueError(f"{what} holds a scalar of the wrong JSON type "
-                             f"for its base field ({exc})") from None
+        """Load an algebra from a plain JSON value or a _load.Cursor; base,
+        when given, replaces the descriptor at key base."""
+        doc = cursor(data)
+        base = base if base is not None else field_make(doc.key("base"))
+        unit = doc.key("unit").scalars(base, None)
+        n = len(unit)
+        if not n:
+            raise doc.key("unit").error("must be a non-empty JSON array")
+        at_mul = doc.key("mul")
+        mul = at_mul.scalars(base, n, n, n)
+        sigma = doc.key("sigma").scalars(base, n, n)
         # decoded scalars are canonical, so == decides equal products
         for i in range(n):
             for j in range(i + 1, n):
                 if mul[i][j] != mul[j][i]:
-                    raise ValueError(f"mul is not commutative: mul[{i}][{j}] != mul[{j}][{i}]")
+                    raise at_mul.error(f"is not commutative: mul[{i}][{j}] != mul[{j}][{i}]")
         return FinSigmaAlgebra(base, mul, unit, sigma)
 
 
@@ -508,38 +500,15 @@ def tensor_product(A: FinSigmaAlgebra, B: FinSigmaAlgebra) -> FinSigmaAlgebra:
     if A.base != B.base:
         raise TypeError("tensor factors live over different base fields")
     k = A.base
-    na, nb = A.dim, B.dim
-    n = na * nb
 
-    def idx(i, j):
-        return i * nb + j
+    def kron(u, v):
+        # entry i * len(v) + j is u_i v_j, left zero where u_i or v_j is
+        return [k.zero() if k.is_zero(a) or k.is_zero(b) else k.mul(a, b)
+                for a in u for b in v]
 
-    mul = [[None] * n for _ in range(n)]
-    for i1 in range(na):
-        for j1 in range(nb):
-            for i2 in range(na):
-                for j2 in range(nb):
-                    out = [k.zero()] * n
-                    pa = A.mul[i1][i2]
-                    pb = B.mul[j1][j2]
-                    for m1 in range(na):
-                        if k.is_zero(pa[m1]):
-                            continue
-                        for m2 in range(nb):
-                            if k.is_zero(pb[m2]):
-                                continue
-                            out[idx(m1, m2)] = k.mul(pa[m1], pb[m2])
-                    mul[idx(i1, j1)][idx(i2, j2)] = out
-    unit = [k.zero()] * n
-    for i in range(na):
-        for j in range(nb):
-            unit[idx(i, j)] = k.mul(A.unit[i], B.unit[j])
-    sig = [[k.zero()] * n for _ in range(n)]
-    for i1 in range(na):
-        for j1 in range(nb):
-            for i2 in range(na):
-                for j2 in range(nb):
-                    sig[idx(i1, j1)][idx(i2, j2)] = k.mul(A.sigma[i1][i2], B.sigma[j1][j2])
+    mul = [[kron(pa, pb) for pa in ra for pb in rb] for ra in A.mul for rb in B.mul]
+    unit = [k.mul(a, b) for a in A.unit for b in B.unit]
+    sig = [[k.mul(a, b) for a in ra for b in rb] for ra in A.sigma for rb in B.sigma]
     return FinSigmaAlgebra(k, mul, unit, sig)
 
 
@@ -787,7 +756,7 @@ def strong_core(A: FinSigmaAlgebra, supplied_idempotents=None) -> CoreResult:
         factors = _local_factors(A)
         N = 1
         for _, d, _, _ in factors:
-            N = _lcm(N, d)
+            N = math.lcm(N, d)
         K, embed = splitting_extension(k, N)
         AN = base_change(A, K, embed)
         prim_vecs = _split_primitives_over_extension(AN, K, embed, factors)
@@ -809,12 +778,6 @@ def strong_core(A: FinSigmaAlgebra, supplied_idempotents=None) -> CoreResult:
     for j in range(sub.dim):
         span.add(incl.column(j))
     return CoreResult(sub, incl, False, span)
-
-
-def _lcm(a, b):
-    from math import gcd
-
-    return a * b // gcd(a, b)
 
 
 def _irreducible_part(A, v, unit):
@@ -841,7 +804,7 @@ def _local_factors(A):
         best = None
         for b in basis:
             db, mb = _irreducible_part(A, b, e.coords)
-            d = _lcm(d, db)
+            d = math.lcm(d, db)
             if best is None or db > best[0]:
                 best = (db, b, mb)
         if best[0] != d:

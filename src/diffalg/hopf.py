@@ -313,34 +313,26 @@ def strong_core_is_hopf_subalgebra_truncated(H: TruncatedGroupLikeHopf,
 def union_of_etale_subalgebras_probe(pres: Presentation, level: int) -> dict:
     """Dimension of the sigma-annihilated slice at the given level, with an
     etale certificate for the subalgebra each slice element generates."""
-    k = pres.base
     slice_basis = sigma_kernel_slice(pres, level)
-    certs = []
-    for a in slice_basis:
-        A = _single_generator_algebra(pres, a, level)
-        certs.append(bool(is_etale(A)))
+    ambient = LevelAlgebra.make(pres, level)
+    certs = [bool(is_etale(_single_generator_algebra(pres, a, ambient)))
+             for a in slice_basis]
     return {"level": level, "slice_dimension": len(slice_basis),
             "all_etale": all(certs), "certificates": certs}
 
 
-def _power_basis_coords(k, elems, target):
-    """Coordinates of target in the given element list, or None."""
-    monos = sorted({m for x in elems for m in x} | set(target),
-                   key=lambda m: (len(m), m))
-    idx = {m: t for t, m in enumerate(monos)}
-    matrix = la.transpose([mp.to_dense(k, x, idx) for x in elems], len(monos))
-    return la.solve(k, matrix, mp.to_dense(k, target, idx))
-
-
-def _single_generator_algebra(pres, a, level):
-    """k[a] inside the level algebra, in the basis of powers of a."""
+def _single_generator_algebra(pres, a, ambient):
+    """k[a] inside the level algebra ambient, on the echelon basis of the span
+    of the powers of a."""
     k = pres.base
-    elems = [pres.one()]
-    cur = pres.one()
-    while True:
-        cur = pres.mul(cur, a)
-        if _power_basis_coords(k, elems, cur) is not None:
-            break
-        elems.append(cur)
-    return algebra_on_basis(k, elems, pres.mul, pres.sigma, pres.one(),
-                            lambda x: _power_basis_coords(k, elems, x))
+    span = la.SpanBasis(k, ambient.dim())
+    power = pres.one()
+    while span.add(ambient.coords(power)):
+        power = pres.mul(power, a)
+
+    def coords(x):
+        v = ambient.coords(x)
+        return None if v is None else span.coordinates(v)
+
+    return algebra_on_basis(k, [ambient.element(r) for r in span.basis()],
+                            pres.mul, pres.sigma, pres.one(), coords)

@@ -27,13 +27,17 @@ from . import _exprs
 from . import _linalg as la
 from . import _multipoly as mp
 from . import _polycore as pc
+from ._load import cursor
 from .exactfield import (DifferenceField, FractionField, FunctionField, GaloisField,
-                         PrimeField, Rationals, ShiftField, field_make, json_list)
+                         PrimeField, Rationals, ShiftField, field_make)
 from .findiff import (FinSigmaAlgebra, algebra_on_basis, is_strongly_sigma_etale,
                       primitive_idempotents, tensor_product,
                       RestrictedAutomationError)
 from .poly import Poly, is_irreducible, roots
 
+# the radical certificate kinds and the minimal polynomial each one needs
+RADICAL_SHAPES = {"radical-fresh": "x^r - t_j",
+                  "radical-chain": "x^r - a with a an earlier radical generator"}
 SPECIALIZE_TRIALS = 12
 SPECIALIZE_SEED = 0x5BEC
 
@@ -122,7 +126,6 @@ class TowerExtension(mp.Ring):
         coeffs = [self._coerce_coeff(e) for e in spec["minpoly"]]
         if name in self.by_name:
             return self.by_name[name]
-        k = self.base
         while coeffs and self.is_zero(coeffs[-1]):
             coeffs.pop()
         if len(coeffs) < 3:
@@ -364,11 +367,10 @@ class TowerExtension(mp.Ring):
                     f"level {level.name!r}: minimal polynomial is reducible "
                     "over its level")
             return
-        if level.cert == "radical-fresh":
-            self._check_radical_fresh(level)
-            return
-        if level.cert == "radical-chain":
-            self._check_radical_chain(level)
+        if level.cert in RADICAL_SHAPES:
+            if self._radical_kind(level) != level.cert:
+                raise TowerError(f"level {level.name!r}: {level.cert} certificate "
+                                 f"needs {RADICAL_SHAPES[level.cert]}")
             return
         if level.cert == "specialized":
             self._check_specialized(level, prefix_count)
@@ -379,18 +381,27 @@ class TowerExtension(mp.Ring):
         k = self.base
         if isinstance(k, (PrimeField, GaloisField)):
             return "finite"
-        u = self._radical_shape(level) if isinstance(k, ShiftField) else None
-        if u is not None:
-            if self.in_base(u) and self._is_fresh_variable(u):
-                return "radical-fresh"
-            if self._is_radical_generator(u):
-                return "radical-chain"
+        kind = self._radical_kind(level)
+        if kind is not None:
+            return kind
         if prefix_count == 0 and isinstance(k, FractionField):
             return "specialized"
         raise TowerError(
             f"cannot certify irreducibility for level {level.name!r}; "
             "supported certificates: finite base, radical shapes over shift "
             "fields, or specialization at level zero")
+
+    def _radical_kind(self, level):
+        """The radical certificate kind level's minimal polynomial has the
+        shape of over a shift field (see RADICAL_SHAPES), else None."""
+        u = self._radical_shape(level) if isinstance(self.base, ShiftField) else None
+        if u is None:
+            return None
+        if self.in_base(u) and self._is_fresh_variable(u):
+            return "radical-fresh"
+        if self._is_radical_generator(u):
+            return "radical-chain"
+        return None
 
     def _radical_shape(self, level):
         """For x^r - u return u, else None."""
@@ -422,19 +433,6 @@ class TowerExtension(mp.Ring):
     def _is_radical_generator(self, u):
         t = _generator_level_of(self, u)
         return t is not None and self.levels[t].cert in ("radical-fresh", "radical-chain")
-
-    def _check_radical_fresh(self, level):
-        u = self._radical_shape(level)
-        if u is None or not self.in_base(u) or not self._is_fresh_variable(u):
-            raise TowerError(
-                f"level {level.name!r}: radical-fresh certificate needs x^r - t_j")
-
-    def _check_radical_chain(self, level):
-        u = self._radical_shape(level)
-        if u is None or not self._is_radical_generator(u):
-            raise TowerError(
-                f"level {level.name!r}: radical-chain certificate needs x^r - a "
-                "with a an earlier radical generator")
 
     def _check_specialized(self, level, prefix_count):
         if prefix_count != 0:
@@ -508,27 +506,12 @@ def _specialize_scalar(k, val, rng):
 # -- public constructors ------------------------------------------------------
 
 
-def tower_make(base, levels, schedule=None) -> TowerExtension:
-    """Validated explicit tower; every sigma rule is checked by exact
+def tower_make(base, levels) -> TowerExtension:
+    """Validated explicit tower over the field base, its levels given as in
+    a tower document, all in one group; every sigma rule is checked by exact
     reduction against the twisted minimal polynomial."""
-    T = TowerExtension(base)
-    T.explicit_specs = [dict(spec) for spec in levels]
-    for spec in levels:
-        T.add_explicit_level(spec["name"], spec["minpoly"], spec["sigma"],
-                             spec.get("cert"))
-    for t in range(len(T.levels)):
-        T._sigma_gen(t)
-    if schedule is not None:
-        names = [n for g in schedule for n in g]
-        if sorted(names) != sorted(lv.name for lv in T.levels):
-            raise TowerError("schedule does not partition the levels")
-        T.schedule = [list(g) for g in schedule]
-    else:
-        T.schedule = [[lv.name for lv in T.levels]]
-    T.explicit_groups = [list(g) for g in T.schedule]
-    T.family_groups = []
-    T.certified_kind = "finite-levels"
-    return T
+    return tower_from_json({"base": base, "levels": levels,
+                            "explicit_groups": [[spec["name"] for spec in levels]]})
 
 
 def _install_radical_block(T, family, r, start):
@@ -553,7 +536,6 @@ def benign_make(base, minpoly, kind="radical", family="b") -> TowerExtension:
     structurally; "specialization-verified" certifies level zero by
     specialization and refuses towers it cannot certify deeper.
     """
-    T = TowerExtension(base)
     probe = TowerExtension(base)
     coeffs = [probe._coerce_coeff(c) for c in minpoly]
     while coeffs and probe.is_zero(coeffs[-1]):
@@ -573,19 +555,18 @@ def benign_make(base, minpoly, kind="radical", family="b") -> TowerExtension:
         num, _den = probe.base_value(u)
         (mono, _c), = num.items()
         j0 = mono[0][0]
-        _install_radical_block(T, family, deg, j0)
-        T.explicit_groups = []
-        T.family_groups = [{"family": family, "start": j0}]
-        T.group_rule = _make_group_rule(T, T.explicit_groups, T.family_groups)
+        T = tower_from_json({
+            "base": base,
+            "families": [{"name": family, "kind": "radical-block", "r": deg, "var_start": j0}],
+            "family_groups": [{"family": family, "start": j0}]})
         T.certified_kind = "radical"
-        T.family_specs = [{"name": family, "kind": "radical-block",
-                           "r": deg, "var_start": j0}]
         T.materialize_family(family, j0)
         _verify_galois_level(T, T.levels[T.by_name[TowerExtension.level_name(family, j0)]])
         return T
 
     if kind != "specialization-verified":
         raise TowerError(f"unknown benign kind {kind!r}")
+    T = TowerExtension(base)
 
     def rule(i, _c=scalar_coeffs, _fam=family):
         k = T.base
@@ -620,18 +601,15 @@ def stacked_radical_tower(base, r1=2, r2=2, shift=1, fam1="a", fam2="c") -> Towe
     """Two stacked radical benign blocks: a_i^r1 = t_i and c_i^r2 = a_(i+shift)."""
     if not isinstance(base, ShiftField):
         raise TowerError("stacked radical towers need a shift-field base")
-    T = TowerExtension(base)
-    _install_radical_block(T, fam1, r1, 0)
-    _install_radical_on(T, fam2, r2, fam1, shift)
-    T.explicit_groups = [[TowerExtension.level_name(fam1, i) for i in range(shift + 1)]
-                         + [TowerExtension.level_name(fam2, 0)]]
-    T.family_groups = [{"family": fam1, "start": shift}, {"family": fam2, "start": 0}]
-    T.group_rule = _make_group_rule(T, T.explicit_groups, T.family_groups)
+    T = tower_from_json({
+        "base": base,
+        "families": [{"name": fam1, "kind": "radical-block", "r": r1, "var_start": 0},
+                     {"name": fam2, "kind": "radical-on", "r": r2, "on": fam1,
+                      "shift": shift}],
+        "explicit_groups": [[TowerExtension.level_name(fam1, i) for i in range(shift + 1)]
+                            + [TowerExtension.level_name(fam2, 0)]],
+        "family_groups": [{"family": fam1, "start": shift}, {"family": fam2, "start": 0}]})
     T.certified_kind = "radical"
-    T.family_specs = [
-        {"name": fam1, "kind": "radical-block", "r": r1, "var_start": 0},
-        {"name": fam2, "kind": "radical-on", "r": r2, "on": fam1, "shift": shift},
-    ]
     T.materialize_family(fam1, shift)
     T.materialize_family(fam2, 0)
     _verify_galois_level(T, T.levels[T.by_name[TowerExtension.level_name(fam1, 0)]])
@@ -915,44 +893,37 @@ def tower_to_json(T: TowerExtension) -> dict:
 
 
 def tower_from_json(data) -> TowerExtension:
-    def array(key, item=dict):
-        return list(json_list(data.get(key, []), key, item))
-
-    def typed(spec, where, key, kind, default=None):
-        value = spec.get(key, default)
-        if isinstance(value, bool) or not isinstance(value, kind):
-            noun = "a string" if kind is str else "an integer"
-            raise ValueError(f"{where}.{key} must be {noun}")
-        return value
-
-    base = field_make(data["base"])
-    T = TowerExtension(base)
-    T.explicit_specs = array("levels")
-    for i, spec in enumerate(T.explicit_specs):
-        where = f"levels[{i}]"
-        name, sigma = typed(spec, where, "name", str), typed(spec, where, "sigma", str)
-        minpoly = json_list(spec.get("minpoly"), f"{where}.minpoly")
-        T.add_explicit_level(name, minpoly, sigma, spec.get("cert"))
-    for t in range(len(T.levels)):
-        T._sigma_gen(t)
-    fams = array("families")
-    T.family_specs = fams
-    for i, s in enumerate(fams):
-        where = f"families[{i}]"
-        kind = typed(s, where, "kind", str)
-        if kind == "radical-block":
-            _install_radical_block(T, typed(s, where, "name", str), typed(s, where, "r", int),
-                                   typed(s, where, "var_start", int, 0))
-        elif kind == "radical-on":
-            _install_radical_on(T, typed(s, where, "name", str), typed(s, where, "r", int),
-                                typed(s, where, "on", str), typed(s, where, "shift", int, 1))
+    """Load a tower from a plain JSON value or a _load.Cursor."""
+    doc = cursor(data)
+    T = TowerExtension(field_make(doc.key("base")))
+    levels = doc.get("levels", []).each()
+    T.explicit_specs = [lv.value for lv in levels]
+    for lv in levels:
+        name, sigma = lv.key("name").of(str), lv.key("sigma").of(str)
+        minpoly = lv.key("minpoly").array((str, int))
+        with lv.blame():
+            T.add_explicit_level(name, minpoly, sigma, lv.get("cert", None).value)
+    for t, lv in enumerate(levels):
+        with lv.key("sigma").blame():
+            T._sigma_gen(t)
+    fams = doc.get("families", []).each()
+    T.family_specs = [f.value for f in fams]
+    for f in fams:
+        kind = f.key("kind")
+        if kind.of(str) not in ("radical-block", "radical-on"):
+            raise kind.error(f"must be 'radical-block' or 'radical-on', not {kind.value!r}")
+        name, r = f.key("name").of(str), f.key("r").of(int)
+        if kind.value == "radical-block":
+            _install_radical_block(T, name, r, f.get("var_start", 0).of(int))
         else:
-            raise TowerError(f"unsupported serialized family kind {kind!r}")
-    T.explicit_groups = [list(json_list(g, f"explicit_groups[{i}]", str))
-                         for i, g in enumerate(array("explicit_groups", list))]
-    T.family_groups = [dict(f) for f in array("family_groups")]
-    for i, f in enumerate(T.family_groups):
-        typed(f, f"family_groups[{i}]", "start", int)
+            _install_radical_on(T, name, r, f.key("on").of(str), f.get("shift", 1).of(int))
+    T.explicit_groups = [list(g.array(str))
+                         for g in doc.get("explicit_groups", []).each(list)]
+    groups = doc.get("family_groups", []).each()
+    for g in groups:
+        g.key("family").of(str)
+        g.key("start").of(int)
+    T.family_groups = [dict(g.value) for g in groups]
     if fams:
         T.group_rule = _make_group_rule(T, T.explicit_groups, T.family_groups)
         T.certified_kind = "mixed-radical"
@@ -986,19 +957,21 @@ class BabbittChain:
 
     @staticmethod
     def from_json(data):
-        """Load a chain; every step's generators must name a family or a level
-        of the tower."""
-        T = tower_from_json(data["tower"])
-        steps = [dict(s) for s in json_list(data["chain"], "chain", dict)]
+        """Load a chain from a plain JSON value or a _load.Cursor; every
+        step's generators must name a family or a level of the tower."""
+        doc = cursor(data)
+        T = tower_from_json(doc.key("tower"))
+        steps = doc.key("chain").each()
         if not steps:
-            raise ValueError("chain must hold at least its bottom step")
-        for i, step in enumerate(steps):
-            if not isinstance(step.get("benign_generator", ""), str):
-                raise ValueError(f"chain[{i}].benign_generator must be a string")
-            for name in json_list(step.get("generators", []), f"chain[{i}].generators", str):
-                if name not in T.families:
-                    T.ensure_name(name)
-        return BabbittChain(T, steps)
+            raise doc.key("chain").error("must hold at least its bottom step")
+        for step in steps:
+            step.get("benign_generator", "").of(str)
+            names = step.get("generators", [])
+            with names.blame():
+                for name in names.array(str):
+                    if name not in T.families:
+                        T.ensure_name(name)
+        return BabbittChain(T, [dict(s.value) for s in steps])
 
 
 def _finite_part_count(T):
@@ -1103,20 +1076,13 @@ def babbitt_verify(chain: BabbittChain, horizon: int = 4,
              "core_dimension": core.span.dim(),
              "claimed_dimension": claimed.dim()}
     if not claimed.equals(core.span):
-        missing = None
-        for v in core.span.basis():
-            if not claimed.contains(v):
-                missing = T.from_coords(v, monos)
-                break
-        if missing is None:
-            for v in claimed.basis():
-                if not core.span.contains(v):
-                    missing = T.from_coords(v, monos)
-                    break
+        # the spans differ, so one holds a vector the other lacks
+        missing = next(v for a, b in ((core.span, claimed), (claimed, core.span))
+                       for v in a.basis() if not b.contains(v))
         step0["ok"] = False
         cert["verdict"] = "refuted"
         cert["witness"] = {"step": step0["name"],
-                           "element": element_to_json(T, missing)}
+                           "element": element_to_json(T, T.from_coords(missing, monos))}
     else:
         step0["ok"] = core.strongly_sigma_etale
         if not core.strongly_sigma_etale:

@@ -1,24 +1,40 @@
 """Documents, fields and certificate configs of the wrong JSON type must end
-in an input error, not a traceback."""
+in an input error, not a traceback.  The error's "path" locates the value at
+fault: keys joined by dots, array indices in brackets, "" for the document."""
 
 import json
+import re
 import subprocess
 import sys
 
 import pytest
 
-from diffalg.cli import CERT_FORMAT, run
+from diffalg.cli import CERT_FORMAT, main, run
+
+
+def _resolve(doc, path):
+    """The value at path in doc."""
+    for step in re.findall(r"[^.\[\]]+|\[\d+\]", path):
+        doc = doc[int(step[1:-1])] if step.startswith("[") else doc[step]
+    return doc
+
+
+def _input_error(rep, path):
+    """rep is an input-error report whose path is the given one."""
+    return set(rep) == {"error", "path"} and rep["path"] == path
 
 
 def test_verify_cert_rejects_non_certificate_json(tmp_path):
     p = tmp_path / "list.json"
     p.write_text(json.dumps(["a0"]))
     code, rep = run(["verify-cert", str(p)])
-    assert code == 1 and "error" in rep
+    assert code == 1 and _input_error(rep, "")
+    assert rep["error"] == "the document must be a JSON object"
     p2 = tmp_path / "dict.json"
     p2.write_text(json.dumps({"chain": []}))
     code2, rep2 = run(["verify-cert", str(p2)])
-    assert code2 == 1 and "error" in rep2
+    assert code2 == 1 and _input_error(rep2, "")
+    assert rep2["error"] == "the document has no key 'format'"
 
 
 @pytest.mark.parametrize("argv", [
@@ -30,12 +46,15 @@ def test_verify_cert_rejects_non_certificate_json(tmp_path):
     ["hopf", "core-check", "{f}"],
     ["babbitt", "verify", "{f}"],
     ["babbitt", "search", "{f}"],
-])
+], ids=[f"argv{i}" for i in range(8)])
 def test_top_level_array_is_an_input_error(tmp_path, argv):
     p = tmp_path / "array.json"
     p.write_text(json.dumps([1, 2]))
     code, rep = run([a.format(f=p) for a in argv])
-    assert code == 1 and "must be an object" in rep["error"]
+    # compat and babbitt search put their files at keys of the payload
+    path = "towerA" if argv[0] == "compat" else "tower" if argv[1] == "search" else ""
+    assert code == 1 and _input_error(rep, path)
+    assert rep["error"] == f"{path or 'the document'} must be a JSON object"
 
 
 @pytest.mark.parametrize("command, instance", [
@@ -56,14 +75,28 @@ def test_certificate_with_non_object_instance_is_an_input_error(
     p = tmp_path / "cert.json"
     p.write_text(json.dumps(cert))
     code, rep = run(["verify-cert", str(p)])
-    assert code == 1 and "must be a JSON object" in rep["error"]
+    path = "instance" + ("" if isinstance(instance, list) else "." + next(iter(instance)))
+    assert code == 1 and _input_error(rep, path)
+    assert rep["error"] == f"{path} must be a JSON object"
 
 
 def test_babbitt_candidates_must_be_an_array(tmp_path):
     p = tmp_path / "obj.json"
     p.write_text(json.dumps({"a": 1}))
     code, rep = run(["babbitt", "search", str(p), "--candidates", str(p)])
-    assert code == 1 and "must be an array" in rep["error"]
+    assert code == 1 and _input_error(rep, "candidates")
+    assert rep["error"] == "candidates must be a JSON array"
+
+
+@pytest.mark.parametrize("candidates", [[5], [None], [["a"]]],
+                         ids=["int", "null", "array"])
+def test_babbitt_candidates_must_be_strings(tmp_path, candidates):
+    p, c = tmp_path / "tower.json", tmp_path / "candidates.json"
+    p.write_text(json.dumps(_radical_tower()))
+    c.write_text(json.dumps(candidates))
+    code, rep = run(["babbitt", "search", str(p), "--candidates", str(c)])
+    assert code == 1 and _input_error(rep, "candidates[0]")
+    assert rep["error"].startswith("candidates[0] must be a string")
 
 
 def _algebra():
@@ -117,25 +150,34 @@ def _hopf_matrix():
             "counit": [enc(c) for c in H.counit]}
 
 
-@pytest.mark.parametrize("argv, make, field, value, named", [
+QT_BASES = [{"kind": "Qt", "sigma_t": 5},
+            {"kind": "Qt", "sigma_t": {"num": 5}},
+            {"kind": "Qt", "sigma_t": {"num": ["1", "1"], "den": 7}}]
+QT_PATHS = ["base.sigma_t", "base.sigma_t.num", "base.sigma_t.den"]
+SHIFT_BAD_MIN_INDEX = {"kind": "shift", "p": 5, "min_index": "x"}
+
+
+@pytest.mark.parametrize("argv, make, field, value, path", [
     (["core"], _algebra, "mul", 5, "mul"),
     (["core"], _tower, "levels", 5, "levels"),
-    (["core"], _presentation, "gens", [{"poly": 7}], "poly"),
+    (["core"], _presentation, "gens", [{"poly": 7}], "gens[0].poly"),
     (["hopf", "validate"], _hopf_matrix, "comul", 5, "comul"),
     (["hopf", "validate"], _hopf_matrix, "counit", [None, "0"], "counit"),
     (["babbitt", "verify"], _chain, "chain", 5, "chain"),
     (["core"], _algebra, "mul", [[[None, "0"], ["0", "0"]], [["0", "0"], ["0", "1"]]],
      "mul"),
-    (["core"], _algebra, "base", {"kind": "Fq", "p": "5"}, "p"),
+    (["core"], _algebra, "base", {"kind": "Fq", "p": "5"}, "base.p"),
     (["core"], _algebra, "base", {"kind": "Fq", "p": 5, "defpoly": [2, 0, "x"]},
-     "defpoly"),
+     "base.defpoly[2]"),
     # level a of collapse_tower_f5 with one field of the wrong type
     (["core"], _tower, "levels", [{"name": "a", "minpoly": ["-t", 0, 1], "sigma": 5}],
-     "sigma"),
+     "levels[0].sigma"),
     (["core"], _tower, "levels", [{"name": 5, "minpoly": ["-t", 0, 1], "sigma": "t"}],
-     "name"),
+     "levels[0].name"),
     (["core"], _tower, "levels", [{"name": "a", "minpoly": "x^2 - t", "sigma": "t"}],
-     "minpoly"),
+     "levels[0].minpoly"),
+    (["core"], _tower, "levels", [{"name": "a", "minpoly": [None, 0, 1], "sigma": "t"}],
+     "levels[0].minpoly[0]"),
     # radical_tower_f5 and stacked_tower_f5 with one family field of the wrong type
     (["ld"], _radical_tower, "families",
      [{"name": "a", "kind": "radical-block", "r": "2", "var_start": 0}], "families[0].r"),
@@ -148,19 +190,25 @@ def _hopf_matrix():
      [{"name": "a", "kind": "radical-block", "r": 2, "var_start": 0},
       {"name": "c", "kind": "radical-on", "r": 2, "on": "a", "shift": "1"}],
      "families[1].shift"),
-    (["ld"], _stacked_tower, "explicit_groups", [["a0", 5]], "explicit_groups[0]"),
+    (["ld"], _stacked_tower, "explicit_groups", [["a0", 5]], "explicit_groups[0][1]"),
+    *[(["core"], _algebra, "base", b, path) for b, path in zip(QT_BASES, QT_PATHS)],
+    *[(["ld"], _tower, "base", b, path) for b, path in zip(QT_BASES, QT_PATHS)],
+    (["core"], _algebra, "base", SHIFT_BAD_MIN_INDEX, "base.min_index"),
+    (["ld"], _radical_tower, "base", SHIFT_BAD_MIN_INDEX, "base.min_index"),
 ], ids=["algebra-mul", "tower-levels", "presentation-poly", "hopf-comul",
         "hopf-null-scalar", "babbitt-chain", "mul-null-scalar", "base-p-string",
         "defpoly-string", "tower-level-sigma", "tower-level-name", "tower-level-minpoly",
-        "family-r", "family-var-start", "family-group-start", "family-shift",
-        "explicit-group-name"])
+        "tower-level-minpoly-null", "family-r", "family-var-start", "family-group-start",
+        "family-shift", "explicit-group-name", "qt-sigma-t-algebra",
+        "qt-num-algebra", "qt-den-algebra", "qt-sigma-t-tower", "qt-num-tower",
+        "qt-den-tower", "shift-min-index-algebra", "shift-min-index-tower"])
 def test_field_of_wrong_json_type_is_an_input_error(tmp_path, argv, make, field,
-                                                    value, named):
+                                                    value, path):
     doc = dict(make(), **{field: value})
     p = tmp_path / "doc.json"
     p.write_text(json.dumps(doc))
     code, rep = run(argv + [str(p)])
-    assert code == 1 and set(rep) == {"error"} and named in rep["error"]
+    assert code == 1 and _input_error(rep, path) and rep["error"].startswith(path + " ")
 
 
 def _edit_algebra(field, change):
@@ -178,41 +226,45 @@ def _edit_chain(change):
 
 # Both carriers have dimension 2: mul is 2 x 2 cells of length 2, sigma and
 # antipode are 2 x 2, comul is 4 x 2 and unit and counit have length 2.
-@pytest.mark.parametrize("argv, make, named", [
-    (["hopf", "validate"], _edit_hopf("counit", lambda v: v[:1]), "counit"),
-    (["hopf", "validate"], _edit_hopf("counit", lambda v: v + v[:1]), "counit"),
-    (["hopf", "validate"], _edit_hopf("comul", lambda v: v + v[:1]), "comul"),
-    (["hopf", "validate"], _edit_hopf("comul", lambda v: v[:2]), "comul"),
-    (["hopf", "validate"], _edit_hopf("comul", lambda v: [r[:1] for r in v]), "comul row"),
+@pytest.mark.parametrize("argv, make, named, path", [
+    (["hopf", "validate"], _edit_hopf("counit", lambda v: v[:1]), "counit", "counit"),
+    (["hopf", "validate"], _edit_hopf("counit", lambda v: v + v[:1]), "counit", "counit"),
+    (["hopf", "validate"], _edit_hopf("comul", lambda v: v + v[:1]), "comul", "comul"),
+    (["hopf", "validate"], _edit_hopf("comul", lambda v: v[:2]), "comul", "comul"),
+    (["hopf", "validate"], _edit_hopf("comul", lambda v: [r[:1] for r in v]), "comul[0]",
+     "comul[0]"),
     (["hopf", "validate"], _edit_hopf("antipode", lambda v: [v[0] + v[0][:1], v[1]]),
-     "antipode row"),
-    (["hopf", "core-check"], _edit_hopf("antipode", lambda v: v[:1]), "antipode"),
-    (["core"], _edit_algebra("mul", lambda v: v[:1]), "mul"),
-    (["core"], _edit_algebra("mul", lambda v: [[v[0][0][:1], v[0][1]], v[1]]), "mul cell"),
-    (["core"], _edit_algebra("mul", lambda v: [v[0] + v[0][:1], v[1]]), "mul row"),
-    (["core"], _edit_algebra("sigma", lambda v: v[:1]), "sigma"),
-    (["core"], _edit_algebra("sigma", lambda v: [v[0][:1], v[1]]), "sigma row"),
-    (["core"], _edit_algebra("unit", lambda v: v + v[:1]), "mul"),
-    (["core"], lambda: dict(_algebra(), mul=[], unit=[], sigma=[]), "unit"),
-    (["check", "--predicate", "etale"], _edit_algebra("sigma", lambda v: v[:1]), "sigma"),
-    (["babbitt", "verify"], _edit_chain(lambda v: []), "chain"),
+     "antipode[0]", "antipode[0]"),
+    (["hopf", "core-check"], _edit_hopf("antipode", lambda v: v[:1]), "antipode",
+     "antipode"),
+    (["core"], _edit_algebra("mul", lambda v: v[:1]), "mul", "mul"),
+    (["core"], _edit_algebra("mul", lambda v: [[v[0][0][:1], v[0][1]], v[1]]),
+     "mul[0][0]", "mul[0][0]"),
+    (["core"], _edit_algebra("mul", lambda v: [v[0] + v[0][:1], v[1]]), "mul[0]", "mul[0]"),
+    (["core"], _edit_algebra("sigma", lambda v: v[:1]), "sigma", "sigma"),
+    (["core"], _edit_algebra("sigma", lambda v: [v[0][:1], v[1]]), "sigma[0]", "sigma[0]"),
+    (["core"], _edit_algebra("unit", lambda v: v + v[:1]), "mul", "mul"),
+    (["core"], lambda: dict(_algebra(), mul=[], unit=[], sigma=[]), "unit", "unit"),
+    (["check", "--predicate", "etale"], _edit_algebra("sigma", lambda v: v[:1]), "sigma",
+     "sigma"),
+    (["babbitt", "verify"], _edit_chain(lambda v: []), "chain", "chain"),
     (["babbitt", "verify"], _edit_chain(lambda v: [v[0], dict(v[1], generators=5)]),
-     "chain[1].generators"),
+     "chain[1].generators", "chain[1].generators"),
     (["babbitt", "verify"], _edit_chain(lambda v: [v[0], dict(v[1], generators=["nope"])]),
-     "nope"),
+     "nope", "chain[1].generators"),
     (["babbitt", "verify"], _edit_chain(lambda v: [v[0], dict(v[1], benign_generator=5)]),
-     "chain[1].benign_generator"),
+     "chain[1].benign_generator", "chain[1].benign_generator"),
 ], ids=["counit-short", "counit-long", "comul-extra-row", "comul-short",
         "comul-one-column", "antipode-long-row", "antipode-core-check", "mul-short",
         "mul-cell-short", "mul-row-long", "sigma-short", "sigma-row-short",
         "unit-long", "zero-ring", "check-sigma-short", "chain-empty",
         "chain-generators-not-array", "chain-unknown-generator",
         "chain-benign-generator-not-string"])
-def test_field_of_wrong_shape_is_an_input_error(tmp_path, argv, make, named):
+def test_field_of_wrong_shape_is_an_input_error(tmp_path, argv, make, named, path):
     p = tmp_path / "doc.json"
     p.write_text(json.dumps(make()))
     code, rep = run(argv + [str(p)])
-    assert code == 1 and set(rep) == {"error"} and named in rep["error"]
+    assert code == 1 and _input_error(rep, path) and named in rep["error"]
 
 
 @pytest.mark.parametrize("p, code", [
@@ -225,7 +277,15 @@ def test_huge_characteristic_is_decided_at_once(tmp_path, p, code):
     f.write_text(json.dumps(dict(_algebra(), base={"kind": "Fq", "p": p})))
     for argv in (["core"], ["check", "--predicate", "etale"]):
         got, rep = run(argv + [str(f)])
-        assert got == code and (code == 0 or set(rep) == {"error"})
+        assert got == code and (code == 0 or _input_error(rep, "base"))
+
+
+def test_zero_characteristic_with_defpoly_is_an_input_error(tmp_path):
+    # the prime is checked before defpoly is reduced mod p
+    f = tmp_path / "doc.json"
+    f.write_text(json.dumps(dict(_algebra(), base={"kind": "Fq", "p": 0, "defpoly": [1, 1, 1]})))
+    code, rep = run(["core", str(f)])
+    assert code == 1 and _input_error(rep, "base") and "not prime" in rep["error"]
 
 
 @pytest.mark.parametrize("command, make, config", [
@@ -242,8 +302,9 @@ def test_certificate_config_of_wrong_type_is_an_input_error(
     p = tmp_path / "cert.json"
     p.write_text(json.dumps(cert))
     code, rep = run(["verify-cert", str(p)])
-    assert code == 1 and set(rep) == {"error"}
-    assert "must be of type" in rep["error"]
+    path = "config." + list(config)[-1]     # the last key has the wrong type
+    assert code == 1 and _input_error(rep, path)
+    assert rep["error"].startswith(f"{path} must be a")
 
 
 def _line_with(poly):
@@ -260,13 +321,15 @@ def _tower_with(sigma):
     return doc
 
 
-@pytest.mark.parametrize("doc, ok", [
-    (_line_with("sigma(y0,0)-1"), True),
-    (_line_with("sigma(y0,-1)-1"), False),
-    (_tower_with("sigma(t,0)"), True),
-    (_tower_with("sigma(t,-1)"), False),
+# a presentation's generators are parsed together, so its errors are the
+# document's; a tower level's sigma rule is parsed on its own
+@pytest.mark.parametrize("doc, ok, path", [
+    (_line_with("sigma(y0,0)-1"), True, None),
+    (_line_with("sigma(y0,-1)-1"), False, ""),
+    (_tower_with("sigma(t,0)"), True, None),
+    (_tower_with("sigma(t,-1)"), False, "levels[0].sigma"),
 ], ids=["presentation-zero", "presentation-negative", "tower-zero", "tower-negative"])
-def test_negative_sigma_count_is_an_input_error(tmp_path, doc, ok):
+def test_negative_sigma_count_is_an_input_error(tmp_path, doc, ok, path):
     # sigma need not be invertible, so sigma(x, -1) has no meaning here
     p = tmp_path / "doc.json"
     p.write_text(json.dumps(doc))
@@ -274,7 +337,7 @@ def test_negative_sigma_count_is_an_input_error(tmp_path, doc, ok):
     if ok:
         assert code == 0
     else:
-        assert code == 1 and set(rep) == {"error"} and "sigma" in rep["error"]
+        assert code == 1 and _input_error(rep, path) and "sigma" in rep["error"]
 
 
 def _non_commutative(unit):
@@ -291,7 +354,7 @@ def test_non_commutative_mul_is_an_input_error(tmp_path, argv, unit):
     p = tmp_path / "doc.json"
     p.write_text(json.dumps(_non_commutative(unit)))
     code, rep = run(argv + [str(p)])
-    assert code == 1 and set(rep) == {"error"}
+    assert code == 1 and _input_error(rep, "mul")
     assert "commutative" in rep["error"] and "mul[0][1]" in rep["error"]
 
 
@@ -313,5 +376,44 @@ def test_huge_literal_is_an_input_error_at_once(tmp_path, poly, named):
                            "--format", "json"], capture_output=True, text=True,
                           timeout=5)
     rep = json.loads(proc.stdout)
-    assert proc.returncode == 1 and set(rep) == {"error"}
+    assert proc.returncode == 1 and _input_error(rep, "") and not proc.stderr
     assert named in rep["error"] and f"cap of {MAX_LITERAL}" in rep["error"]
+
+
+def _certificate():
+    from diffalg.cli import execute, make_certificate
+
+    config = {"predicate": "etale"}
+    code, result = execute("check", _algebra(), config)
+    return make_certificate("check", _algebra(), config, code, result)
+
+
+# (argv, the document, the path of the object that loses a key, its required keys)
+REQUIRED_KEYS = [
+    (["core"], _algebra, "", ["base", "unit", "mul", "sigma"]),
+    (["hopf", "validate"], lambda: {"presentation": _presentation()}, "presentation",
+     ["vars", "gens"]),
+    (["ld"], _tower, "", ["base"]),
+    (["ld"], _tower, "levels[0]", ["name", "minpoly", "sigma"]),
+    (["babbitt", "verify"], _chain, "", ["tower", "chain"]),
+    (["hopf", "validate"], _hopf_matrix, "", ["comul", "antipode", "counit"]),
+    (["verify-cert"], _certificate, "", ["command", "instance", "config", "result",
+                                         "exit_code"]),
+]
+
+
+@pytest.mark.parametrize("argv, make, parent, key", [
+    pytest.param(argv, make, parent, key, id=f"{argv[0]}-{parent or 'doc'}-{key}")
+    for argv, make, parent, keys in REQUIRED_KEYS for key in keys])
+def test_missing_key_is_an_input_error_at_its_parent(tmp_path, capsys, argv, make,
+                                                     parent, key):
+    doc = make()
+    del _resolve(doc, parent)[key]
+    p = tmp_path / "doc.json"
+    p.write_text(json.dumps(doc))
+    code = main(argv + [str(p), "--format", "json"])
+    out, err = capsys.readouterr()
+    rep = json.loads(out)
+    assert code == 1 and not err and _input_error(rep, parent)
+    assert isinstance(_resolve(doc, rep["path"]), dict)
+    assert rep["error"] == f"{parent or 'the document'} has no key {key!r}"
