@@ -367,11 +367,13 @@ def _dispatch(args):
         if args.command == "verify-cert":
             ok, result = verify_certificate(_load_json(args.file))
             return (0 if ok else 2), {"verify": result, "file": args.file}
-        # commands with a `when` test first, in table order
+        # commands with a `when` test first, in table order; a `when` test
+        # reads keys, so a payload that is no object goes to the one without
         entries = sorted((c for c in COMMANDS.values() if c.argv == args.argv),
                          key=lambda c: c.when is None)
         payload = _load_payload(entries[0].files, args)
-        cmd = next(c for c in entries if c.when is None or c.when(payload))
+        cmd = next(c for c in entries
+                   if c.when is None or (isinstance(payload, dict) and c.when(payload)))
         config = {opt.key: getattr(args, opt.key) for opt in cmd.options}
         code, result = execute(cmd.name, payload, config)
         return code, make_certificate(cmd.name, payload, config, code, result)

@@ -23,7 +23,6 @@ ambient elements and a coordinate function.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-import math
 import random
 
 from . import _linalg as la
@@ -500,15 +499,38 @@ def tensor_product(A: FinSigmaAlgebra, B: FinSigmaAlgebra) -> FinSigmaAlgebra:
     if A.base != B.base:
         raise TypeError("tensor factors live over different base fields")
     k = A.base
+    na, nb = A.dim, B.dim
+    n = na * nb
 
-    def kron(u, v):
-        # entry i * len(v) + j is u_i v_j, left zero where u_i or v_j is
-        return [k.zero() if k.is_zero(a) or k.is_zero(b) else k.mul(a, b)
-                for a in u for b in v]
+    def idx(i, j):
+        return i * nb + j
 
-    mul = [[kron(pa, pb) for pa in ra for pb in rb] for ra in A.mul for rb in B.mul]
-    unit = [k.mul(a, b) for a in A.unit for b in B.unit]
-    sig = [[k.mul(a, b) for a in ra for b in rb] for ra in A.sigma for rb in B.sigma]
+    mul = [[None] * n for _ in range(n)]
+    for i1 in range(na):
+        for j1 in range(nb):
+            for i2 in range(na):
+                for j2 in range(nb):
+                    out = [k.zero()] * n
+                    pa = A.mul[i1][i2]
+                    pb = B.mul[j1][j2]
+                    for m1 in range(na):
+                        if k.is_zero(pa[m1]):
+                            continue
+                        for m2 in range(nb):
+                            if k.is_zero(pb[m2]):
+                                continue
+                            out[idx(m1, m2)] = k.mul(pa[m1], pb[m2])
+                    mul[idx(i1, j1)][idx(i2, j2)] = out
+    unit = [k.zero()] * n
+    for i in range(na):
+        for j in range(nb):
+            unit[idx(i, j)] = k.mul(A.unit[i], B.unit[j])
+    sig = [[k.zero()] * n for _ in range(n)]
+    for i1 in range(na):
+        for j1 in range(nb):
+            for i2 in range(na):
+                for j2 in range(nb):
+                    sig[idx(i1, j1)][idx(i2, j2)] = k.mul(A.sigma[i1][i2], B.sigma[j1][j2])
     return FinSigmaAlgebra(k, mul, unit, sig)
 
 
@@ -756,7 +778,7 @@ def strong_core(A: FinSigmaAlgebra, supplied_idempotents=None) -> CoreResult:
         factors = _local_factors(A)
         N = 1
         for _, d, _, _ in factors:
-            N = math.lcm(N, d)
+            N = _lcm(N, d)
         K, embed = splitting_extension(k, N)
         AN = base_change(A, K, embed)
         prim_vecs = _split_primitives_over_extension(AN, K, embed, factors)
@@ -778,6 +800,12 @@ def strong_core(A: FinSigmaAlgebra, supplied_idempotents=None) -> CoreResult:
     for j in range(sub.dim):
         span.add(incl.column(j))
     return CoreResult(sub, incl, False, span)
+
+
+def _lcm(a, b):
+    from math import gcd
+
+    return a * b // gcd(a, b)
 
 
 def _irreducible_part(A, v, unit):
@@ -804,7 +832,7 @@ def _local_factors(A):
         best = None
         for b in basis:
             db, mb = _irreducible_part(A, b, e.coords)
-            d = math.lcm(d, db)
+            d = _lcm(d, db)
             if best is None or db > best[0]:
                 best = (db, b, mb)
         if best[0] != d:

@@ -98,6 +98,10 @@ class Poly:
     def to_json(self):
         return [self.base.scalar_to_json(c) for c in self.coeffs]
 
+    @staticmethod
+    def from_json(base, data):
+        return Poly.make(base, [base.scalar_from_json(c) for c in data])
+
     def __repr__(self):
         if not self.coeffs:
             return "Poly(0)"

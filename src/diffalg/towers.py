@@ -1076,13 +1076,20 @@ def babbitt_verify(chain: BabbittChain, horizon: int = 4,
              "core_dimension": core.span.dim(),
              "claimed_dimension": claimed.dim()}
     if not claimed.equals(core.span):
-        # the spans differ, so one holds a vector the other lacks
-        missing = next(v for a, b in ((core.span, claimed), (claimed, core.span))
-                       for v in a.basis() if not b.contains(v))
+        missing = None
+        for v in core.span.basis():
+            if not claimed.contains(v):
+                missing = T.from_coords(v, monos)
+                break
+        if missing is None:
+            for v in claimed.basis():
+                if not core.span.contains(v):
+                    missing = T.from_coords(v, monos)
+                    break
         step0["ok"] = False
         cert["verdict"] = "refuted"
         cert["witness"] = {"step": step0["name"],
-                           "element": element_to_json(T, T.from_coords(missing, monos))}
+                           "element": element_to_json(T, missing)}
     else:
         step0["ok"] = core.strongly_sigma_etale
         if not core.strongly_sigma_etale:

@@ -37,7 +37,7 @@ def test_verify_cert_rejects_non_certificate_json(tmp_path):
     assert rep2["error"] == "the document has no key 'format'"
 
 
-@pytest.mark.parametrize("argv", [
+TOP_LEVEL_ARGVS = [
     ["check", "{f}", "--predicate", "etale"],
     ["core", "{f}"],
     ["ld", "{f}"],
@@ -46,15 +46,38 @@ def test_verify_cert_rejects_non_certificate_json(tmp_path):
     ["hopf", "core-check", "{f}"],
     ["babbitt", "verify", "{f}"],
     ["babbitt", "search", "{f}"],
-], ids=[f"argv{i}" for i in range(8)])
+]
+
+
+def _top_level_path(argv):
+    # compat and babbitt search put their files at keys of the payload
+    return "towerA" if argv[0] == "compat" else "tower" if argv[1] == "search" else ""
+
+
+@pytest.mark.parametrize("argv", TOP_LEVEL_ARGVS,
+                         ids=[f"argv{i}" for i in range(len(TOP_LEVEL_ARGVS))])
 def test_top_level_array_is_an_input_error(tmp_path, argv):
     p = tmp_path / "array.json"
     p.write_text(json.dumps([1, 2]))
     code, rep = run([a.format(f=p) for a in argv])
-    # compat and babbitt search put their files at keys of the payload
-    path = "towerA" if argv[0] == "compat" else "tower" if argv[1] == "search" else ""
+    path = _top_level_path(argv)
     assert code == 1 and _input_error(rep, path)
     assert rep["error"] == f"{path or 'the document'} must be a JSON object"
+
+
+@pytest.mark.parametrize("doc", [5, None, True, 1.5, "s"])
+@pytest.mark.parametrize("argv", TOP_LEVEL_ARGVS,
+                         ids=[f"argv{i}" for i in range(len(TOP_LEVEL_ARGVS))])
+def test_top_level_scalar_is_an_input_error(tmp_path, capsys, argv, doc):
+    # core picks its runner by the document's keys, which a scalar lacks
+    p = tmp_path / "scalar.json"
+    p.write_text(json.dumps(doc))
+    code = main([a.format(f=p) for a in argv] + ["--format", "json"])
+    out, err = capsys.readouterr()
+    rep = json.loads(out)
+    path = _top_level_path(argv)
+    assert code == 1 and err == "" and _input_error(rep, path)
+    assert rep["error"] == f"{path or 'the document'} must be a JSON object, not {doc!r}"
 
 
 @pytest.mark.parametrize("command, instance", [
