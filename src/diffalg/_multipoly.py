@@ -21,6 +21,8 @@ Degrees stay tiny in this artifact, so simplicity wins over asymptotics.
 
 from __future__ import annotations
 
+from ._polycore import Kernels
+
 
 def mono_mul(m1, m2):
     d = dict(m1)
@@ -361,10 +363,11 @@ def to_terms(f):
     return sorted(f.items(), key=lambda kv: mono_key(kv[0]), reverse=True)
 
 
-class Ring:
+class Ring(Kernels):
     """The sparse-polynomial ring operations over the field self.base, shared
     by presentations and towers; a subclass supplies mul, which multiplies
-    and brings the product to its normal form."""
+    and brings the product to its normal form.  A tower is also a field, and
+    the generic dense-polynomial kernels of _polycore run over it."""
 
     def zero(self):
         return {}

@@ -3,10 +3,14 @@
 Polynomials are plain lists of field elements, low degree first, with no
 trailing zeros ([] is the zero polynomial).  Every function takes the
 coefficient field as its first argument; the field supplies exact element
-operations (zero, one, add, sub, neg, mul, inv, eq, is_zero, from_int).
-This module is internal plumbing shared by the field constructors, the
-public polynomial layer and the tower machinery; a tower passes itself as
-the field, its elements being the coefficients.
+operations (zero, one, add, sub, neg, mul, inv, eq, is_zero, from_int) and
+the two kernels everything here is built on, poly_mul(f, g) and
+poly_divmod(f, g).  Kernels below holds their generic loops over the scalar
+operations; a field may override them with kernels that give the same
+results (F_p sums machine ints, a table F_q works on Zech logarithms, see
+exactfield).  This module is internal plumbing shared by the field
+constructors, the public polynomial layer and the tower machinery; a tower
+passes itself as the field, its elements being the coefficients.
 """
 
 from __future__ import annotations
@@ -74,15 +78,7 @@ def scale(k, f, a):
 
 
 def mul(k, f, g):
-    if not f or not g:
-        return []
-    out = [k.zero()] * (len(f) + len(g) - 1)
-    for i, a in enumerate(f):
-        if k.is_zero(a):
-            continue
-        for j, b in enumerate(g):
-            out[i + j] = k.add(out[i + j], k.mul(a, b))
-    return trim(k, out)
+    return k.poly_mul(f, g)
 
 
 def shift(k, f, n):
@@ -93,19 +89,8 @@ def shift(k, f, n):
 
 
 def divmod_(k, f, g):
-    if not g:
-        raise ZeroDivisionError("polynomial division by zero")
-    f = list(f)
-    q = [k.zero()] * max(0, len(f) - len(g) + 1)
-    inv_lc = k.inv(g[-1])
-    while len(f) >= len(g) and f:
-        c = k.mul(f[-1], inv_lc)
-        d = len(f) - len(g)
-        q[d] = c
-        for i, b in enumerate(g):
-            f[d + i] = k.sub(f[d + i], k.mul(c, b))
-        f = trim(k, f)
-    return trim(k, q), f
+    """(quotient, remainder) of f by a nonzero g."""
+    return k.poly_divmod(f, g)
 
 
 def mod(k, f, g):
@@ -265,3 +250,36 @@ def equal_degree_split(k, f, d, q, rng):
             g = gcd(k, acc, f)
         if 0 < deg(g) < n:
             return g
+
+
+class Kernels:
+    """The generic poly_mul and poly_divmod, loops over the scalar operations
+    of the class that inherits them (DifferenceField and _multipoly.Ring)."""
+
+    def poly_mul(self, f, g):
+        if not f or not g:
+            return []
+        out = [self.zero()] * (len(f) + len(g) - 1)
+        for i, a in enumerate(f):
+            if self.is_zero(a):
+                continue
+            for j, b in enumerate(g):
+                out[i + j] = self.add(out[i + j], self.mul(a, b))
+        return trim(self, out)
+
+    def poly_divmod(self, f, g):
+        if not g:
+            raise ZeroDivisionError("polynomial division by zero")
+        f = list(f)
+        if len(f) < len(g):
+            return [], f
+        q = [self.zero()] * (len(f) - len(g) + 1)
+        inv_lc = self.inv(g[-1])
+        while len(f) >= len(g) and f:
+            c = self.mul(f[-1], inv_lc)
+            d = len(f) - len(g)
+            q[d] = c
+            for i, b in enumerate(g):
+                f[d + i] = self.sub(f[d + i], self.mul(c, b))
+            f = trim(self, f)
+        return trim(self, q), f

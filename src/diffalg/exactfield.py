@@ -24,9 +24,11 @@ Vectors are lists of elements, and five methods work on whole lists:
 vec_from_json(cells) decodes a JSON array of scalars, dot(u, v) is
 sum u_i v_i, row_sub(v, c, row) is v - c*row, row_scale(c, row) is c*row and
 bilinear(u, v, table) is the product of u and v under sparse structure
-constants.  DifferenceField defines them as loops over the scalar methods;
-PrimeField overrides them with int arithmetic, one reduction mod p per output
-entry.
+constants.  Two more work on dense polynomials (_polycore lists):
+poly_mul(f, g) and poly_divmod(f, g).  DifferenceField defines all seven as
+loops over the scalar methods.  PrimeField overrides them with int
+arithmetic, one reduction mod p per output entry; a GaloisField with tables
+overrides all but vec_from_json with loops over Zech logarithms.
 """
 
 from __future__ import annotations
@@ -97,7 +99,7 @@ def _is_prime(n):
     return True
 
 
-class DifferenceField:
+class DifferenceField(pc.Kernels):
     """Shared element protocol; subclasses fix the representation."""
 
     kind = "?"
@@ -106,8 +108,9 @@ class DifferenceField:
     # sigma canon sample scalar_to_json scalar_from_json descriptor
     #
     # The vector protocol below (vec_from_json, dot, row_sub, row_scale,
-    # bilinear) loops over those scalar methods; a subclass may override it
-    # with whole-list kernels that give the same results.
+    # bilinear) and the polynomial kernels inherited from _polycore.Kernels
+    # (poly_mul, poly_divmod) loop over those scalar methods; a subclass may
+    # override them with whole-list kernels that give the same results.
     # Elements are stored canonically, so where an entry is zero the loops
     # skip the work, keeping the entry it would have recomputed.
 
@@ -344,6 +347,32 @@ class PrimeField(DifferenceField):
         p = self.p
         return [x % p for x in out]
 
+    def poly_mul(self, f, g):
+        if not f or not g:
+            return []
+        out = [0] * (len(f) + len(g) - 1)
+        for i, a in enumerate(f):
+            if a:
+                for j, b in enumerate(g, i):
+                    out[j] += a * b
+        p = self.p
+        return pc.trim(self, [x % p for x in out])
+
+    def poly_divmod(self, f, g):
+        if not g or len(f) < len(g):
+            return super().poly_divmod(f, g)
+        p, n = self.p, len(g) - 1
+        m = p - self.inv(g[-1])          # -1/lc(g)
+        f, q = list(f), [0] * (len(f) - n)
+        head = list(enumerate(g[:n]))
+        for d in range(len(f) - 1 - n, -1, -1):
+            c = f[d + n] * m % p         # -(quotient coefficient)
+            if c:
+                q[d] = p - c
+                for i, b in head:
+                    f[d + i] += c * b
+        return pc.trim(self, q), pc.trim(self, [x % p for x in f[:n]])
+
     def descriptor(self):
         return {"kind": "Fq", "p": self.p, "frobenius_power": self.frobenius_power}
 
@@ -384,6 +413,17 @@ class GaloisField(DifferenceField):
     large p, builds no tables and keeps the polynomial path: coordinatewise
     sums, a dense product reduced mod defpoly, an extended gcd, repeated
     p-th powers.
+
+    With tables, the vector and polynomial kernels (dot, row_sub, row_scale,
+    bilinear, poly_mul, poly_divmod) look each input entry up in log once,
+    None standing for zero, multiply by adding logs, accumulate by Zech
+    addition (_zadd), and look each output entry up in exp once.
+
+    The tables are also the certificate that defpoly is irreducible:
+    g^(q-1) = 1 with q - 1 distinct powers makes every nonzero class of
+    F_p[x]/(defpoly) a power of the unit g, so the quotient is a field.  The
+    Rabin test runs only when there are no tables: above the cap, or where
+    that check fails and a factor must be named.
     """
 
     kind = "Fq"
@@ -398,7 +438,8 @@ class GaloisField(DifferenceField):
             raise FieldError("defining polynomial must have degree >= 2")
         if poly[-1] != 1:
             poly = pc.monic(fp, poly)
-        if not _validated:
+        tables = _log_tables(p, tuple(poly)) if p ** n <= TABLE_MAX_ORDER else None
+        if tables is None and not _validated:
             _certify_irreducible_over_prime(fp, poly)
         self.p = p
         self.prime = fp
@@ -407,9 +448,9 @@ class GaloisField(DifferenceField):
         self.order = p ** n
         self.frobenius_power = frobenius_power
         self._zero = (0,) * n
-        self._exp = self._log = self._zech = None
-        if self.order <= TABLE_MAX_ORDER:
-            self._exp, self._log, self._zech = _log_tables(p, self.defpoly)
+        self._q1 = self.order - 1
+        self._minus = 0 if p == 2 else self._q1 // 2       # the log of -1
+        self._exp, self._log, self._zech = tables or (None, None, None)
 
     def _lift(self, coeffs):
         c = list(coeffs) + [0] * (self.degree - len(coeffs))
@@ -442,10 +483,100 @@ class GaloisField(DifferenceField):
         if log is None:
             return tuple((-x) % self.p for x in a)
         i = log.get(a)
-        if i is None or self.p == 2:
+        if i is None:
             return a
-        q1 = len(self._exp)
-        return self._exp[(i + q1 // 2) % q1]
+        return self._exp[(i + self._minus) % self._q1]
+
+    # -- kernels on Zech logarithms; None is the log of zero -----------------
+
+    def _zadd(self, s, e):
+        """The log of g^s + g^e, for s a log or None and e any exponent;
+        None where the sum is zero."""
+        if s is None:
+            return e % self._q1
+        z = self._zech[(e - s) % self._q1]
+        return None if z is None else (s + z) % self._q1
+
+    def _exps(self, logs, trim=False):
+        """The elements with these logs, less trailing zeros if trim."""
+        while trim and logs and logs[-1] is None:
+            logs.pop()
+        exp, zero = self._exp, self._zero
+        return [zero if i is None else exp[i] for i in logs]
+
+    def dot(self, u, v):
+        log, zadd = self._log, self._zadd
+        if log is None:
+            return super().dot(u, v)
+        acc = None
+        for a, b in zip(map(log.get, u), map(log.get, v)):
+            if a is not None and b is not None:
+                acc = zadd(acc, a + b)
+        return self._zero if acc is None else self._exp[acc]
+
+    def row_sub(self, v, c, row):
+        log, zadd, zero = self._log, self._zadd, self._zero
+        if log is None or c == zero:
+            return super().row_sub(v, c, row)
+        exp, m, out = self._exp, log[c] + self._minus, []
+        for a, b in zip(v, row):
+            if b != zero:
+                s = zadd(log.get(a), log[b] + m)
+                a = zero if s is None else exp[s]
+            out.append(a)
+        return out
+
+    def row_scale(self, c, row):
+        log, exp, zero = self._log, self._exp, self._zero
+        if log is None or c == zero:
+            return super().row_scale(c, row)
+        lc = log[c]
+        return [a if a == zero else exp[(log[a] + lc) % self._q1] for a in row]
+
+    def bilinear(self, u, v, table):
+        log, zadd, zero = self._log, self._zadd, self._zero
+        if log is None:
+            return super().bilinear(u, v, table)
+        acc = [None] * len(u)
+        vs = [(j, log[b]) for j, b in enumerate(v) if b != zero]
+        for a, row in zip(u, table):
+            if a != zero:
+                a = log[a]
+                for j, b in vs:
+                    for t, c in row[j]:
+                        acc[t] = zadd(acc[t], a + b + log[c])
+        return self._exps(acc)
+
+    def poly_mul(self, f, g):
+        log, zadd = self._log, self._zadd
+        if log is None or not f or not g:
+            return super().poly_mul(f, g)
+        acc = [None] * (len(f) + len(g) - 1)
+        lg = [(j, b) for j, b in enumerate(map(log.get, g)) if b is not None]
+        for i, a in enumerate(map(log.get, f)):
+            if a is not None:
+                for j, b in lg:
+                    acc[i + j] = zadd(acc[i + j], a + b)
+        return self._exps(acc, trim=True)
+
+    def poly_divmod(self, f, g):
+        log, zadd = self._log, self._zadd
+        if log is None or not g or len(f) < len(g):
+            return super().poly_divmod(f, g)
+        n, acc, lg = len(g) - 1, list(map(log.get, f)), list(map(log.get, g))
+        lc = lg[n]
+        if lc is None:
+            raise ZeroDivisionError("inverse of zero")
+        head = [(i, b) for i, b in enumerate(lg[:n]) if b is not None]
+        q = [None] * (len(f) - n)
+        for d in range(len(f) - 1 - n, -1, -1):
+            a = acc[d + n]
+            if a is not None:         # q_d = a / lc; add -q_d g x^d
+                q[d] = (a - lc) % self._q1
+                e = q[d] + self._minus
+                for i, b in head:
+                    acc[d + i] = zadd(acc[d + i], e + b)
+        return self._exps(q, trim=True), self._exps(acc[:n], trim=True)
 
     def mul(self, a, b):
         log = self._log
@@ -537,12 +668,17 @@ TABLE_MAX_ORDER = 4096
 
 @functools.lru_cache(maxsize=32)
 def _log_tables(p, defpoly):
-    """(exp, log, zech) for F_p[x]/(defpoly), defpoly a monic irreducible
-    tuple: exp[i] = g^i for i < q - 1, log[exp[i]] = i and zech[i] =
-    log(1 + g^i), None where 1 + g^i = 0, for g the first element
+    """(exp, log, zech) for F_p[x]/(defpoly), defpoly a monic tuple of degree
+    n >= 2 and q = p^n: exp[i] = g^i for i < q - 1, log[exp[i]] = i and
+    zech[i] = log(1 + g^i), None where 1 + g^i = 0, for g the first element
     in the order x, x + 1, ..., x + p - 1, 2x, ..., x^2, ... (coordinates
     the base-p digits of p, p + 1, ...) whose (q-1)/r-th power is not one for
-    any prime r dividing q - 1, that is the first primitive element."""
+    any prime r dividing q - 1, that is the first primitive element.
+
+    None unless g^(q-1) = 1 and the q - 1 powers are distinct, which holds
+    exactly when defpoly is irreducible (see GaloisField).  Given how g is
+    picked, the first check implies the second; the second keeps the
+    certificate sound whatever the search returns."""
     fp, f = PrimeField(p), list(defpoly)
     n = len(f) - 1
     q1 = p ** n - 1
@@ -552,10 +688,14 @@ def _log_tables(p, defpoly):
         if all(pc.pow_mod(fp, g, q1 // r, f) != [1] for r in primes):
             break
     exp = [(1,) + (0,) * (n - 1)]
-    for _ in range(q1 - 1):
+    for _ in range(q1):
         c = pc.mod(fp, pc.mul(fp, list(exp[-1]), g), f)
         exp.append(tuple(c) + (0,) * (n - len(c)))
+    if exp.pop() != exp[0]:         # g^(q-1) = 1
+        return None
     log = {a: i for i, a in enumerate(exp)}
+    if len(log) < q1:               # g^i for i < q - 1 are distinct
+        return None
     return tuple(exp), log, tuple(log.get(((a[0] + 1) % p,) + a[1:]) for a in exp)
 
 

@@ -102,15 +102,7 @@ class FinSigmaAlgebra:
 
     def apply_sigma(self, v):
         k = self.base
-        out = self.zero_vec()
-        for j, c in enumerate(v):
-            if k.is_zero(c):
-                continue
-            sc = k.sigma(c)
-            for i in range(self.dim):
-                if not k.is_zero(self.sigma[i][j]):
-                    out[i] = k.add(out[i], k.mul(sc, self.sigma[i][j]))
-        return out
+        return la.mat_vec(k, self.sigma, [k.sigma(c) for c in v])
 
     def is_idempotent(self, v):
         return self.vec_eq(self.multiply(v, v), v)

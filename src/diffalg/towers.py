@@ -566,9 +566,16 @@ def benign_make(base, minpoly, kind="radical", family="b") -> TowerExtension:
 
     if kind != "specialization-verified":
         raise TowerError(f"unknown benign kind {kind!r}")
-    T = TowerExtension(base)
+    return tower_from_json({
+        "base": base,
+        "families": [{"name": family, "kind": "specialization-verified",
+                      "minpoly": [base.scalar_to_json(c) for c in scalar_coeffs]}],
+        "family_groups": [{"family": family, "start": 0}]})
 
-    def rule(i, _c=scalar_coeffs, _fam=family):
+
+def _install_specialization(T, family, coeffs):
+    """Level i of the family is cut out by coeffs with sigma^i applied."""
+    def rule(i, _c=coeffs, _fam=family):
         k = T.base
         twisted = []
         for c in _c:
@@ -582,14 +589,6 @@ def benign_make(base, minpoly, kind="radical", family="b") -> TowerExtension:
 
     T.families[family] = rule
     T.family_min[family] = 0
-    T.explicit_groups = []
-    T.family_groups = [{"family": family, "start": 0}]
-    T.group_rule = _make_group_rule(T, T.explicit_groups, T.family_groups)
-    T.family_specs = [{"name": family, "kind": "specialization-verified",
-                       "minpoly": [base.scalar_to_json(c) for c in scalar_coeffs]}]
-    T.materialize_family(family, 0)
-    _verify_galois_level(T, T.levels[T.by_name[TowerExtension.level_name(family, 0)]])
-    return T
 
 
 def _assert_root(T, lv, cand):
@@ -910,13 +909,17 @@ def tower_from_json(data) -> TowerExtension:
     T.family_specs = [f.value for f in fams]
     for f in fams:
         kind = f.key("kind")
-        if kind.of(str) not in ("radical-block", "radical-on"):
-            raise kind.error(f"must be 'radical-block' or 'radical-on', not {kind.value!r}")
-        name, r = f.key("name").of(str), f.key("r").of(int)
+        if kind.of(str) not in ("radical-block", "radical-on", "specialization-verified"):
+            raise kind.error("must be 'radical-block', 'radical-on' or "
+                             f"'specialization-verified', not {kind.value!r}")
+        name = f.key("name").of(str)
         if kind.value == "radical-block":
-            _install_radical_block(T, name, r, f.get("var_start", 0).of(int))
+            _install_radical_block(T, name, f.key("r").of(int), f.get("var_start", 0).of(int))
+        elif kind.value == "radical-on":
+            _install_radical_on(T, name, f.key("r").of(int), f.key("on").of(str),
+                                f.get("shift", 1).of(int))
         else:
-            _install_radical_on(T, name, r, f.key("on").of(str), f.get("shift", 1).of(int))
+            _install_specialization(T, name, f.key("minpoly").scalars(T.base, None))
     T.explicit_groups = [list(g.array(str))
                          for g in doc.get("explicit_groups", []).each(list)]
     groups = doc.get("family_groups", []).each()
@@ -926,7 +929,12 @@ def tower_from_json(data) -> TowerExtension:
     T.family_groups = [dict(g.value) for g in groups]
     if fams:
         T.group_rule = _make_group_rule(T, T.explicit_groups, T.family_groups)
-        T.certified_kind = "mixed-radical"
+        spec = [f for f in fams if f.value["kind"] == "specialization-verified"]
+        T.certified_kind = None if spec else "mixed-radical"
+        for f in spec:      # certified at level zero only, and Galois there
+            with f.blame():
+                level0 = TowerExtension.level_name(f.value["name"], 0)
+                _verify_galois_level(T, T.levels[T.ensure_name(level0)])
     else:
         T.schedule = T.explicit_groups or [[lv.name for lv in T.levels]]
         T.certified_kind = "finite-levels"
@@ -958,14 +966,18 @@ class BabbittChain:
     @staticmethod
     def from_json(data):
         """Load a chain from a plain JSON value or a _load.Cursor; every
-        step's generators must name a family or a level of the tower."""
+        step's generators must name a family or a level of the tower, and
+        its benign_generator a level."""
         doc = cursor(data)
         T = tower_from_json(doc.key("tower"))
         steps = doc.key("chain").each()
         if not steps:
             raise doc.key("chain").error("must hold at least its bottom step")
         for step in steps:
-            step.get("benign_generator", "").of(str)
+            if "benign_generator" in step.value:
+                gen = step.key("benign_generator")
+                with gen.blame():
+                    T.ensure_name(gen.of(str))
             names = step.get("generators", [])
             with names.blame():
                 for name in names.array(str):

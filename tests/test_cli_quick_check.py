@@ -440,3 +440,37 @@ def test_missing_key_is_an_input_error_at_its_parent(tmp_path, capsys, argv, mak
     assert code == 1 and not err and _input_error(rep, parent)
     assert isinstance(_resolve(doc, rep["path"]), dict)
     assert rep["error"] == f"{parent or 'the document'} has no key {key!r}"
+
+
+@pytest.mark.parametrize("name", ["zz", "a0+"])
+def test_unknown_benign_generator_is_an_input_error_at_its_path(tmp_path, capsys, name):
+    doc = _chain()
+    doc["chain"][1]["benign_generator"] = name
+    p = tmp_path / "chain.json"
+    p.write_text(json.dumps(doc))
+    code = main(["babbitt", "verify", str(p), "--format", "json"])
+    out, err = capsys.readouterr()
+    rep = json.loads(out)
+    assert code == 1 and err == "" and _input_error(rep, "chain[1].benign_generator")
+    assert rep["error"] == f"unknown tower generator {name!r}"
+
+
+def test_specialization_tower_document_runs_through_ld(tmp_path, capsys):
+    from diffalg.exactfield import FunctionField, PrimeField
+    from diffalg.towers import benign_make, tower_to_json
+
+    T = benign_make(FunctionField(PrimeField(5), [0, 1], [1, 1]), ["-t", 0, 1],
+                    kind="specialization-verified")
+    p = tmp_path / "tower.json"
+    p.write_text(json.dumps(tower_to_json(T)))
+    code = main(["ld", str(p), "--horizon", "0", "--format", "json"])
+    out, err = capsys.readouterr()
+    rep = json.loads(out)
+    assert code == 3 and err == ""
+    assert rep["instance"] == tower_to_json(T)
+    assert rep["result"]["d_sequence"] == [2] and rep["result"]["kind"] == "observed"
+    # level one is beyond what specialization certifies, loaded or built
+    code = main(["ld", str(p), "--format", "json"])
+    out, err = capsys.readouterr()
+    assert code == 1 and err == ""
+    assert json.loads(out) == {"error": "specialization certificates only apply at level zero"}

@@ -1,5 +1,6 @@
 """Field constructions, endomorphism laws, canonical forms, serialization."""
 
+import ast
 import json
 import random
 
@@ -10,8 +11,8 @@ from diffalg import _polycore as pc
 from diffalg.exactfield import (DECODE_TABLE_MAX_P, PRIME_BOUND, TABLE_MAX_ORDER,
                                 DifferenceField, FieldError, FrobeniusDescriptor,
                                 FunctionField, GaloisField, PrimeField, Rationals,
-                                ShiftField, _decode_table, _is_prime, field_make,
-                                is_inversive, sigma_apply)
+                                ShiftField, _decode_table, _is_prime, _log_tables,
+                                field_make, is_inversive, sigma_apply)
 from diffalg.findiff import FinSigmaAlgebra
 
 F4 = GaloisField(2, [1, 1, 1])
@@ -261,6 +262,131 @@ def test_zech_table_is_the_log_of_one_plus_each_power(p, defpoly):
         [0 if p == 2 else (F.order - 1) // 2]
 
 
+# -- Zech-log kernels against the generic loops ------------------------------------
+
+# F_625, F_729 and F_4096 have tables; F_15625 is above the cap, where every
+# kernel is the generic loop.
+KERNEL_FIELDS = ZECH_FIELDS + LARGE_FIELDS
+
+
+def _seeded_poly(F, rng, top):
+    f = [F.zero() if rng.random() < 0.3 else F.sample(rng) for _ in range(rng.randint(0, top))]
+    return pc.trim(F, f)
+
+
+@pytest.mark.parametrize("p, defpoly", KERNEL_FIELDS,
+                         ids=[f"F{p ** (len(d) - 1)}" for p, d in KERNEL_FIELDS])
+def test_galois_kernels_equal_the_generic_loops(p, defpoly):
+    F, G = GaloisField(p, defpoly), DifferenceField
+    rng = random.Random(7000 + p * len(defpoly))
+    a, b = F.sample(rng), F.sample(rng)
+    while F.is_zero(a) or F.is_zero(b):
+        a, b = F.sample(rng), F.sample(rng)
+    vectors = _seeded_vectors(F, rng) + [[], [F.zero()] * 5]
+    for v in vectors:
+        row = [F.zero() if rng.random() < 0.3 else F.sample(rng) for _ in v]
+        for c in (F.sample(rng), F.zero(), F.one()):
+            assert F.dot(v, row) == G.dot(F, v, row)
+            assert F.row_sub(v, c, row) == G.row_sub(F, v, c, row)
+            assert F.row_scale(c, v) == G.row_scale(F, c, v)
+        assert F.row_sub(v, a, v) == G.row_sub(F, v, a, v)
+        assert F.row_sub(row, F.one(), row) == [F.zero()] * len(row)    # cancels
+    # a b + a (-b) = 0
+    assert F.dot([a, a], [b, F.neg(b)]) == G.dot(F, [a, a], [b, F.neg(b)]) == F.zero()
+    # structure constants with zeros
+    n = 4
+    table = [[[(t, F.sample(rng)) for t in range(n) if rng.random() < 0.4]
+              for _ in range(n)] for _ in range(n)]
+    table = [[[(t, c) for t, c in cell if not F.is_zero(c)] for cell in row] for row in table]
+    for u, v in zip(vectors, vectors[1:]):
+        u, v = (u + [F.zero()] * n)[:n], (v + [F.zero()] * n)[:n]
+        assert F.bilinear(u, v, table) == G.bilinear(F, u, v, table)
+    cancel = [[[(1, a)], []], [[], [(1, F.neg(a))]]]     # e_0^2 = a e_1, e_1^2 = -a e_1
+    one = [F.one(), F.one()]
+    assert F.bilinear(one, one, cancel) == G.bilinear(F, one, one, cancel) == [F.zero()] * 2
+    # polynomials, empty and constant ones included
+    polys = [_seeded_poly(F, rng, 7) for _ in range(30)] + [[], [a], [F.zero(), a]]
+    for f in polys:
+        for g in polys:
+            assert F.poly_mul(f, g) == G.poly_mul(F, f, g)
+            if g:
+                assert F.poly_divmod(f, g) == G.poly_divmod(F, f, g)
+    # (x + a)(x - a) = x^2 - a^2: the middle coefficient cancels
+    plus, minus = [a, F.one()], [F.neg(a), F.one()]
+    assert F.poly_mul(plus, minus) == G.poly_mul(F, plus, minus) \
+        == [F.neg(F.mul(a, a)), F.zero(), F.one()]
+    assert F.poly_divmod(F.poly_mul(plus, minus), minus) == ([a, F.one()], [])
+    with pytest.raises(ZeroDivisionError):
+        F.poly_divmod([a], [])
+
+
+@pytest.mark.parametrize("p", [2, 5, 7])
+def test_prime_polynomial_kernels_equal_the_generic_loops(p):
+    k, rng = PrimeField(p), random.Random(1900 + p)
+    polys = [_seeded_poly(k, rng, 9) for _ in range(40)] + [[], [1], [0, 1]]
+    for f in polys:
+        for g in polys:
+            assert k.poly_mul(f, g) == DifferenceField.poly_mul(k, f, g)
+            if not g:
+                continue
+            q, r = k.poly_divmod(f, g)
+            assert (q, r) == DifferenceField.poly_divmod(k, f, g)
+            assert len(r) < len(g)
+            assert pc.add(k, k.poly_mul(q, g), r) == f     # f = q g + r
+    with pytest.raises(ZeroDivisionError):
+        k.poly_divmod([1], [])
+
+
+# -- the log table as the irreducibility certificate ---------------------------------
+
+
+@pytest.mark.parametrize("p, defpoly", [
+    (3, [1, 0, 0, 0, 1]),            # x^4 + 1 = (x^2 + x + 2)(x^2 + 2x + 2)
+    (2, [1, 0, 0, 0, 1, 1]),         # (x^2 + x + 1)(x^3 + x + 1)
+    (3, [1, 0, 2, 0, 1]),            # (x^2 + 1)^2
+    (5, [1, 2, 1, 2, 2, 0, 1]),      # (x^3 + x + 1)^2, above the table cap
+], ids=["x4+1-F3", "2x3-F2", "square-F3", "square-F5-large"])
+def test_reducible_defpoly_without_roots_names_a_factor(p, defpoly):
+    fp = PrimeField(p)
+    assert all(pc.evaluate(fp, defpoly, x) for x in range(p))     # no root
+    if p ** (len(defpoly) - 1) <= TABLE_MAX_ORDER:
+        assert _log_tables(p, tuple(defpoly)) is None
+    with pytest.raises(FieldError) as err:
+        GaloisField(p, defpoly)
+    factor = ast.literal_eval(str(err.value).split("nontrivial factor ")[1])
+    assert 0 < pc.deg(factor) < len(defpoly) - 1
+    assert pc.mod(fp, defpoly, factor) == []
+
+
+def test_tables_exist_exactly_for_irreducible_defpolys():
+    # every monic defpoly of table size up to F_125; the Rabin test is the
+    # oracle.  x^2 over F_2 is why g^(q-1) = 1 is checked: the powers 1, x, 0
+    # of x are distinct, but x^3 = 0.
+    for p, degrees in ((2, range(2, 7)), (3, range(2, 5)), (5, range(2, 4))):
+        fp = PrimeField(p)
+        for n in degrees:
+            for k in range(p ** n):
+                f = [k // p ** i % p for i in range(n)] + [1]
+                irreducible = pc.is_irreducible(fp, f, p)
+                assert (_log_tables(p, tuple(f)) is not None) == irreducible, f
+                if not irreducible:
+                    with pytest.raises(FieldError, match="nontrivial factor"):
+                        GaloisField(p, f)
+
+
+def test_table_fields_run_no_rabin_test(monkeypatch):
+    calls = []
+    monkeypatch.setattr(pc, "is_irreducible", lambda *a: calls.append(a) or True)
+    _log_tables.cache_clear()
+    # built once with fresh tables, then again from the cached ones
+    for p, defpoly in ZECH_FIELDS + LARGE_FIELDS[:3]:
+        for m in (1, 2):
+            assert GaloisField(p, defpoly, m)._log is not None
+    assert calls == []
+    # above the cap the Rabin test is the certificate
+    assert GaloisField(*LARGE_FIELDS[-1])._log is None and len(calls) == 1
+
+
 # -- inversivity ------------------------------------------------------------------
 
 
@@ -401,7 +527,8 @@ class PerScalarPrimeField(PrimeField):
 
 def _seeded_vectors(k, rng, count=40):
     # about a third of the entries zero, lengths 0..12
-    return [[0 if rng.random() < 0.35 else k.sample(rng) for _ in range(rng.randint(0, 12))]
+    return [[k.zero() if rng.random() < 0.35 else k.sample(rng)
+             for _ in range(rng.randint(0, 12))]
             for _ in range(count)]
 
 

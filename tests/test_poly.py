@@ -5,8 +5,9 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
-from diffalg.exactfield import (FunctionField, GaloisField, PrimeField,
-                                Rationals, ShiftField)
+from diffalg import _polycore as pc
+from diffalg.exactfield import (DifferenceField, FunctionField, GaloisField,
+                                PrimeField, Rationals, ShiftField)
 from diffalg.poly import (Poly, UnsupportedBaseError, factor_over_finite_field,
                           is_irreducible, is_separable, poly_gcd, roots,
                           sigma_twist)
@@ -166,3 +167,32 @@ def test_gcd_divides_both(cs1, cs2):
     for h in (f, g):
         _, r = divmod(h, d)
         assert r.is_zero()
+
+
+@pytest.mark.parametrize("p, defpoly", [(2, [1, 1, 1]), (3, [1, 0, 1]), (5, [2, 1, 1]),
+                                        (3, [1, 2, 0, 1])],
+                         ids=["F4", "F9", "F25", "F27"])
+def test_roots_over_extension_fields_equal_brute_force(p, defpoly):
+    F = GaloisField(p, defpoly)
+    elems = list(F.all_elements())
+    rng, with_roots = random.Random(4100 + F.order), 0
+    for _ in range(12):
+        # a product of linear factors, with repeats, and one seeded cofactor
+        coeffs = [F.one()]
+        for _ in range(rng.randint(0, 4)):
+            coeffs = pc.mul(F, coeffs, [F.neg(rng.choice(elems[:6])), F.one()])
+        coeffs = pc.mul(F, coeffs, pc.trim(F, [F.sample(rng) for _ in range(3)]) or [F.one()])
+        f = Poly.make(F, coeffs)
+        if f.is_zero():
+            continue
+        want = {}
+        for a in elems:
+            # evaluate at a; the multiplicity by the generic division loop
+            g, m = list(f.coeffs), 0
+            while g and F.is_zero(pc.evaluate(F, g, a)):
+                g, m = DifferenceField.poly_divmod(F, g, [F.neg(a), F.one()])[0], m + 1
+            if m:
+                want[a] = m
+        assert dict(roots(f)) == want
+        with_roots += bool(want)
+    assert with_roots >= 6

@@ -510,3 +510,37 @@ def test_tower_json_round_trip_explicit_and_lazy():
         r1 = limit_degree(T, horizon=3)
         r2 = limit_degree(again, horizon=3)
         assert r1.d_sequence == r2.d_sequence
+
+
+def _specialization_tower():
+    return benign_make(FunctionField(F5, [0, 1], [1, 1]), ["-t", 0, 1],
+                       kind="specialization-verified")
+
+
+def test_specialization_tower_loads_the_json_it_writes():
+    T = _specialization_tower()
+    blob = tower_to_json(T)
+    assert blob["families"][0]["kind"] == "specialization-verified"
+    again = tower_from_json(blob)
+    assert tower_to_json(again) == blob
+    # level zero is certified and checked Galois at load, as benign_make does
+    assert [lv.name for lv in again.levels] == [lv.name for lv in T.levels] == ["b0"]
+    assert again.certified_kind is None and T.certified_kind is None
+    r1, r2 = limit_degree(T, horizon=0), limit_degree(again, horizon=0)
+    assert r1 == r2 and r1.d_sequence == [2] and not r1.certified
+    # deeper levels are refused in both, with the same text
+    for tower in (T, again):
+        with pytest.raises(TowerError, match="only apply at level zero"):
+            limit_degree(tower, horizon=1)
+
+
+def test_specialization_family_that_is_not_galois_is_refused_at_its_path():
+    blob = tower_to_json(_specialization_tower())
+    # x^3 + x + t: irreducible at t = 1 over F_5, but of no shape whose
+    # Galois property the tower can certify
+    one = {"num": ["1"], "den": ["1"]}
+    blob["families"][0]["minpoly"] = [{"num": ["0", "1"], "den": ["1"]}, one,
+                                      {"num": [], "den": ["1"]}, one]
+    with pytest.raises(NotGaloisError, match="cannot certify the Galois property") as err:
+        tower_from_json(blob)
+    assert err.value.path == "families[0]"
