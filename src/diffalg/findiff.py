@@ -7,12 +7,16 @@ sigma(e_j), so its columns are the images of the basis vectors.  This module
 hosts the separability and etale predicates, idempotent enumeration, and the
 strong-core engine: base-change to a splitting extension, the span of
 periodic idempotents there, and exact linear descent back to the ground
-field.
+field.  Over F_q the primitive idempotents are split out of the q-power-fixed
+subalgebra inside the algebra (_split_fixed), by powers of random fixed
+elements alone.
 
 multiply runs the base field's bilinear kernel on a sparse copy of mul, the
 nonzero (t, c) pairs of each e_i e_j, built on the first product and kept
 off to_json.  factor memoises factor_over_finite_field on the algebra, so
 the memo lives as long as the algebra: one strong core or one CLI verdict.
+field_embedding finds the image of the small field's generator once per pair
+of defining polynomials and process (_defpoly_root, a 32-entry LRU).
 
 Every subalgebra or quotient carved out of a bigger ring (the strong core,
 a sigma-closure, the quotient by a sigma-ideal, the truncated window, the
@@ -23,6 +27,7 @@ ambient elements and a coordinate function.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+import functools
 import random
 
 from . import _linalg as la
@@ -30,7 +35,7 @@ from . import _multipoly as mp
 from . import _polycore as pc
 from ._load import cursor
 from .exactfield import GaloisField, PrimeField, field_make
-from .poly import Poly, factor_over_finite_field
+from .poly import Poly, factor_over_finite_field, roots
 
 
 class RestrictedAutomationError(RuntimeError):
@@ -318,11 +323,11 @@ def _is_finite_base(base):
 def primitive_idempotents(A: FinSigmaAlgebra, supplied=None):
     """Complete list of primitive idempotents: orthogonal, summing to one.
 
-    Over a finite base this is fully automatic through the subalgebra of
-    q-power-fixed elements, whose elements have squarefree minimal
-    polynomials that split over the base; splitting by partial-fraction
-    idempotent lifts then terminates with the primitive list.  Over other
-    bases a complete orthogonal decomposition must be supplied.
+    Over a finite base F_q this is fully automatic through Berlekamp's
+    subalgebra B = {x : x^q = x}, a copy of F_q^r with one coordinate per
+    local factor.  _split_fixed splits B inside the algebra by random
+    elements of B, without a minimal polynomial or a factorization.  Over
+    other bases a complete orthogonal decomposition must be supplied.
     """
     k = A.base
     if supplied is not None:
@@ -337,10 +342,7 @@ def primitive_idempotents(A: FinSigmaAlgebra, supplied=None):
     m = [[k.sub(phi_cols[j][i], k.one() if i == j else k.zero())
           for j in range(A.dim)] for i in range(A.dim)]
     fixed = la.nullspace(k, m)
-    prims = []
-    _split_fixed_factor(A, A.unit, fixed, prims)
-    if len(prims) != len(fixed):
-        raise AssertionError("primitive idempotent count mismatch")
+    prims = _split_fixed(A, fixed)
     prims.sort(key=lambda v: repr([k.scalar_to_json(c) for c in v]))
     return [Idempotent(v, primitive=True) for v in prims]
 
@@ -361,42 +363,59 @@ def _check_supplied_idempotents(A, supplied):
         raise ValueError("supplied idempotents do not sum to the unit")
 
 
-def _split_fixed_factor(A, unit_vec, basis, prims):
-    """Recursively split a factor of the fixed-point subalgebra."""
+# A round of _split_fixed separates two given local factors with probability
+# at least 1/2, so a sound algebra needs about log2 r rounds; an algebra that
+# breaks the axioms fails the checks after this many instead of looping.
+_SPLIT_ROUNDS = 64
+
+
+def _split_fixed(A, fixed):
+    """The primitive idempotents of A, cut out of the q-power-fixed
+    subalgebra B ~ F_q^r spanned by fixed, r = len(fixed).
+
+    Each round draws a random b in B and cuts every part u by idempotents
+    read off b's coordinates (Cantor-Zassenhaus).  For odd q, h = b^((q-1)/2)
+    has coordinates in {0, 1, -1}, so with s = h^2 the cuts are (s + h)/2 and
+    (s - h)/2, the rest of u being where b vanishes; for q = 2^m the trace
+    b + b^2 + ... + b^(2^(m-1)) has coordinates in F_2 and is the one cut.
+    """
     k = A.base
-    if len(basis) == 1:
-        prims.append(list(unit_vec))
-        return
-    splitter = None
-    minpoly = None
-    for b in basis:
-        m = minimal_polynomial(A, b, unit=unit_vec)
-        if m.degree() >= 2:
-            splitter, minpoly = b, m
+    q, r = k.order, len(fixed)
+    one = k.one()
+    rng = random.Random(0xA70A ^ A.dim)
+    parts = [list(A.unit)]
+    for _ in range(_SPLIT_ROUNDS):
+        if len(parts) >= r:
             break
-    if splitter is None:
-        raise AssertionError("fixed-point factor of dim > 1 with no splitting element")
-    pieces = A.factor(minpoly)
-    parts = []
-    for g, mult in pieces.factors:
-        if g.degree() != 1 or mult != 1:
-            raise AssertionError("fixed-point element with non-split minimal polynomial")
-        root = k.neg(g.coeffs[0])
-        # partial-fraction idempotent lift: h(x) = prod (x - r')/(r - r')
-        h = Poly.make(k, [k.one()])
-        for g2, _ in pieces.factors:
-            r2 = k.neg(g2.coeffs[0])
-            if k.eq(r2, root):
-                continue
-            num = Poly.make(k, [k.neg(r2), k.one()])
-            h = h * num.scale(k.inv(k.sub(root, r2)))
-        e = A.evaluate_poly(h, splitter, unit=unit_vec)
-        parts.append(e)
-    for e in parts:
-        span = la.SpanBasis(k, A.dim)
-        for b in basis:
-            span.add(A.multiply(e, b))
-        _split_fixed_factor(A, e, span.basis(), prims)
+        b = A.zero_vec()
+        for f in fixed:
+            b = A.vec_add(b, A.scalar_mul(k.sample(rng), f))
+        if q % 2:
+            h = A.power(b, (q - 1) // 2)
+            s = A.multiply(h, h)
+            plus = k.row_scale(k.inv(k.from_int(2)), A.vec_add(s, h))
+            cuts = [plus, k.row_sub(s, one, plus)]
+        else:
+            t = cur = b
+            for _ in range(k.degree - 1):
+                cur = A.multiply(cur, cur)
+                t = A.vec_add(t, cur)
+            cuts = [t]
+        split = []
+        for u in parts:
+            for e in cuts:
+                ue = A.multiply(u, e)
+                u = k.row_sub(u, one, ue)
+                split.append(ue)
+            split.append(u)
+        parts = [u for u in split if not A.vec_is_zero(u)]
+    total = A.zero_vec()
+    for u in parts:
+        total = A.vec_add(total, u)
+    if (len(parts) != r or not A.vec_eq(total, A.unit)
+            or not all(A.is_idempotent(u) for u in parts)):
+        raise AssertionError("primitive idempotent count mismatch")
+    return parts
 
 
 def is_periodic(A: FinSigmaAlgebra, v, horizon=None) -> PeriodicityResult:
@@ -609,13 +628,9 @@ def field_embedding(k, K):
         if (K.frobenius_power - k.frobenius_power) % k.degree != 0:
             raise CompatibilityError(
                 "the larger field's endomorphism does not restrict to the base's")
-        from .poly import roots
-
-        defp = Poly.make(K, [K.from_int(c) for c in k.defpoly])
-        rs = sorted((r for r, _ in roots(defp)), key=lambda t: tuple(t))
-        if not rs:
+        root = _defpoly_root(k.p, k.defpoly, K.defpoly)
+        if root is None:
             raise CompatibilityError("defining polynomial has no root in the target")
-        root = rs[0]
 
         def embed(a, _root=root, _K=K, _k=k):
             acc = _K.zero()
@@ -626,6 +641,15 @@ def field_embedding(k, K):
         return embed
     raise CompatibilityError(
         f"no embedding rule for {k.descriptor()} into {K.descriptor()}")
+
+
+@functools.lru_cache(maxsize=32)
+def _defpoly_root(p, small, big):
+    """The least root of small in F_p[x]/(big), or None: the image of x under
+    field_embedding, found once per pair of defining polynomials."""
+    K = GaloisField(p, list(big), _validated=True)
+    rs = sorted(r for r, _ in roots(Poly.make(K, [K.from_int(c) for c in small])))
+    return rs[0] if rs else None
 
 
 def splitting_extension(base, N):
@@ -803,6 +827,8 @@ def _lcm(a, b):
 def _irreducible_part(A, v, unit):
     """(degree, full minimal polynomial) of an element of a local factor."""
     m = minimal_polynomial(A, v, unit=unit)
+    if m.degree() == 1:
+        return 1, m
     fl = A.factor(m)
     degs = {g.degree() for g, _ in fl.factors}
     if len(degs) != 1:

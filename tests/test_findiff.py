@@ -1,5 +1,6 @@
 """Finite-dimensional difference algebras: predicates, idempotents, cores."""
 
+import itertools
 import random
 
 import pytest
@@ -7,7 +8,7 @@ import pytest
 import diffalg._linalg as la
 from diffalg.exactfield import DifferenceField, GaloisField, PrimeField, Rationals
 from diffalg.diffpoly import UnsupportedPresentationError
-from diffalg.findiff import (FinSigmaAlgebra, RestrictedAutomationError,
+from diffalg.findiff import (_SPLIT_ROUNDS, FinSigmaAlgebra, RestrictedAutomationError,
                              ZeroRingError, algebra_on_basis, algebra_validate,
                              base_change,
                              is_etale, is_periodic, is_sigma_reduced,
@@ -15,7 +16,8 @@ from diffalg.findiff import (FinSigmaAlgebra, RestrictedAutomationError,
                              minimal_polynomial, primitive_idempotents,
                              quotient_by_sigma_ideal, restrict_scalars,
                              sigma_subalgebra_generated, splitting_extension,
-                             strong_core, tensor_product, twist_and_psi)
+                             strong_core, tensor_product, twist_and_psi,
+                             _split_fixed)
 from diffalg.instances import (conjugate, diagonal_algebra, field_algebra,
                                nilpotent_sigma_separable, random_invertible,
                                random_point_algebra, random_strongly_setale,
@@ -188,6 +190,88 @@ def test_enumeration_needs_finite_base_or_supplied_data():
     # dim-1 over Q: restricted automation
     with pytest.raises(RestrictedAutomationError):
         primitive_idempotents(A)
+
+
+ORACLE_FIELDS = {"F2": F2, "F3": F3, "F4": GaloisField(2, [1, 1, 1]), "F5": F5,
+                 "F9": GaloisField(3, [1, 0, 1])}
+
+
+def _elements(k):
+    return list(k.all_elements()) if isinstance(k, GaloisField) else list(range(k.p))
+
+
+def _brute_primitive_idempotents(A):
+    """The minimal nonzero idempotents, found among all q^n elements."""
+    idem = [list(v) for v in itertools.product(_elements(A.base), repeat=A.dim)
+            if A.is_idempotent(list(v)) and not A.vec_is_zero(list(v))]
+    return sorted(tuple(e) for e in idem
+                  if not any(f != e and A.vec_eq(A.multiply(e, f), f) for f in idem))
+
+
+def _monic(k, rng, degree):
+    return [k.sample(rng) for _ in range(degree)] + [k.one()]
+
+
+def _oracle_algebras(k, rng):
+    """Seeded, conjugated algebras over k with q^dim <= 729 and at most six
+    local factors."""
+    from diffalg import _polycore as pc
+
+    n = min(6, max(d for d in range(1, 7) if k.order ** d <= 729))
+
+    def hide(A):
+        return conjugate(A, random_invertible(k, A.dim, rng))
+
+    out = [random_point_algebra(k, rng, d, bijective=b) for d in (2, n) for b in (True, False)]
+    # k[y]/(g^2 h): a repeated linear factor and a random cofactor
+    g = _monic(k, rng, 1)
+    out.append(hide(poly_quotient(k, pc.mul(k, pc.mul(k, g, g), _monic(k, rng, n - 2)), 1)))
+    # a field k[y]/(f), f irreducible of degree min(n, 3)
+    while True:
+        f = _monic(k, rng, min(n, 3))
+        fl = factor_over_finite_field(Poly.make(k, f)).factors
+        if len(fl) == 1 and fl[0][0].degree() == len(f) - 1:
+            break
+    out.append(hide(poly_quotient(k, f, 1)))
+    out.append(hide(nilpotent_sigma_separable(k, k.sample(rng))))
+    return out
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_FIELDS))
+def test_primitive_idempotents_match_brute_force(name):
+    k = ORACLE_FIELDS[name]
+    for A in _oracle_algebras(k, random.Random(f"idempotent-oracle-{name}")):
+        got = [tuple(e.coords) for e in primitive_idempotents(A)]
+        assert sorted(got) == _brute_primitive_idempotents(A)
+
+
+def test_primitive_idempotents_of_a_tensor_of_fields_match_brute_force():
+    # F_8 (x) F_8 over F_2 is F_8^3: three idempotents no basis vector shows
+    F8 = field_algebra(2, [1, 1, 0, 1])
+    T = tensor_product(F8, F8)
+    A = conjugate(T, random_invertible(F2, T.dim, random.Random("idempotent-oracle-tensor")))
+    got = [tuple(e.coords) for e in primitive_idempotents(A)]
+    assert len(got) == 3 and sorted(got) == _brute_primitive_idempotents(A)
+
+
+def test_non_associative_input_raises_instead_of_hanging():
+    # commutative and unital over F_5 but not associative: e1e1 = e2,
+    # e1e2 = e1, e2e2 = e0
+    e = la.identity(F5, 3)
+    mul = [[e[0], e[1], e[2]], [e[1], e[2], e[1]], [e[2], e[1], e[0]]]
+    A = FinSigmaAlgebra(F5, mul, e[0], la.identity(F5, 3))
+    with pytest.raises(AssertionError, match="primitive idempotent count mismatch"):
+        primitive_idempotents(A)
+
+
+def test_splitter_gives_up_after_its_round_cap():
+    # a field claimed to have two local factors never splits
+    A = field_algebra(3, [1, 0, 1])
+    rounds = []
+    A.power = lambda v, e: rounds.append(e) or FinSigmaAlgebra.power(A, v, e)
+    with pytest.raises(AssertionError, match="primitive idempotent count mismatch"):
+        _split_fixed(A, [A.unit, A.unit])
+    assert len(rounds) == _SPLIT_ROUNDS
 
 
 # -- periodicity ----------------------------------------------------------------------
