@@ -15,9 +15,10 @@ class ExpressionError(ValueError):
     pass
 
 
-# The largest literal exponent or sigma count an expression may hold: far
-# above every one the gallery and the suites write, and small enough that one
-# power or sigma chain stays quick, where a literal like 10^8 would not end.
+# The largest literal exponent or sigma count an expression may hold, and the
+# largest product of nested exponents: far above every one the gallery and the
+# suites write, and small enough that one power or sigma chain stays quick,
+# where a literal like 10^8, or ((y0+1)^1000)^1000, would not end.
 MAX_LITERAL = 1000
 
 
@@ -82,7 +83,10 @@ def _int_literal(node):
     raise ExpressionError("expected an integer literal")
 
 
-def _ev(node, ops):
+def _ev(node, ops, scale=1):
+    """The value of node; scale is the product of the exponents of the powers
+    around it, which together raise it to that power, so nested powers share
+    the one cap."""
     if isinstance(node, ast.Constant):
         if isinstance(node.value, int):
             return ops.from_int(node.value)
@@ -92,9 +96,11 @@ def _ev(node, ops):
             e = _int_literal(node.right)
             if e < 0:
                 raise ExpressionError("negative exponents are not supported")
-            return ops.pow(_ev(node.left, ops), _within_cap(e, "exponent"))
-        a = _ev(node.left, ops)
-        b = _ev(node.right, ops)
+            inner = _within_cap(scale * max(_within_cap(e, "exponent"), 1),
+                                "product of nested exponents")
+            return ops.pow(_ev(node.left, ops, inner), e)
+        a = _ev(node.left, ops, scale)
+        b = _ev(node.right, ops, scale)
         if isinstance(node.op, ast.Add):
             return ops.add(a, b)
         if isinstance(node.op, ast.Sub):
@@ -106,9 +112,9 @@ def _ev(node, ops):
         raise ExpressionError(f"unsupported operator {type(node.op).__name__}")
     if isinstance(node, ast.UnaryOp):
         if isinstance(node.op, ast.USub):
-            return ops.neg(_ev(node.operand, ops))
+            return ops.neg(_ev(node.operand, ops, scale))
         if isinstance(node.op, ast.UAdd):
-            return _ev(node.operand, ops)
+            return _ev(node.operand, ops, scale)
         raise ExpressionError("unsupported unary operator")
     if isinstance(node, ast.Name):
         return ops.name(node.id)
@@ -120,6 +126,6 @@ def _ev(node, ops):
             try:
                 args.append(_int_literal(a))
             except ExpressionError:
-                args.append(_ev(a, ops))
+                args.append(_ev(a, ops, scale))
         return ops.call(node.func.id, args)
     raise ExpressionError(f"unsupported syntax {type(node).__name__}")

@@ -15,8 +15,6 @@ most n, and sigma raises the level by one.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from . import _exprs
 from . import _linalg as la
 from . import _multipoly as mp
@@ -279,14 +277,12 @@ class Presentation(mp.Ring):
             return Presentation(base, var_names, gens)
 
 
-@dataclass
 class LevelAlgebra:
-    """The level-n truncation with an explicit monomial basis."""
+    """The level-n truncation with an explicit monomial basis; index maps each
+    monomial to its position in monomials."""
 
-    pres: Presentation
-    level: int
-    monomials: list
-    index: dict     # each monomial's position in monomials
+    def __init__(self, pres, level, monomials, index):
+        self.pres, self.level, self.monomials, self.index = pres, level, monomials, index
 
     @staticmethod
     def make(pres, n):
@@ -303,13 +299,12 @@ class LevelAlgebra:
         return mp.from_dense(self.pres.base, coords, self.monomials)
 
 
-@dataclass
 class TruncatedQuotient:
     """Directed system access: levels, inclusions (identity on normal forms)
     and sigma maps raising the level."""
 
-    pres: Presentation
-    levels: dict = field(default_factory=dict)
+    def __init__(self, pres, levels=None):
+        self.pres, self.levels = pres, {} if levels is None else levels
 
     def level(self, n):
         if n not in self.levels:
@@ -322,13 +317,11 @@ def truncate(pres: Presentation, n: int) -> LevelAlgebra:
     return LevelAlgebra.make(pres, n)
 
 
-@dataclass
 class IdempotentClassification:
-    element: dict
-    status: str            # "periodic" | "nonperiodic" | "unknown"
-    period: int | None = None
-    reason: str | None = None
-    steps: int = 0
+    def __init__(self, element, status, period=None, reason=None, steps=0):
+        # status: "periodic" | "nonperiodic" | "unknown"
+        self.element, self.status = element, status
+        self.period, self.reason, self.steps = period, reason, steps
 
 
 def _level_split_points(pres, n):
@@ -416,13 +409,12 @@ def periodic_idempotents_truncated(pres: Presentation, n: int, horizon: int = 64
     return out
 
 
-@dataclass
 class TruncatedCoreResult:
-    basis: list               # element dicts spanning the core inside level n
-    status: str               # "exact" | "lower-bound"
-    window_vars: list
-    algebra: FinSigmaAlgebra | None
-    details: dict
+    def __init__(self, basis, status, window_vars, algebra, details):
+        # basis: element dicts spanning the core inside level n;
+        # status: "exact" | "lower-bound"; algebra: a FinSigmaAlgebra or None
+        self.basis, self.status, self.window_vars = basis, status, window_vars
+        self.algebra, self.details = algebra, details
 
 
 def _variable_window(pres, n, horizon):

@@ -33,7 +33,7 @@ overrides all but vec_from_json with loops over Zech logarithms.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 import functools
 import operator
 from fractions import Fraction
@@ -52,21 +52,20 @@ class NotCanonicalError(AssertionError):
     """An element failed the canonical-form invariant."""
 
 
-@dataclass(frozen=True)
-class FrobeniusDescriptor:
+class FrobeniusDescriptor(namedtuple("FrobeniusDescriptor", "p m")):
     """x -> x^(p^m) on a field of characteristic p."""
 
-    p: int
-    m: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.p >= PRIME_BOUND:
-            raise FieldError(f"characteristic {self.p} is not below {PRIME_BOUND}, "
+    def __new__(cls, p, m):
+        if p >= PRIME_BOUND:
+            raise FieldError(f"characteristic {p} is not below {PRIME_BOUND}, "
                              "the bound of the exact primality test")
-        if not _is_prime(self.p):
-            raise FieldError(f"{self.p} is not prime")
-        if self.m < 0:
+        if not _is_prime(p):
+            raise FieldError(f"{p} is not prime")
+        if m < 0:
             raise FieldError("Frobenius power must be >= 0")
+        return super().__new__(cls, p, m)
 
 
 # No composite below PRIME_BOUND is a strong probable prime to every one of

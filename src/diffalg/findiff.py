@@ -26,7 +26,6 @@ ambient elements and a coordinate function.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 import functools
 import random
 
@@ -155,19 +154,17 @@ class FinSigmaAlgebra:
         return FinSigmaAlgebra(base, mul, unit, sigma)
 
 
-@dataclass
 class ValidationReport:
-    ok: bool
-    violations: list
+    def __init__(self, ok, violations):
+        self.ok, self.violations = ok, violations
 
     def __bool__(self):
         return self.ok
 
 
-@dataclass
 class Idempotent:
-    coords: list
-    primitive: bool = False
+    def __init__(self, coords, primitive=False):
+        self.coords, self.primitive = coords, primitive
 
 
 class SigmaAlgebraMorphism:
@@ -206,23 +203,19 @@ class SigmaAlgebraMorphism:
         return ValidationReport(not violations, violations)
 
 
-@dataclass
 class PeriodicityResult:
-    status: str          # "periodic" | "nonperiodic" | "unknown"
-    period: int | None = None
-    reason: str | None = None
-    steps: int = 0
+    def __init__(self, status, period=None, reason=None, steps=0):
+        # status: "periodic" | "nonperiodic" | "unknown"
+        self.status, self.period, self.reason, self.steps = status, period, reason, steps
 
     def is_periodic(self):
         return self.status == "periodic"
 
 
-@dataclass
 class CoreResult:
-    algebra: FinSigmaAlgebra
-    inclusion: SigmaAlgebraMorphism
-    complete: bool
-    span: la.SpanBasis
+    def __init__(self, algebra, inclusion, complete, span):
+        self.algebra, self.inclusion = algebra, inclusion
+        self.complete, self.span = complete, span
 
 
 def algebra_validate(A: FinSigmaAlgebra) -> ValidationReport:

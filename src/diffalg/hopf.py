@@ -9,8 +9,6 @@ a full basis; nothing is sampled.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from . import _linalg as la
 from . import _multipoly as mp
 from .diffpoly import (LevelAlgebra, Presentation, sigma_kernel_slice,
@@ -20,7 +18,6 @@ from .findiff import (FinSigmaAlgebra, SigmaAlgebraMorphism, ValidationReport,
                       tensor_product)
 
 
-@dataclass
 class SigmaHopf:
     """Matrix-backed Hopf data over a FinSigmaAlgebra carrier A of dimension n.
 
@@ -29,10 +26,8 @@ class SigmaHopf:
     basis vector in A (x) A; antipode is n x n; counit is a length-n row.
     """
 
-    carrier: FinSigmaAlgebra
-    comul: list
-    antipode: list
-    counit: list
+    def __init__(self, carrier, comul, antipode, counit):
+        self.carrier, self.comul, self.antipode, self.counit = carrier, comul, antipode, counit
 
     def morphisms(self):
         """comul, counit and antipode as maps A -> A (x) A, A -> k, A -> A,
@@ -178,7 +173,6 @@ def strong_core_is_hopf_subalgebra(H: SigmaHopf) -> dict:
 # -- truncated group-like carriers ---------------------------------------------
 
 
-@dataclass
 class TruncatedGroupLikeHopf:
     """Presentation-backed Hopf structure with every variable group-like.
 
@@ -187,11 +181,10 @@ class TruncatedGroupLikeHopf:
     the counit sends every monomial to one.
     """
 
-    pres: Presentation
-
-    def __post_init__(self):
-        k = self.pres.base
-        for j, (start, d, coeffs) in self.pres.power_rules.items():
+    def __init__(self, pres):
+        self.pres = pres
+        k = pres.base
+        for j, (start, d, coeffs) in pres.power_rules.items():
             ok = all(k.is_zero(c) for c in coeffs[1:]) and k.eq(coeffs[0], k.one())
             if not ok:
                 raise ValueError(

@@ -7,12 +7,12 @@ equal-degree splitting, so identical seeds give identical factor orderings.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 import random
 
 from . import _multipoly as mp
 from . import _polycore as pc
-from .exactfield import DifferenceField, FractionField, GaloisField, PrimeField
+from .exactfield import FractionField, GaloisField, PrimeField
 
 DEFAULT_FACTOR_SEED = 0x0D1FFA17
 _X_INDEX = 1 << 60   # reserved multipoly index for the polynomial variable
@@ -22,12 +22,17 @@ class UnsupportedBaseError(ValueError):
     """Operation needs a base field of a different descriptor."""
 
 
-@dataclass(frozen=True)
 class Poly:
-    """coeffs[i] is the coefficient of x^i; no trailing zeros."""
+    """coeffs[i] is the coefficient of x^i; no trailing zeros.  Immutable."""
 
-    coeffs: tuple
-    base: DifferenceField
+    __slots__ = ("coeffs", "base")
+
+    def __init__(self, coeffs, base):
+        object.__setattr__(self, "coeffs", coeffs)
+        object.__setattr__(self, "base", base)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
 
     @staticmethod
     def make(base, coeffs):
@@ -118,12 +123,11 @@ class Poly:
         return "Poly(" + " + ".join(terms) + ")"
 
 
-@dataclass(frozen=True)
-class FactorList:
-    """unit * prod(factor^mult) equals the factored input exactly."""
+class FactorList(namedtuple("FactorList", "unit factors")):
+    """unit * prod(factor^mult) equals the factored input exactly; factors is
+    a tuple of (Poly, int), each factor monic irreducible."""
 
-    unit: object
-    factors: tuple  # of (Poly, int), factors monic irreducible
+    __slots__ = ()
 
     def expand(self, base):
         acc = Poly.make(base, [self.unit])

@@ -20,7 +20,6 @@ exponents strictly below the level degrees.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 import random
 
 from . import _exprs
@@ -54,16 +53,16 @@ class NotGaloisError(TowerError):
     pass
 
 
-@dataclass
 class TowerLevel:
-    name: str
-    family: str | None
-    index: int
-    minpoly: list            # tower-element coefficients over the prefix, monic
-    sigma_text: str
-    cert: str
-    degree: int
-    sigma_elem: dict | None = None   # cached parsed sigma rule
+    """One level: minpoly holds its monic minimal polynomial's coefficients as
+    elements of the levels below, sigma_elem caches the parsed sigma rule and
+    cert is the certificate kind, picked when the level is certified if None."""
+
+    def __init__(self, name, family, index, minpoly, sigma_text, cert, degree,
+                 sigma_elem=None):
+        self.name, self.family, self.index, self.minpoly = name, family, index, minpoly
+        self.sigma_text, self.cert, self.degree = sigma_text, cert, degree
+        self.sigma_elem = sigma_elem
 
 
 class TowerExtension(mp.Ring):
@@ -618,14 +617,13 @@ def stacked_radical_tower(base, r1=2, r2=2, shift=1, fam1="a", fam2="c") -> Towe
 # -- limit degree --------------------------------------------------------------
 
 
-@dataclass
 class LimitDegreeReport:
-    d_sequence: list
-    stabilized_at: int | None
-    value: int | None
-    certified: bool
-    observed_window: int
-    kind: str
+    def __init__(self, d_sequence, stabilized_at, value, certified, observed_window, kind):
+        self.d_sequence, self.stabilized_at, self.value = d_sequence, stabilized_at, value
+        self.certified, self.observed_window, self.kind = certified, observed_window, kind
+
+    def __eq__(self, other):
+        return isinstance(other, LimitDegreeReport) and self.to_json() == other.to_json()
 
     def to_json(self):
         return {"d_sequence": self.d_sequence, "stabilized_at": self.stabilized_at,
@@ -666,11 +664,10 @@ def limit_degree(T: TowerExtension, horizon: int = 6, window: int = 4) -> LimitD
 # -- sigma-radicial ------------------------------------------------------------
 
 
-@dataclass
 class RadicialVerdict:
-    status: str                  # "radicial" | "unknown"
-    exponents: dict
-    evidence: dict
+    def __init__(self, status, exponents, evidence):
+        # status: "radicial" | "unknown"
+        self.status, self.exponents, self.evidence = status, exponents, evidence
 
 
 def is_sigma_radicial(T: TowerExtension, horizon: int = 6,
@@ -730,16 +727,13 @@ def field_sigma_radicial_over(K_star, K) -> RadicialVerdict:
 # -- strong core of finite extensions -------------------------------------------
 
 
-@dataclass
 class FiniteCoreResult:
-    algebra: FinSigmaAlgebra
-    basis_elements: list
-    span: la.SpanBasis
-    monos: list
-    index: dict
-    stabilized_at: int
-    radicial_exponents: dict
-    strongly_sigma_etale: bool
+    def __init__(self, algebra, basis_elements, span, monos, index, stabilized_at,
+                 radicial_exponents, strongly_sigma_etale):
+        self.algebra, self.basis_elements, self.span = algebra, basis_elements, span
+        self.monos, self.index, self.stabilized_at = monos, index, stabilized_at
+        self.radicial_exponents = radicial_exponents
+        self.strongly_sigma_etale = strongly_sigma_etale
 
 
 def strong_core_finite_ext(T: TowerExtension, over=None,
@@ -950,14 +944,14 @@ def element_to_json(T: TowerExtension, el) -> list:
 # -- Babbitt chains ------------------------------------------------------------------
 
 
-@dataclass
 class BabbittChain:
     """Marked intermediate levels: steps[0] is the claimed strong core, each
     later step adds one benign block, and the tower top must be sigma-radicial
-    over the last step."""
+    over the last step.  Each step is a dict
+    {"name", "generators": [...], "benign_generator": ...}."""
 
-    tower: TowerExtension
-    steps: list     # dicts: {"name", "generators": [...], "benign_generator": ...}
+    def __init__(self, tower, steps):
+        self.tower, self.steps = tower, steps
 
     def to_json(self):
         return {"tower": tower_to_json(self.tower),
@@ -1306,11 +1300,9 @@ def _generator_level_of(T, el):
 # -- compatibility -------------------------------------------------------------------
 
 
-@dataclass
 class CompatibilityVerdict:
-    compatible: bool
-    witness: dict | None
-    details: dict
+    def __init__(self, compatible, witness, details):
+        self.compatible, self.witness, self.details = compatible, witness, details
 
 
 def compatible(L: TowerExtension, Lp: TowerExtension) -> CompatibilityVerdict:

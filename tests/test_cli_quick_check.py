@@ -403,6 +403,34 @@ def test_huge_literal_is_an_input_error_at_once(tmp_path, poly, named):
     assert named in rep["error"] and f"cap of {MAX_LITERAL}" in rep["error"]
 
 
+def _shift_tower_holding(text):
+    # F_5(t_0, t_1, ...)(u) with u^2 = 2, the text adding zero to the 2
+    return {"base": {"kind": "shift", "base": {"kind": "Fq", "p": 5}},
+            "levels": [{"name": "u", "minpoly": [f"-2 + {text} - {text}", "0", "1"],
+                        "sigma": "u"}]}
+
+
+def test_nested_powers_share_the_exponent_cap(tmp_path, capsys):
+    from diffalg._exprs import MAX_LITERAL
+
+    # each exponent is under the cap, their product 1600 is not
+    p = tmp_path / "tower.json"
+    p.write_text(json.dumps(_shift_tower_holding("((t0+1)^40)^40")))
+    code = main(["ld", str(p), "--format", "json"])
+    out, err = capsys.readouterr()
+    rep = json.loads(out)
+    assert code == 1 and err == "" and _input_error(rep, "levels[0]")
+    assert rep["error"] == ("product of nested exponents 1600 is above the cap of "
+                            f"{MAX_LITERAL}")
+    # a power the old evaluator would never finish, in a fresh interpreter
+    p.write_text(json.dumps(_shift_tower_holding("((t0+t1+t2+2)^1000)^1000")))
+    proc = subprocess.run([sys.executable, "-m", "diffalg.cli", "ld", str(p),
+                           "--format", "json"], capture_output=True, text=True,
+                          timeout=5)
+    assert proc.returncode == 1 and not proc.stderr
+    assert "nested exponents 1000000" in json.loads(proc.stdout)["error"]
+
+
 def _certificate():
     from diffalg.cli import execute, make_certificate
 
