@@ -19,7 +19,7 @@ from . import _exprs
 from . import _linalg as la
 from . import _multipoly as mp
 from ._load import cursor
-from .exactfield import GaloisField, PrimeField, field_make
+from .exactfield import field_make
 from .findiff import FinSigmaAlgebra, algebra_on_basis, strong_core as _fin_strong_core
 from .poly import Poly, factor_over_finite_field
 
@@ -40,7 +40,7 @@ class Presentation(mp.Ring):
     """Parsed and validated presentation of k{y_1..y_m}/[generators]."""
 
     def __init__(self, base, var_names, generator_texts):
-        if not isinstance(base, (PrimeField, GaloisField)) and base.characteristic() != 0:
+        if not base.is_finite and base.characteristic() != 0:
             raise UnsupportedPresentationError("unsupported base field")
         self.base = base
         self.var_names = list(var_names)

@@ -20,6 +20,11 @@ Elements are plain immutable data (ints, Fractions, tuples, dict fractions);
 all arithmetic goes through the owning field object.  Each element has one
 canonical stored form, so `==` on stored elements decides equality.
 
+Each decision that depends on the kind of field is an attribute or method of
+that kind, so no other module tests a field's class: is_finite (and on F_p and
+F_q degree, power_basis, prime_coords), constants, specialize,
+inversive_closure, named_constant, poly_gcd and ShiftField.variable_index.
+
 Vectors are lists of elements, and five methods work on whole lists:
 vec_from_json(cells) decodes a JSON array of scalars, dot(u, v) is
 sum u_i v_i, row_sub(v, c, row) is v - c*row, row_scale(c, row) is c*row and
@@ -102,6 +107,7 @@ class DifferenceField(pc.Kernels):
     """Shared element protocol; subclasses fix the representation."""
 
     kind = "?"
+    is_finite = False
 
     # subclasses implement: zero one add neg mul inv eq is_zero from_int
     # sigma canon sample scalar_to_json scalar_from_json descriptor
@@ -178,6 +184,29 @@ class DifferenceField(pc.Kernels):
         """c, an element of the coefficient field, as an element of this one."""
         return c
 
+    def constants(self):
+        """The field specialize() lands in: the base of a fraction field, the
+        field itself on every other kind."""
+        return self
+
+    def specialize(self, a, rng):
+        """a with values drawn from rng put in for the transcendentals; a
+        itself on a kind without them."""
+        return a
+
+    def inversive_closure(self, depth):
+        """The inversive closure depth steps down: the field itself if it is
+        inversive, None where no construction is known."""
+        return self if self.is_inversive() else None
+
+    def named_constant(self, name):
+        """The element a tower expression names name, or None."""
+        return None
+
+    def poly_gcd(self, f, g):
+        """The monic gcd of two dense polynomials over this field."""
+        return pc.gcd(self, f, g)
+
     def check_canonical(self, a):
         if not self.eq(self.canon(a), a):
             raise NotCanonicalError(f"element {a!r} is not in canonical form")
@@ -253,13 +282,20 @@ class PrimeField(DifferenceField):
     """F_p with sigma = x -> x^(p^m), which is the identity map."""
 
     kind = "Fq"
+    is_finite = True
+    degree = 1
 
     def __init__(self, p, frobenius_power=1):
         FrobeniusDescriptor(p, frobenius_power)
         self.p = p
         self.frobenius_power = frobenius_power
         self.order = p
-        self.degree = 1
+
+    def power_basis(self):
+        return [1]
+
+    def prime_coords(self, a):
+        return [a]
 
     def zero(self):
         return 0
@@ -426,6 +462,7 @@ class GaloisField(DifferenceField):
     """
 
     kind = "Fq"
+    is_finite = True
 
     def __init__(self, p, defpoly, frobenius_power=1, _validated=False):
         FrobeniusDescriptor(p, frobenius_power)
@@ -463,6 +500,17 @@ class GaloisField(DifferenceField):
 
     def generator(self):
         return self._lift([0, 1])
+
+    def power_basis(self):
+        """[1, x, ..., x^(n-1)], the F_p-basis that prime_coords(a), the
+        stored coordinates of a, refer to."""
+        return [self._lift([0] * i + [1]) for i in range(self.degree)]
+
+    def prime_coords(self, a):
+        return list(a)
+
+    def named_constant(self, name):
+        return self.generator() if name == "x" else None
 
     def add(self, a, b):
         log = self._log
@@ -728,6 +776,9 @@ def _find_proper_factor(k, f, q):
     raise AssertionError("reducible polynomial with no findable factor")
 
 
+_X_INDEX = 1 << 60   # reserved multipoly index for the polynomial variable
+
+
 class FractionField(DifferenceField):
     """Fractions (num, den) of polynomials over `base` (Q or F_q) in the
     kernel `_P`, coprime, with the denominator's leading coefficient one.  A
@@ -789,6 +840,36 @@ class FractionField(DifferenceField):
     def characteristic(self):
         return self.base.characteristic()
 
+    def constants(self):
+        return self.base
+
+    def poly_gcd(self, f, g):
+        """The monic gcd, computed with denominators cleared in the joint
+        polynomial ring over the base, avoiding rational-function swell."""
+        if not f or not g:
+            return pc.monic(self, f or g)
+        k0 = self.base
+
+        def clear(poly):
+            parts = [self.as_multipoly(c) for c in poly]
+            common = mp.const(k0, k0.one())
+            for _, den in parts:
+                if not mp.is_zero(den):
+                    shared = mp.gcd(k0, common, den)
+                    common = mp.exact_div(k0, mp.mul(k0, common, den), shared)
+            out = {}
+            for e, (num, den) in enumerate(parts):
+                if mp.is_zero(num):
+                    continue
+                term = mp.mul(k0, num, mp.exact_div(k0, common, den))
+                if e:
+                    term = mp.mul(k0, term, mp.var(k0, _X_INDEX, e))
+                out = mp.add(k0, out, term)
+            return out
+
+        D = mp.gcd(k0, clear(f), clear(g))
+        return pc.monic(self, [self.from_multipoly(c) for c in mp.to_univariate(D, _X_INDEX)])
+
     def scalar_to_json(self, a):
         return {"num": self._encode(a[0]), "den": self._encode(a[1])}
 
@@ -829,6 +910,15 @@ class FunctionField(FractionField):
 
     def t(self):
         return self._pair([self.base.zero(), self.base.one()], [self.base.one()])
+
+    def named_constant(self, name):
+        return self.t() if name == "t" else None
+
+    def specialize(self, a, rng):
+        """a at one point of the base drawn from rng."""
+        k0, point = self.base, self.base.sample(rng)
+        num, den = (pc.evaluate(k0, list(f), point) for f in a)
+        return k0.div(num, den)
 
     def zero(self):
         return ((), (self.base.one(),))
@@ -940,6 +1030,37 @@ class ShiftField(FractionField):
         if i < self.min_index:
             raise FieldError(f"t_{i} is below the minimal index {self.min_index}")
         return self._pair(mp.var(self.base, i), mp.const(self.base, self.base.one()))
+
+    def named_constant(self, name):
+        """t_i, named t<i> or, for i < 0, t_m<-i>."""
+        tail = name[1:] if name.startswith("t") else ""
+        if tail.isdigit():
+            return self.t(int(tail))
+        if tail.startswith("_m") and tail[2:].isdigit():
+            return self.t(-int(tail[2:]))
+        return None
+
+    def variable_index(self, a):
+        """j where a is the variable t_j, else None."""
+        num, den = a
+        if len(num) != 1 or list(den) != [()]:
+            return None
+        (mono, c), = num.items()
+        if len(mono) != 1 or mono[0][1] != 1 or not self.base.eq(c, self.base.one()):
+            return None
+        return mono[0][0]
+
+    def specialize(self, a, rng):
+        """a at values drawn from rng for its variables, by increasing index."""
+        k0 = self.base
+        vs = sorted(mp.variables(a[0]) | mp.variables(a[1]))
+        point = {v: k0.sample(rng) for v in vs}
+        num, den = (mp.evaluate(k0, f, point) for f in a)
+        return k0.div(num, den)
+
+    def inversive_closure(self, depth):
+        """The field with depth more variables below min_index."""
+        return ShiftField(self.base, self.min_index - depth)
 
     def zero(self):
         return ({}, mp.const(self.base, self.base.one()))

@@ -15,8 +15,10 @@ multiply runs the base field's bilinear kernel on a sparse copy of mul, the
 nonzero (t, c) pairs of each e_i e_j, built on the first product and kept
 off to_json.  factor memoises factor_over_finite_field on the algebra, so
 the memo lives as long as the algebra: one strong core or one CLI verdict.
-field_embedding finds the image of the small field's generator once per pair
-of defining polynomials and process (_defpoly_root, a 32-entry LRU).
+The base field's is_finite gates the automatic paths; field_embedding and
+the relative bases read its degree, frobenius_power, power_basis and
+prime_coords, and find the image of the small field's generator once per
+pair of defining polynomials and process (_defpoly_root, a 32-entry LRU).
 
 Every subalgebra or quotient carved out of a bigger ring (the strong core,
 a sigma-closure, the quotient by a sigma-ideal, the truncated window, the
@@ -309,10 +311,6 @@ def _coords_in(k, vectors, target):
     return la.solve(k, la.transpose(vectors, len(vectors[0])), target)
 
 
-def _is_finite_base(base):
-    return isinstance(base, (PrimeField, GaloisField))
-
-
 def primitive_idempotents(A: FinSigmaAlgebra, supplied=None):
     """Complete list of primitive idempotents: orthogonal, summing to one.
 
@@ -326,7 +324,7 @@ def primitive_idempotents(A: FinSigmaAlgebra, supplied=None):
     if supplied is not None:
         _check_supplied_idempotents(A, supplied)
         return [Idempotent(list(e), primitive=True) for e in supplied]
-    if not _is_finite_base(k):
+    if not k.is_finite:
         raise RestrictedAutomationError(
             "idempotent enumeration needs a finite base field or a supplied splitting")
     q = k.order
@@ -609,31 +607,22 @@ def field_embedding(k, K):
     """
     if k == K:
         return lambda a: a
-    if isinstance(k, PrimeField) and isinstance(K, (PrimeField, GaloisField)):
-        if K.characteristic() != k.p:
-            raise CompatibilityError("different characteristics")
-        return lambda a: K.from_int(a)
-    if isinstance(k, GaloisField) and isinstance(K, GaloisField):
-        if K.p != k.p:
-            raise CompatibilityError("different characteristics")
-        if K.degree % k.degree != 0:
-            raise CompatibilityError("no subfield embedding of the required degree")
-        if (K.frobenius_power - k.frobenius_power) % k.degree != 0:
-            raise CompatibilityError(
-                "the larger field's endomorphism does not restrict to the base's")
-        root = _defpoly_root(k.p, k.defpoly, K.defpoly)
-        if root is None:
-            raise CompatibilityError("defining polynomial has no root in the target")
-
-        def embed(a, _root=root, _K=K, _k=k):
-            acc = _K.zero()
-            for c in reversed(a):
-                acc = _K.add(_K.mul(acc, _root), _K.from_int(c))
-            return acc
-
-        return embed
-    raise CompatibilityError(
-        f"no embedding rule for {k.descriptor()} into {K.descriptor()}")
+    if not (k.is_finite and K.is_finite):
+        raise CompatibilityError(
+            f"no embedding rule for {k.descriptor()} into {K.descriptor()}")
+    if K.p != k.p:
+        raise CompatibilityError("different characteristics")
+    if K.degree % k.degree != 0:
+        raise CompatibilityError("no subfield embedding of the required degree")
+    if (K.frobenius_power - k.frobenius_power) % k.degree != 0:
+        raise CompatibilityError(
+            "the larger field's endomorphism does not restrict to the base's")
+    if k.degree == 1:
+        return K.from_int
+    root = _defpoly_root(k.p, k.defpoly, K.defpoly)
+    if root is None:
+        raise CompatibilityError("defining polynomial has no root in the target")
+    return lambda a: pc.evaluate(K, [K.from_int(c) for c in a], root)
 
 
 @functools.lru_cache(maxsize=32)
@@ -650,8 +639,7 @@ def splitting_extension(base, N):
     if N <= 1:
         return base, (lambda a: a)
     p = base.characteristic()
-    s = getattr(base, "degree", 1)
-    big = GaloisField(p, list(_irreducible_over_prime(p, s * N)),
+    big = GaloisField(p, list(_irreducible_over_prime(p, base.degree * N)),
                       frobenius_power=base.frobenius_power, _validated=True)
     return big, field_embedding(base, big)
 
@@ -709,23 +697,17 @@ def restrict_scalars(A: FinSigmaAlgebra, k) -> FinSigmaAlgebra:
 
 def _relative_basis(k, K, embed):
     """A k-basis of K and a coordinate function K -> k^N."""
-    p = K.characteristic()
-    fp = PrimeField(p)
-    s = getattr(k, "degree", 1)
-    S = getattr(K, "degree", 1)
+    fp = PrimeField(K.p)
+    s, S = k.degree, K.degree
     N = S // s
-    k_basis = _fp_basis(k)
+    k_basis = k.power_basis()
     emb_k = [embed(b) for b in k_basis]
-
-    def flat(z):
-        return list(z) if isinstance(z, tuple) else [z]
-
     span = la.SpanBasis(fp, S)
     gammas = []
-    for g in _power_candidates(K):
+    for g in K.power_basis():
         grew = False
         for eb in emb_k:
-            if span.add(flat(K.mul(eb, g))):
+            if span.add(K.prime_coords(K.mul(eb, g))):
                 grew = True
         if grew:
             gammas.append(g)
@@ -733,39 +715,16 @@ def _relative_basis(k, K, embed):
             break
     if len(gammas) != N:
         raise AssertionError("failed to build a relative basis")
-    m = la.transpose([flat(K.mul(eb, g)) for g in gammas for eb in emb_k], S)
+    m = la.transpose([K.prime_coords(K.mul(eb, g)) for g in gammas for eb in emb_k], S)
 
     def coord_fn(z):
-        sol = la.solve(fp, m, flat(z))
+        sol = la.solve(fp, m, K.prime_coords(z))
         if sol is None:
             raise AssertionError("relative coordinate solve failed")
-        out = []
-        for t in range(N):
-            chunk = sol[t * s:(t + 1) * s]
-            acc = k.zero()
-            for c, b in zip(chunk, k_basis):
-                acc = k.add(acc, k.mul(k.from_int(c), b))
-            out.append(acc)
-        return out
+        return [k.dot([k.from_int(c) for c in sol[t * s:(t + 1) * s]], k_basis)
+                for t in range(N)]
 
     return gammas, coord_fn
-
-
-def _fp_basis(k):
-    if isinstance(k, PrimeField):
-        return [k.one()]
-    return [k._lift([0] * i + [1]) for i in range(k.degree)]
-
-
-def _power_candidates(K):
-    if isinstance(K, PrimeField):
-        yield K.one()
-        return
-    g = K.generator()
-    cur = K.one()
-    for _ in range(K.degree):
-        yield cur
-        cur = K.mul(cur, g)
 
 
 # -- the strong core --------------------------------------------------------
@@ -783,7 +742,7 @@ def strong_core(A: FinSigmaAlgebra, supplied_idempotents=None) -> CoreResult:
     honest lower bound.
     """
     k = A.base
-    if _is_finite_base(k):
+    if k.is_finite:
         factors = _local_factors(A)
         N = 1
         for _, d, _, _ in factors:

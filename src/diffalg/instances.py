@@ -67,14 +67,18 @@ def random_point_algebra(k, rng, dim, bijective=False, conjugated=True):
 
 
 def truncated_quotient_algebra(k, rng, dim, frobenius_steps=None):
-    """k[y]/(f) for a random monic f of the given degree with sigma(y) a
-    Frobenius power of y; over a prime field that is always an endomorphism."""
+    """k[y]/(f) over a finite field k with sigma_k = x -> x^(p^m), for a
+    random monic f of the given degree, with sigma(y) = y^q, q = p^(m j) and
+    j in {0, 1} drawn unless given.  For j = 1, sigma(f)(y^q) = f(y)^q, so
+    sigma is a ring map; for j = 0 it is one only when sigma_k fixes f, so
+    j = 1 is used when sigma_k moves a coefficient of f."""
     from . import _polycore as pc
 
-    p = k.characteristic()
     f = [k.sample(rng) for _ in range(dim)] + [k.one()]
     j = rng.randrange(0, 2) if frobenius_steps is None else frobenius_steps
-    q = p ** j if j else 1
+    if j == 0 and not all(k.eq(k.sigma(c), c) for c in f):
+        j = 1
+    q = k.p ** (k.frobenius_power * j)
     n = dim
     mul = [[None] * n for _ in range(n)]
     basis_pows = []
@@ -99,7 +103,7 @@ def field_algebra(p, defpoly, frobenius_power=1) -> FinSigmaAlgebra:
     K = GaloisField(p, defpoly, frobenius_power)
     k = PrimeField(p)
     n = K.degree
-    basis = [K._lift([0] * i + [1]) for i in range(n)]
+    basis = K.power_basis()
     mul = [[[k.canon(c) for c in K.mul(basis[i], basis[j])] for j in range(n)]
            for i in range(n)]
     unit = list(K.one())

@@ -10,12 +10,9 @@ from __future__ import annotations
 from collections import namedtuple
 import random
 
-from . import _multipoly as mp
 from . import _polycore as pc
-from .exactfield import FractionField, GaloisField, PrimeField
 
 DEFAULT_FACTOR_SEED = 0x0D1FFA17
-_X_INDEX = 1 << 60   # reserved multipoly index for the polynomial variable
 
 
 class UnsupportedBaseError(ValueError):
@@ -143,45 +140,11 @@ def _same_base(f, g):
 
 
 def poly_gcd(f: Poly, g: Poly) -> Poly:
-    """Monic gcd; gcd(f, 0) is the monic normalization of f.
-
-    Over function and shift fields the computation clears denominators and
-    runs in the joint polynomial ring, avoiding rational-function swell.
-    """
+    """Monic gcd; gcd(f, 0) is the monic normalization of f.  The base field
+    computes it (over function and shift fields with denominators cleared,
+    see FractionField.poly_gcd)."""
     _same_base(f, g)
-    if isinstance(f.base, FractionField):
-        return _gcd_over_fraction_field(f, g)
-    return Poly(tuple(pc.gcd(f.base, list(f.coeffs), list(g.coeffs))), f.base)
-
-
-def _gcd_over_fraction_field(f, g):
-    base = f.base
-    k0 = base.base
-
-    def clear(poly):
-        parts = [base.as_multipoly(c) for c in poly.coeffs]
-        common = mp.const(k0, k0.one())
-        for _, den in parts:
-            if not mp.is_zero(den):
-                shared = mp.gcd(k0, common, den)
-                common = mp.exact_div(k0, mp.mul(k0, common, den), shared)
-        out = {}
-        for e, (num, den) in enumerate(parts):
-            if mp.is_zero(num):
-                continue
-            term = mp.mul(k0, num, mp.exact_div(k0, common, den))
-            if e:
-                term = mp.mul(k0, term, mp.var(k0, _X_INDEX, e))
-            out = mp.add(k0, out, term)
-        return out
-
-    if f.is_zero():
-        return g.monic()
-    if g.is_zero():
-        return f.monic()
-    D = mp.gcd(k0, clear(f), clear(g))
-    coeffs = [base.from_multipoly(c) for c in mp.to_univariate(D, _X_INDEX)]
-    return Poly.make(base, coeffs).monic()
+    return Poly(tuple(f.base.poly_gcd(list(f.coeffs), list(g.coeffs))), f.base)
 
 
 def is_separable(f: Poly) -> bool:
@@ -197,16 +160,14 @@ def sigma_twist(f: Poly) -> Poly:
 
 
 def _require_finite(base):
-    if not isinstance(base, (PrimeField, GaloisField)):
+    if not base.is_finite:
         raise UnsupportedBaseError(
             "factorization is only supported over finite fields")
 
 
 def _pth_root_coeff(base, c):
     # In F_(p^s) the p-th root of c is c^(p^(s-1)).
-    s = getattr(base, "degree", 1)
-    p = base.characteristic()
-    return base.pow(c, p ** (s - 1))
+    return base.pow(c, base.p ** (base.degree - 1))
 
 
 def _squarefree_decomposition(base, f):

@@ -16,6 +16,10 @@ certificate.  Three certificates are supported:
 
 Elements are sparse exponent-tuple polynomials over the base field with all
 exponents strictly below the level degrees.
+
+The base field names its own elements in rules, specializes and builds its
+inversive closure itself; its class is tested only to decide which
+certificate a tower supports (radical shapes need a shift field).
 """
 
 from __future__ import annotations
@@ -27,8 +31,7 @@ from . import _linalg as la
 from . import _multipoly as mp
 from . import _polycore as pc
 from ._load import cursor
-from .exactfield import (DifferenceField, FractionField, FunctionField, GaloisField,
-                         PrimeField, Rationals, ShiftField, field_make)
+from .exactfield import DifferenceField, FractionField, ShiftField, field_make
 from .findiff import (FinSigmaAlgebra, algebra_on_basis, is_strongly_sigma_etale,
                       primitive_idempotents, tensor_product,
                       RestrictedAutomationError)
@@ -277,25 +280,15 @@ class TowerExtension(mp.Ring):
         return _exprs.evaluate(text, _exprs.RingOps(self, self._name, self._call))
 
     def _name(self, s):
-        base = self.base
-        if isinstance(base, ShiftField):
-            if s.startswith("t"):
-                tail = s[1:]
-                if tail.isdigit():
-                    return self.const(base.t(int(tail)))
-                if tail.startswith("_m") and tail[2:].isdigit():
-                    return self.const(base.t(-int(tail[2:])))
-        if isinstance(base, FunctionField) and s == "t":
-            return self.const(base.t())
-        if isinstance(base, GaloisField) and s == "x":
-            return self.const(base.generator())
-        return self.gen_by_name(s)
+        c = self.base.named_constant(s)
+        return self.gen_by_name(s) if c is None else self.const(c)
 
     def _call(self, fname, args):
         if fname == "t" and len(args) == 1 and isinstance(args[0], int):
-            if isinstance(self.base, ShiftField):
-                return self.const(self.base.t(args[0]))
-            raise _exprs.ExpressionError("t(i) needs a shift-field base")
+            c = self.base.named_constant(self.level_name("t", args[0]))
+            if c is None:
+                raise _exprs.ExpressionError("t(i) needs a shift-field base")
+            return self.const(c)
         return None
 
     # -- linear algebra over the base ---------------------------------------------
@@ -378,7 +371,7 @@ class TowerExtension(mp.Ring):
 
     def _pick_cert(self, level, prefix_count):
         k = self.base
-        if isinstance(k, (PrimeField, GaloisField)):
+        if k.is_finite:
             return "finite"
         kind = self._radical_kind(level)
         if kind is not None:
@@ -396,7 +389,7 @@ class TowerExtension(mp.Ring):
         u = self._radical_shape(level) if isinstance(self.base, ShiftField) else None
         if u is None:
             return None
-        if self.in_base(u) and self._is_fresh_variable(u):
+        if self.in_base(u) and self.base.variable_index(self.base_value(u)) is not None:
             return "radical-fresh"
         if self._is_radical_generator(u):
             return "radical-chain"
@@ -416,19 +409,6 @@ class TowerExtension(mp.Ring):
             return None
         return u
 
-    def _is_fresh_variable(self, u):
-        k = self.base
-        val = self.base_value(u)
-        num, den = val
-        if len(num) != 1 or list(den.keys()) != [()]:
-            return False
-        (mono, coeff), = num.items()
-        if len(mono) != 1 or mono[0][1] != 1:
-            return False
-        if not k.base.eq(coeff, k.base.one()):
-            return False
-        return True
-
     def _is_radical_generator(self, u):
         t = _generator_level_of(self, u)
         return t is not None and self.levels[t].cert in ("radical-fresh", "radical-chain")
@@ -440,11 +420,10 @@ class TowerExtension(mp.Ring):
         rng = random.Random(SPECIALIZE_SEED)
         for _ in range(SPECIALIZE_TRIALS):
             try:
-                spec = [_specialize_scalar(k, self.base_value(c), rng)
-                        for c in level.minpoly]
+                spec = [k.specialize(self.base_value(c), rng) for c in level.minpoly]
             except ZeroDivisionError:
                 continue
-            f = Poly.make(_constants_field(k), spec)
+            f = Poly.make(k.constants(), spec)
             if f.degree() == level.degree and is_irreducible(f):
                 return
         raise TowerError(
@@ -474,32 +453,6 @@ def _as_univariate(a, top):
         coeffs.setdefault(e, {})[tuple(rest)] = c
     n = max(coeffs) + 1 if coeffs else 0
     return [coeffs.get(e, {}) for e in range(n)]
-
-
-def _constants_field(k):
-    if isinstance(k, FractionField):
-        return k.base
-    return k
-
-
-def _specialize_scalar(k, val, rng):
-    """Substitute random finite-field values for the transcendentals."""
-    base0 = _constants_field(k)
-    if isinstance(k, FunctionField):
-        num, den = val
-        point = base0.sample(rng)
-        nv = pc.evaluate(base0, list(num), point)
-        dv = pc.evaluate(base0, list(den), point)
-        return base0.mul(nv, base0.inv(dv))
-    if isinstance(k, ShiftField):
-
-        num, den = val
-        vs = sorted(mp.variables(num) | mp.variables(den))
-        assignment = {v: base0.sample(rng) for v in vs}
-        nv = mp.evaluate(base0, num, assignment)
-        dv = mp.evaluate(base0, den, assignment)
-        return base0.mul(nv, base0.inv(dv))
-    return val
 
 
 # -- public constructors ------------------------------------------------------
@@ -547,13 +500,12 @@ def benign_make(base, minpoly, kind="radical", family="b") -> TowerExtension:
     if kind == "radical":
         if not isinstance(base, ShiftField):
             raise TowerError("radical benign towers need a shift-field base")
-        shape_ok = all(probe.is_zero(c) for c in coeffs[1:-1])
         u = probe.neg(coeffs[0])
-        if not (shape_ok and probe.in_base(u) and probe._is_fresh_variable(u)):
+        j0 = None
+        if all(probe.is_zero(c) for c in coeffs[1:-1]) and probe.in_base(u):
+            j0 = base.variable_index(probe.base_value(u))
+        if j0 is None:
             raise TowerError("radical benign towers need minpoly x^r - t_j")
-        num, _den = probe.base_value(u)
-        (mono, _c), = num.items()
-        j0 = mono[0][0]
         T = tower_from_json({
             "base": base,
             "families": [{"name": family, "kind": "radical-block", "r": deg, "var_start": j0}],
@@ -810,26 +762,24 @@ def core_sradicial_over_strong_core_check(T: TowerExtension) -> dict:
 
 
 def inversive_closure(obj, depth: int = 1):
-    """Partial materialization of the inversive closure.
+    """Partial materialization of the inversive closure, depth >= 0 steps
+    down.
 
-    Fields: finite fields and Q are already inversive; shift fields deepen
-    their index range; Moebius function fields are inversive; expanding
-    function fields are unsupported.  Towers: radical families extend to
-    negative family indices over the deepened base.
+    Fields answer through DifferenceField.inversive_closure: finite fields,
+    Q and Moebius function fields are already inversive; shift fields deepen
+    their index range; expanding function fields are unsupported.  Towers:
+    radical families extend to negative family indices over the deepened
+    base.
     """
+    if depth < 0:
+        raise TowerError(f"closure depth must be >= 0, not {depth}")
     if isinstance(obj, TowerExtension):
         return _tower_inversive_closure(obj, depth)
-    k = obj
-    if isinstance(k, (PrimeField, GaloisField, Rationals)):
-        return k
-    if isinstance(k, ShiftField):
-        return ShiftField(k.base, k.min_index - depth)
-    if isinstance(k, FunctionField):
-        if k.is_inversive():
-            return k
+    closure = obj.inversive_closure(depth)
+    if closure is None:
         raise TowerError(
             "no constructive inversive closure for an expanding function field")
-    raise TowerError(f"unsupported descriptor {k.descriptor()}")
+    return closure
 
 
 def _tower_inversive_closure(T, depth):
@@ -1030,7 +980,7 @@ def _verify_galois_level(T, lv):
         return "quadratic"
     u = T._radical_shape(lv)
     if u is not None:
-        const_field = _constants_field(k)
+        const_field = k.constants()
         r = lv.degree
         xr1 = Poly.make(const_field,
                         [const_field.neg(const_field.one())]
@@ -1322,7 +1272,7 @@ def compatible(L: TowerExtension, Lp: TowerExtension) -> CompatibilityVerdict:
     if A.dim == 1:
         return CompatibilityVerdict(True, {"idempotent": "unit"}, details)
     k = A.base
-    if not isinstance(k, (PrimeField, GaloisField)):
+    if not k.is_finite:
         raise RestrictedAutomationError(
             "compatibility enumeration needs a finite base field")
     enumerated = []

@@ -592,3 +592,109 @@ def test_algebra_decode_equals_the_per_scalar_decode(entry):
     got = _same_outcome(load, lambda: load(PerScalarPrimeField(5)))
     if got is not None:
         assert got[0][1][1] == [0, int(entry) % 5]
+
+
+# -- the per-kind contract ---------------------------------------------------------
+#
+# What each kind answers for itself: finiteness and degree, an F_p-basis,
+# the constant field and specialization into it, the inversive closure and
+# the names a tower expression may use for field elements.
+
+MOEBIUS = FunctionField(PrimeField(5), [1, 1], [1])     # sigma(t) = t + 1
+EXPANDING = FunctionField(PrimeField(5), [0, 0, 1], [1])  # sigma(t) = t^2
+F_BIG = GaloisField(*LARGE_FIELDS[-1])
+KINDS = {"Q": Q, "F5": PrimeField(5), "F9": F9, "F15625": F_BIG, "Qt-moebius": MOEBIUS,
+         "Qt-expanding": EXPANDING, "shift": S5}
+
+
+@pytest.mark.parametrize("name", KINDS)
+def test_kind_finiteness_degree_and_prime_basis(name):
+    F = KINDS[name]
+    assert F.is_finite == (name in ("F5", "F9", "F15625"))
+    if not F.is_finite:
+        return
+    n = {"F5": 1, "F9": 2, "F15625": 6}[name]
+    assert F.degree == n and F.order == F.p ** n
+    basis = F.power_basis()
+    # the unit coordinate vectors: [1] on F_p, 1, x, ..., x^(n-1) on F_q
+    assert basis == ([1] if n == 1 else [tuple(int(i == j) for j in range(n))
+                                         for i in range(n)])
+    assert [F.prime_coords(b) for b in basis] == [[int(i == j) for j in range(n)]
+                                                  for i in range(n)]
+    rng = random.Random(17)
+    for _ in range(20):
+        a = F.sample(rng)
+        acc = F.zero()
+        for c, b in zip(F.prime_coords(a), basis):
+            acc = F.add(acc, F.mul(F.from_int(c), b))
+        assert acc == a
+
+
+@pytest.mark.parametrize("name", KINDS)
+def test_kind_constants_and_specialization(name):
+    F = KINDS[name]
+    rng = random.Random(23)
+    if name.startswith("Qt") or name == "shift":
+        assert F.constants() == F.base
+    else:
+        assert F.constants() is F
+        a = F.sample(rng)
+        assert F.specialize(a, rng) == a
+        return
+    k0 = F.base
+    if name == "shift":
+        # t_2 / (t_0 + 1): one draw per variable, in increasing index
+        a = F.div(F.t(2), F.add(F.t(0), F.one()))
+        r = random.Random(4)
+        v0, v2 = k0.sample(r), k0.sample(r)
+        want = k0.div(v2, k0.add(v0, k0.one()))
+    else:
+        # (t^2 + 1) / (t + 2): one draw, the point
+        t = F.t()
+        a = F.div(F.add(F.mul(t, t), F.one()), F.add(t, F.from_int(2)))
+        r = random.Random(4)
+        v = k0.sample(r)
+        want = k0.div(k0.add(k0.mul(v, v), k0.one()), k0.add(v, k0.from_int(2)))
+    got = F.specialize(a, random.Random(4))
+    F.constants().check_canonical(got)
+    assert got == want
+
+
+@pytest.mark.parametrize("name", KINDS)
+def test_kind_inversive_closure(name):
+    F = KINDS[name]
+    if name == "Qt-expanding":
+        assert F.inversive_closure(1) is None
+    elif name == "shift":
+        deep = F.inversive_closure(2)
+        assert deep == ShiftField(F.base, F.min_index - 2)
+        assert deep.sigma(deep.t(-2)) == deep.t(-1)
+    else:
+        assert F.inversive_closure(3) is F
+
+
+@pytest.mark.parametrize("name", KINDS)
+def test_kind_named_constants(name):
+    F = KINDS[name]
+    names = ["t", "x", "t0", "t3", "t_m", "t_x", "a0"]
+    resolved = {s: F.named_constant(s) for s in names if F.named_constant(s) is not None}
+    if name == "shift":
+        assert resolved == {"t0": F.t(0), "t3": F.t(3)}
+        assert F.inversive_closure(2).named_constant("t_m2") == F.inversive_closure(2).t(-2)
+        with pytest.raises(FieldError, match="below the minimal index"):
+            F.named_constant("t_m2")
+    elif name.startswith("Qt"):
+        assert resolved == {"t": F.t()}
+    elif name in ("F9", "F15625"):
+        assert resolved == {"x": F.generator()}
+    else:
+        assert resolved == {}
+
+
+def test_shift_variable_index_decodes_only_a_bare_variable():
+    S = ShiftField(PrimeField(5), min_index=-1)
+    t = S.t
+    assert [S.variable_index(t(j)) for j in (-1, 0, 4)] == [-1, 0, 4]
+    for a in (S.one(), S.zero(), S.mul(t(1), t(1)), S.mul(t(1), t(2)),
+              S.add(t(1), S.one()), S.mul(S.from_int(2), t(1)), S.div(t(1), t(0))):
+        assert S.variable_index(a) is None

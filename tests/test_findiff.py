@@ -8,9 +8,9 @@ import pytest
 import diffalg._linalg as la
 from diffalg.exactfield import DifferenceField, GaloisField, PrimeField, Rationals
 from diffalg.diffpoly import UnsupportedPresentationError
-from diffalg.findiff import (_SPLIT_ROUNDS, FinSigmaAlgebra, RestrictedAutomationError,
-                             ZeroRingError, algebra_on_basis, algebra_validate,
-                             base_change,
+from diffalg.findiff import (_SPLIT_ROUNDS, CompatibilityError, FinSigmaAlgebra,
+                             RestrictedAutomationError, ZeroRingError, algebra_on_basis,
+                             algebra_validate, base_change, field_embedding,
                              is_etale, is_periodic, is_sigma_reduced,
                              is_sigma_separable, is_strongly_sigma_etale,
                              minimal_polynomial, primitive_idempotents,
@@ -21,7 +21,7 @@ from diffalg.findiff import (_SPLIT_ROUNDS, FinSigmaAlgebra, RestrictedAutomatio
 from diffalg.instances import (conjugate, diagonal_algebra, field_algebra,
                                nilpotent_sigma_separable, random_invertible,
                                random_point_algebra, random_strongly_setale,
-                               random_valid_algebra)
+                               random_valid_algebra, truncated_quotient_algebra)
 from diffalg.poly import Poly, factor_over_finite_field
 
 F2 = PrimeField(2)
@@ -502,6 +502,40 @@ def test_base_change_of_base_field_is_target():
     K, embed = splitting_extension(k, 2)
     AK = base_change(A, K, embed)
     assert AK.dim == 1 and AK.base == K
+
+
+def test_field_embedding_checks_each_condition_on_the_pair():
+    F4, F16 = GaloisField(2, [1, 1, 1]), GaloisField(2, [1, 1, 0, 0, 1])
+    for k, K, error in [
+            (F3, F4, "different characteristics"),
+            (F4, GaloisField(3, [1, 0, 1]), "different characteristics"),
+            (F4, GaloisField(2, [1, 1, 0, 1]), "required degree"),
+            (F4, F2, "required degree"),
+            (F4, GaloisField(2, [1, 1, 0, 0, 1], 2), "does not restrict"),
+            (Rationals(), F4, "no embedding rule"),
+            (F4, Rationals(), "no embedding rule")]:
+        with pytest.raises(CompatibilityError, match=error):
+            field_embedding(k, K)
+    for k, K in [(F2, F16), (PrimeField(2, 3), F16), (F4, F16),
+                 (F4, GaloisField(2, [1, 1, 0, 0, 1], 3))]:
+        embed = field_embedding(k, K)
+        for a in ([0, 1] if k.degree == 1 else list(k.all_elements())):
+            assert K.sigma(embed(a)) == embed(k.sigma(a))
+            for b in ([0, 1] if k.degree == 1 else list(k.all_elements())):
+                assert embed(k.add(a, b)) == K.add(embed(a), embed(b))
+                assert embed(k.mul(a, b)) == K.mul(embed(a), embed(b))
+
+
+@pytest.mark.parametrize("k", [GaloisField(2, [1, 1, 1]), GaloisField(2, [1, 1, 0, 1]),
+                               GaloisField(2, [1, 1, 0, 1], 2), GaloisField(3, [1, 0, 1])],
+                         ids=["F4", "F8", "F8-sigma-4th-power", "F9"])
+def test_truncated_quotients_are_valid_off_the_prime_fields(k):
+    # sigma(y) = y^q is a ring map only for q = p^m, sigma_k = x -> x^(p^m),
+    # or q = 1 with sigma_k fixing f
+    rng = random.Random(61)
+    for _ in range(40):
+        A = truncated_quotient_algebra(k, rng, rng.randint(1, 4))
+        assert algebra_validate(A).ok
 
 
 def test_minimal_polynomial_matches_defining_relation():

@@ -171,6 +171,14 @@ def test_field_inversive_closure_is_radicial():
     assert inversive_closure(F5, 3) == F5
 
 
+def test_negative_closure_depth_is_rejected():
+    # depth -1 would give the subfield with min_index 1, not a closure
+    for obj in (S5, F5, radical_tower_f5()):
+        with pytest.raises(TowerError, match="closure depth must be >= 0"):
+            inversive_closure(obj, -1)
+    assert inversive_closure(S5, 0) == S5
+
+
 def test_tower_inversive_closure_preimage_chain():
     B = radical_tower_f5()
     Bs = inversive_closure(B, 2)
