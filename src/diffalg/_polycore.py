@@ -171,7 +171,10 @@ def _frob_power(k, g, q, m):
 def is_irreducible(k, f, q):
     """Rabin irreducibility test over a finite field with q elements.
 
-    Assumes f nonzero; constants are not irreducible.
+    f of degree n is irreducible exactly when x^(q^n) = x mod f and
+    gcd(x^(q^(n/l)) - x, f) = 1 for every prime l dividing n.  The loop that
+    reaches x^(q^n) passes through every x^(q^j), so the gcd steps read
+    theirs from it.  Assumes f nonzero; constants are not irreducible.
     """
     f = monic(k, f)
     n = deg(f)
@@ -179,20 +182,14 @@ def is_irreducible(k, f, q):
         return False
     if n == 1:
         return True
-    x = x_poly(k)
-    # x^(q^n) == x mod f
-    h = mod(k, x, f)
+    x = mod(k, x_poly(k), f)
+    iterates = [x]
     for _ in range(n):
-        h = _frob_power(k, h, q, f)
-    if not eq(k, h, mod(k, x, f)):
+        iterates.append(_frob_power(k, iterates[-1], q, f))
+    if not eq(k, iterates[n], x):
         return False
-    for ell in prime_divisors(n):
-        h = mod(k, x, f)
-        for _ in range(n // ell):
-            h = _frob_power(k, h, q, f)
-        if deg(gcd(k, sub(k, h, x), f)) != 0:
-            return False
-    return True
+    return all(deg(gcd(k, sub(k, iterates[n // ell], x), f)) == 0
+               for ell in prime_divisors(n))
 
 
 def prime_divisors(n):

@@ -515,10 +515,6 @@ def sigma_kernel_slice(pres: Presentation, n: int):
             raise UnsupportedPresentationError("sigma image escaped the next level")
         cols.append(cv)
     null = la.nullspace(k, la.transpose(cols, level_up.dim()))
-    if not hasattr(k, "sigma_inverse"):
+    if k.sigma_inverse is None:
         raise UnsupportedPresentationError("base field without invertible endomorphism")
-    out = []
-    for w in null:
-        v = [k.sigma_inverse(c) for c in w]
-        out.append(level_n.element(v))
-    return out
+    return [level_n.element([k.sigma_inverse(c) for c in w]) for w in null]

@@ -22,7 +22,7 @@ canonical stored form, so `==` on stored elements decides equality.
 
 Each decision that depends on the kind of field is an attribute or method of
 that kind, so no other module tests a field's class: is_finite (and on F_p and
-F_q degree, power_basis, prime_coords), constants, specialize,
+F_q degree, power_basis, prime_coords), sigma_inverse, constants, specialize,
 inversive_closure, named_constant, poly_gcd and ShiftField.variable_index.
 
 Vectors are lists of elements, and five methods work on whole lists:
@@ -41,7 +41,6 @@ from __future__ import annotations
 from collections import namedtuple
 import functools
 import operator
-from fractions import Fraction
 import random
 
 from . import _multipoly as mp
@@ -108,6 +107,9 @@ class DifferenceField(pc.Kernels):
 
     kind = "?"
     is_finite = False
+    # sigma_inverse(a), the preimage of a under sigma, on the kinds that
+    # compute it (Q, F_p, F_q); None on the others
+    sigma_inverse = None
 
     # subclasses implement: zero one add neg mul inv eq is_zero from_int
     # sigma canon sample scalar_to_json scalar_from_json descriptor
@@ -222,13 +224,20 @@ class DifferenceField(pc.Kernels):
 
 
 class Rationals(DifferenceField):
+    """Q with sigma the identity; elements are fractions.Fraction, imported
+    only when a Rationals is built, so the finite fields never load it."""
+
     kind = "Q"
 
+    def __init__(self):
+        from fractions import Fraction
+        self.fraction = Fraction
+
     def zero(self):
-        return Fraction(0)
+        return self.fraction(0)
 
     def one(self):
-        return Fraction(1)
+        return self.fraction(1)
 
     def add(self, a, b):
         return a + b
@@ -251,16 +260,19 @@ class Rationals(DifferenceField):
         return a == 0
 
     def from_int(self, n):
-        return Fraction(n)
+        return self.fraction(n)
 
     def sigma(self, a):
         return a
 
+    def sigma_inverse(self, a):
+        return a
+
     def canon(self, a):
-        return Fraction(a)
+        return self.fraction(a)
 
     def sample(self, rng):
-        return Fraction(rng.randint(-9, 9), rng.randint(1, 9))
+        return self.fraction(rng.randint(-9, 9), rng.randint(1, 9))
 
     def is_inversive(self):
         return True
@@ -272,7 +284,7 @@ class Rationals(DifferenceField):
         return str(a)
 
     def scalar_from_json(self, s):
-        return Fraction(str(s))
+        return self.fraction(str(s))
 
     def descriptor(self):
         return {"kind": "Q"}

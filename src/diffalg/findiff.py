@@ -472,8 +472,11 @@ def algebra_on_basis(k, basis, mul, sigma, unit, coords, error=AssertionError):
 
     mul and sigma act on the ambient ring and unit is its one; coords(x)
     gives x's coordinates in basis, or None when x lies outside their span,
-    which raises error naming the failed law.  All products are evaluated
-    first, then the unit, then each sigma image.
+    which raises error naming the failed law.  The ambient ring must be
+    commutative, as every caller's is (algebras from JSON are checked, towers
+    and presentations are commutative by construction): each product b_i b_j
+    is evaluated once, for i <= j, and table[j][i] is a copy of table[i][j].
+    All products are evaluated first, then the unit, then each sigma image.
     """
     def at(x, law):
         c = coords(x)
@@ -481,7 +484,12 @@ def algebra_on_basis(k, basis, mul, sigma, unit, coords, error=AssertionError):
             raise error(f"basis span is not {law}")
         return c
 
-    table = [[at(mul(a, b), "closed under products") for b in basis] for a in basis]
+    n = len(basis)
+    table = [[None] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            table[i][j] = at(mul(basis[i], basis[j]), "closed under products")
+            table[j][i] = list(table[i][j])
     one = at(unit, "unital")
     cols = [at(sigma(b), "sigma-stable") for b in basis]
     return FinSigmaAlgebra(k, table, one, la.transpose(cols, len(basis)))

@@ -11,11 +11,11 @@ from __future__ import annotations
 
 from . import _linalg as la
 from . import _multipoly as mp
+from . import _polycore as pc
 from .diffpoly import (LevelAlgebra, Presentation, sigma_kernel_slice,
                        strong_core_truncated)
 from .findiff import (FinSigmaAlgebra, SigmaAlgebraMorphism, ValidationReport,
-                      algebra_on_basis, algebra_validate, is_etale, strong_core,
-                      tensor_product)
+                      algebra_validate, strong_core, tensor_product)
 
 
 class SigmaHopf:
@@ -305,27 +305,28 @@ def strong_core_is_hopf_subalgebra_truncated(H: TruncatedGroupLikeHopf,
 
 def union_of_etale_subalgebras_probe(pres: Presentation, level: int) -> dict:
     """Dimension of the sigma-annihilated slice at the given level, with an
-    etale certificate for the subalgebra each slice element generates."""
+    etale certificate for the subalgebra each slice element generates.
+
+    k[a] is k[x]/(m_a) for the minimal polynomial m_a of a, and its trace
+    form's discriminant is +-Res(m_a, m_a'), so k[a] is etale exactly when
+    gcd(m_a, m_a') = 1.  The powers 1, a, ..., a^(d-1) span k[a], and one
+    solve writes a^d in them, which gives the lower coefficients of m_a.
+    """
+    k = pres.base
     slice_basis = sigma_kernel_slice(pres, level)
     ambient = LevelAlgebra.make(pres, level)
-    certs = [bool(is_etale(_single_generator_algebra(pres, a, ambient)))
-             for a in slice_basis]
+    certs = []
+    for a in slice_basis:
+        span = la.SpanBasis(k, ambient.dim())
+        powers = []
+        power = pres.one()
+        v = ambient.coords(power)
+        while span.add(v):
+            powers.append(v)
+            power = pres.mul(power, a)
+            v = ambient.coords(power)
+        lower = la.solve(k, la.transpose(powers, ambient.dim()), v)
+        m = [k.neg(c) for c in lower] + [k.one()]
+        certs.append(pc.deg(pc.gcd(k, m, pc.derivative(k, m))) == 0)
     return {"level": level, "slice_dimension": len(slice_basis),
             "all_etale": all(certs), "certificates": certs}
-
-
-def _single_generator_algebra(pres, a, ambient):
-    """k[a] inside the level algebra ambient, on the echelon basis of the span
-    of the powers of a."""
-    k = pres.base
-    span = la.SpanBasis(k, ambient.dim())
-    power = pres.one()
-    while span.add(ambient.coords(power)):
-        power = pres.mul(power, a)
-
-    def coords(x):
-        v = ambient.coords(x)
-        return None if v is None else span.coordinates(v)
-
-    return algebra_on_basis(k, [ambient.element(r) for r in span.basis()],
-                            pres.mul, pres.sigma, pres.one(), coords)

@@ -58,14 +58,16 @@ class NotGaloisError(TowerError):
 
 class TowerLevel:
     """One level: minpoly holds its monic minimal polynomial's coefficients as
-    elements of the levels below, sigma_elem caches the parsed sigma rule and
-    cert is the certificate kind, picked when the level is certified if None."""
+    elements of the levels below, sigma_elem caches the parsed sigma rule,
+    power_rule the reduction rule of the generator's degree-th power, and cert
+    is the certificate kind, picked when the level is certified if None."""
 
     def __init__(self, name, family, index, minpoly, sigma_text, cert, degree,
                  sigma_elem=None):
         self.name, self.family, self.index, self.minpoly = name, family, index, minpoly
         self.sigma_text, self.cert, self.degree = sigma_text, cert, degree
         self.sigma_elem = sigma_elem
+        self.power_rule = None
 
 
 class TowerExtension(mp.Ring):
@@ -177,6 +179,8 @@ class TowerExtension(mp.Ring):
         return tuple(out)
 
     def mul(self, f, g):
+        if not f or not g:
+            return {}
         return self._reduce(mp.mul(self.base, f, g, self._mono_mul))
 
     def _reduce(self, f):
@@ -193,23 +197,26 @@ class TowerExtension(mp.Ring):
             if not target:
                 return f
             m, t = target
-            lv = self.levels[t]
-            d = lv.degree
             c = f.pop(m)
             rest = list(m)
-            rest[t] -= d
+            rest[t] -= self.levels[t].degree
             while rest and not rest[-1]:
                 rest.pop()
-            base_term = {tuple(rest): c}
-            # a_t^d = -(lower coefficients of the minimal polynomial)
-            rhs = {}
-            for e, coeff_el in enumerate(lv.minpoly[:-1]):
-                term = self.scale(coeff_el, k.from_int(-1))
-                if e:
-                    mono = tuple([0] * t + [e])
-                    term = mp.mul(k, term, {mono: k.one()}, self._mono_mul)
-                mp.iadd(k, rhs, term)
-            mp.iadd(k, f, mp.mul(k, base_term, rhs, self._mono_mul))
+            mp.iadd(k, f, mp.mul(k, {tuple(rest): c}, self._power_rule(t),
+                                 self._mono_mul))
+
+    def _power_rule(self, t):
+        """a_t^d = -(c_0 + c_1 a_t + ... + c_(d-1) a_t^(d-1)) as an element,
+        read off level t's minimal polynomial once; the c_e lie in the levels
+        below t, so their monomials have at most t entries."""
+        lv = self.levels[t]
+        if lv.power_rule is None:
+            lv.power_rule = {}
+            for e, coeff in enumerate(lv.minpoly[:-1]):
+                for m, c in coeff.items():
+                    key = m + (0,) * (t - len(m)) + (e,) if e else m
+                    lv.power_rule[key] = self.base.neg(c)
+        return lv.power_rule
 
     def inv(self, a):
         """The inverse through the extended gcd with the top level's minimal
@@ -431,8 +438,11 @@ class TowerExtension(mp.Ring):
             "irreducibility")
 
     def _check_separable(self, level):
-        # gcd(f, f') must be one; radical shapes were already checked tame
-        if level.cert in ("radical-fresh", "radical-chain"):
+        """gcd(f, f') must be one.  It runs after certification and only for
+        specialized levels: a polynomial irreducible over a finite field is
+        separable (the field is perfect), and radical shapes were checked
+        tame."""
+        if level.cert != "specialized":
             return
         f = [dict(c) for c in level.minpoly]
         g = pc.gcd(self, f, pc.derivative(self, f))

@@ -17,7 +17,8 @@ import sys
 import tempfile
 
 HEAVY = ["diffalg.towers", "diffalg.diffpoly", "diffalg.hopf", "diffalg.suites",
-         "diffalg.gallery", "diffalg.instances", "diffalg._exprs", "dataclasses"]
+         "diffalg.gallery", "diffalg.instances", "diffalg._exprs", "dataclasses",
+         "fractions"]
 
 # the diagonal algebra F_5 x F_5 with sigma the identity
 ALGEBRA = {"base": {"kind": "Fq", "p": 5}, "unit": ["1", "1"],

@@ -6,7 +6,7 @@ from diffalg.diffpoly import (Presentation, UnsupportedPresentationError,
                               classify_idempotent, level_primitive_idempotents,
                               periodic_idempotents_truncated, sigma_kernel_slice,
                               strong_core_truncated, truncate)
-from diffalg.exactfield import PrimeField
+from diffalg.exactfield import FunctionField, PrimeField, Rationals
 from diffalg.findiff import FinSigmaAlgebra, strong_core
 from diffalg.gallery import (collapsed_line, free_line, product_carrier,
                              swap_presentation)
@@ -137,6 +137,25 @@ def test_sigma_kernel_slice_dimensions():
         assert len(sigma_kernel_slice(R, n)) == 2 ** (n + 1)
     assert len(sigma_kernel_slice(swap_presentation(5), 1)) == 0
     assert len(sigma_kernel_slice(collapsed_line(5), 1)) == 1
+
+
+def test_sigma_kernel_slice_over_the_rationals():
+    # sigma is the identity on Q, so its inverse is too; y0 - 1 spans the
+    # slice, as over F_5
+    for k in (Rationals(), F5):
+        pres = Presentation(k, ["y"], ["y0^2-1", "y1-1"])
+        assert len(sigma_kernel_slice(pres, 1)) == 1
+
+
+@pytest.mark.parametrize("sigma_num", [[1, 1], [0, 0, 1]])
+def test_sigma_kernel_slice_needs_an_inverse_on_the_base(sigma_num):
+    # Q(t) with sigma(t) = t + 1 (a Moebius map) or t^2: neither kind computes
+    # sigma's inverse, which is an unsupported presentation, not an AttributeError
+    pres = Presentation(FunctionField(Rationals(), sigma_num, [1]), ["y"],
+                        ["y0^2-1", "y1-1"])
+    with pytest.raises(UnsupportedPresentationError,
+                       match="base field without invertible endomorphism"):
+        sigma_kernel_slice(pres, 1)
 
 
 def test_presentation_json_round_trip():

@@ -2,7 +2,11 @@
 
 import pytest
 
-from diffalg.findiff import FinSigmaAlgebra, is_strongly_sigma_etale, strong_core
+from diffalg import _linalg as la
+from diffalg.diffpoly import LevelAlgebra, Presentation, sigma_kernel_slice
+from diffalg.exactfield import PrimeField
+from diffalg.findiff import (FinSigmaAlgebra, algebra_on_basis, is_etale,
+                             is_strongly_sigma_etale, strong_core)
 from diffalg.gallery import (broken_antipode_fixture, collapsed_dual_hopf,
                              group_automorphism_duals, group_dual_hopf,
                              invalid_swap_dual, product_carrier,
@@ -123,6 +127,48 @@ def test_collapsed_line_probe_is_one_dimensional():
 
     probe = union_of_etale_subalgebras_probe(collapsed_line(5), 2)
     assert probe["slice_dimension"] == 1 and probe["all_etale"]
+
+
+def _trace_form_verdict(pres, a, level):
+    """is_etale of k[a], built on the echelon basis of the span of the powers
+    of a inside the level algebra: the oracle for the probe's gcd test."""
+    k = pres.base
+    ambient = LevelAlgebra.make(pres, level)
+    span = la.SpanBasis(k, ambient.dim())
+    power = pres.one()
+    while span.add(ambient.coords(power)):
+        power = pres.mul(power, a)
+
+    def coords(x):
+        v = ambient.coords(x)
+        return None if v is None else span.coordinates(v)
+
+    A = algebra_on_basis(k, [ambient.element(r) for r in span.basis()],
+                         pres.mul, pres.sigma, pres.one(), coords)
+    return is_etale(A)
+
+
+F5 = PrimeField(5)
+PROBE_CASES = ([(product_carrier(c), level) for c in (5, 7) for level in (1, 2, 3)]
+               + [(Presentation(F5, ["y"], ["y0^3-y0^2", "y1"]), 1),
+                  (Presentation(F5, ["y", "z"], ["y0^2", "y1", "z0^2-z0", "z1"]), 1)])
+
+
+@pytest.mark.parametrize("case", range(len(PROBE_CASES)))
+def test_union_probe_agrees_with_the_trace_form(case):
+    pres, level = PROBE_CASES[case]
+    probe = union_of_etale_subalgebras_probe(pres, level)
+    want = [_trace_form_verdict(pres, a, level) for a in sigma_kernel_slice(pres, level)]
+    assert probe["certificates"] == want
+    assert probe["all_etale"] == all(want)
+
+
+def test_union_probe_sees_nilpotents():
+    # y0^3 = y0^2 makes k[y0] = k[x]/(x^2 (x - 1)), which is not etale
+    pres, level = PROBE_CASES[-2]
+    assert union_of_etale_subalgebras_probe(pres, level)["certificates"] == [False, True]
+    pres, level = PROBE_CASES[-1]
+    assert union_of_etale_subalgebras_probe(pres, level)["certificates"] == [False, True, False]
 
 
 def test_z4_inversion_dual_validates():

@@ -3,9 +3,12 @@
 Seeded polynomials over F_2, F_3, F_5 and F_7, built as products of random
 pieces raised to multiplicities that include p and 2p and of polynomials in
 x^p, must factor as sympy's gf_factor factors them, and poly_gcd must return
-gf_gcd's monic gcd on pairs that share such products.
+gf_gcd's monic gcd on pairs that share such products.  Rabin's test in
+_polycore must call every small monic polynomial irreducible exactly when
+sympy does.
 """
 
+import itertools
 import random
 
 import pytest
@@ -15,6 +18,7 @@ sympy = pytest.importorskip("sympy")
 from sympy.polys.domains import ZZ  # noqa: E402
 from sympy.polys.galoistools import gf_factor, gf_gcd  # noqa: E402
 
+from diffalg import _polycore as pc  # noqa: E402
 from diffalg.exactfield import PrimeField  # noqa: E402
 from diffalg.poly import Poly, factor_over_finite_field, poly_gcd  # noqa: E402
 
@@ -88,3 +92,21 @@ def test_gcd_agrees_with_gf_gcd(p):
         assert poly_gcd(f, g).coeffs == want
         assert poly_gcd(f, Poly.zero(k)).coeffs == \
             _from_sympy(k, gf_gcd(_to_sympy(f), [], p, ZZ))
+
+
+# p -> the largest degree: every monic polynomial of degree 1 to it over F_p,
+# 62 + 120 + 155 = 337 of them
+RABIN_DEGREES = {2: 5, 3: 4, 5: 3}
+
+
+def test_rabin_test_agrees_with_sympy_on_every_small_monic():
+    count = 0
+    for p, top in RABIN_DEGREES.items():
+        k = PrimeField(p)
+        for n in range(1, top + 1):
+            for tail in itertools.product(range(p), repeat=n):
+                f = list(tail) + [1]
+                want = sympy.Poly(f[::-1], sympy.Symbol("x"), modulus=p).is_irreducible
+                assert pc.is_irreducible(k, f, p) == want, (p, f)
+                count += 1
+    assert count == 337

@@ -11,6 +11,7 @@ from diffalg.gallery import (chain_for, collapse_tower_f5, corrupted_chain,
                              frobenius_tower, radical_tower_f5, repaired_chain,
                              stacked_tower_f5)
 from diffalg import _linalg as la
+from diffalg import _multipoly as mp
 from diffalg.towers import (BabbittChain, InconsistentDynamicsError,
                             NotGaloisError, TowerError, TowerExtension,
                             _degrees, _least_sigma_power, _member,
@@ -56,6 +57,63 @@ def test_inconsistent_sigma_rule_rejected():
 def test_reducible_explicit_level_rejected():
     with pytest.raises(TowerError):
         tower_make(F5, [{"name": "a", "minpoly": [-1, 0, 1], "sigma": "a"}])
+
+
+# F_4096 over F_2 in three levels: a generates F_4, b F_16 and c F_4096;
+# sigma is the Frobenius x -> x^2 on each
+F4096_LEVELS = [{"name": "a", "minpoly": [1, 1, 1], "sigma": "a^2"},
+                {"name": "b", "minpoly": ["a", 1, 1], "sigma": "b^2"},
+                {"name": "c", "minpoly": [1, 1, 0, 1], "sigma": "c^2"}]
+
+
+def _reduce_from_scratch(T, f):
+    """f in normal form, one overflowing monomial at a time, each step reading
+    a_t^d = -(c_0 + ... + c_(d-1) a_t^(d-1)) off the minimal polynomial anew."""
+    k = T.base
+    f = dict(f)
+    while True:
+        over = sorted((m, t) for m in f for t, e in enumerate(m)
+                      if e >= T.levels[t].degree)
+        if not over:
+            return f
+        m, t = over[0]
+        lv = T.levels[t]
+        c = f.pop(m)
+        for e, coeff in enumerate(lv.minpoly[:-1]):
+            low = list(m)
+            low[t] += e - lv.degree
+            mono = T._mono_mul(tuple(low), ())
+            mp.iadd(k, f, mp.mul(k, {mono: k.neg(c)}, coeff, T._mono_mul))
+
+
+def test_three_level_finite_tower_products_equal_a_fresh_reduction():
+    T = tower_make(F2, F4096_LEVELS)
+    monos = T.monomials()
+    assert len(monos) == 12
+    rng = random.Random(18)
+
+    def draw():
+        return T.from_coords([F2.sample(rng) for _ in monos], monos)
+
+    for _ in range(40):
+        x, y = draw(), draw()
+        got = T.mul(x, y)
+        assert T.eq(got, _reduce_from_scratch(T, mp.mul(F2, x, y, T._mono_mul)))
+        assert T.eq(got, T.mul(y, x))
+        assert T.mul(x, T.zero()) == {} and T.mul(T.zero(), y) == {}
+    for _ in range(4):
+        x = draw()
+        assert T.eq(T.power(x, 2 ** 12), x)
+
+
+@pytest.mark.parametrize("minpoly", [[1, 1, 1], ["a^2", 0, 1]])
+def test_reducible_finite_level_over_a_finite_level_rejected(minpoly):
+    # x^2 + x + 1 has the root a in F_4, and x^2 + a^2 = (x + a)^2 is
+    # inseparable too: certification runs first and names reducibility
+    levels = [F4096_LEVELS[0], {"name": "b", "minpoly": minpoly, "sigma": "b^2"}]
+    with pytest.raises(TowerError, match="'b': minimal polynomial is reducible "
+                                         "over its level"):
+        tower_make(F2, levels)
 
 
 def test_inseparable_level_rejected():
