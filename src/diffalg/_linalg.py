@@ -6,7 +6,9 @@ the field must supply inv().
 
 Row operations are the field's own row_sub and row_scale, and mat_vec its
 dot, which work on whole rows (see exactfield); the generic ones skip zero
-entries, keeping what they would have recomputed.
+entries, keeping what they would have recomputed.  rank counts and det
+multiplies the pivots of one forward elimination (_pivots), with no
+back-substitution; rref also clears above each pivot.
 """
 
 from __future__ import annotations
@@ -45,14 +47,12 @@ def rref(k, m):
     pivots = []
     r = 0
     for c in range(cols):
-        pivot = None
         for i in range(r, rows):
             if not k.is_zero(m[i][c]):
-                pivot = i
                 break
-        if pivot is None:
+        else:
             continue
-        m[r], m[pivot] = m[pivot], m[r]
+        m[r], m[i] = m[i], m[r]
         m[r] = k.row_scale(k.inv(m[r][c]), m[r])
         for i in range(rows):
             if i != r and not k.is_zero(m[i][c]):
@@ -64,8 +64,32 @@ def rref(k, m):
     return m[:r], pivots
 
 
+def _pivots(k, m):
+    """Yield (column, pivot, swapped: a lower row was swapped up to hold it)
+    for each pivot of m in turn, then clear the entries below it.  Row
+    operations return new rows, so only the list of rows is copied."""
+    m = list(m)
+    rows, r = len(m), 0
+    for c in range(len(m[0]) if rows else 0):
+        for i in range(r, rows):
+            if not k.is_zero(m[i][c]):
+                break
+        else:
+            continue
+        pivot, m[i] = m[i], m[r]        # slot r is never read again
+        yield c, pivot[c], i != r
+        r += 1
+        if r == rows:
+            return
+        pivot = k.row_scale(k.inv(pivot[c]), pivot)
+        for i in range(r, rows):
+            if not k.is_zero(m[i][c]):
+                m[i] = k.row_sub(m[i], m[i][c], pivot)
+
+
 def rank(k, m):
-    return len(rref(k, m)[0])
+    """The number of pivots forward elimination finds."""
+    return sum(1 for _ in _pivots(k, m))
 
 
 def nullspace(k, m):
@@ -85,27 +109,14 @@ def nullspace(k, m):
 
 
 def det(k, m):
-    n = len(m)
-    m = copy(m)
-    acc = k.one()
-    for c in range(n):
-        pivot = None
-        for i in range(c, n):
-            if not k.is_zero(m[i][c]):
-                pivot = i
-                break
-        if pivot is None:
+    """The product of m's pivots, signed by its swaps; zero at a missing one."""
+    acc, r = k.one(), 0
+    for c, a, swapped in _pivots(k, m):
+        if c != r:
             return k.zero()
-        if pivot != c:
-            m[c], m[pivot] = m[pivot], m[c]
-            acc = k.neg(acc)
-        acc = k.mul(acc, m[c][c])
-        inv = k.inv(m[c][c])
-        for i in range(c + 1, n):
-            if k.is_zero(m[i][c]):
-                continue
-            m[i] = k.row_sub(m[i], k.mul(m[i][c], inv), m[c])
-    return acc
+        acc = k.mul(acc, k.neg(a) if swapped else a)
+        r += 1
+    return acc if r == len(m) else k.zero()
 
 
 def solve(k, m, b):

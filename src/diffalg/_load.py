@@ -4,13 +4,14 @@ A Cursor is a JSON value with its path from the document root: keys joined
 by dots, array indices in brackets (`levels[2].sigma`, `instance.mul`), and
 "" for the whole document.  Each getter checks one value's JSON type, so each
 rule "this value must be X" is written once, here; a JSON boolean is never an
-integer.  Nested arrays of scalars are checked in one pass per depth, and the
-path below them is built only once a check has failed.
+integer.  A tensor of scalars is checked one depth at a time, its path below
+built only once a check has failed, and decoded by one vec_from_json call.
 """
 
 from __future__ import annotations
 
 import contextlib
+from itertools import accumulate, chain
 
 _NOUNS = {dict: "a JSON object", list: "a JSON array", str: "a string", int: "an integer"}
 
@@ -25,14 +26,6 @@ class InputError(ValueError):
 
 def _is(value, kind):
     return isinstance(value, kind) and not isinstance(value, bool)
-
-
-def _decode(vec, value, depth):
-    if depth == 1:
-        return vec(value)
-    if depth == 2:
-        return list(map(vec, value))
-    return [_decode(vec, v, depth - 1) for v in value]
 
 
 def cursor(value):
@@ -105,17 +98,22 @@ class Cursor:
 
     def scalars(self, field, *shape):
         """The value as nested JSON arrays with the lengths in shape (None:
-        any), the innermost decoded by field.vec_from_json."""
-        level = [self.value]
-        for depth, n in enumerate(shape):
-            if depth:
-                level = [x for v in level for x in v]
-            if not all(isinstance(v, list) and (n is None or len(v) == n) for v in level):
+        any), each row a new list; every innermost cell, in document order,
+        goes to one field.vec_from_json call, whose error names the value."""
+        levels = [[self.value]]
+        for n in shape:
+            level = levels[-1]
+            if not ({*map(type, level)} <= {list} and (n is None or {*map(len, level)} <= {n})):
                 self._check_shape(shape)
+            levels.append([*chain.from_iterable(level)])
         try:
-            return _decode(field.vec_from_json, self.value, len(shape))
+            out = field.vec_from_json(levels.pop())
         except (TypeError, ValueError, KeyError) as exc:
             raise self.error(f"holds an invalid scalar for its base field ({exc})") from None
+        for level in levels[:0:-1]:
+            ends = [*accumulate(map(len, level))]
+            out = [out[a:b] for a, b in zip([0, *ends], ends)]
+        return out
 
     def _check_shape(self, shape):
         """Raise at the first value under this one that breaks the shape."""

@@ -140,7 +140,6 @@ class TowerExtension(mp.Ring):
                            sigma_text=spec["sigma"], cert=spec.get("cert"),
                            degree=len(coeffs) - 1)
         self._certify_irreducible(level)
-        self._check_separable(level)
         idx = len(self.levels)
         self.levels.append(level)
         self.by_name[name] = idx
@@ -421,6 +420,13 @@ class TowerExtension(mp.Ring):
         return t is not None and self.levels[t].cert in ("radical-fresh", "radical-chain")
 
     def _check_specialized(self, level, prefix_count):
+        """Certify level zero's minimal polynomial f over the fraction field
+        by a specialization of its coefficients into the constant field that
+        keeps its degree and is irreducible there.  That certifies f separable
+        too, so no gcd(f, f') follows: the constant fields (Q, F_p, F_q) are
+        perfect, so an inseparable f = g(x^p) specializes to g_s(x^p), a p-th
+        power and never irreducible, and in characteristic 0 every irreducible
+        polynomial is separable."""
         if prefix_count != 0:
             raise TowerError("specialization certificates only apply at level zero")
         k = self.base
@@ -436,18 +442,6 @@ class TowerExtension(mp.Ring):
         raise TowerError(
             f"level {level.name!r}: specialization failed to certify "
             "irreducibility")
-
-    def _check_separable(self, level):
-        """gcd(f, f') must be one.  It runs after certification and only for
-        specialized levels: a polynomial irreducible over a finite field is
-        separable (the field is perfect), and radical shapes were checked
-        tame."""
-        if level.cert != "specialized":
-            return
-        f = [dict(c) for c in level.minpoly]
-        g = pc.gcd(self, f, pc.derivative(self, f))
-        if pc.deg(g) != 0:
-            raise TowerError(f"level {level.name!r} is inseparable")
 
 
 def _as_univariate(a, top):

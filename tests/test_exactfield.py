@@ -1,6 +1,7 @@
 """Field constructions, endomorphism laws, canonical forms, serialization."""
 
 import ast
+import itertools
 import json
 import random
 
@@ -8,6 +9,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from diffalg import _polycore as pc
+from diffalg._load import Cursor, InputError
 from diffalg.exactfield import (DECODE_TABLE_MAX_P, PRIME_BOUND, TABLE_MAX_ORDER,
                                 DifferenceField, FieldError, FrobeniusDescriptor,
                                 FunctionField, GaloisField, PrimeField, Rationals,
@@ -565,13 +567,31 @@ def _same_outcome(fast, slow):
     return want
 
 
-@pytest.mark.parametrize("p", [5, 7, DECODE_TABLE_MAX_P + 3])
+@pytest.mark.parametrize("p", [2, 3, 5, 7, DECODE_TABLE_MAX_P + 3])
 def test_prime_vec_from_json_reduces_and_fails_like_scalar_decode(p):
     k, slow = PrimeField(p), PerScalarPrimeField(p)
     for cells in (["1", "7", "0"], ["-1", 3], [7, "0"], [-1], [True, False, 1.0],
                   [" 2", "3"], [str(p), p], [None, "1"], ["1", "x"], ["0", [1]],
-                  ["0", 1.5]):
+                  ["0", 1.5], [], ["1"], ["0"] * 9 + [str(p)],
+                  # one-character cells outside "0".."p-1", and what joins to them
+                  [""], ["1", ""], ["", "1", "1"], ["", "11"], ["11", ""], ["1\x001"],
+                  ["\x00"], ["1", "\x00"], ["\uff15"], ["1", "\uff15"], ["a"], ["9"],
+                  [str(p - 1), str(p)], ["0", "-"], ["1 "], ["00", "01"],
+                  # strings, ints and bools mixed
+                  ["1", 1], [1, "1"], ["0", True], [False, "1"], ["1", None], ["1", "2", 0]):
         _same_outcome(lambda: k.vec_from_json(cells), lambda: slow.vec_from_json(cells))
+
+
+@pytest.mark.parametrize("p", [2, 5])
+def test_prime_vec_from_json_on_every_short_list_of_tricky_cells(p):
+    # every list of up to three cells from strings that join into digits and
+    # NULs in other ways than one digit per cell
+    k, slow = PrimeField(p), PerScalarPrimeField(p)
+    alphabet = ["", "0", "1", str(p), "11", "\x00", "1\x00", "\x001", "\x00\x00", 1]
+    for n in range(4):
+        for cells in itertools.product(alphabet, repeat=n):
+            cells = list(cells)
+            _same_outcome(lambda: k.vec_from_json(cells), lambda: slow.vec_from_json(cells))
 
 
 def _mul_cell_doc(cell):
@@ -592,6 +612,60 @@ def test_algebra_decode_equals_the_per_scalar_decode(entry):
     got = _same_outcome(load, lambda: load(PerScalarPrimeField(5)))
     if got is not None:
         assert got[0][1][1] == [0, int(entry) % 5]
+
+
+def _scalars(value, field, *shape, path="mul"):
+    return Cursor(value, path).scalars(field, *shape)
+
+
+def test_scalars_reports_a_bad_cell_in_a_later_row_for_the_whole_value():
+    # row mul[0][0] holds a non-canonical "7", so the byte decode falls
+    # through; the first bad cell is in mul[1][1]
+    value = [[["7", "0"], ["0", "1"]], [["0", "0"], ["1", "x"]]]
+    for k in (PrimeField(5), PerScalarPrimeField(5)):
+        with pytest.raises(InputError) as err:
+            _scalars(value, k, 2, 2, 2)
+        assert err.value.path == "mul"
+        assert str(err.value) == ("mul holds an invalid scalar for its base field "
+                                  "(invalid literal for int() with base 10: 'x')")
+
+
+@pytest.mark.parametrize("row", ["01", ["0"], ["0", "1", "1"]])
+def test_scalars_shape_error_names_the_row(row):
+    # a string where a row belongs is a shape error, not a row of characters
+    value = [[["1", "0"], row], [["0", "1"], ["1", "0"]]]
+    with pytest.raises(InputError) as err:
+        _scalars(value, PrimeField(5), 2, 2, 2)
+    assert err.value.path == "mul[0][1]"
+    assert str(err.value) == "mul[0][1] must be a JSON array of 2 entries"
+
+
+@pytest.mark.parametrize("k", [PrimeField(5), PrimeField(DECODE_TABLE_MAX_P + 3), F9, Q])
+def test_scalars_rows_are_new_distinct_lists(k):
+    rng = random.Random(17)
+    want = [[[k.sample(rng) for _ in range(3)] for _ in range(3)] for _ in range(2)]
+    want[0][1] = list(want[0][0])
+    want.append([[k.zero()] * 3 for _ in range(3)])        # equal rows, too
+    value = json.loads(json.dumps([[[k.scalar_to_json(a) for a in row] for row in m]
+                                   for m in want]))
+    got = _scalars(value, k, 3, 3, 3)
+    assert got == want
+    rows = [row for m in got for row in m]
+    assert len({id(r) for r in rows}) == len(rows) == 9
+    assert len({id(m) for m in got}) == 3
+    assert not {id(r) for r in rows} & {id(r) for m in value for r in m}
+
+
+def test_scalars_loads_zero_length_and_ragged_shapes():
+    k = PrimeField(3)
+    assert _scalars([[], []], k, 2, 0) == [[], []]
+    assert _scalars([], k, 0, 3) == []
+    assert _scalars([], k, None) == []
+    assert _scalars([[], ["1"], ["2", "4"]], k, 3, None) == [[], [1], [2, 1]]
+    assert _scalars([[[]], [[], []]], k, None, None, 0) == [[[]], [[], []]]
+    with pytest.raises(InputError) as err:
+        _scalars([[], "1"], k, 2, None)
+    assert err.value.path == "mul[1]"
 
 
 # -- the per-kind contract ---------------------------------------------------------

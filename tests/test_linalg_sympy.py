@@ -3,7 +3,10 @@
 Seeded matrices over F_p and Q, at least half of whose entries are zero so
 that the zero-skipping row operations run, must give the same rref, rank,
 nullspace, determinant, inverse and solvability as sympy, and SpanBasis
-must agree with sympy's rref of the rows it was fed.
+must agree with sympy's rref of the rows it was fed.  rank and det, which
+eliminate forward only, are checked on shaped matrices (rank-deficient,
+zero, empty, wide and tall) against the pivots of rref, sympy over F_p and a
+cofactor expansion.
 """
 
 from fractions import Fraction
@@ -16,7 +19,7 @@ sympy = pytest.importorskip("sympy")
 from sympy.polys.matrices import DomainMatrix  # noqa: E402
 
 from diffalg import _linalg as la  # noqa: E402
-from diffalg.exactfield import PrimeField, Rationals  # noqa: E402
+from diffalg.exactfield import GaloisField, PrimeField, Rationals  # noqa: E402
 
 CASES = 40
 
@@ -130,3 +133,58 @@ def test_span_basis(name):
                 for c, row in zip(coords, sb.basis()):
                     combo = [k.add(a, k.mul(c, r)) for a, r in zip(combo, row)]
                 assert combo == v
+
+
+def _product(k, a, b, inner):
+    return [[k.dot([row[t] for t in range(inner)], [b[t][j] for t in range(inner)])
+             for j in range(len(b[0]) if b else 0)] for row in a]
+
+
+def _cofactor_det(k, m):
+    if not m:
+        return k.one()
+    acc = k.zero()
+    for j, a in enumerate(m[0]):
+        minor = _cofactor_det(k, [row[:j] + row[j + 1:] for row in m[1:]])
+        term = k.mul(a, minor)
+        acc = k.add(acc, term if j % 2 == 0 else k.neg(term))
+    return acc
+
+
+def _shaped(k, seed):
+    """(rows, cols, matrix) pairs: random, rank-deficient products, all-zero,
+    0-row, wide and tall, some square."""
+    rng = random.Random(seed)
+
+    def rand(rows, cols):
+        return [[k.zero() if rng.random() < 0.4 else k.sample(rng) for _ in range(cols)]
+                for _ in range(rows)]
+
+    out = [(0, 0, []), (0, 3, []), (3, 3, [[k.zero()] * 3 for _ in range(3)]),
+           (2, 5, [[k.zero()] * 5 for _ in range(2)])]
+    for _ in range(12):
+        rows, cols = rng.randint(1, 5), rng.randint(1, 5)
+        r = rng.randint(1, max(1, min(rows, cols) - 1))
+        out += [(rows, cols, rand(rows, cols)), (rows, rows, rand(rows, rows)),
+                (rows, cols, _product(k, rand(rows, r), rand(r, cols), r))]
+    out += [(2, 6, rand(2, 6)), (6, 2, rand(6, 2)), (4, 4, _product(k, rand(4, 2), rand(2, 4), 2))]
+    return out
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_rank_and_det_against_rref_and_sympy(p):
+    k, K = PrimeField(p), sympy.GF(p)
+    for rows, cols, m in _shaped(k, f"rank-{p}"):
+        dm = DomainMatrix([[K(a) for a in row] for row in m], (rows, cols), K)
+        assert la.rank(k, m) == len(la.rref(k, m)[0]) == dm.rank()
+        if rows == cols:
+            assert la.det(k, m) == _cofactor_det(k, m) == int(dm.det()) % p
+
+
+@pytest.mark.parametrize("k", [GaloisField(3, [2, 2, 1]), GaloisField(2, [1, 1, 0, 1]),
+                               Rationals()], ids=["F9", "F8", "Q"])
+def test_rank_and_det_against_rref_over_other_fields(k):
+    for rows, cols, m in _shaped(k, f"rank-{k.descriptor()}"):
+        assert la.rank(k, m) == len(la.rref(k, m)[0])
+        if rows == cols:
+            assert la.det(k, m) == _cofactor_det(k, m)
