@@ -25,22 +25,25 @@ that kind, so no other module tests a field's class: is_finite (and on F_p and
 F_q degree, power_basis, prime_coords), sigma_inverse, constants, specialize,
 inversive_closure, named_constant, poly_gcd and ShiftField.variable_index.
 
-Vectors are lists of elements, and five methods work on whole lists:
-vec_from_json(cells) decodes a JSON array of scalars, dot(u, v) is
-sum u_i v_i, row_sub(v, c, row) is v - c*row, row_scale(c, row) is c*row and
+Vectors are lists of elements, and seven methods work on whole lists:
+vec_from_json(cells) decodes a JSON array of scalars and vec_to_json(v)
+encodes one, dot(u, v) is sum u_i v_i, row_sub(v, c, row) is v - c*row,
+row_scale(c, row) is c*row, kron(u, v) is [u_i v_j], i major, and
 bilinear(u, v, table) is the product of u and v under sparse structure
 constants.  Two more work on dense polynomials (_polycore lists):
-poly_mul(f, g) and poly_divmod(f, g).  DifferenceField defines all seven as
+poly_mul(f, g) and poly_divmod(f, g).  DifferenceField defines all nine as
 loops over the scalar methods.  PrimeField overrides them with int
-arithmetic, one reduction mod p per output entry, and decodes a vector of
-one-digit scalars as bytes, with no call per cell; a GaloisField with tables
-overrides all but vec_from_json with loops over Zech logarithms.
+arithmetic, one reduction mod p per output entry, decodes a vector of
+one-digit scalars as bytes, with no call per cell, and encodes through a
+table of strings; GaloisField decodes and encodes whole vectors of
+coordinate lists, and with tables computes the rest over Zech logarithms.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
 import functools
+from itertools import chain
 import operator
 import random
 
@@ -115,17 +118,21 @@ class DifferenceField(pc.Kernels):
     # subclasses implement: zero one add neg mul inv eq is_zero from_int
     # sigma canon sample scalar_to_json scalar_from_json descriptor
     #
-    # The vector protocol below (vec_from_json, dot, row_sub, row_scale,
-    # bilinear) and the polynomial kernels inherited from _polycore.Kernels
-    # (poly_mul, poly_divmod) loop over those scalar methods; a subclass may
-    # override them with whole-list kernels that give the same results.
-    # Elements are stored canonically, so where an entry is zero the loops
-    # skip the work, keeping the entry it would have recomputed.
+    # The vector protocol below (vec_from_json, vec_to_json, dot, row_sub,
+    # row_scale, kron, bilinear) and the polynomial kernels inherited from
+    # _polycore.Kernels (poly_mul, poly_divmod) loop over those scalar
+    # methods; a subclass may override them with whole-list kernels that give
+    # the same results.  Elements are stored canonically, so where an entry is
+    # zero the loops skip the work, keeping the entry it would have recomputed.
 
     def vec_from_json(self, cells):
         """The JSON scalars `cells` decoded, one scalar_from_json each."""
         dec = self.scalar_from_json
         return [dec(c) for c in cells]
+
+    def vec_to_json(self, v):
+        """The JSON scalars of the entries of v, one scalar_to_json each."""
+        return list(map(self.scalar_to_json, v))
 
     def dot(self, u, v):
         """sum u_i v_i, skipping the terms where u_i is zero."""
@@ -143,6 +150,12 @@ class DifferenceField(pc.Kernels):
     def row_scale(self, c, row):
         """c*row, keeping zero entries."""
         return [a if self.is_zero(a) else self.mul(c, a) for a in row]
+
+    def kron(self, u, v):
+        """[u_i v_j], i major: v scaled by each entry of u, a zero u_i giving
+        a row of zeros."""
+        zeros = [self.zero()] * len(v)
+        return [x for a in u for x in (zeros if self.is_zero(a) else self.row_scale(a, v))]
 
     def bilinear(self, u, v, table):
         """sum u_i v_j e_i e_j, where table[i][j] lists the nonzero (t, c) of
@@ -381,6 +394,11 @@ class PrimeField(DifferenceField):
                 pass  # a cell outside the table: decode each one as below
         return [int(c) % p for c in cells]
 
+    def vec_to_json(self, v):
+        if self.p <= DECODE_TABLE_MAX_P:
+            return list(map(_encode_table(self.p).__getitem__, v))
+        return list(map(str, v))
+
     def dot(self, u, v):
         return sum(map(operator.mul, u, v)) % self.p
 
@@ -391,6 +409,10 @@ class PrimeField(DifferenceField):
     def row_scale(self, c, row):
         p = self.p
         return [c * a % p for a in row]
+
+    def kron(self, u, v):
+        p = self.p
+        return [a * b % p for a in u for b in v]
 
     def bilinear(self, u, v, table):
         out = [0] * len(u)
@@ -435,8 +457,9 @@ class PrimeField(DifferenceField):
 
 
 # PrimeField.vec_from_json maps one-digit cells to their values with
-# _DIGIT_VALUES, and looks other cells up in a table of 2p entries; above this
-# p it decodes with int() alone, so a large prime costs no memory.
+# _DIGIT_VALUES and looks other cells up in a table of 2p entries, and
+# vec_to_json looks values up in a tuple of p strings; above this p they use
+# int() and str() alone, so a large prime costs no memory.
 DECODE_TABLE_MAX_P = 4096
 _DIGIT_VALUES = bytes.maketrans(b"0123456789", bytes(range(10)))
 
@@ -448,6 +471,12 @@ def _decode_table(p):
     table = {str(i): i for i in range(p)}
     table.update((i, i) for i in range(p))
     return table
+
+
+@functools.lru_cache(maxsize=32)
+def _encode_table(p):
+    """str(i) for each i in 0..p-1, the JSON scalar of the element i of F_p."""
+    return tuple(map(str, range(p)))
 
 
 class GaloisField(DifferenceField):
@@ -474,7 +503,7 @@ class GaloisField(DifferenceField):
     p-th powers.
 
     With tables, the vector and polynomial kernels (dot, row_sub, row_scale,
-    bilinear, poly_mul, poly_divmod) look each input entry up in log once,
+    kron, bilinear, poly_mul, poly_divmod) look each input entry up in log once,
     None standing for zero, multiply by adding logs, accumulate by Zech
     addition (_zadd), and look each output entry up in exp once.
 
@@ -604,6 +633,14 @@ class GaloisField(DifferenceField):
         lc = log[c]
         return [a if a == zero else exp[(log[a] + lc) % self._q1] for a in row]
 
+    def kron(self, u, v):
+        log, exp, zero = self._log, self._exp, self._zero
+        if log is None:
+            return super().kron(u, v)
+        q1, lv = self._q1, list(map(log.get, v))
+        return [zero if a is None or b is None else exp[(a + b) % q1]
+                for a in map(log.get, u) for b in lv]
+
     def bilinear(self, u, v, table):
         log, zadd, zero = self._log, self._zadd, self._zero
         if log is None:
@@ -724,6 +761,19 @@ class GaloisField(DifferenceField):
         if isinstance(s, str):
             s = [int(t) for t in s.strip("[]").split(",")] if s else []
         return self.canon(tuple(int(x) for x in s))
+
+    def vec_from_json(self, cells):
+        # cells that are all lists of n ints in 0..p-1 are canonical as they
+        # stand; any other cell (a string, a bool, a short or long list, a
+        # coordinate out of range) sends the vector to the per-cell decode
+        if {*map(type, cells)} <= {list} and {*map(len, cells)} <= {self.degree}:
+            flat = [*chain.from_iterable(cells)]
+            if {*map(type, flat)} <= {int} and (not flat or 0 <= min(flat) <= max(flat) < self.p):
+                return list(map(tuple, cells))
+        return super().vec_from_json(cells)
+
+    def vec_to_json(self, v):
+        return list(map(list, v))
 
     def descriptor(self):
         return {
@@ -1005,7 +1055,7 @@ class FunctionField(FractionField):
         return self.base.is_inversive()
 
     def _encode(self, f):
-        return [self.base.scalar_to_json(c) for c in f]
+        return self.base.vec_to_json(f)
 
     def _decode(self, cs):
         return pc.trim(self.base, [self.base.scalar_from_json(c) for c in cs])

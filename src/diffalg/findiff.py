@@ -125,14 +125,13 @@ class FinSigmaAlgebra:
     # -- serialization -----------------------------------------------------
 
     def to_json(self):
-        enc = self.base.scalar_to_json
+        enc = self.base.vec_to_json
         return {
             "base": self.base.descriptor(),
             "dim": self.dim,
-            "mul": [[[enc(c) for c in self.mul[i][j]] for j in range(self.dim)]
-                    for i in range(self.dim)],
-            "unit": [enc(c) for c in self.unit],
-            "sigma": [[enc(c) for c in row] for row in self.sigma],
+            "mul": [[enc(cell) for cell in row] for row in self.mul],
+            "unit": enc(self.unit),
+            "sigma": [enc(row) for row in self.sigma],
         }
 
     @staticmethod
@@ -268,13 +267,9 @@ is_sigma_reduced = is_sigma_separable
 def trace_gram_matrix(A: FinSigmaAlgebra):
     k = A.base
     n = A.dim
-    # trace of multiplication by e_m
-    tr = []
-    for m in range(n):
-        acc = k.zero()
-        for t in range(n):
-            acc = k.add(acc, A.mul[m][t][t])
-        tr.append(acc)
+    # trace of multiplication by e_m: the sum of the diagonal of A.mul[m]
+    ones = [k.one()] * n
+    tr = [k.dot([c[t] for t, c in enumerate(row)], ones) for row in A.mul]
     gram = [[k.zero()] * n for _ in range(n)]
     for i in range(n):
         for j in range(i, n):
@@ -334,7 +329,7 @@ def primitive_idempotents(A: FinSigmaAlgebra, supplied=None):
           for j in range(A.dim)] for i in range(A.dim)]
     fixed = la.nullspace(k, m)
     prims = _split_fixed(A, fixed)
-    prims.sort(key=lambda v: repr([k.scalar_to_json(c) for c in v]))
+    prims.sort(key=lambda v: repr(k.vec_to_json(v)))
     return [Idempotent(v, primitive=True) for v in prims]
 
 
@@ -504,44 +499,15 @@ def _subalgebra_on_span(A, span):
 
 
 def tensor_product(A: FinSigmaAlgebra, B: FinSigmaAlgebra) -> FinSigmaAlgebra:
-    """Structure constants multiply componentwise; sigma is the Kronecker
-    product of the factors' matrices."""
+    """Basis e_i (x) f_j at index i * B.dim + j: each structure-constant
+    vector, the unit and each row of sigma is the Kronecker product of the
+    factors' corresponding vectors."""
     if A.base != B.base:
         raise TypeError("tensor factors live over different base fields")
-    k = A.base
-    na, nb = A.dim, B.dim
-    n = na * nb
-
-    def idx(i, j):
-        return i * nb + j
-
-    mul = [[None] * n for _ in range(n)]
-    for i1 in range(na):
-        for j1 in range(nb):
-            for i2 in range(na):
-                for j2 in range(nb):
-                    out = [k.zero()] * n
-                    pa = A.mul[i1][i2]
-                    pb = B.mul[j1][j2]
-                    for m1 in range(na):
-                        if k.is_zero(pa[m1]):
-                            continue
-                        for m2 in range(nb):
-                            if k.is_zero(pb[m2]):
-                                continue
-                            out[idx(m1, m2)] = k.mul(pa[m1], pb[m2])
-                    mul[idx(i1, j1)][idx(i2, j2)] = out
-    unit = [k.zero()] * n
-    for i in range(na):
-        for j in range(nb):
-            unit[idx(i, j)] = k.mul(A.unit[i], B.unit[j])
-    sig = [[k.zero()] * n for _ in range(n)]
-    for i1 in range(na):
-        for j1 in range(nb):
-            for i2 in range(na):
-                for j2 in range(nb):
-                    sig[idx(i1, j1)][idx(i2, j2)] = k.mul(A.sigma[i1][i2], B.sigma[j1][j2])
-    return FinSigmaAlgebra(k, mul, unit, sig)
+    kron = A.base.kron
+    mul = [[kron(pa, pb) for pa in ra for pb in rb] for ra in A.mul for rb in B.mul]
+    sig = [kron(ra, rb) for ra in A.sigma for rb in B.sigma]
+    return FinSigmaAlgebra(A.base, mul, kron(A.unit, B.unit), sig)
 
 
 def quotient_by_sigma_ideal(A: FinSigmaAlgebra, gens):
@@ -665,42 +631,21 @@ def base_change(A: FinSigmaAlgebra, K, embed=None) -> FinSigmaAlgebra:
 
 
 def restrict_scalars(A: FinSigmaAlgebra, k) -> FinSigmaAlgebra:
-    """Flatten an algebra over a finite extension K down to the subfield k."""
+    """Flatten an algebra over a finite extension K down to the subfield k,
+    the basis e_i gamma_t at index i * N + t for a k-basis gamma of K."""
     K = A.base
-    embed = field_embedding(k, K)
-    gammas, coord_fn = _relative_basis(k, K, embed)
-    N = len(gammas)
-    n = A.dim
-    dim = n * N
-
-    def idx(i, t):
-        return i * N + t
+    gammas, coord_fn = _relative_basis(k, K, field_embedding(k, K))
+    zeros = [k.zero()] * len(gammas)
 
     def expand(vec_over_K):
-        out = [k.zero()] * dim
-        for i, c in enumerate(vec_over_K):
-            if K.is_zero(c):
-                continue
-            for t, coef in enumerate(coord_fn(c)):
-                out[idx(i, t)] = k.add(out[idx(i, t)], coef)
-        return out
+        return [x for c in vec_over_K for x in (zeros if K.is_zero(c) else coord_fn(c))]
 
-    mul = [[None] * dim for _ in range(dim)]
-    for i in range(n):
-        for t in range(N):
-            for j in range(n):
-                for u in range(N):
-                    prod_scalar = K.mul(gammas[t], gammas[u])
-                    vec = [K.mul(prod_scalar, c) for c in A.mul[i][j]]
-                    mul[idx(i, t)][idx(j, u)] = expand(vec)
-    unit = expand(A.unit)
-    sig_cols = []
-    for j in range(n):
-        for u in range(N):
-            v = [K.zero()] * n
-            v[j] = gammas[u]
-            sig_cols.append(expand(A.apply_sigma(v)))
-    return FinSigmaAlgebra(k, mul, unit, la.transpose(sig_cols, dim))
+    basis = [(i, g) for i in range(A.dim) for g in gammas]
+    mul = [[expand(K.row_scale(K.mul(g, h), A.mul[i][j])) for j, h in basis]
+           for i, g in basis]
+    sig_cols = [expand(A.apply_sigma([g if t == i else K.zero() for t in range(A.dim)]))
+                for i, g in basis]
+    return FinSigmaAlgebra(k, mul, expand(A.unit), la.transpose(sig_cols, len(basis)))
 
 
 def _relative_basis(k, K, embed):
@@ -856,7 +801,7 @@ def _split_primitives_over_extension(AN, K, embed, factors):
             prim_vecs.append(eij)
         if not AN.vec_eq(total, eK):
             raise AssertionError("lifted idempotents do not resum to the factor unit")
-    prim_vecs.sort(key=lambda v: repr([K.scalar_to_json(c) for c in v]))
+    prim_vecs.sort(key=lambda v: repr(K.vec_to_json(v)))
     return prim_vecs
 
 

@@ -135,7 +135,7 @@ def _comul_witness(k, basis, images):
         sol = la.solve(k, matrix, mp.to_dense(k, img, key_index))
         if sol is None:
             return None
-        witness.append([k.scalar_to_json(c) for c in sol])
+        witness.append(k.vec_to_json(sol))
     return witness
 
 
@@ -164,7 +164,7 @@ def strong_core_is_hopf_subalgebra(H: SigmaHopf) -> dict:
         coords = span.coordinates(la.mat_vec(k, H.antipode, v))
         if coords is None:
             return {"status": "refuted", "reason": "antipode image outside the core"}
-        antipode_witness.append([k.scalar_to_json(c) for c in coords])
+        antipode_witness.append(k.vec_to_json(coords))
     return {"status": "verified", "core_dimension": r,
             "comul_witness": comul_witness,
             "antipode_witness": antipode_witness}
@@ -298,7 +298,7 @@ def strong_core_is_hopf_subalgebra_truncated(H: TruncatedGroupLikeHopf,
         coords = None if v is None else span.coordinates(v)
         if coords is None:
             return {"status": "refuted", "reason": "antipode image outside the core"}
-        antipode_witness.append([k.scalar_to_json(c) for c in coords])
+        antipode_witness.append(k.vec_to_json(coords))
     return {"status": "verified", "core_dimension": len(basis),
             "comul_witness": comul_witness, "antipode_witness": antipode_witness}
 

@@ -29,21 +29,20 @@ def diagonal_algebra(k, point_map) -> FinSigmaAlgebra:
 
 
 def conjugate(A: FinSigmaAlgebra, P) -> FinSigmaAlgebra:
-    """Change of basis f_j = sum_i P[i][j] e_i; hides split structure."""
+    """Change of basis f_j = sum_i P[i][j] e_i; hides split structure.  A is
+    commutative, so each product f_i f_j is evaluated once, for i <= j, and
+    mul[j][i] is a copy of mul[i][j]."""
     k = A.base
     Pinv = la.inverse(k, P)
     n = A.dim
-
-    def col(m, j):
-        return [m[i][j] for i in range(n)]
-
+    cols = la.transpose(P, n)
     mul = [[None] * n for _ in range(n)]
     for i in range(n):
-        for j in range(n):
-            prod = A.multiply(col(P, i), col(P, j))
-            mul[i][j] = la.mat_vec(k, Pinv, prod)
+        for j in range(i, n):
+            mul[i][j] = la.mat_vec(k, Pinv, A.multiply(cols[i], cols[j]))
+            mul[j][i] = list(mul[i][j])
     unit = la.mat_vec(k, Pinv, A.unit)
-    sigma = la.transpose([la.mat_vec(k, Pinv, A.apply_sigma(col(P, j))) for j in range(n)], n)
+    sigma = la.transpose([la.mat_vec(k, Pinv, A.apply_sigma(c)) for c in cols], n)
     return FinSigmaAlgebra(k, mul, unit, sigma)
 
 
@@ -80,21 +79,15 @@ def truncated_quotient_algebra(k, rng, dim, frobenius_steps=None):
         j = 1
     q = k.p ** (k.frobenius_power * j)
     n = dim
-    mul = [[None] * n for _ in range(n)]
-    basis_pows = []
-    for e in range(2 * n):
-        xe = pc.mod(k, pc.shift(k, [k.one()], e), f)
-        xe = xe + [k.zero()] * (n - len(xe))
-        basis_pows.append(xe[:n])
-    for i in range(n):
-        for j2 in range(n):
-            mul[i][j2] = list(basis_pows[i + j2])
+
+    def y_to(e):
+        """The coordinates of y^e."""
+        return (pc.mod(k, pc.shift(k, [k.one()], e), f) + [k.zero()] * n)[:n]
+
+    basis_pows = [y_to(e) for e in range(2 * n)]
+    mul = [[list(basis_pows[i + j2]) for j2 in range(n)] for i in range(n)]
     unit = [k.one()] + [k.zero()] * (n - 1)
-    sig_cols = []
-    for e in range(n):
-        ye = pc.mod(k, pc.shift(k, [k.one()], e * q), f)
-        ye = ye + [k.zero()] * (n - len(ye))
-        sig_cols.append(ye[:n])
+    sig_cols = [y_to(e * q) for e in range(n)]
     return FinSigmaAlgebra(k, mul, unit, la.transpose(sig_cols, n))
 
 

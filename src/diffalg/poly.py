@@ -98,7 +98,7 @@ class Poly:
         return Poly(tuple(pc.derivative(self.base, list(self.coeffs))), self.base)
 
     def to_json(self):
-        return [self.base.scalar_to_json(c) for c in self.coeffs]
+        return self.base.vec_to_json(self.coeffs)
 
     @staticmethod
     def from_json(base, data):

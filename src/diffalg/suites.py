@@ -303,7 +303,7 @@ def _all_subspaces_containing_unit(A):
                 span.add(list(vectors[idx]))
             if span.dim() != r or not span.contains(A.unit):
                 continue
-            key = tuple(tuple(k.scalar_to_json(c) for c in row) for row in span.basis())
+            key = tuple(tuple(k.vec_to_json(row)) for row in span.basis())
             if key in seen:
                 continue
             seen.add(key)

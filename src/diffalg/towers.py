@@ -524,7 +524,7 @@ def benign_make(base, minpoly, kind="radical", family="b") -> TowerExtension:
     return tower_from_json({
         "base": base,
         "families": [{"name": family, "kind": "specialization-verified",
-                      "minpoly": [base.scalar_to_json(c) for c in scalar_coeffs]}],
+                      "minpoly": base.vec_to_json(scalar_coeffs)}],
         "family_groups": [{"family": family, "start": 0}]})
 
 
@@ -1284,10 +1284,10 @@ def compatible(L: TowerExtension, Lp: TowerExtension) -> CompatibilityVerdict:
     for e in primitive_idempotents(A):
         stable = A.vec_eq(A.multiply(A.apply_sigma(e.coords), e.coords), e.coords)
         enumerated.append({
-            "idempotent": [k.scalar_to_json(c) for c in e.coords],
+            "idempotent": k.vec_to_json(e.coords),
             "sigma_stable_quotient": stable,
         })
         if stable and witness is None:
-            witness = {"idempotent": [k.scalar_to_json(c) for c in e.coords]}
+            witness = {"idempotent": k.vec_to_json(e.coords)}
     details["enumeration"] = enumerated
     return CompatibilityVerdict(witness is not None, witness, details)

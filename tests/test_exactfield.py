@@ -291,6 +291,7 @@ def test_galois_kernels_equal_the_generic_loops(p, defpoly):
             assert F.dot(v, row) == G.dot(F, v, row)
             assert F.row_sub(v, c, row) == G.row_sub(F, v, c, row)
             assert F.row_scale(c, v) == G.row_scale(F, c, v)
+        assert F.kron(v, row) == G.kron(F, v, row) == [F.mul(x, y) for x in v for y in row]
         assert F.row_sub(v, a, v) == G.row_sub(F, v, a, v)
         assert F.row_sub(row, F.one(), row) == [F.zero()] * len(row)    # cancels
     # a b + a (-b) = 0
@@ -525,6 +526,8 @@ class PerScalarPrimeField(PrimeField):
     dot = DifferenceField.dot
     row_sub = DifferenceField.row_sub
     row_scale = DifferenceField.row_scale
+    kron = DifferenceField.kron
+    vec_to_json = DifferenceField.vec_to_json
 
 
 def _seeded_vectors(k, rng, count=40):
@@ -543,6 +546,8 @@ def test_prime_vector_kernels_equal_the_generic_loops(p):
         assert k.dot(v, row) == slow.dot(v, row)
         assert k.row_sub(v, c, row) == slow.row_sub(v, c, row)
         assert k.row_scale(c, v) == slow.row_scale(c, v)
+        assert k.kron(v, row) == slow.kron(v, row) == [a * b % p for a in v for b in row]
+        assert k.kron(row, v) == slow.kron(row, v)
         for cells in ([str(a) for a in v], list(v), [str(a) if a % 2 else a for a in v]):
             assert k.vec_from_json(cells) == slow.vec_from_json(cells) == v
 
@@ -772,3 +777,63 @@ def test_shift_variable_index_decodes_only_a_bare_variable():
     for a in (S.one(), S.zero(), S.mul(t(1), t(1)), S.mul(t(1), t(2)),
               S.add(t(1), S.one()), S.mul(S.from_int(2), t(1)), S.div(t(1), t(0))):
         assert S.variable_index(a) is None
+
+
+# -- whole-vector encode and the F_q decode -------------------------------------
+
+# p = 4093 and 4099 on either side of DECODE_TABLE_MAX_P
+ENCODE_FIELDS = dict(KINDS, F2=PrimeField(2), F4=F4, F4093=PrimeField(DECODE_TABLE_MAX_P - 3),
+                     F4099=PrimeField(DECODE_TABLE_MAX_P + 3))
+
+
+@pytest.mark.parametrize("name", ENCODE_FIELDS)
+def test_vec_to_json_equals_the_per_scalar_encoding(name):
+    F = ENCODE_FIELDS[name]
+    rng = random.Random(f"encode-{name}")
+    vectors = [[], [F.zero(), F.one(), F.from_int(-1)]] + _seeded_vectors(F, rng, 10)
+    if F.is_finite and F.degree == 1:      # both ends of the string table
+        vectors.append([0, 1, F.p - 2, F.p - 1])
+    for v in vectors:
+        got = F.vec_to_json(v)
+        assert json.dumps(got) == json.dumps([F.scalar_to_json(a) for a in v])
+        assert json.dumps(got) == json.dumps(DifferenceField.vec_to_json(F, v))
+
+
+class PerScalarGaloisField(GaloisField):
+    """F_q with the generic, one-cell-at-a-time decode."""
+
+    vec_from_json = DifferenceField.vec_from_json
+
+
+def _edge_cells(F):
+    """Coordinate lists the whole-vector decode must take as they stand, and
+    cells it must hand to the per-cell decode: strings, bools, floats, None,
+    short and long lists, coordinates out of range."""
+    n, p = F.degree, F.p
+    ok = [[i % p] + [0] * (n - 1) for i in range(3)] + [[p - 1] * n]
+    bad = [str(ok[1]), ",".join(map(str, ok[1])), "", None, 5, [], [0] * (n - 1),
+           [0] * (n + 1), (0,) * n, ["1"] + [0] * (n - 1)]
+    bad += [[x] + [0] * (n - 1) for x in (True, False, 1.0, p, -1, None, 2 ** 70)]
+    return ok, bad
+
+
+@pytest.mark.parametrize("p, defpoly", [(2, [1, 1, 1]), (3, [1, 0, 1]), (5, [2, 1, 1]),
+                                        (2, [1, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 1]),
+                                        LARGE_FIELDS[-1]],
+                         ids=["F4", "F9", "F25", "F4096", "F15625"])
+def test_galois_vec_from_json_equals_the_per_cell_decode(p, defpoly):
+    F, slow = GaloisField(p, defpoly), PerScalarGaloisField(p, defpoly)
+    ok, bad = _edge_cells(F)
+    assert F.vec_from_json([]) == []
+    got = F.vec_from_json(ok)
+    assert got == slow.vec_from_json(ok) and all(type(a) is tuple for a in got)
+    # repr, so a bool kept where the per-cell decode gives an int differs
+    for cell in bad:
+        for cells in ([cell], ok + [cell], [cell] + ok):
+            _same_outcome(lambda: repr(F.vec_from_json(cells)),
+                          lambda: repr(slow.vec_from_json(cells)))
+    # through the loader: the same rows, or the same error and path
+    for cell in [ok[2]] + bad:
+        value = [[ok[0], ok[1]], [ok[1], cell]]
+        _same_outcome(lambda: repr(_scalars(value, F, 2, 2)),
+                      lambda: repr(_scalars(value, slow, 2, 2)))

@@ -17,7 +17,7 @@ from diffalg.findiff import (_SPLIT_ROUNDS, CompatibilityError, FinSigmaAlgebra,
                              quotient_by_sigma_ideal, restrict_scalars,
                              sigma_subalgebra_generated, splitting_extension,
                              strong_core, tensor_product, twist_and_psi,
-                             _split_fixed)
+                             _relative_basis, _split_fixed)
 from diffalg.instances import (conjugate, diagonal_algebra, field_algebra,
                                nilpotent_sigma_separable, random_invertible,
                                random_point_algebra, random_strongly_setale,
@@ -555,6 +555,46 @@ def test_restrict_scalars_keeps_strongly_setale():
     assert is_strongly_sigma_etale(flat)
 
 
+def _restrict_by_index_loops(A, k):
+    """restrict_scalars by index loops over (i, t, j, u), summing each
+    relative coordinate into a zero vector."""
+    K = A.base
+    gammas, coord_fn = _relative_basis(k, K, field_embedding(k, K))
+    N, n = len(gammas), A.dim
+    dim = n * N
+
+    def expand(vec):
+        out = [k.zero()] * dim
+        for i, c in enumerate(vec):
+            if not K.is_zero(c):
+                for t, coef in enumerate(coord_fn(c)):
+                    out[i * N + t] = k.add(out[i * N + t], coef)
+        return out
+
+    mul = [[None] * dim for _ in range(dim)]
+    for i, t, j, u in itertools.product(range(n), range(N), range(n), range(N)):
+        g = K.mul(gammas[t], gammas[u])
+        mul[i * N + t][j * N + u] = expand([K.mul(g, c) for c in A.mul[i][j]])
+    cols = []
+    for j, u in itertools.product(range(n), range(N)):
+        v = [K.zero()] * n
+        v[j] = gammas[u]
+        cols.append(expand(A.apply_sigma(v)))
+    return mul, expand(A.unit), la.transpose(cols, dim)
+
+
+@pytest.mark.parametrize("K, k", [(GaloisField(3, [1, 0, 1]), F3),
+                                  (GaloisField(2, [1, 1, 0, 0, 1]), GaloisField(2, [1, 1, 1])),
+                                  (GaloisField(2, [1, 1, 0, 0, 1]), F2)],
+                         ids=["F9/F3", "F16/F4", "F16/F2"])
+def test_restrict_scalars_equals_the_index_loops(K, k):
+    rng = random.Random(f"restrict-{K.order}-{k.order}")
+    for n in (1, 2, 3):
+        A = _seeded_algebra(K, rng, n)
+        flat = restrict_scalars(A, k)
+        assert (flat.mul, flat.unit, flat.sigma) == _restrict_by_index_loops(A, k)
+
+
 # -- the structure-constant builder ----------------------------------------------
 
 
@@ -660,3 +700,90 @@ def test_factor_memo_returns_a_fresh_factorization(k):
     assert all(A.factor(f) is A.factor(f) for f in polys)
     assert B.factor(polys[0]) == A.factor(polys[0])
     assert B.factor(polys[0]) is not A.factor(polys[0])   # one memo per algebra
+
+
+# -- the Kronecker builders and the vector encoder ---------------------------------
+
+
+# F_5^6 is above TABLE_MAX_ORDER, so its kron is the generic row_scale loop
+TENSOR_FIELDS = {"F2": F2, "F5": F5, "F4": GaloisField(2, [1, 1, 1]),
+                 "F9": GaloisField(3, [1, 0, 1]),
+                 "F5^6": GaloisField(5, [2, 1, 0, 0, 0, 0, 1]), "Q": Rationals()}
+
+
+def _seeded_algebra(k, rng, n):
+    """_seeded_structure with a random unit and sigma, about 40% zero."""
+    A = _seeded_structure(k, rng, n)
+    A.unit = [_sparse_sample(k, rng) for _ in range(n)]
+    A.sigma = [[_sparse_sample(k, rng) for _ in range(n)] for _ in range(n)]
+    return A
+
+
+def _tensor_by_index_loops(A, B):
+    """A (x) B by the index loops over every pair of basis vectors, with a
+    zero test on each factor coordinate."""
+    k = A.base
+    na, nb = A.dim, B.dim
+    n = na * nb
+    mul = [[None] * n for _ in range(n)]
+    for i1, j1, i2, j2 in itertools.product(range(na), range(nb), range(na), range(nb)):
+        out = [k.zero()] * n
+        pa, pb = A.mul[i1][i2], B.mul[j1][j2]
+        for m1 in range(na):
+            if k.is_zero(pa[m1]):
+                continue
+            for m2 in range(nb):
+                if not k.is_zero(pb[m2]):
+                    out[m1 * nb + m2] = k.mul(pa[m1], pb[m2])
+        mul[i1 * nb + j1][i2 * nb + j2] = out
+    unit = [k.mul(A.unit[i], B.unit[j]) for i in range(na) for j in range(nb)]
+    sig = [[k.mul(A.sigma[i1][i2], B.sigma[j1][j2]) for i2 in range(na) for j2 in range(nb)]
+           for i1 in range(na) for j1 in range(nb)]
+    return mul, unit, sig
+
+
+def _per_scalar_json(A):
+    enc = A.base.scalar_to_json
+    return {"base": A.base.descriptor(), "dim": A.dim,
+            "mul": [[[enc(c) for c in cell] for cell in row] for row in A.mul],
+            "unit": [enc(c) for c in A.unit],
+            "sigma": [[enc(c) for c in row] for row in A.sigma]}
+
+
+@pytest.mark.parametrize("name", list(TENSOR_FIELDS))
+def test_tensor_product_equals_the_index_loops(name):
+    k = TENSOR_FIELDS[name]
+    rng = random.Random(f"kron-{name}")
+    for na, nb in ((1, 1), (1, 3), (3, 1), (2, 2), (2, 3), (3, 2)):
+        A, B = _seeded_algebra(k, rng, na), _seeded_algebra(k, rng, nb)
+        T = tensor_product(A, B)
+        assert (T.mul, T.unit, T.sigma) == _tensor_by_index_loops(A, B)
+        assert T.dim == na * nb
+        # the rows are distinct lists, so changing one changes no other
+        rows = [cell for row in T.mul for cell in row]
+        assert len({id(r) for r in rows}) == len(rows)
+        assert T.to_json() == _per_scalar_json(T)
+
+
+def _conjugate_every_pair(A, P):
+    """conjugate's change of basis with all n^2 products evaluated."""
+    k, n = A.base, A.dim
+    Pinv = la.inverse(k, P)
+    cols = la.transpose(P, n)
+    mul = [[la.mat_vec(k, Pinv, A.multiply(cols[i], cols[j])) for j in range(n)]
+           for i in range(n)]
+    sigma = la.transpose([la.mat_vec(k, Pinv, A.apply_sigma(c)) for c in cols], n)
+    return mul, la.mat_vec(k, Pinv, A.unit), sigma
+
+
+@pytest.mark.parametrize("name", list(TENSOR_FIELDS))
+def test_conjugate_equals_the_evaluation_of_every_product(name):
+    k = TENSOR_FIELDS[name]
+    rng = random.Random(f"conjugate-{name}")
+    for n in (1, 2, 3, 4):
+        A, P = _seeded_algebra(k, rng, n), random_invertible(k, n, rng)
+        C = conjugate(A, P)
+        assert (C.mul, C.unit, C.sigma) == _conjugate_every_pair(A, P)
+        rows = [cell for row in C.mul for cell in row]
+        assert len({id(r) for r in rows}) == len(rows)
+        assert C.to_json() == _per_scalar_json(C)
