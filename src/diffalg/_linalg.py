@@ -126,7 +126,7 @@ def solve(k, m, b):
     aug = [list(r) + [b[i]] for i, r in enumerate(m)]
     red, pivots = rref(k, aug)
     for row in red:
-        if all(k.is_zero(a) for a in row[:cols]) and not k.is_zero(row[cols]):
+        if k.vec_is_zero(row[:cols]) and not k.is_zero(row[cols]):
             return None
     x = [k.zero()] * cols
     for r, p in enumerate(pivots):
@@ -165,7 +165,7 @@ class SpanBasis:
         return v
 
     def contains(self, v):
-        return all(self.k.is_zero(a) for a in self.reduce(v))
+        return self.k.vec_is_zero(self.reduce(v))
 
     def add(self, v):
         """Insert v; returns True if the span grew."""
@@ -204,7 +204,7 @@ class SpanBasis:
             coords.append(c)
             if not k.is_zero(c):
                 v = k.row_sub(v, c, row)
-        if any(not k.is_zero(a) for a in v):
+        if not k.vec_is_zero(v):
             return None
         return coords
 
@@ -214,8 +214,4 @@ class SpanBasis:
     def equals(self, other):
         if self.dim() != other.dim():
             return False
-        k = self.k
-        for r1, r2 in zip(self.rows, other.rows):
-            if any(not k.eq(a, b) for a, b in zip(r1, r2)):
-                return False
-        return True
+        return all(map(self.k.vec_eq, self.rows, other.rows))

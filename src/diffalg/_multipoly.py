@@ -21,6 +21,8 @@ Degrees stay tiny in this artifact, so simplicity wins over asymptotics.
 
 from __future__ import annotations
 
+import copy
+
 from ._polycore import Kernels
 
 
@@ -101,29 +103,35 @@ def scale(k, f, a):
 
 def mul(k, f, g, mono_mul=mono_mul):
     """Product of f and g; mono_mul multiplies two monomials, so any monomial
-    format (sorted pairs, dense exponent tuples, tensor keys) shares the loop."""
+    format (sorted pairs, dense exponent tuples, tensor keys) shares the loop.
+    Coefficients are nonzero and a field has no zero divisors, so a
+    monomial's first product is stored as it is; only a sum can cancel."""
     out = {}
     for m1, c1 in f.items():
         for m2, c2 in g.items():
             m = mono_mul(m1, m2)
-            s = k.add(out.get(m, k.zero()), k.mul(c1, c2))
-            if k.is_zero(s):
-                out.pop(m, None)
-            else:
-                out[m] = s
+            c = k.mul(c1, c2)
+            if m in out:
+                c = k.add(out[m], c)
+                if k.is_zero(c):
+                    del out[m]
+                    continue
+            out[m] = c
     return out
 
 
 def power(f, e, one, mul):
-    """f^e by binary powering under the ring product mul, from the unit one."""
-    acc = one
+    """f^e by binary powering under the ring product mul; one, the unit, is
+    the answer at e = 0 and is never multiplied in.  The product starts from
+    a shallow copy of its first factor, so it is never the caller's f."""
+    acc = None
     while e:
         if e & 1:
-            acc = mul(acc, f)
+            acc = copy.copy(f) if acc is None else mul(acc, f)
         e >>= 1
         if e:
             f = mul(f, f)
-    return acc
+    return one if acc is None else acc
 
 
 def eq(k, f, g):

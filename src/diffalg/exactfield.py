@@ -25,25 +25,28 @@ that kind, so no other module tests a field's class: is_finite (and on F_p and
 F_q degree, power_basis, prime_coords), sigma_inverse, constants, specialize,
 inversive_closure, named_constant, poly_gcd and ShiftField.variable_index.
 
-Vectors are lists of elements, and seven methods work on whole lists:
+Vectors are lists of elements, and eleven methods work on whole lists:
 vec_from_json(cells) decodes a JSON array of scalars and vec_to_json(v)
-encodes one, dot(u, v) is sum u_i v_i, row_sub(v, c, row) is v - c*row,
-row_scale(c, row) is c*row, kron(u, v) is [u_i v_j], i major, and
-bilinear(u, v, table) is the product of u and v under sparse structure
-constants.  Two more work on dense polynomials (_polycore lists):
-poly_mul(f, g) and poly_divmod(f, g).  DifferenceField defines all nine as
-loops over the scalar methods.  PrimeField overrides them with int
-arithmetic, one reduction mod p per output entry, decodes a vector of
-one-digit scalars as bytes, with no call per cell, and encodes through a
-table of strings; GaloisField decodes and encodes whole vectors of
-coordinate lists, and with tables computes the rest over Zech logarithms.
+encodes one, vec_is_zero(v) and vec_eq(u, v) test every entry,
+vec_nonzero(v) lists the nonzero (i, v_i), vec_sum(v) is sum v_i, dot(u, v)
+is sum u_i v_i, row_sub(v, c, row) is v - c*row, row_scale(c, row) is
+c*row, kron(u, v) is [u_i v_j], i major, and bilinear(u, v, table) is the
+product of u and v under sparse structure constants.  Two more work on
+dense polynomials (_polycore lists): poly_mul(f, g) and poly_divmod(f, g).
+DifferenceField defines all thirteen as loops over the scalar methods,
+except vec_eq, which compares stored forms with == on every kind.
+PrimeField overrides them with int arithmetic, one reduction mod p per
+output entry, decodes a vector of one-digit scalars as bytes, with no call
+per cell, and encodes through a table of strings; GaloisField tests, sums,
+decodes and encodes whole vectors of coordinate tuples, and with tables
+computes the rest over Zech logarithms.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
 import functools
-from itertools import chain
+from itertools import chain, compress
 import operator
 import random
 
@@ -118,12 +121,13 @@ class DifferenceField(pc.Kernels):
     # subclasses implement: zero one add neg mul inv eq is_zero from_int
     # sigma canon sample scalar_to_json scalar_from_json descriptor
     #
-    # The vector protocol below (vec_from_json, vec_to_json, dot, row_sub,
-    # row_scale, kron, bilinear) and the polynomial kernels inherited from
-    # _polycore.Kernels (poly_mul, poly_divmod) loop over those scalar
-    # methods; a subclass may override them with whole-list kernels that give
-    # the same results.  Elements are stored canonically, so where an entry is
-    # zero the loops skip the work, keeping the entry it would have recomputed.
+    # The vector protocol below (vec_from_json, vec_to_json, vec_is_zero,
+    # vec_eq, vec_nonzero, vec_sum, dot, row_sub, row_scale, kron, bilinear)
+    # and the polynomial kernels inherited from _polycore.Kernels (poly_mul,
+    # poly_divmod) loop over those scalar methods; a subclass may override
+    # them with whole-list kernels that give the same results.  Elements are
+    # stored canonically, so where an entry is zero the loops skip the work,
+    # keeping the entry it would have recomputed.
 
     def vec_from_json(self, cells):
         """The JSON scalars `cells` decoded, one scalar_from_json each."""
@@ -133,6 +137,27 @@ class DifferenceField(pc.Kernels):
     def vec_to_json(self, v):
         """The JSON scalars of the entries of v, one scalar_to_json each."""
         return list(map(self.scalar_to_json, v))
+
+    def vec_is_zero(self, v):
+        """Whether every entry of v is zero."""
+        return all(map(self.is_zero, v))
+
+    def vec_eq(self, u, v):
+        """Whether u_i = v_i at every i that u and v both have; elements are
+        stored canonically, so == decides it on every kind."""
+        return all(map(operator.eq, u, v))
+
+    def vec_nonzero(self, v):
+        """The (i, v_i) with v_i nonzero, i increasing."""
+        return [(i, a) for i, a in enumerate(v) if not self.is_zero(a)]
+
+    def vec_sum(self, v):
+        """sum v_i, skipping the zero entries."""
+        acc = self.zero()
+        for a in v:
+            if not self.is_zero(a):
+                acc = self.add(acc, a)
+        return acc
 
     def dot(self, u, v):
         """sum u_i v_i, skipping the terms where u_i is zero."""
@@ -398,6 +423,15 @@ class PrimeField(DifferenceField):
         if self.p <= DECODE_TABLE_MAX_P:
             return list(map(_encode_table(self.p).__getitem__, v))
         return list(map(str, v))
+
+    def vec_is_zero(self, v):
+        return not any(v)
+
+    def vec_nonzero(self, v):
+        return list(compress(enumerate(v), v))
+
+    def vec_sum(self, v):
+        return sum(v) % self.p
 
     def dot(self, u, v):
         return sum(map(operator.mul, u, v)) % self.p
@@ -760,6 +794,10 @@ class GaloisField(DifferenceField):
     def scalar_from_json(self, s):
         if isinstance(s, str):
             s = [int(t) for t in s.strip("[]").split(",")] if s else []
+        # canon pads or cuts to the degree, so a wrong length is caught here
+        if len(s) != self.degree:
+            raise ValueError(f"an element of F_{self.order} has {self.degree} "
+                             f"coordinates, not {len(s)}")
         return self.canon(tuple(int(x) for x in s))
 
     def vec_from_json(self, cells):
@@ -774,6 +812,19 @@ class GaloisField(DifferenceField):
 
     def vec_to_json(self, v):
         return list(map(list, v))
+
+    # stored elements are coordinate tuples, so a zero is one with no nonzero
+    # coordinate and a sum is the coordinatewise sum mod p, tables or not
+
+    def vec_is_zero(self, v):
+        return not any(map(any, v))
+
+    def vec_nonzero(self, v):
+        return list(compress(enumerate(v), map(any, v)))
+
+    def vec_sum(self, v):
+        p = self.p
+        return tuple(sum(c) % p for c in zip(self._zero, *v))
 
     def descriptor(self):
         return {

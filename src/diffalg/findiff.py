@@ -77,10 +77,10 @@ class FinSigmaAlgebra:
         return v
 
     def vec_eq(self, u, v):
-        return all(self.base.eq(a, b) for a, b in zip(u, v))
+        return self.base.vec_eq(u, v)
 
     def vec_is_zero(self, v):
-        return all(self.base.is_zero(a) for a in v)
+        return self.base.vec_is_zero(v)
 
     def scalar_mul(self, c, v):
         return [self.base.mul(c, a) for a in v]
@@ -91,8 +91,7 @@ class FinSigmaAlgebra:
     def multiply(self, u, v):
         k = self.base
         if self._table is None:
-            self._table = [[[(t, c) for t, c in enumerate(cell) if not k.is_zero(c)]
-                            for cell in row] for row in self.mul]
+            self._table = [list(map(k.vec_nonzero, row)) for row in self.mul]
         return k.bilinear(u, v, self._table)
 
     def power(self, v, e):
@@ -268,8 +267,7 @@ def trace_gram_matrix(A: FinSigmaAlgebra):
     k = A.base
     n = A.dim
     # trace of multiplication by e_m: the sum of the diagonal of A.mul[m]
-    ones = [k.one()] * n
-    tr = [k.dot([c[t] for t, c in enumerate(row)], ones) for row in A.mul]
+    tr = [k.vec_sum([c[t] for t, c in enumerate(row)]) for row in A.mul]
     gram = [[k.zero()] * n for _ in range(n)]
     for i in range(n):
         for j in range(i, n):
@@ -302,7 +300,7 @@ def minimal_polynomial(A: FinSigmaAlgebra, v, unit=None) -> Poly:
 
 def _coords_in(k, vectors, target):
     if not vectors:
-        return [] if all(k.is_zero(c) for c in target) else None
+        return [] if k.vec_is_zero(target) else None
     return la.solve(k, la.transpose(vectors, len(vectors[0])), target)
 
 

@@ -3,9 +3,10 @@
 A tower adjoins generators one level at a time; each level carries a monic
 minimal polynomial over the prefix, a sigma rule (an expression that may
 reference later levels, materialized on demand), and an irreducibility
-certificate.  Three certificates are supported:
+certificate.  Four certificates are supported:
 
   * "finite"        Rabin's test run over the prefix field (finite bases),
+                    over the base field itself at level zero,
   * "radical-fresh" x^r - t_j with t_j a fresh shift variable; irreducible
                     by the valuation argument at t_j,
   * "radical-chain" x^r - a with a an exponent-one radical-chain generator;
@@ -356,11 +357,17 @@ class TowerExtension(mp.Ring):
         if level.cert is None:
             level.cert = self._pick_cert(level, prefix_count)
         if level.cert == "finite":
+            # level zero has its coefficients in the base field, so Rabin's
+            # test runs there, as _check_specialized's does, and not over
+            # the empty tower's one-term dicts
+            if prefix_count == 0:
+                ring, coeffs = k, [self.base_value(c) for c in coeffs]
+            else:
+                ring, coeffs = self, list(coeffs)
             deg_prod = 1
             for lv in self.levels[:prefix_count]:
                 deg_prod *= lv.degree
-            order = k.order ** deg_prod
-            if not pc.is_irreducible(self, list(coeffs), order):
+            if not pc.is_irreducible(ring, coeffs, k.order ** deg_prod):
                 raise TowerError(
                     f"level {level.name!r}: minimal polynomial is reducible "
                     "over its level")

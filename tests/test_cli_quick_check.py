@@ -502,3 +502,30 @@ def test_specialization_tower_document_runs_through_ld(tmp_path, capsys):
     out, err = capsys.readouterr()
     assert code == 1 and err == ""
     assert json.loads(out) == {"error": "specialization certificates only apply at level zero"}
+
+
+def _f9_swap():
+    # F_9 x F_9 with sigma swapping the factors, F_9 = F_3[x]/(x^2 + 1)
+    one, zero = [1, 0], [0, 0]
+    return {"base": {"kind": "Fq", "p": 3, "defpoly": [1, 0, 1]}, "unit": [one, one],
+            "mul": [[[one, zero], [zero, zero]], [[zero, zero], [zero, one]]],
+            "sigma": [[zero, one], [one, zero]]}
+
+
+@pytest.mark.parametrize("coords", [[1], [1, 0, 2]], ids=["short", "long"])
+@pytest.mark.parametrize("key, at", [("unit", [1]), ("mul", [1, 1, 1]), ("sigma", [0, 1])],
+                         ids=["unit", "mul", "sigma"])
+def test_f9_scalar_of_the_wrong_length_is_an_input_error(tmp_path, key, at, coords):
+    doc = _f9_swap()
+    p = tmp_path / "doc.json"
+    p.write_text(json.dumps(doc))
+    assert run(["check", "--predicate", "ssetale", str(p)])[0] == 0
+    cell = doc[key]
+    for i in at[:-1]:
+        cell = cell[i]
+    cell[at[-1]] = coords
+    p.write_text(json.dumps(doc))
+    for argv in (["check", "--predicate", "ssetale"], ["core"]):
+        code, rep = run(argv + [str(p)])
+        assert code == 1 and _input_error(rep, key)
+        assert f"F_9 has 2 coordinates, not {len(coords)}" in rep["error"]

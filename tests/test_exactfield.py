@@ -779,6 +779,36 @@ def test_shift_variable_index_decodes_only_a_bare_variable():
         assert S.variable_index(a) is None
 
 
+# -- whole-vector tests and sums ------------------------------------------------
+
+
+@pytest.mark.parametrize("name", KINDS)
+def test_vector_tests_and_sums_equal_the_per_entry_loops(name):
+    F = KINDS[name]
+    rng = random.Random(f"vector-tests-{name}")
+    zero, one = F.zero(), F.one()
+    vectors = [[], [zero] * 5, [zero, one], [one, zero, zero],
+               [one, F.neg(one)]] + _seeded_vectors(F, rng, 20)
+    for v in vectors:
+        total = F.zero()
+        for a in v:
+            total = F.add(total, a)
+        for impl in (type(F), DifferenceField):
+            assert impl.vec_is_zero(F, v) == all(F.is_zero(a) for a in v)
+            assert impl.vec_nonzero(F, v) == [(i, a) for i, a in enumerate(v)
+                                              if not F.is_zero(a)]
+            got = impl.vec_sum(F, v)
+            F.check_canonical(got)
+            assert got == total
+            others = [list(v), tuple(v), [zero] * len(v), v[::-1]]
+            if v:
+                i = rng.randrange(len(v))
+                others.append(v[:i] + [F.add(v[i], one)] + v[i + 1:])
+            for u in others:
+                assert impl.vec_eq(F, u, v) == all(F.eq(a, b) for a, b in zip(u, v))
+                assert impl.vec_eq(F, v, u) == impl.vec_eq(F, u, v)
+
+
 # -- whole-vector encode and the F_q decode -------------------------------------
 
 # p = 4093 and 4099 on either side of DECODE_TABLE_MAX_P

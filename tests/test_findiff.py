@@ -787,3 +787,19 @@ def test_conjugate_equals_the_evaluation_of_every_product(name):
         rows = [cell for row in C.mul for cell in row]
         assert len({id(r) for r in rows}) == len(rows)
         assert C.to_json() == _per_scalar_json(C)
+
+
+@pytest.mark.parametrize("e", [0, 1, 2, 5])
+def test_algebra_power_equals_repeated_products(e):
+    rng = random.Random(40 + e)
+    algebras = [field_algebra(3, [1, 0, 1]), truncated_quotient_algebra(F5, rng, 4),
+                conjugate(diagonal_algebra(GaloisField(2, [1, 1, 1]), [1, 0, 2]),
+                          random_invertible(GaloisField(2, [1, 1, 1]), 3, rng))]
+    for A in algebras:
+        for _ in range(4):
+            v = [A.base.sample(rng) for _ in range(A.dim)]
+            want = list(A.unit)
+            for _ in range(e):
+                want = A.multiply(want, v)
+            got = A.power(v, e)
+            assert got == want and got is not v and got is not A.unit

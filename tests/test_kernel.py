@@ -31,11 +31,67 @@ def _repeated_mul(ring, f, e):
     return acc
 
 
-@pytest.mark.parametrize("e", [0, 1, 5])
+@pytest.mark.parametrize("e", [0, 1, 2, 5])
 @pytest.mark.parametrize("which", [0, 1])
 def test_power_matches_repeated_mul(which, e):
     ring, f = _rings()[which]
-    assert ring.eq(ring.power(f, e), _repeated_mul(ring, f, e))
+    before = dict(f)
+    got = ring.power(f, e)
+    assert ring.eq(got, _repeated_mul(ring, f, e))
+    # a tower passes in its cached sigma rules, so f^1 must be a new dict
+    assert got is not f and f == before
+
+
+@pytest.mark.parametrize("e, products", [(0, 0), (1, 0), (2, 1), (5, 3), (6, 3)])
+def test_kernel_power_never_multiplies_by_the_unit(e, products):
+    calls = []
+
+    def mul(a, b):
+        calls.append(1)
+        return mp.mul(F5, a, b)
+
+    f = mp.add(F5, mp.var(F5, 0), mp.const(F5, 2))
+    one = mp.const(F5, 1)
+    got = mp.power(f, e, one, mul)
+    want = one
+    for _ in range(e):
+        want = mp.mul(F5, want, f)
+    assert got == want and got is not f and len(calls) == products
+
+
+class CountingPrimeField(PrimeField):
+    """F_p counting the scalar calls a product makes besides mul."""
+
+    def __init__(self, p):
+        super().__init__(p)
+        self.calls = 0
+
+    def zero(self):
+        self.calls += 1
+        return super().zero()
+
+    def add(self, a, b):
+        self.calls += 1
+        return super().add(a, b)
+
+    def is_zero(self, a):
+        self.calls += 1
+        return super().is_zero(a)
+
+
+@pytest.mark.parametrize("f, g, want, calls", [
+    # (x + 1)(y + 2): four distinct monomials, nothing to add
+    ({((0, 1),): 1, (): 1}, {((1, 1),): 1, (): 2},
+     {((0, 1), (1, 1)): 1, ((0, 1),): 2, ((1, 1),): 1, (): 2}, 0),
+    # (x + 1)(x + 4) = x^2 + 4: the x terms meet and cancel
+    ({((0, 1),): 1, (): 1}, {((0, 1),): 1, (): 4}, {((0, 2),): 1, (): 4}, 2),
+    # (x + 1)^2 = x^2 + 2x + 1: the x terms meet and add up
+    ({((0, 1),): 1, (): 1}, {((0, 1),): 1, (): 1},
+     {((0, 2),): 1, ((0, 1),): 2, (): 1}, 2),
+], ids=["distinct", "cancel", "accumulate"])
+def test_kernel_mul_stores_first_products_without_a_sum(f, g, want, calls):
+    k = CountingPrimeField(5)
+    assert mp.mul(k, f, g) == want and k.calls == calls
 
 
 def test_power_applies_the_cap():

@@ -1,17 +1,20 @@
 """Towers: construction, limit degree, cores, chains, compatibility."""
 
+import itertools
 import math
 import random
 
 import pytest
 
-from diffalg.exactfield import FunctionField, PrimeField, Rationals, ShiftField
+from diffalg.exactfield import (FunctionField, GaloisField, PrimeField, Rationals,
+                                ShiftField)
 from diffalg.gallery import (chain_for, collapse_tower_f5, corrupted_chain,
                              cubic_tower_f7, fourth_root_tower_f5,
                              frobenius_tower, radical_tower_f5, repaired_chain,
                              stacked_tower_f5)
 from diffalg import _linalg as la
 from diffalg import _multipoly as mp
+from diffalg import _polycore as pc
 from diffalg.towers import (BabbittChain, InconsistentDynamicsError,
                             NotGaloisError, TowerError, TowerExtension,
                             _degrees, _least_sigma_power, _member,
@@ -114,6 +117,55 @@ def test_reducible_finite_level_over_a_finite_level_rejected(minpoly):
     with pytest.raises(TowerError, match="'b': minimal polynomial is reducible "
                                          "over its level"):
         tower_make(F2, levels)
+
+
+def _monic_polys(k, n):
+    """Every monic polynomial of degree n over the finite field k, low first."""
+    elems = list(k.all_elements()) if k.degree > 1 else list(range(k.p))
+    return [list(low) + [k.one()] for low in itertools.product(elems, repeat=n)]
+
+
+def _irreducible_count(q, n):
+    """Gauss's count of the monic irreducibles of degree n over F_q."""
+    def mobius(d):
+        out, m, r = 1, d, 2
+        while r * r <= m:
+            if m % r == 0:
+                m //= r
+                if m % r == 0:
+                    return 0
+                out = -out
+            r += 1
+        return -out if m > 1 else out
+    return sum(mobius(d) * q ** (n // d) for d in range(1, n + 1) if n % d == 0) // n
+
+
+@pytest.mark.parametrize("k, degrees", [(F2, (2, 3, 4)), (F3, (2, 3, 4)),
+                                        (GaloisField(2, [1, 1, 1]), (2, 3))],
+                         ids=["F2", "F3", "F4"])
+def test_level_zero_finite_certificate_is_rabin_over_the_empty_tower(
+        k, degrees, monkeypatch):
+    empty = TowerExtension(k)
+    oracle = {}
+    for n in degrees:
+        for f in _monic_polys(k, n):
+            oracle[tuple(f)] = pc.is_irreducible(empty, [empty.const(c) for c in f],
+                                                 k.order)
+    # level zero runs Rabin's test over k itself, never over the tower
+    monkeypatch.setattr(TowerExtension, "mul", None)
+    for f, irreducible in oracle.items():
+        T = TowerExtension(k)
+        if irreducible:
+            T.add_explicit_level("a", list(f), "a")
+            assert T.levels[0].cert == "finite"
+        else:
+            with pytest.raises(TowerError) as err:
+                T.add_explicit_level("a", list(f), "a")
+            assert str(err.value) == ("level 'a': minimal polynomial is reducible "
+                                      "over its level")
+    for n in degrees:
+        found = sum(irr for f, irr in oracle.items() if len(f) == n + 1)
+        assert found == _irreducible_count(k.order, n)
 
 
 def test_inseparable_level_rejected():
