@@ -6,10 +6,10 @@ mapping monomials to nonzero field elements; {} is zero.  Variable indices
 are arbitrary integers, which lets the shift fields address transforms
 t_i for i < 0 after inversive-closure deepening.
 
-This is the package's one sparse-polynomial kernel: iadd/add, mul, power and
-eq also serve presentations (monomials of ((j, i), exp) pairs), towers
-(dense exponent tuples) and the Hopf tensors (tuples of basis keys), since
-mul takes the monomial product as an argument and power the ring product.
+This is the package's one sparse-polynomial kernel: iadd/add, mul, power, eq
+and normal_form, the one rewriter, also serve presentations (((j, i), exp)
+pairs), towers (dense exponent tuples) and the Hopf tensors (tuples of basis
+keys): mul and normal_form take the monomial product, power the ring product.
 to_dense and from_dense are the one map between these sparse dicts and
 coordinate vectors over a list of monomials, for every kind of key.  Ring
 holds the ring operations over a base field once, for the presentation and
@@ -117,6 +117,30 @@ def mul(k, f, g, mono_mul=mono_mul):
                     del out[m]
                     continue
             out[m] = c
+    return out
+
+
+def normal_form(k, f, rule, mono_mul=mono_mul):
+    """f rewritten until rule matches no term, f left as it is.  rule(m) is
+    None on a normal monomial m, else (rest, g) with m = rest * n for an n
+    that rewrites to g; the term c m then goes back on the worklist as
+    c rest g, each of its terms summed where its monomial is: pending on the
+    worklist or normal in the output, never both."""
+    work, out = dict(f), {}
+    while work:
+        m, c = work.popitem()
+        r = rule(m)
+        if r is None:
+            out[m] = c
+            continue
+        for m, c in mul(k, {r[0]: c}, r[1], mono_mul).items():
+            into = out if m in out else work
+            if m in into:
+                c = k.add(into[m], c)
+                if k.is_zero(c):
+                    del into[m]
+                    continue
+            into[m] = c
     return out
 
 

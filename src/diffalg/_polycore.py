@@ -163,11 +163,6 @@ def pow_mod(k, f, e, m):
     return result
 
 
-def _frob_power(k, g, q, m):
-    """g^(q) mod m, the q-power Frobenius step."""
-    return pow_mod(k, g, q, m)
-
-
 def is_irreducible(k, f, q):
     """Rabin irreducibility test over a finite field with q elements.
 
@@ -185,7 +180,7 @@ def is_irreducible(k, f, q):
     x = mod(k, x_poly(k), f)
     iterates = [x]
     for _ in range(n):
-        iterates.append(_frob_power(k, iterates[-1], q, f))
+        iterates.append(pow_mod(k, iterates[-1], q, f))
     if not eq(k, iterates[n], x):
         return False
     return all(deg(gcd(k, sub(k, iterates[n // ell], x), f)) == 0

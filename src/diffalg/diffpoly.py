@@ -20,7 +20,8 @@ from . import _linalg as la
 from . import _multipoly as mp
 from ._load import cursor
 from .exactfield import field_make
-from .findiff import FinSigmaAlgebra, algebra_on_basis, strong_core as _fin_strong_core
+from .findiff import (FinSigmaAlgebra, PeriodicityResult, algebra_on_basis, orbit,
+                      strong_core as _fin_strong_core)
 from .poly import Poly, factor_over_finite_field
 
 
@@ -162,55 +163,25 @@ class Presentation(mp.Ring):
         return self.normalize(mp.mul(self.base, f, g))
 
     def normalize(self, f):
-        """Apply substitutions, then cap exponents through power rules."""
-        k = self.base
-        # substitution pass
-        while True:
-            target = None
-            for m in f:
-                for (j, i), _ in m:
-                    if self._sub_rhs(j, i) is not None:
-                        target = (j, i)
-                        break
-                if target:
-                    break
-            if not target:
-                break
-            j, i = target
-            rhs = self._sub_rhs(j, i)
-            out = {}
-            for m, c in f.items():
-                e = dict(m).get((j, i), 0)
-                if not e:
-                    mp.iadd(k, out, {m: c})
-                    continue
-                stripped = tuple((v, x) for v, x in m if v != (j, i))
-                rep = mp.power(rhs, e, {(): k.one()}, lambda a, b: mp.mul(k, a, b))
-                mp.iadd(k, out, mp.mul(k, {stripped: c}, rep))
-            f = out
-        # power pass
-        while True:
-            target = None
-            for m in f:
-                for (j, i), e in m:
-                    if self._has_power(j, i) and e >= self.power_rules[j][1]:
-                        target = (m, (j, i), e)
-                        break
-                if target:
-                    break
-            if not target:
-                return f
-            m, (j, i), e = target
-            d = self.power_rules[j][1]
-            c = f.pop(m)
-            stripped = tuple((v, x) for v, x in m if v != (j, i))
-            base_term = {mp.mono_mul(stripped, (((j, i), e - d),) if e - d else ()): c}
-            rhs = {}
-            for exp_, coef in enumerate(self._power_rhs_coeffs(j, i)):
-                if k.is_zero(coef):
-                    continue
-                rhs[(((j, i), exp_),) if exp_ else ()] = coef
-            mp.iadd(k, f, mp.mul(k, base_term, rhs))
+        """f's normal form, f left as it is: substitutions first, then power
+        rules, monomial by monomial.  A power right-hand side holds only its
+        own variable, so a power rule never brings a substitution back."""
+        return mp.normal_form(self.base, f, self._normal_rule)
+
+    def _normal_rule(self, m):
+        # one factor v^d of m rewritten: v by a substitution, else v^cap
+        def lowered(v, d):
+            return tuple((w, x - d if w == v else x) for w, x in m if w != v or x > d)
+        for v, _ in m:
+            rhs = self._sub_rhs(*v)
+            if rhs is not None:
+                return lowered(v, 1), rhs
+        for v, e in m:
+            if self._has_power(*v) and e >= self.power_rules[v[0]][1]:
+                return lowered(v, self.power_rules[v[0]][1]), {
+                    ((v, x),) if x else (): c for x, c in enumerate(self._power_rhs_coeffs(*v))
+                    if not self.base.is_zero(c)}
+        return None
 
     def _shift(self, f, steps):
         if steps == 0:
@@ -317,11 +288,10 @@ def truncate(pres: Presentation, n: int) -> LevelAlgebra:
     return LevelAlgebra.make(pres, n)
 
 
-class IdempotentClassification:
+class IdempotentClassification(PeriodicityResult):
     def __init__(self, element, status, period=None, reason=None, steps=0):
-        # status: "periodic" | "nonperiodic" | "unknown"
-        self.element, self.status = element, status
-        self.period, self.reason, self.steps = period, reason, steps
+        super().__init__(status, period, reason, steps)
+        self.element = element
 
 
 def _level_split_points(pres, n):
@@ -372,32 +342,16 @@ def level_primitive_idempotents(pres: Presentation, n: int):
 
 
 def classify_idempotent(pres: Presentation, e, horizon: int) -> IdempotentClassification:
-    """Orbit analysis with certificates: a return within the horizon, a zero
-    hit, a cycle missing the start, or (for presentations whose rules never
-    lower orders) a support shift past the start's largest order."""
-    monotone = pres.shift_monotone()
+    """findiff.orbit's verdict on e's sigma-orbit, with a support shift past
+    e's largest order as a certificate where the rules never lower orders."""
     start_max = pres.max_order(e)
-    seen = [e]
-    cur = e
-    for step in range(1, horizon + 1):
-        cur = pres.sigma(cur)
-        if pres.eq(cur, e):
-            return IdempotentClassification(e, "periodic", period=step, steps=step)
-        if pres.is_zero(cur):
-            return IdempotentClassification(e, "nonperiodic", reason="orbit-hits-zero",
-                                            steps=step)
-        for prev in seen[1:]:
-            if pres.eq(cur, prev):
-                return IdempotentClassification(e, "nonperiodic",
-                                                reason="orbit-cycles-without-start",
-                                                steps=step)
-        if monotone and start_max is not None:
-            mo = pres.min_order(cur)
-            if mo is not None and mo > start_max:
-                return IdempotentClassification(e, "nonperiodic", reason="support-shift",
-                                                steps=step)
-        seen.append(cur)
-    return IdempotentClassification(e, "unknown", steps=horizon)
+    drifted = None
+    if pres.shift_monotone() and start_max is not None:
+        def drifted(x):
+            mo = pres.min_order(x)
+            return mo is not None and mo > start_max
+    r = orbit(e, pres.sigma, pres.eq, pres.is_zero, horizon, drifted)
+    return IdempotentClassification(e, r.status, r.period, r.reason, r.steps)
 
 
 def periodic_idempotents_truncated(pres: Presentation, n: int, horizon: int = 64):

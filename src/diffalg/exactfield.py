@@ -794,6 +794,9 @@ class GaloisField(DifferenceField):
     def scalar_from_json(self, s):
         if isinstance(s, str):
             s = [int(t) for t in s.strip("[]").split(",")] if s else []
+        if not isinstance(s, (list, tuple)):
+            raise ValueError(f"an element of F_{self.order} is a list of {self.degree} "
+                             f"coordinates, not {_JSON_NAMES.get(type(s), 'an object')}")
         # canon pads or cuts to the degree, so a wrong length is caught here
         if len(s) != self.degree:
             raise ValueError(f"an element of F_{self.order} has {self.degree} "
@@ -836,6 +839,8 @@ class GaloisField(DifferenceField):
 
 
 TABLE_MAX_ORDER = 4096
+# what a JSON scalar that is no list is called in an error
+_JSON_NAMES = {type(None): "null", bool: "a boolean", int: "a number", float: "a number"}
 
 
 @functools.lru_cache(maxsize=32)

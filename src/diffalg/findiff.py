@@ -402,28 +402,35 @@ def _split_fixed(A, fixed):
     return parts
 
 
-def is_periodic(A: FinSigmaAlgebra, v, horizon=None) -> PeriodicityResult:
-    """Decide whether the sigma-orbit of v returns to v.
+def orbit(v, step, eq, is_zero, horizon, drifted=None) -> PeriodicityResult:
+    """Walk the orbit v, step(v), step(step(v)), ... for at most horizon
+    steps.  A return to v is periodic; a zero hit, a cycle that misses v, or
+    (where drifted is given) drifted(x) saying the support has moved past
+    v's for good is nonperiodic; a horizon exhausted first is unknown."""
+    seen = []
+    cur = v
+    for n in range(1, horizon + 1):
+        cur = step(cur)
+        if eq(cur, v):
+            return PeriodicityResult("periodic", period=n, steps=n)
+        if is_zero(cur):
+            reason = "orbit-hits-zero"
+        elif any(eq(cur, prev) for prev in seen):
+            reason = "orbit-cycles-without-start"
+        elif drifted is not None and drifted(cur):
+            reason = "support-shift"
+        else:
+            seen.append(cur)
+            continue
+        return PeriodicityResult("nonperiodic", reason=reason, steps=n)
+    return PeriodicityResult("unknown", steps=horizon)
 
-    Detects the return, a zero hit, or entry into a cycle missing v; returns
-    unknown only when the horizon is exhausted first.
-    """
+
+def is_periodic(A: FinSigmaAlgebra, v, horizon=None) -> PeriodicityResult:
+    """orbit's verdict on whether the sigma-orbit of v returns to v."""
     if horizon is None:
         horizon = _default_horizon(A.dim)
-    seen = [list(v)]
-    cur = list(v)
-    for step in range(1, horizon + 1):
-        cur = A.apply_sigma(cur)
-        if A.vec_eq(cur, v):
-            return PeriodicityResult("periodic", period=step, steps=step)
-        if A.vec_is_zero(cur):
-            return PeriodicityResult("nonperiodic", reason="orbit-hits-zero", steps=step)
-        for prev in seen[1:]:
-            if A.vec_eq(cur, prev):
-                return PeriodicityResult("nonperiodic", reason="orbit-cycles-without-start",
-                                         steps=step)
-        seen.append(list(cur))
-    return PeriodicityResult("unknown", steps=horizon)
+    return orbit(list(v), A.apply_sigma, A.vec_eq, A.vec_is_zero, horizon)
 
 
 def _default_horizon(dim):
@@ -436,27 +443,16 @@ def _default_horizon(dim):
 
 
 def sigma_subalgebra_generated(A: FinSigmaAlgebra, gens):
-    """Smallest sigma-stable unital subalgebra containing the generators."""
-    k = A.base
-    span = la.SpanBasis(k, A.dim)
-    span.add(A.unit)
-    queue = [list(g) for g in gens]
-    for g in queue:
-        span.add(g)
-    changed = True
-    while changed:
-        changed = False
-        rows = span.basis()
-        for v in rows:
-            s = A.apply_sigma(v)
-            if span.add(s):
-                changed = True
-        rows = span.basis()
-        for i in range(len(rows)):
-            for j in range(i, len(rows)):
-                p = A.multiply(rows[i], rows[j])
-                if span.add(p):
-                    changed = True
+    """Smallest sigma-stable unital subalgebra containing the generators.
+
+    Each element that enlarges the span goes through sigma once and is
+    multiplied once by itself and by each element that enlarged it before."""
+    span = la.SpanBasis(A.base, A.dim)
+    work = [list(v) for v in (A.unit, *gens) if span.add(v)]
+    for n, v in enumerate(work):
+        for w in [A.apply_sigma(v)] + [A.multiply(u, v) for u in work[:n + 1]]:
+            if span.add(w):
+                work.append(w)
     return _subalgebra_on_span(A, span)
 
 
@@ -512,18 +508,12 @@ def quotient_by_sigma_ideal(A: FinSigmaAlgebra, gens):
     """Quotient by the sigma-ideal generated by gens, with the projection."""
     k = A.base
     span = la.SpanBasis(k, A.dim)
-    for g in gens:
-        span.add(list(g))
-    changed = True
-    while changed:
-        changed = False
-        for v in span.basis():
-            if span.add(A.apply_sigma(v)):
-                changed = True
-        for v in span.basis():
-            for i in range(A.dim):
-                if span.add(A.multiply(v, A.basis_vec(i))):
-                    changed = True
+    # each element that enlarges the span meets sigma and each e_i once
+    work = [list(g) for g in gens if span.add(g)]
+    for v in work:
+        for w in [A.apply_sigma(v)] + [A.multiply(v, A.basis_vec(i)) for i in range(A.dim)]:
+            if span.add(w):
+                work.append(w)
     if span.contains(A.unit):
         raise ZeroRingError("the sigma-ideal is the whole algebra")
     pivots = set(span.pivots)

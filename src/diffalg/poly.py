@@ -89,7 +89,8 @@ class Poly:
                 and all(self.base.eq(a, b) for a, b in zip(self.coeffs, other.coeffs)))
 
     def __hash__(self):
-        return hash((len(self.coeffs), repr(self.base.descriptor())))
+        # the coefficients' JSON, since a shift field's elements are dicts
+        return hash((repr(self.base.descriptor()), repr(self.base.vec_to_json(self.coeffs))))
 
     def evaluate(self, a):
         return pc.evaluate(self.base, list(self.coeffs), a)

@@ -184,26 +184,16 @@ class TowerExtension(mp.Ring):
         return self._reduce(mp.mul(self.base, f, g, self._mono_mul))
 
     def _reduce(self, f):
-        k = self.base
-        while True:
-            target = None
-            for m in f:
-                for t in range(len(m) - 1, -1, -1):
-                    if m[t] >= self.levels[t].degree:
-                        target = (m, t)
-                        break
-                if target:
-                    break
-            if not target:
-                return f
-            m, t = target
-            c = f.pop(m)
-            rest = list(m)
-            rest[t] -= self.levels[t].degree
-            while rest and not rest[-1]:
-                rest.pop()
-            mp.iadd(k, f, mp.mul(k, {tuple(rest): c}, self._power_rule(t),
-                                 self._mono_mul))
+        """f's normal form, f left as it is: a monomial whose top exponent is
+        at or past its level's degree d rewrites a_t^d through _power_rule."""
+        return mp.normal_form(self.base, f, self._reduce_rule, self._mono_mul)
+
+    def _reduce_rule(self, m):
+        # rest may end in zeros, which _mono_mul trims from every product
+        for t in range(len(m) - 1, -1, -1):
+            if m[t] >= self.levels[t].degree:
+                return m[:t] + (m[t] - self.levels[t].degree,) + m[t + 1:], self._power_rule(t)
+        return None
 
     def _power_rule(self, t):
         """a_t^d = -(c_0 + c_1 a_t + ... + c_(d-1) a_t^(d-1)) as an element,
@@ -331,7 +321,7 @@ class TowerExtension(mp.Ring):
         index = {m: t for t, m in enumerate(monos)}
         span = la.SpanBasis(self.base, len(monos))
         span.add(self.coords(self.one(), monos, index))
-        gens = [self._reduce(dict(g)) for g in gens]
+        gens = [self._reduce(g) for g in gens]
         cvs = [self.coords(g, monos, index) for g in gens]
         if any(cv is None for cv in cvs):
             raise TowerError("generator escapes the materialized tower")
@@ -669,7 +659,7 @@ def _member(T, el, subfield):
     if subfield is None:
         return T.in_base(el)
     span, monos, index = subfield
-    cv = T.coords(T._reduce(dict(el)), monos, index)
+    cv = T.coords(T._reduce(el), monos, index)
     return cv is not None and span.contains(cv)
 
 
@@ -712,7 +702,7 @@ def strong_core_finite_ext(T: TowerExtension, over=None,
     n_levels = len(T.levels) if level_count is None else level_count
     monos = T.monomials(n_levels)
     index = {m: t for t, m in enumerate(monos)}
-    over_gens = [T._reduce(dict(g)) for g in (over or [])]
+    over_gens = [T._reduce(g) for g in (over or [])]
     # each stage is K[gens]; sigma is a ring map, so the next one is
     # K[over, sigma(gens)], and sigma(K[gens]) stays in the prefix exactly
     # when sigma(gens) does
@@ -964,7 +954,7 @@ def _finite_part_count(T):
 def _sigma_closed_span(T, gens, level_count):
     """K[gens, sigma(gens), sigma^2(gens), ...]; each round adds the sigma
     images of the last round's new generators."""
-    gens = [T._reduce(dict(g)) for g in gens]
+    gens = [T._reduce(g) for g in gens]
     span, monos, index = T.subalgebra_span(gens, level_count)
     fresh = gens
     while True:

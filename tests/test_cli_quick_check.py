@@ -512,10 +512,17 @@ def _f9_swap():
             "sigma": [[zero, one], [one, zero]]}
 
 
-@pytest.mark.parametrize("coords", [[1], [1, 0, 2]], ids=["short", "long"])
+@pytest.mark.parametrize("coords, said", [
+    ([1], "has 2 coordinates, not 1"), ([1, 0, 2], "has 2 coordinates, not 3"),
+    (1, "is a list of 2 coordinates, not a number"),
+    (None, "is a list of 2 coordinates, not null"),
+    (True, "is a list of 2 coordinates, not a boolean"),
+    ({}, "is a list of 2 coordinates, not an object"),
+], ids=["short", "long", "number", "null", "bool", "object"])
 @pytest.mark.parametrize("key, at", [("unit", [1]), ("mul", [1, 1, 1]), ("sigma", [0, 1])],
                          ids=["unit", "mul", "sigma"])
-def test_f9_scalar_of_the_wrong_length_is_an_input_error(tmp_path, key, at, coords):
+def test_f9_scalar_of_the_wrong_length_is_an_input_error(tmp_path, key, at, coords, said):
+    # a JSON value that is no list at all has the wrong length too
     doc = _f9_swap()
     p = tmp_path / "doc.json"
     p.write_text(json.dumps(doc))
@@ -528,4 +535,5 @@ def test_f9_scalar_of_the_wrong_length_is_an_input_error(tmp_path, key, at, coor
     for argv in (["check", "--predicate", "ssetale"], ["core"]):
         code, rep = run(argv + [str(p)])
         assert code == 1 and _input_error(rep, key)
-        assert f"F_9 has 2 coordinates, not {len(coords)}" in rep["error"]
+        assert f"F_9 {said}" in rep["error"]
+

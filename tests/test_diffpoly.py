@@ -1,13 +1,16 @@
 """Truncated presentations: dimensions, certificates, windowed strong cores."""
 
+import random
+
 import pytest
 
+from diffalg import _multipoly as mp
 from diffalg.diffpoly import (Presentation, UnsupportedPresentationError,
                               classify_idempotent, level_primitive_idempotents,
                               periodic_idempotents_truncated, sigma_kernel_slice,
                               strong_core_truncated, truncate)
 from diffalg.exactfield import FunctionField, PrimeField, Rationals
-from diffalg.findiff import FinSigmaAlgebra, strong_core
+from diffalg.findiff import FinSigmaAlgebra, PeriodicityResult, strong_core
 from diffalg.gallery import (collapsed_line, free_line, product_carrier,
                              swap_presentation)
 
@@ -163,3 +166,114 @@ def test_presentation_json_round_trip():
     blob = R.to_json()
     again = Presentation.from_json(blob)
     assert again.level_dimension(2) == R.level_dimension(2)
+
+
+# -- the one rewriter and the one orbit walk against the loops they replaced ----------
+
+
+def _two_pass_normalize(pres, f):
+    """The rewriter normalize replaced: substitute one variable through the
+    whole polynomial, rescanning until no substitution applies, then lower
+    one capped exponent at a time, rescanning after each step."""
+    k = pres.base
+    f = dict(f)
+    while True:
+        target = next(((j, i) for m in f for (j, i), _ in m
+                       if pres._sub_rhs(j, i) is not None), None)
+        if target is None:
+            break
+        rhs = pres._sub_rhs(*target)
+        out = {}
+        for m, c in f.items():
+            e = dict(m).get(target, 0)
+            if not e:
+                mp.iadd(k, out, {m: c})
+                continue
+            stripped = tuple((v, x) for v, x in m if v != target)
+            rep = mp.power(rhs, e, {(): k.one()}, lambda a, b: mp.mul(k, a, b))
+            mp.iadd(k, out, mp.mul(k, {stripped: c}, rep))
+        f = out
+    while True:
+        target = next(((m, v, e) for m in f for v, e in m
+                       if pres._has_power(*v) and e >= pres.power_rules[v[0]][1]), None)
+        if target is None:
+            return f
+        m, (j, i), e = target
+        d = pres.power_rules[j][1]
+        c = f.pop(m)
+        stripped = tuple((v, x) for v, x in m if v != (j, i))
+        base_term = {mp.mono_mul(stripped, (((j, i), e - d),) if e - d else ()): c}
+        rhs = {(((j, i), x),) if x else (): coef
+               for x, coef in enumerate(pres._power_rhs_coeffs(j, i)) if not k.is_zero(coef)}
+        mp.iadd(k, f, mp.mul(k, base_term, rhs))
+
+
+def _random_poly(pres, rng, terms=4, orders=3):
+    """A polynomial in the declared variables up to the given order, not in
+    normal form: substitutable variables and exponents past the caps."""
+    k = pres.base
+    out = {}
+    for _ in range(terms):
+        vs = rng.sample([(j, i) for j in range(len(pres.var_names)) for i in range(orders + 1)],
+                        rng.randint(0, 2))
+        m = tuple(sorted((v, rng.randint(1, 3)) for v in vs))
+        out[m] = k.from_int(rng.randrange(1, k.characteristic()))
+    return out
+
+
+@pytest.mark.parametrize("make, char", [(product_carrier, 3), (product_carrier, 5),
+                                        (swap_presentation, 3), (swap_presentation, 5),
+                                        (collapsed_line, 3), (collapsed_line, 5)])
+def test_normalize_matches_the_two_pass_rewriter(make, char):
+    pres = make(char)
+    rng = random.Random(22 + char)
+    for _ in range(60):
+        prod = mp.mul(pres.base, _random_poly(pres, rng), _random_poly(pres, rng))
+        kept = dict(prod)
+        got = pres.normalize(prod)
+        assert prod == kept
+        assert got == _two_pass_normalize(pres, prod)
+        assert pres.normalize(got) == got
+
+
+def _walk_classify(pres, e, horizon):
+    """The orbit walk classify_idempotent replaced, as (status, period,
+    reason, steps)."""
+    monotone = pres.shift_monotone()
+    start_max = pres.max_order(e)
+    seen = [e]
+    cur = e
+    for step in range(1, horizon + 1):
+        cur = pres.sigma(cur)
+        if pres.eq(cur, e):
+            return "periodic", step, None, step
+        if pres.is_zero(cur):
+            return "nonperiodic", None, "orbit-hits-zero", step
+        for prev in seen[1:]:
+            if pres.eq(cur, prev):
+                return "nonperiodic", None, "orbit-cycles-without-start", step
+        if monotone and start_max is not None:
+            mo = pres.min_order(cur)
+            if mo is not None and mo > start_max:
+                return "nonperiodic", None, "support-shift", step
+        seen.append(cur)
+    return "unknown", None, None, horizon
+
+
+def test_classify_idempotent_matches_the_orbit_walk_it_replaced():
+    outcomes = set()
+    for pres in (product_carrier(3), product_carrier(5), swap_presentation(5),
+                 collapsed_line(5), free_line(3), free_line(5)):
+        for n in range(3):
+            prims = level_primitive_idempotents(pres, n)
+            elems = [pres.one(), pres.zero()] + prims
+            elems += [pres.add(a, b) for a, b in zip(prims, prims[1:])]
+            for e in elems:
+                for horizon in (1, 2, 3, 20):
+                    c = classify_idempotent(pres, e, horizon)
+                    got = (c.status, c.period, c.reason, c.steps)
+                    assert got == _walk_classify(pres, e, horizon)
+                    assert c.element is e and isinstance(c, PeriodicityResult)
+                    outcomes.add(got[0] if got[2] is None else got[2])
+    assert outcomes == {"periodic", "unknown", "orbit-hits-zero",
+                        "orbit-cycles-without-start", "support-shift"}

@@ -17,7 +17,7 @@ from diffalg.findiff import (_SPLIT_ROUNDS, CompatibilityError, FinSigmaAlgebra,
                              quotient_by_sigma_ideal, restrict_scalars,
                              sigma_subalgebra_generated, splitting_extension,
                              strong_core, tensor_product, twist_and_psi,
-                             _relative_basis, _split_fixed)
+                             _default_horizon, _relative_basis, _split_fixed)
 from diffalg.instances import (conjugate, diagonal_algebra, field_algebra,
                                nilpotent_sigma_separable, random_invertible,
                                random_point_algebra, random_strongly_setale,
@@ -803,3 +803,120 @@ def test_algebra_power_equals_repeated_products(e):
                 want = A.multiply(want, v)
             got = A.power(v, e)
             assert got == want and got is not v and got is not A.unit
+
+
+# -- the one orbit walk and the worklist closures against the loops they replaced --------
+
+
+def _walk_periodic(A, v, horizon):
+    """The orbit walk is_periodic replaced, as (status, period, reason, steps)."""
+    seen = [list(v)]
+    cur = list(v)
+    for step in range(1, horizon + 1):
+        cur = A.apply_sigma(cur)
+        if A.vec_eq(cur, v):
+            return "periodic", step, None, step
+        if A.vec_is_zero(cur):
+            return "nonperiodic", None, "orbit-hits-zero", step
+        for prev in seen[1:]:
+            if A.vec_eq(cur, prev):
+                return "nonperiodic", None, "orbit-cycles-without-start", step
+        seen.append(list(cur))
+    return "unknown", None, None, horizon
+
+
+def _rescanned_subalgebra_span(A, gens):
+    """The span sigma_subalgebra_generated closed by rescanning: sigma of
+    every row and every product of two rows, until a round adds nothing."""
+    span = la.SpanBasis(A.base, A.dim)
+    span.add(A.unit)
+    for g in gens:
+        span.add(list(g))
+    changed = True
+    while changed:
+        changed = False
+        for v in span.basis():
+            changed |= span.add(A.apply_sigma(v))
+        rows = span.basis()
+        for i in range(len(rows)):
+            for j in range(i, len(rows)):
+                changed |= span.add(A.multiply(rows[i], rows[j]))
+    return span
+
+
+def _rescanned_ideal_span(A, gens):
+    """The span quotient_by_sigma_ideal closed by rescanning: sigma of every
+    row and every row times every basis vector, until a round adds nothing."""
+    span = la.SpanBasis(A.base, A.dim)
+    for g in gens:
+        span.add(list(g))
+    changed = True
+    while changed:
+        changed = False
+        for v in span.basis():
+            changed |= span.add(A.apply_sigma(v))
+        for v in span.basis():
+            for i in range(A.dim):
+                changed |= span.add(A.multiply(v, A.basis_vec(i)))
+    return span
+
+
+def _span_of(k, n, vectors):
+    span = la.SpanBasis(k, n)
+    for v in vectors:
+        span.add(v)
+    return span
+
+
+def _oracle_draws(k, seed, count=40):
+    rng = random.Random(seed)
+    for _ in range(count):
+        A = random_valid_algebra(k, rng, max_dim=5)
+        vecs = [A.basis_vec(i) for i in range(A.dim)]
+        vecs += [[k.sample(rng) for _ in range(A.dim)] for _ in range(2)]
+        yield A, rng, vecs
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_FIELDS))
+def test_is_periodic_matches_the_orbit_walk_it_replaced(name):
+    k = ORACLE_FIELDS[name]
+    outcomes = set()
+    for A, _, vecs in _oracle_draws(k, 22):
+        vecs += [e.coords for e in primitive_idempotents(A)] + [A.zero_vec(), A.unit]
+        for v in vecs:
+            for horizon in (1, 3, None):
+                r = is_periodic(A, v, horizon)
+                got = (r.status, r.period, r.reason, r.steps)
+                h = horizon if horizon is not None else _default_horizon(A.dim)
+                assert got == _walk_periodic(A, v, h)
+                outcomes.add(got[0] if got[2] is None else got[2])
+    assert {"periodic", "unknown", "orbit-hits-zero"} <= outcomes
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_FIELDS))
+def test_worklist_closures_match_the_rescanning_loops(name):
+    k = ORACLE_FIELDS[name]
+    proper = set()
+    for A, rng, vecs in _oracle_draws(k, 23, count=60):
+        # random vectors mostly generate everything, idempotents often less
+        pool = rng.choice([vecs, [e.coords for e in primitive_idempotents(A)]])
+        gens = rng.sample(pool, min(len(pool), rng.randint(0, 2)))
+        sub, incl = sigma_subalgebra_generated(A, gens)
+        old = _rescanned_subalgebra_span(A, gens)
+        new = _span_of(k, A.dim, [incl.column(j) for j in range(sub.dim)])
+        assert new.pivots == old.pivots and new.equals(old)
+        assert incl.matrix == la.transpose(old.basis(), A.dim)
+        if 1 < sub.dim < A.dim:
+            proper.add("subalgebra")
+        old = _rescanned_ideal_span(A, gens)
+        if old.contains(A.unit):
+            with pytest.raises(ZeroRingError):
+                quotient_by_sigma_ideal(A, gens)
+            continue
+        Q, proj = quotient_by_sigma_ideal(A, gens)
+        new = _span_of(k, A.dim, la.nullspace(k, proj.matrix))
+        assert new.pivots == old.pivots and new.equals(old)
+        assert Q.dim == A.dim - old.dim() and proj.validate().ok
+        if 0 < old.dim():
+            proper.add("quotient")
+    assert proper == {"subalgebra", "quotient"}

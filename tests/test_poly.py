@@ -196,3 +196,15 @@ def test_roots_over_extension_fields_equal_brute_force(p, defpoly):
         assert dict(roots(f)) == want
         with_roots += bool(want)
     assert with_roots >= 6
+
+
+def test_equal_polys_hash_equal_and_distinct_ones_spread():
+    S = ShiftField(PrimeField(5))
+    t0, t1 = S.named_constant("t0"), S.named_constant("t1")
+    f = Poly.make(S, [S.add(t0, t1), S.one()])
+    g = Poly.make(S, [S.add(t1, t0), S.one()])
+    assert f == g and hash(f) == hash(g)
+    assert hash(Poly.from_ints(F5, [6, 1])) == hash(Poly.from_ints(F5, [1, 1]))
+    monic = [Poly.from_ints(F5, [a, b, 1]) for a in range(5) for b in range(5)]
+    assert len({hash(p) for p in monic}) == 25
+    assert len(set(monic)) == 25

@@ -665,3 +665,39 @@ def test_specialization_family_that_is_not_galois_is_refused_at_its_path():
     with pytest.raises(NotGaloisError, match="cannot certify the Galois property") as err:
         tower_from_json(blob)
     assert err.value.path == "families[0]"
+
+
+# -- the one rewriter against a rescanning reduction ------------------------------------
+
+
+def _materialized(T, upto):
+    for fam in sorted(T.families):
+        T.materialize_family(fam, upto)
+    return T
+
+
+@pytest.mark.parametrize("make", [
+    lambda: frobenius_tower(3, [1, 0, 1], 1),
+    lambda: tower_make(F2, F4096_LEVELS[:2]),
+    lambda: _materialized(radical_tower_f5(), 2),
+    lambda: _materialized(stacked_tower_f5(), 1),
+], ids=["finite", "f16-two-level", "radical", "stacked"])
+def test_reduce_matches_a_rescanning_reduction(make):
+    T = make()
+    k = T.base
+    rng = random.Random(22)
+    degrees = [lv.degree for lv in T.levels]
+
+    def draw():
+        # exponents up to twice past each degree, so rewrites chain
+        return mp.iadd(k, {}, {T._mono_mul(tuple(rng.randrange(2 * d + 1) for d in degrees), ()):
+                               k.sample(rng) for _ in range(3)})
+
+    for _ in range(30 if k.is_finite else 8):
+        prod = mp.mul(k, draw(), draw(), T._mono_mul)
+        kept = dict(prod)
+        got = T._reduce(prod)
+        assert prod == kept
+        assert T.eq(got, _reduce_from_scratch(T, prod))
+        assert T.eq(T._reduce(got), got)
+        assert all(e < d for m in got for e, d in zip(m, degrees))
