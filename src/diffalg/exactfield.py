@@ -25,30 +25,37 @@ that kind, so no other module tests a field's class: is_finite (and on F_p and
 F_q degree, power_basis, prime_coords), sigma_inverse, constants, specialize,
 inversive_closure, named_constant, poly_gcd and ShiftField.variable_index.
 
-Vectors are lists of elements, and eleven methods work on whole lists:
+Vectors are lists of elements, and twelve methods work on whole lists:
 vec_from_json(cells) decodes a JSON array of scalars and vec_to_json(v)
 encodes one, vec_is_zero(v) and vec_eq(u, v) test every entry,
 vec_nonzero(v) lists the nonzero (i, v_i), vec_sum(v) is sum v_i, dot(u, v)
 is sum u_i v_i, row_sub(v, c, row) is v - c*row, row_scale(c, row) is
-c*row, kron(u, v) is [u_i v_j], i major, and bilinear(u, v, table) is the
-product of u and v under sparse structure constants.  Two more work on
-dense polynomials (_polycore lists): poly_mul(f, g) and poly_divmod(f, g).
-DifferenceField defines all thirteen as loops over the scalar methods,
-except vec_eq, which compares stored forms with == on every kind.
-PrimeField overrides them with int arithmetic, one reduction mod p per
-output entry, decodes a vector of one-digit scalars as bytes, with no call
-per cell, and encodes through a table of strings; GaloisField tests, sums,
-decodes and encodes whole vectors of coordinate tuples, and with tables
-computes the rest over Zech logarithms.
+c*row, kron(u, v) is [u_i v_j], i major, and bilinear_table(mul) puts the
+structure constants mul[i][j] = e_i e_j in the form that bilinear(u, v,
+table), the product of u and v, reads.  Two more work on dense polynomials
+(_polycore lists): poly_mul(f, g) and poly_divmod(f, g).  DifferenceField
+defines all fourteen as loops over the scalar methods, its table listing
+the nonzero (t, c) of each e_i e_j, except vec_eq, which compares stored
+forms with == on every kind.  PrimeField overrides them with int
+arithmetic, one reduction mod p per output entry, decodes a vector of
+one-digit scalars as bytes, with no call per cell, and encodes through a
+table of strings; GaloisField tests, sums, decodes and encodes whole
+vectors of coordinate tuples, computes the rest over Zech logarithms at
+orders up to TABLE_MAX_ORDER and its products and polynomial kernels on
+packed ints above it.  A JSON scalar of F_p, or coordinate of one of F_q,
+is an integer or a string that int() reads; a float or a boolean is an
+input error, not the integer int() would make of it.
 """
 
 from __future__ import annotations
 
+from array import array
 from collections import namedtuple
 import functools
 from itertools import chain, compress
 import operator
 import random
+import sys
 
 from . import _multipoly as mp
 from . import _polycore as pc
@@ -122,7 +129,8 @@ class DifferenceField(pc.Kernels):
     # sigma canon sample scalar_to_json scalar_from_json descriptor
     #
     # The vector protocol below (vec_from_json, vec_to_json, vec_is_zero,
-    # vec_eq, vec_nonzero, vec_sum, dot, row_sub, row_scale, kron, bilinear)
+    # vec_eq, vec_nonzero, vec_sum, dot, row_sub, row_scale, kron,
+    # bilinear_table, bilinear)
     # and the polynomial kernels inherited from _polycore.Kernels (poly_mul,
     # poly_divmod) loop over those scalar methods; a subclass may override
     # them with whole-list kernels that give the same results.  Elements are
@@ -182,9 +190,16 @@ class DifferenceField(pc.Kernels):
         zeros = [self.zero()] * len(v)
         return [x for a in u for x in (zeros if self.is_zero(a) else self.row_scale(a, v))]
 
+    def bilinear_table(self, mul):
+        """bilinear's table for the structure constants mul[i][j], the
+        vectors e_i e_j: table[i][j] lists the nonzero (t, c) of
+        e_i e_j = sum c e_t.  A kind that overrides bilinear may give its
+        own form."""
+        return [list(map(self.vec_nonzero, row)) for row in mul]
+
     def bilinear(self, u, v, table):
-        """sum u_i v_j e_i e_j, where table[i][j] lists the nonzero (t, c) of
-        e_i e_j = sum c e_t; terms with u_i or v_j zero are skipped."""
+        """sum u_i v_j e_i e_j, table from bilinear_table; terms with u_i or
+        v_j zero are skipped."""
         out = [self.zero()] * len(u)
         for i, a in enumerate(u):
             if self.is_zero(a):
@@ -389,6 +404,9 @@ class PrimeField(DifferenceField):
     def sample(self, rng):
         return rng.randrange(self.p)
 
+    def all_elements(self):
+        return range(self.p)
+
     def is_inversive(self):
         return True
 
@@ -399,7 +417,7 @@ class PrimeField(DifferenceField):
         return str(a)
 
     def scalar_from_json(self, s):
-        return int(s) % self.p
+        return _json_int(s, self.p) % self.p
 
     def vec_from_json(self, cells):
         p = self.p
@@ -412,12 +430,14 @@ class PrimeField(DifferenceField):
                 raw = b""  # a cell that is no ASCII string: decode as below
             if len(raw) == 2 * len(cells) - 1 and not raw[::2].translate(None, b"0123456789"[:p]):
                 return list(raw[::2].translate(_DIGIT_VALUES))
-        if p <= DECODE_TABLE_MAX_P:
+        # the type test keeps booleans and floats, which hash like the ints
+        # they equal, out of the table
+        if p <= DECODE_TABLE_MAX_P and {*map(type, cells)} <= {int, str}:
             try:
                 return list(map(_decode_table(p).__getitem__, cells))
-            except (KeyError, TypeError):
+            except KeyError:
                 pass  # a cell outside the table: decode each one as below
-        return [int(c) % p for c in cells]
+        return list(map(self.scalar_from_json, cells))
 
     def vec_to_json(self, v):
         if self.p <= DECODE_TABLE_MAX_P:
@@ -531,15 +551,26 @@ class GaloisField(DifferenceField):
     share them; sub is add(a, neg(b)) on them.  The cap bounds memory: exp
     holds q - 1 tuples and log a dict over them, 1.1 MB at q = 2^12 but
     2.7 MB at q = 5^6, and zech, a tuple of q - 1 references to log's ints,
-    adds 33 KB at q = 2^12.  A larger field, such as a user's F_p^n with
-    large p, builds no tables and keeps the polynomial path: coordinatewise
-    sums, a dense product reduced mod defpoly, an extended gcd, repeated
-    p-th powers.
+    adds 33 KB at q = 2^12.
 
-    With tables, the vector and polynomial kernels (dot, row_sub, row_scale,
-    kron, bilinear, poly_mul, poly_divmod) look each input entry up in log once,
-    None standing for zero, multiply by adding logs, accumulate by Zech
-    addition (_zadd), and look each output entry up in exp once.
+    Below the cap, the vector and polynomial kernels (dot, row_sub,
+    row_scale, kron, bilinear, poly_mul, poly_divmod) look each input entry
+    up in log once, None standing for zero, multiply by adding logs,
+    accumulate by the Zech step written out in each loop, and look each
+    output entry up in exp once.  bilinear_table stores each structure
+    constant c as log c, skipping the empty products e_i e_j, once per
+    algebra, so bilinear looks up no constant.
+
+    Above the cap, such as F_5^6 or a user's F_p^n with large p, there are
+    no tables.  Sums stay coordinatewise mod p.  mul, poly_mul and
+    poly_divmod pack the F_p coordinates into ints (Kronecker substitution,
+    see _pack): a product of polynomials over F_q, mul being the one of two
+    constants, is one int product, folded mod defpoly by the precomputed
+    rows of x^n, ..., x^(2n-2) and reduced mod p once per output
+    coefficient; long division keeps its remainder packed and reduces only
+    the leading coefficient each step reads.  inv is one extended Euclid on
+    coordinate lists, sigma repeated p-th powers.  The other vector kernels
+    are the generic loops over these.
 
     The tables are also the certificate that defpoly is irreducible:
     g^(q-1) = 1 with q - 1 distinct powers makes every nonzero class of
@@ -574,6 +605,14 @@ class GaloisField(DifferenceField):
         self._q1 = self.order - 1
         self._minus = 0 if p == 2 else self._q1 // 2       # the log of -1
         self._exp, self._log, self._zech = tables or (None, None, None)
+        if tables is None:
+            # x^n, ..., x^(2n-2) reduced mod defpoly, the rows that fold a
+            # product's high coordinates back into the power basis
+            top, rows = [(-c) % p for c in poly[:n]], []
+            for _ in range(n - 1):
+                rows.append(top)
+                top = [(a + top[-1] * b) % p for a, b in zip([0] + top[:-1], rows[0])]
+            self._rows, self._packed_rows = rows, {}
 
     def _lift(self, coeffs):
         c = list(coeffs) + [0] * (self.degree - len(coeffs))
@@ -622,14 +661,9 @@ class GaloisField(DifferenceField):
         return self._exp[(i + self._minus) % self._q1]
 
     # -- kernels on Zech logarithms; None is the log of zero -----------------
-
-    def _zadd(self, s, e):
-        """The log of g^s + g^e, for s a log or None and e any exponent;
-        None where the sum is zero."""
-        if s is None:
-            return e % self._q1
-        z = self._zech[(e - s) % self._q1]
-        return None if z is None else (s + z) % self._q1
+    #
+    # Each kernel adds g^e to an accumulated log s with the Zech step written
+    # out: s = e mod (q-1) if s is None, else s + zech[e - s], None for zero.
 
     def _exps(self, logs, trim=False):
         """The elements with these logs, less trailing zeros if trim."""
@@ -639,24 +673,34 @@ class GaloisField(DifferenceField):
         return [zero if i is None else exp[i] for i in logs]
 
     def dot(self, u, v):
-        log, zadd = self._log, self._zadd
+        log = self._log
         if log is None:
             return super().dot(u, v)
-        acc = None
+        zech, q1, s = self._zech, self._q1, None
         for a, b in zip(map(log.get, u), map(log.get, v)):
             if a is not None and b is not None:
-                acc = zadd(acc, a + b)
-        return self._zero if acc is None else self._exp[acc]
+                if s is None:
+                    s = (a + b) % q1
+                else:
+                    z = zech[(a + b - s) % q1]
+                    s = None if z is None else (s + z) % q1
+        return self._zero if s is None else self._exp[s]
 
     def row_sub(self, v, c, row):
-        log, zadd, zero = self._log, self._zadd, self._zero
+        log, zero = self._log, self._zero
         if log is None or c == zero:
             return super().row_sub(v, c, row)
-        exp, m, out = self._exp, log[c] + self._minus, []
+        exp, zech, q1 = self._exp, self._zech, self._q1
+        m, out = log[c] + self._minus, []
         for a, b in zip(v, row):
             if b != zero:
-                s = zadd(log.get(a), log[b] + m)
-                a = zero if s is None else exp[s]
+                e = log[b] + m
+                if a == zero:
+                    a = exp[e % q1]
+                else:
+                    s = log[a]
+                    z = zech[(e - s) % q1]
+                    a = zero if z is None else exp[(s + z) % q1]
             out.append(a)
         return out
 
@@ -675,68 +719,180 @@ class GaloisField(DifferenceField):
         return [zero if a is None or b is None else exp[(a + b) % q1]
                 for a in map(log.get, u) for b in lv]
 
+    def bilinear_table(self, mul):
+        log = self._log
+        if log is None:
+            return super().bilinear_table(mul)
+        # row i: (j, [(t, log c), ...]) for each nonzero e_i e_j = sum c e_t
+        return [[(j, [(t, log[c]) for t, c in cell])
+                 for j, cell in enumerate(map(self.vec_nonzero, row)) if cell]
+                for row in mul]
+
     def bilinear(self, u, v, table):
-        log, zadd, zero = self._log, self._zadd, self._zero
+        log = self._log
         if log is None:
             return super().bilinear(u, v, table)
-        acc = [None] * len(u)
-        vs = [(j, log[b]) for j, b in enumerate(v) if b != zero]
-        for a, row in zip(u, table):
-            if a != zero:
-                a = log[a]
-                for j, b in vs:
-                    for t, c in row[j]:
-                        acc[t] = zadd(acc[t], a + b + log[c])
-        return self._exps(acc)
+        exp, zech, q1, zero = self._exp, self._zech, self._q1, self._zero
+        acc, lv = [None] * len(u), [*map(log.get, v)]
+        for a, row in zip(map(log.get, u), table):
+            if a is not None:
+                for j, cell in row:
+                    b = lv[j]
+                    if b is not None:
+                        ab = a + b
+                        for t, c in cell:
+                            s = acc[t]
+                            if s is None:
+                                acc[t] = (ab + c) % q1
+                            else:
+                                z = zech[(ab + c - s) % q1]
+                                acc[t] = None if z is None else (s + z) % q1
+        return [zero if s is None else exp[s] for s in acc]
 
     def poly_mul(self, f, g):
-        log, zadd = self._log, self._zadd
-        if log is None or not f or not g:
-            return super().poly_mul(f, g)
-        acc = [None] * (len(f) + len(g) - 1)
+        log = self._log
+        if not f or not g:
+            return []
+        if log is None:
+            return pc.trim(self, self._product(f, g))
+        zech, q1, acc = self._zech, self._q1, [None] * (len(f) + len(g) - 1)
         lg = [(j, b) for j, b in enumerate(map(log.get, g)) if b is not None]
         for i, a in enumerate(map(log.get, f)):
             if a is not None:
                 for j, b in lg:
-                    acc[i + j] = zadd(acc[i + j], a + b)
+                    s = acc[i + j]
+                    if s is None:
+                        acc[i + j] = (a + b) % q1
+                    else:
+                        z = zech[(a + b - s) % q1]
+                        acc[i + j] = None if z is None else (s + z) % q1
         return self._exps(acc, trim=True)
 
     def poly_divmod(self, f, g):
-        log, zadd = self._log, self._zadd
-        if log is None or not g or len(f) < len(g):
+        log = self._log
+        if not g or len(f) < len(g):
             return super().poly_divmod(f, g)
+        if log is None:
+            return self._packed_divmod(f, g)
         n, acc, lg = len(g) - 1, list(map(log.get, f)), list(map(log.get, g))
         lc = lg[n]
         if lc is None:
             raise ZeroDivisionError("inverse of zero")
+        zech, q1 = self._zech, self._q1
         head = [(i, b) for i, b in enumerate(lg[:n]) if b is not None]
         q = [None] * (len(f) - n)
         for d in range(len(f) - 1 - n, -1, -1):
             a = acc[d + n]
             if a is not None:         # q_d = a / lc; add -q_d g x^d
-                q[d] = (a - lc) % self._q1
+                q[d] = (a - lc) % q1
                 e = q[d] + self._minus
                 for i, b in head:
-                    acc[d + i] = zadd(acc[d + i], e + b)
+                    s = acc[d + i]
+                    if s is None:
+                        acc[d + i] = (e + b) % q1
+                    else:
+                        z = zech[(e + b - s) % q1]
+                        acc[d + i] = None if z is None else (s + z) % q1
         return self._exps(q, trim=True), self._exps(acc[:n], trim=True)
 
     def mul(self, a, b):
-        log = self._log
+        zero, log = self._zero, self._log
+        if a == zero or b == zero:
+            return zero
         if log is None:
-            prod = pc.mul(self.prime, list(a), list(b))
-            return self._lift(pc.mod(self.prime, prod, list(self.defpoly)))
-        if a == self._zero or b == self._zero:
-            return self._zero
-        exp = self._exp
-        return exp[(log[a] + log[b]) % len(exp)]
+            return self._product([a], [b])[0]
+        return self._exp[(log[a] + log[b]) % self._q1]
 
     def inv(self, a):
         if a == self._zero:
             raise ZeroDivisionError("inverse of zero")
-        if self._log is None:
-            r = pc.invmod(self.prime, pc.trim(self.prime, list(a)), list(self.defpoly))
-            return self._lift(r)
-        return self._exp[-self._log[a] % len(self._exp)]
+        if self._log is not None:
+            return self._exp[-self._log[a] % self._q1]
+        # extended Euclid on coordinate lists, one leading term at a time:
+        # s0 a = r0 and s1 a = r1 mod defpoly throughout
+        p = self.p
+        r0, s0 = list(self.defpoly), []
+        r1, s1 = pc.trim(self.prime, a), [1]
+        while len(r1) > 1:
+            j, c = len(r0) - len(r1), r0[-1] * pow(r1[-1], -1, p) % p
+            s0 += [0] * (j + len(s1) - len(s0))
+            for i, b in enumerate(r1, j):
+                r0[i] = (r0[i] - c * b) % p
+            for i, b in enumerate(s1, j):
+                s0[i] = (s0[i] - c * b) % p
+            while r0 and not r0[-1]:
+                r0.pop()
+            if len(r0) < len(r1):
+                r0, s0, r1, s1 = r1, s1, r0, s0
+        if not r1:
+            raise ZeroDivisionError("element not invertible modulo the defining polynomial")
+        c = pow(r1[0], -1, p)
+        return self._lift([c * b % p for b in s1])
+
+    # -- kernels above the cap, on F_p coordinates packed into ints ----------
+    #
+    # Kronecker substitution (von zur Gathen and Gerhard, Modern Computer
+    # Algebra, 8.4): a polynomial over F_q packs into one int whose block i,
+    # 2n - 1 slots of W bytes, holds coefficient i's coordinates in its low n
+    # slots.  The product of two packed ints packs the product polynomial,
+    # each coefficient a polynomial in x of degree <= 2n - 2 with no
+    # reduction yet.  Every slot holds a nonnegative int, and W is picked
+    # from a bound on every slot, after the fold too, so no slot carries
+    # into the next.
+
+    def _pack(self, elems, W):
+        pad = (0,) * (self.degree - 1)
+        return _pack_slots([*chain.from_iterable(a + pad for a in elems)], W)
+
+    def _unpack(self, x, blocks, W):
+        """The elements in the low `blocks` blocks of x: each block's slots
+        n .. 2n-2, the coefficients of x^n .. x^(2n-2), are folded into its
+        low n slots by the rows of their residues mod defpoly, added to
+        every block at once, and the low slots are reduced mod p."""
+        n, p, w = self.degree, self.p, 8 * W
+        rows = self._packed_rows.get(W)
+        if rows is None:
+            rows = self._packed_rows[W] = [_pack_slots(r, W) for r in self._rows]
+        span = 2 * n - 1
+        ones = int.from_bytes((b"\xff" * W + bytes(W * (span - 1))) * blocks, "little")
+        for k, row in enumerate(rows, n):
+            x += (x >> (w * k) & ones) * row
+        s = [c % p for c in _unpack_slots(x, blocks * span, W)]
+        return [tuple(s[i:i + n]) for i in range(0, blocks * span, span)]
+
+    def _width(self, bound):
+        """The least W among 1, 2, 4, 8, ... whose slots hold ints below
+        bound with room for _unpack's fold, which adds up to n - 1 of them
+        times p - 1 to a slot."""
+        bound *= 1 + (self.degree - 1) * (self.p - 1)
+        W = 1
+        while bound >> 8 * W:
+            W *= 2
+        return W
+
+    def _product(self, f, g):
+        """The coefficients of f g for nonempty f and g: one int product."""
+        W = self._width(min(len(f), len(g)) * self.degree * (self.p - 1) ** 2)
+        return self._unpack(self._pack(f, W) * self._pack(g, W), len(f) + len(g) - 1, W)
+
+    def _packed_divmod(self, f, g):
+        """Long division with the remainder packed: step d reduces only the
+        leading coefficient it reads, q_d times 1/lc(g), and adds the packed
+        product of -q_d and g less its leading term, shifted d blocks."""
+        n, p, lg = self.degree, self.p, len(g)
+        steps = len(f) - lg + 1
+        inv_lc, one = self.inv(g[-1]), self.one()
+        W = self._width(p - 1 + min(steps, lg - 1) * n * (p - 1) ** 2)
+        bits = 8 * W * (2 * n - 1)
+        rest, head, block = self._pack(f, W), self._pack(g[:-1], W), (1 << bits) - 1
+        q = [self._zero] * steps
+        for d in range(steps - 1, -1, -1):
+            c = self._unpack(rest >> bits * (d + lg - 1) & block, 1, W)[0]
+            if any(c):
+                c = q[d] = c if inv_lc == one else self.mul(c, inv_lc)
+                rest += _pack_slots([(-x) % p for x in c], W) * head << bits * d
+        r = self._unpack(rest & ((1 << bits * (lg - 1)) - 1), lg - 1, W)
+        return pc.trim(self, q), pc.trim(self, r)
 
     def eq(self, a, b):
         return a == b
@@ -793,7 +949,7 @@ class GaloisField(DifferenceField):
 
     def scalar_from_json(self, s):
         if isinstance(s, str):
-            s = [int(t) for t in s.strip("[]").split(",")] if s else []
+            s = s.strip("[]").split(",") if s else []
         if not isinstance(s, (list, tuple)):
             raise ValueError(f"an element of F_{self.order} is a list of {self.degree} "
                              f"coordinates, not {_JSON_NAMES.get(type(s), 'an object')}")
@@ -801,7 +957,8 @@ class GaloisField(DifferenceField):
         if len(s) != self.degree:
             raise ValueError(f"an element of F_{self.order} has {self.degree} "
                              f"coordinates, not {len(s)}")
-        return self.canon(tuple(int(x) for x in s))
+        return self.canon(tuple(_json_int(x, self.order, "a coordinate of an element")
+                                for x in s))
 
     def vec_from_json(self, cells):
         # cells that are all lists of n ints in 0..p-1 are canonical as they
@@ -839,8 +996,52 @@ class GaloisField(DifferenceField):
 
 
 TABLE_MAX_ORDER = 4096
+# array typecodes of unsigned ints of 1, 2, 4 and 8 bytes; slots of these
+# widths convert in one call on a little-endian machine
+_SLOT_CODES = {1: "B", 2: "H", 4: "I", 8: "Q"} if sys.byteorder == "little" else {}
+
+
+def _pack_slots(coords, W):
+    """The int whose W-byte slots, least significant first, hold coords,
+    nonnegative ints below 256^W."""
+    code = _SLOT_CODES.get(W)
+    if code:
+        return int.from_bytes(array(code, coords), "little")
+    return int.from_bytes(b"".join(c.to_bytes(W, "little") for c in coords), "little")
+
+
+def _unpack_slots(x, count, W):
+    """The count W-byte slots of x, least significant first."""
+    raw = x.to_bytes(count * W, "little")
+    code = _SLOT_CODES.get(W)
+    if code:
+        return array(code, raw)
+    return [int.from_bytes(raw[i:i + W], "little") for i in range(0, len(raw), W)]
+
+
 # what a JSON scalar that is no list is called in an error
-_JSON_NAMES = {type(None): "null", bool: "a boolean", int: "a number", float: "a number"}
+_JSON_NAMES = {type(None): "null", bool: "a boolean", int: "a number", float: "a number",
+               list: "a list"}
+
+
+def _json_int(value, order, what="an element"):
+    """The int that a JSON integer, or a string that int() reads, spells;
+    for any other value, a float or a boolean among them, a ValueError
+    saying what `what` of F_order is."""
+    if type(value) is int:
+        return value
+    if type(value) is str:
+        try:
+            return int(value)
+        except ValueError:
+            pass
+    if isinstance(value, (float, str)):
+        shown = repr(value)
+        shown = shown if len(shown) <= 24 else shown[:20] + "..."
+    else:
+        shown = _JSON_NAMES.get(type(value), "an object")
+    raise ValueError(f"{what} of F_{order} is an integer, as a JSON number or string, "
+                     f"not {shown}")
 
 
 @functools.lru_cache(maxsize=32)

@@ -11,10 +11,11 @@ field.  Over F_q the primitive idempotents are split out of the q-power-fixed
 subalgebra inside the algebra (_split_fixed), by powers of random fixed
 elements alone.
 
-multiply runs the base field's bilinear kernel on a sparse copy of mul, the
-nonzero (t, c) pairs of each e_i e_j, built on the first product and kept
-off to_json.  factor memoises factor_over_finite_field on the algebra, so
-the memo lives as long as the algebra: one strong core or one CLI verdict.
+multiply runs the base field's bilinear kernel on the table its
+bilinear_table builds from mul, the nonzero (t, c) pairs of each e_i e_j (c
+as a log on a table F_q), built on the first product and kept off to_json.
+factor memoises factor_over_finite_field on the algebra, so the memo lives
+as long as the algebra: one strong core or one CLI verdict.
 The base field's is_finite gates the automatic paths; field_embedding and
 the relative bases read its degree, frobenius_power, power_basis and
 prime_coords, and find the image of the small field's generator once per
@@ -63,7 +64,7 @@ class FinSigmaAlgebra:
         self.mul = mul
         self.unit = list(unit)
         self.sigma = [list(r) for r in sigma]
-        self._table = None   # mul's nonzero (t, c) pairs, read at the first product
+        self._table = None   # base.bilinear_table(mul), built at the first product
         self._factors = {}   # factor's memo, keyed by coefficient tuples
 
     # -- element helpers ---------------------------------------------------
@@ -91,7 +92,7 @@ class FinSigmaAlgebra:
     def multiply(self, u, v):
         k = self.base
         if self._table is None:
-            self._table = [list(map(k.vec_nonzero, row)) for row in self.mul]
+            self._table = k.bilinear_table(self.mul)
         return k.bilinear(u, v, self._table)
 
     def power(self, v, e):

@@ -270,9 +270,8 @@ def suite_core_functoriality(seed=42, count=100):
 
 
 def _all_vectors(k, n):
-    pools = [range(k.order)] * n
-    for tup in itertools.product(*pools):
-        yield [k.from_int(c) for c in tup]
+    """Every vector of k^n, F_q's elements and not only F_p's."""
+    return map(list, itertools.product(k.all_elements(), repeat=n))
 
 
 def _oracle_periodic_span(A):

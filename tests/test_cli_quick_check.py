@@ -512,6 +512,36 @@ def _f9_swap():
             "sigma": [[zero, one], [one, zero]]}
 
 
+def _f5_square():
+    # F_5 x F_5 with the identity, every scalar a one-digit string
+    return {"base": {"kind": "Fq", "p": 5}, "unit": ["1", "1"],
+            "mul": [[["1", "0"], ["0", "0"]], [["0", "0"], ["0", "1"]]],
+            "sigma": [["1", "0"], ["0", "1"]]}
+
+
+_INTEGER = "is an integer, as a JSON number or string, not"
+
+
+@pytest.mark.parametrize("doc, unit, said", [
+    (_f5_square, [1.7, "1"], f"an element of F_5 {_INTEGER} 1.7"),
+    (_f9_swap, [[1.5, 0], [1, 0]], f"a coordinate of an element of F_9 {_INTEGER} 1.5"),
+    (_f9_swap, [[True, 0], [1, 0]], f"a coordinate of an element of F_9 {_INTEGER} a boolean"),
+    (_f9_swap, [[1, "a"], [1, 0]], f"a coordinate of an element of F_9 {_INTEGER} 'a'"),
+], ids=["F5-float", "F9-float", "F9-bool", "F9-junk-string"])
+def test_scalar_of_the_wrong_json_type_is_an_input_error(tmp_path, doc, unit, said):
+    # int() would read the first three as 1 and name the fourth in Python's words
+    doc = doc()
+    p = tmp_path / "doc.json"
+    p.write_text(json.dumps(doc))
+    assert run(["check", "--predicate", "ssetale", str(p)])[0] == 0
+    doc["unit"] = unit
+    p.write_text(json.dumps(doc))
+    for argv in (["check", "--predicate", "ssetale"], ["core"]):
+        code, rep = run(argv + [str(p)])
+        assert code == 1 and _input_error(rep, "unit")
+        assert said in rep["error"]
+
+
 @pytest.mark.parametrize("coords, said", [
     ([1], "has 2 coordinates, not 1"), ([1, 0, 2], "has 2 coordinates, not 3"),
     (1, "is a list of 2 coordinates, not a number"),

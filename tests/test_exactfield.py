@@ -264,11 +264,20 @@ def test_zech_table_is_the_log_of_one_plus_each_power(p, defpoly):
         [0 if p == 2 else (F.order - 1) // 2]
 
 
-# -- Zech-log kernels against the generic loops ------------------------------------
+# -- Zech-log and packed kernels against the generic loops --------------------------
 
-# F_625, F_729 and F_4096 have tables; F_15625 is above the cap, where every
-# kernel is the generic loop.
-KERNEL_FIELDS = ZECH_FIELDS + LARGE_FIELDS
+# F_625, F_729 and F_4096 have tables.  Above the cap mul, inv, poly_mul and
+# poly_divmod work on packed F_p coordinates: F_15625, F_2^13 and F_3^8 give
+# each of p = 5, 2, 3 a field there, so the slot widths of each are packed,
+# and the slots of F_p^3 for p = 2^61 - 1 are too wide for an array typecode.
+ABOVE_CAP_FIELDS = [(2, [1, 1, 0, 1, 1] + [0] * 8 + [1]), (3, [2, 0, 1] + [0] * 5 + [1]),
+                    (2 ** 61 - 1, [2, 2, 0, 1])]
+KERNEL_FIELDS = ZECH_FIELDS + LARGE_FIELDS + ABOVE_CAP_FIELDS
+
+
+def _field_id(p, defpoly):
+    n = len(defpoly) - 1
+    return f"F{p ** n}" if p ** n < 10 ** 6 else f"F{p}^{n}"
 
 
 def _seeded_poly(F, rng, top):
@@ -277,13 +286,21 @@ def _seeded_poly(F, rng, top):
 
 
 @pytest.mark.parametrize("p, defpoly", KERNEL_FIELDS,
-                         ids=[f"F{p ** (len(d) - 1)}" for p, d in KERNEL_FIELDS])
+                         ids=[_field_id(p, d) for p, d in KERNEL_FIELDS])
 def test_galois_kernels_equal_the_generic_loops(p, defpoly):
     F, G = GaloisField(p, defpoly), DifferenceField
     rng = random.Random(7000 + p * len(defpoly))
     a, b = F.sample(rng), F.sample(rng)
     while F.is_zero(a) or F.is_zero(b):
         a, b = F.sample(rng), F.sample(rng)
+    # products and inverses against _polycore over F_p
+    mul, fp = _oracle(F)[0], F.prime
+    elems = [F.zero(), F.one(), F.generator(), a, b] + [F.sample(rng) for _ in range(40)]
+    for x in elems:
+        assert [F.mul(x, y) for y in elems[:9]] == [mul(x, y) for y in elems[:9]]
+        if not F.is_zero(x):
+            inverse = pc.invmod(fp, pc.trim(fp, list(x)), list(F.defpoly))
+            assert F.inv(x) == tuple(inverse) + (0,) * (F.degree - len(inverse))
     vectors = _seeded_vectors(F, rng) + [[], [F.zero()] * 5]
     for v in vectors:
         row = [F.zero() if rng.random() < 0.3 else F.sample(rng) for _ in v]
@@ -296,17 +313,18 @@ def test_galois_kernels_equal_the_generic_loops(p, defpoly):
         assert F.row_sub(row, F.one(), row) == [F.zero()] * len(row)    # cancels
     # a b + a (-b) = 0
     assert F.dot([a, a], [b, F.neg(b)]) == G.dot(F, [a, a], [b, F.neg(b)]) == F.zero()
-    # structure constants with zeros
-    n = 4
-    table = [[[(t, F.sample(rng)) for t in range(n) if rng.random() < 0.4]
-              for _ in range(n)] for _ in range(n)]
-    table = [[[(t, c) for t, c in cell if not F.is_zero(c)] for cell in row] for row in table]
+    # structure constants with zeros, each side on the table it builds
+    n, z = 4, F.zero()
+    mul = [[[F.sample(rng) if rng.random() < 0.4 else z for _ in range(n)]
+            for _ in range(n)] for _ in range(n)]
     for u, v in zip(vectors, vectors[1:]):
-        u, v = (u + [F.zero()] * n)[:n], (v + [F.zero()] * n)[:n]
-        assert F.bilinear(u, v, table) == G.bilinear(F, u, v, table)
-    cancel = [[[(1, a)], []], [[], [(1, F.neg(a))]]]     # e_0^2 = a e_1, e_1^2 = -a e_1
+        u, v = (u + [z] * n)[:n], (v + [z] * n)[:n]
+        assert F.bilinear(u, v, F.bilinear_table(mul)) == \
+            G.bilinear(F, u, v, G.bilinear_table(F, mul))
+    cancel = [[[z, a], [z, z]], [[z, z], [z, F.neg(a)]]]     # e_0^2 = a e_1, e_1^2 = -a e_1
     one = [F.one(), F.one()]
-    assert F.bilinear(one, one, cancel) == G.bilinear(F, one, one, cancel) == [F.zero()] * 2
+    assert F.bilinear(one, one, F.bilinear_table(cancel)) == [z, z] == \
+        G.bilinear(F, one, one, G.bilinear_table(F, cancel))
     # polynomials, empty and constant ones included
     polys = [_seeded_poly(F, rng, 7) for _ in range(30)] + [[], [a], [F.zero(), a]]
     for f in polys:
@@ -314,6 +332,20 @@ def test_galois_kernels_equal_the_generic_loops(p, defpoly):
             assert F.poly_mul(f, g) == G.poly_mul(F, f, g)
             if g:
                 assert F.poly_divmod(f, g) == G.poly_divmod(F, f, g)
+    # long operands with every coordinate p - 1, whose slot sums come near
+    # the bounds the packed kernels pick their slot widths from
+    top = (p - 1,) * F.degree
+    for lf, lg in ((24, 1), (24, 12), (12, 24), (30, 9), (30, 2)):
+        f, g = [top] * lf, [top] * lg
+        for h in (g, [F.sample(rng) for _ in range(lg - 1)] + [top]):
+            assert F.poly_mul(f, h) == G.poly_mul(F, f, h)
+            assert F.poly_divmod(f, h) == G.poly_divmod(F, f, h)
+    # quotient coefficients (1, ..., 1) over a divisor head of all p - 1:
+    # each step of the division adds the largest product to the most slots
+    ones = (1,) * F.degree
+    for lq, lg in ((20, 12), (12, 20), (25, 3)):
+        q, g = [ones] * lq, [top] * (lg - 1) + [F.one()]
+        assert F.poly_divmod(G.poly_mul(F, q, g), g) == (q, [])
     # (x + a)(x - a) = x^2 - a^2: the middle coefficient cancels
     plus, minus = [a, F.one()], [F.neg(a), F.one()]
     assert F.poly_mul(plus, minus) == G.poly_mul(F, plus, minus) \
@@ -587,6 +619,22 @@ def test_prime_vec_from_json_reduces_and_fails_like_scalar_decode(p):
         _same_outcome(lambda: k.vec_from_json(cells), lambda: slow.vec_from_json(cells))
 
 
+@pytest.mark.parametrize("p", [5, 11, DECODE_TABLE_MAX_P + 3])
+@pytest.mark.parametrize("cell, shown", [
+    (True, "a boolean"), (False, "a boolean"), (1.0, "1.0"), (0.0, "0.0"), (None, "null"),
+    ([1], "a list"), ({}, "an object"), ("1.5", "'1.5'"), ("x" * 40, "'" + "x" * 19 + "..."),
+], ids=["true", "false", "1.0", "0.0", "null", "list", "object", "1.5", "long-string"])
+def test_prime_decode_rejects_what_is_no_integer(p, cell, shown):
+    # the decode table holds 1 and 0, which True, 1.0, False and 0.0 hash
+    # and compare like, and int() takes a float or a boolean
+    k, said = PrimeField(p), f"an element of F_{p} is an integer, as a JSON number or string"
+    for cells in ([cell], ["0", cell], [cell, 1]):
+        with pytest.raises(ValueError) as err:
+            k.vec_from_json(cells)
+        assert str(err.value) == f"{said}, not {shown}"
+    assert k.vec_from_json(["0", 1, "-4", " 6"]) == [0, 1, (-4) % p, 6 % p]
+
+
 @pytest.mark.parametrize("p", [2, 5])
 def test_prime_vec_from_json_on_every_short_list_of_tricky_cells(p):
     # every list of up to three cells from strings that join into digits and
@@ -631,8 +679,9 @@ def test_scalars_reports_a_bad_cell_in_a_later_row_for_the_whole_value():
         with pytest.raises(InputError) as err:
             _scalars(value, k, 2, 2, 2)
         assert err.value.path == "mul"
-        assert str(err.value) == ("mul holds an invalid scalar for its base field "
-                                  "(invalid literal for int() with base 10: 'x')")
+        assert str(err.value) == ("mul holds an invalid scalar for its base field (an "
+                                  "element of F_5 is an integer, as a JSON number or "
+                                  "string, not 'x')")
 
 
 @pytest.mark.parametrize("row", ["01", ["0"], ["0", "1", "1"]])

@@ -4,6 +4,7 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import diffalg._linalg as la
 from diffalg.exactfield import DifferenceField, GaloisField, PrimeField, Rationals
@@ -447,6 +448,32 @@ def test_strong_core_on_tree_over_cycle_dynamics():
         assert strong_core(A).span.equals(_oracle_periodic_span(A)), pm
 
 
+# every table field with q^n <= 729 at the largest dimension drawn over it
+TABLE_CORE_FIELDS = {"F4": (GaloisField(2, [1, 1, 1]), 4), "F8": (GaloisField(2, [1, 1, 0, 1]), 3),
+                     "F8-sigma-4th-power": (GaloisField(2, [1, 1, 0, 1], 2), 3),
+                     "F9": (GaloisField(3, [1, 0, 1]), 3), "F25": (GaloisField(5, [2, 1, 1]), 2)}
+
+
+@pytest.mark.parametrize("name", sorted(TABLE_CORE_FIELDS))
+@settings(derandomize=True, max_examples=30)
+@given(seed=st.integers(0, 2 ** 32 - 1))
+def test_strong_core_matches_exhaustive_span_over_table_fields(name, seed):
+    # the periodic idempotents span the core when every residue field of A
+    # is the base field; otherwise they span part of it.  A is split so
+    # exactly when its nilpotents number q^(n - r), r = log2 #idempotents.
+    from diffalg.suites import _all_vectors, _oracle_periodic_span
+
+    k, max_dim = TABLE_CORE_FIELDS[name]
+    A = random_valid_algebra(k, random.Random(seed), max_dim=max_dim)
+    vectors = list(_all_vectors(k, A.dim))
+    r = sum(map(A.is_idempotent, vectors)).bit_length() - 1
+    nilpotents = sum(A.vec_is_zero(A.power(v, A.dim)) for v in vectors)
+    core, oracle = strong_core(A).span, _oracle_periodic_span(A)
+    assert all(core.contains(v) for v in oracle.basis())
+    if nilpotents * k.order ** r == k.order ** A.dim:
+        assert core.equals(oracle)
+
+
 def test_is_periodic_unknown_at_tiny_horizon():
     SW = swap_pair(F5)
     res = is_periodic(SW, SW.basis_vec(0), horizon=1)
@@ -633,7 +660,8 @@ def test_algebra_on_basis_raises_the_given_error(error, law):
 
 
 # F_5^6 is above TABLE_MAX_ORDER, so it multiplies and adds on coordinate tuples
-KERNEL_FIELDS = {"F2": F2, "F7": PrimeField(7), "F9": GaloisField(3, [1, 0, 1]),
+KERNEL_FIELDS = {"F2": F2, "F7": PrimeField(7), "F4": GaloisField(2, [1, 1, 1]),
+                 "F9": GaloisField(3, [1, 0, 1]), "F625": GaloisField(5, [4, 1, 0, 0, 1]),
                  "F5^6": GaloisField(5, [2, 1, 0, 0, 0, 0, 1]), "Q": Rationals()}
 
 
@@ -675,8 +703,9 @@ def test_sparse_product_equals_the_dense_triple_loop(name):
             v = [_sparse_sample(k, rng) for _ in range(n)]
             want = _dense_product(A, u, v)
             assert A.multiply(u, v) == want
-            # the generic loop, which PrimeField overrides, on the same table
-            assert DifferenceField.bilinear(k, u, v, A._table) == want
+            # the generic loop, which the finite fields override, on its own table
+            table = DifferenceField.bilinear_table(k, A.mul)
+            assert DifferenceField.bilinear(k, u, v, table) == want
         assert A.multiply(A.zero_vec(), A.unit) == A.zero_vec()
 
 
