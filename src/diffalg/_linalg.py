@@ -136,6 +136,22 @@ def solve(k, m, b):
     return x
 
 
+def minimal_polynomial(k, one, times, coords):
+    """Monic coefficients, low degree first, of the minimal polynomial of the
+    element v that times(x) = x v multiplies by: each new power of v is solved
+    for in the ones before it, and the first that solves gives the rest of
+    the polynomial.  one is the ring's unit; coords(x) is x's coordinate
+    vector."""
+    powers, x = [coords(one)], one
+    while True:
+        x = times(x)
+        cur = coords(x)
+        lower = solve(k, transpose(powers, len(cur)), cur)
+        if lower is not None:
+            return [k.neg(c) for c in lower] + [k.one()]
+        powers.append(cur)
+
+
 def inverse(k, m):
     n = len(m)
     aug = [list(r) + row for r, row in zip(m, identity(k, n))]

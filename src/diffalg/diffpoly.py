@@ -10,7 +10,9 @@ confluent rewriting system of two rule shapes:
 Rules propagate to all higher transforms of their variable.  Elements are
 sparse polynomials in variables (j, i) = (declared variable, transform
 order); the level-n algebra is spanned by the normal monomials of order at
-most n, and sigma raises the level by one.
+most n, and sigma raises the level by one.  Finite-dimensional work on a
+level (its primitive idempotents, the core of its sigma-stable window) is
+done by findiff on the FinSigmaAlgebra algebra_on_basis builds there.
 """
 
 from __future__ import annotations
@@ -20,9 +22,8 @@ from . import _linalg as la
 from . import _multipoly as mp
 from ._load import cursor
 from .exactfield import field_make
-from .findiff import (FinSigmaAlgebra, PeriodicityResult, algebra_on_basis, orbit,
+from .findiff import (PeriodicityResult, algebra_on_basis, orbit, primitive_idempotents,
                       strong_core as _fin_strong_core)
-from .poly import Poly, factor_over_finite_field
 
 
 class UnsupportedPresentationError(ValueError):
@@ -294,51 +295,15 @@ class IdempotentClassification(PeriodicityResult):
         self.element = element
 
 
-def _level_split_points(pres, n):
-    """Roots of each free variable's defining polynomial; the level algebra
-    is the tensor product of the split pieces."""
-    k = pres.base
-    points = []
-    for (v, cap) in pres.free_variables(n):
-        j, i = v
-        coeffs = pres._power_rhs_coeffs(j, i)
-        # f = v^cap - rhs(v)
-        full = [k.neg(c) for c in coeffs] + [k.zero()] * (cap - len(coeffs))
-        f = Poly.make(k, full[:cap] + [k.one()])
-        fl = factor_over_finite_field(f)
-        rs = []
-        for g, mult in fl.factors:
-            if g.degree() != 1 or mult != 1:
-                raise UnsupportedPresentationError(
-                    "level variable polynomial does not split separably over the base")
-            rs.append(k.neg(g.coeffs[0]))
-        points.append((v, cap, rs))
-    return points
-
-
 def level_primitive_idempotents(pres: Presentation, n: int):
-    """Primitive idempotents of the level algebra, as element dicts."""
+    """Primitive idempotents of the level-n algebra, as element dicts: the
+    algebra splitter run on the level algebra, with sigma the identity, as
+    primitive_idempotents reads only products and the unit."""
     k = pres.base
-    points = _level_split_points(pres, n)
-    prims = [pres.one()]
-    for v, cap, rs in points:
-        j, i = v
-        x = pres.var_element(j, i)
-        new = []
-        for root in rs:
-            ind = pres.one()
-            for other in rs:
-                if k.eq(other, root):
-                    continue
-                factor = pres.scale(pres.sub(x, pres.const(other)),
-                                    k.inv(k.sub(root, other)))
-                ind = pres.mul(ind, factor)
-            for e in prims:
-                w = pres.mul(e, ind)
-                if not pres.is_zero(w):
-                    new.append(w)
-        prims = new
-    return prims
+    lvl = LevelAlgebra.make(pres, n)
+    A = algebra_on_basis(k, [{m: k.one()} for m in lvl.monomials], pres.mul,
+                         lambda f: f, pres.one(), lvl.coords, UnsupportedPresentationError)
+    return [lvl.element(e.coords) for e in primitive_idempotents(A)]
 
 
 def classify_idempotent(pres: Presentation, e, horizon: int) -> IdempotentClassification:

@@ -22,9 +22,9 @@ prime_coords, and find the image of the small field's generator once per
 pair of defining polynomials and process (_defpoly_root, a 32-entry LRU).
 
 Every subalgebra or quotient carved out of a bigger ring (the strong core,
-a sigma-closure, the quotient by a sigma-ideal, the truncated window, the
-core of a finite tower, k[a]) is built by algebra_on_basis from a list of
-ambient elements and a coordinate function.
+a sigma-closure, the quotient by a sigma-ideal, a presentation's level and
+its window, the core of a finite tower) is built by algebra_on_basis from
+a list of ambient elements and a coordinate function.
 """
 
 from __future__ import annotations
@@ -84,10 +84,11 @@ class FinSigmaAlgebra:
         return self.base.vec_is_zero(v)
 
     def scalar_mul(self, c, v):
-        return [self.base.mul(c, a) for a in v]
+        return self.base.row_scale(c, v)
 
     def vec_add(self, u, v):
-        return [self.base.add(a, b) for a, b in zip(u, v)]
+        k = self.base
+        return k.row_sub(u, k.neg(k.one()), v)
 
     def multiply(self, u, v):
         k = self.base
@@ -288,21 +289,8 @@ def is_strongly_sigma_etale(A: FinSigmaAlgebra) -> bool:
 def minimal_polynomial(A: FinSigmaAlgebra, v, unit=None) -> Poly:
     """Minimal polynomial of v in the unital subalgebra generated by v."""
     unit = A.unit if unit is None else unit
-    k = A.base
-    powers = [list(unit)]
-    cur = list(unit)
-    while True:
-        cur = A.multiply(cur, v)
-        coords = _coords_in(k, powers, cur)
-        if coords is not None:
-            return Poly.make(k, [k.neg(c) for c in coords] + [k.one()])
-        powers.append(list(cur))
-
-
-def _coords_in(k, vectors, target):
-    if not vectors:
-        return [] if k.vec_is_zero(target) else None
-    return la.solve(k, la.transpose(vectors, len(vectors[0])), target)
+    return Poly.make(A.base, la.minimal_polynomial(
+        A.base, list(unit), lambda x: A.multiply(x, v), list))
 
 
 def primitive_idempotents(A: FinSigmaAlgebra, supplied=None):

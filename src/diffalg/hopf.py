@@ -307,26 +307,17 @@ def union_of_etale_subalgebras_probe(pres: Presentation, level: int) -> dict:
     """Dimension of the sigma-annihilated slice at the given level, with an
     etale certificate for the subalgebra each slice element generates.
 
-    k[a] is k[x]/(m_a) for the minimal polynomial m_a of a, and its trace
-    form's discriminant is +-Res(m_a, m_a'), so k[a] is etale exactly when
-    gcd(m_a, m_a') = 1.  The powers 1, a, ..., a^(d-1) span k[a], and one
-    solve writes a^d in them, which gives the lower coefficients of m_a.
+    k[a] is k[x]/(m_a) for the minimal polynomial m_a of a, which
+    _linalg.minimal_polynomial finds on the level algebra's coordinates, and
+    its trace form's discriminant is +-Res(m_a, m_a'), so k[a] is etale
+    exactly when gcd(m_a, m_a') = 1.
     """
     k = pres.base
     slice_basis = sigma_kernel_slice(pres, level)
     ambient = LevelAlgebra.make(pres, level)
     certs = []
     for a in slice_basis:
-        span = la.SpanBasis(k, ambient.dim())
-        powers = []
-        power = pres.one()
-        v = ambient.coords(power)
-        while span.add(v):
-            powers.append(v)
-            power = pres.mul(power, a)
-            v = ambient.coords(power)
-        lower = la.solve(k, la.transpose(powers, ambient.dim()), v)
-        m = [k.neg(c) for c in lower] + [k.one()]
+        m = la.minimal_polynomial(k, pres.one(), lambda x: pres.mul(x, a), ambient.coords)
         certs.append(pc.deg(pc.gcd(k, m, pc.derivative(k, m))) == 0)
     return {"level": level, "slice_dimension": len(slice_basis),
             "all_etale": all(certs), "certificates": certs}

@@ -551,12 +551,12 @@ SUITES = {
 }
 
 
-def run_suite(name, seed=42, **overrides):
+def run_suite(name, seed=42):
     if name == "all":
         return run_all(seed=seed)
     if name not in SUITES:
         raise KeyError(f"unknown suite {name!r}")
-    return SUITES[name](seed=seed, **overrides)
+    return SUITES[name](seed=seed)
 
 
 def run_all(seed=42):

@@ -83,7 +83,7 @@ class TowerExtension(mp.Ring):
         self.family_min: dict[str, int] = {}
         self.schedule = None      # explicit groups (list of name lists) or None
         self.group_rule = None    # callable(g) -> list of names, for lazy towers
-        self.certified_kind = None  # "finite" | "radical" | None
+        self.certified_kind = None  # "finite-levels" | "radical" | "mixed-radical" | None
 
     # -- naming --------------------------------------------------------------
 
@@ -1007,8 +1007,7 @@ def _family_of_name(T, name):
     return None
 
 
-def babbitt_verify(chain: BabbittChain, horizon: int = 4,
-                   degree_checks: int = 1) -> dict:
+def babbitt_verify(chain: BabbittChain, horizon: int = 4) -> dict:
     """Per-step certificates for a claimed decomposition chain.
 
     Checks the claimed bottom field against the strong core of the finite
@@ -1090,7 +1089,7 @@ def babbitt_verify(chain: BabbittChain, horizon: int = 4,
             entry["reason"] = "transform degree dropped"
             cert["verdict"] = "refuted"
             cert["witness"] = {"step": step.get("name"), "degrees": degs}
-        if prev_is_base and degree_checks > 0:
+        if prev_is_base:
             d0, rel = _degrees(T, T.gen(idx))
             entry["degree_over_base"] = d0
             entry["relative_degree"] = rel

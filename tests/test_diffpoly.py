@@ -10,9 +10,11 @@ from diffalg.diffpoly import (Presentation, UnsupportedPresentationError,
                               periodic_idempotents_truncated, sigma_kernel_slice,
                               strong_core_truncated, truncate)
 from diffalg.exactfield import FunctionField, PrimeField, Rationals
-from diffalg.findiff import FinSigmaAlgebra, PeriodicityResult, strong_core
+from diffalg.findiff import (FinSigmaAlgebra, PeriodicityResult, RestrictedAutomationError,
+                             strong_core)
 from diffalg.gallery import (collapsed_line, free_line, product_carrier,
                              swap_presentation)
+from diffalg.poly import Poly, roots
 
 F5 = PrimeField(5)
 
@@ -85,6 +87,41 @@ def test_level_primitive_idempotents_counts():
     cls = periodic_idempotents_truncated(R, 1, 30)
     statuses = {c.status for c in cls}
     assert statuses == {"periodic", "nonperiodic"}
+
+
+@pytest.mark.parametrize("rule", ["y0^2-2", "y0^5-1"])
+def test_a_local_level_algebra_is_its_own_primitive_idempotent(rule):
+    # y^2 - 2 is irreducible over F_5 and y^5 - 1 = (y - 1)^5: F_25 and
+    # F_5[y]/(y - 1)^5 are local, so one is the only primitive idempotent
+    pres = Presentation(F5, ["y"], [rule])
+    prims = level_primitive_idempotents(pres, 0)
+    assert len(prims) == 1 and pres.eq(prims[0], pres.one())
+
+
+@pytest.mark.parametrize("pres", [product_carrier(5), product_carrier(7), free_line(3),
+                                  free_line(5), collapsed_line(5), swap_presentation(5)])
+def test_level_primitive_idempotents_split_the_level_algebra(pres):
+    k = pres.base
+    for n in range(3):
+        prims = level_primitive_idempotents(pres, n)
+        total = pres.zero()
+        for i, e in enumerate(prims):
+            assert not pres.is_zero(e) and pres.eq(pres.mul(e, e), e)
+            assert all(pres.is_zero(pres.mul(e, f)) for f in prims[:i])
+            total = pres.add(total, e)
+        assert pres.eq(total, pres.one())
+        # one idempotent per point: a root of each free variable's power rule
+        count = 1
+        for (j, i), _cap in pres.free_variables(n):
+            rhs = pres._power_rhs_coeffs(j, i)
+            count *= len(roots(Poly.make(k, [k.neg(c) for c in rhs] + [k.one()])))
+        assert len(prims) == count
+
+
+def test_level_primitive_idempotents_need_a_finite_base():
+    pres = Presentation(Rationals(), ["y"], ["y0^2-1"])
+    with pytest.raises(RestrictedAutomationError):
+        level_primitive_idempotents(pres, 0)
 
 
 def test_strong_core_of_named_presentations():

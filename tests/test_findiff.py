@@ -572,6 +572,51 @@ def test_minimal_polynomial_matches_defining_relation():
     assert m.to_json() == ["4", "0", "1"]
 
 
+@pytest.mark.parametrize("name", ["F2", "F3", "F4", "F9"])
+def test_linalg_minimal_polynomial_is_monic_annihilating_and_of_degree_dim_k_v(name):
+    k = ORACLE_FIELDS[name]
+    rng = random.Random(f"minpoly-{name}")
+    for _ in range(30):
+        A = random_valid_algebra(k, rng, max_dim=5)
+        v = [k.sample(rng) for _ in range(A.dim)]
+        m = la.minimal_polynomial(k, A.unit, lambda x: A.multiply(x, v), list)
+        assert k.eq(m[-1], k.one())
+        value = A.zero_vec()
+        for c in reversed(m):
+            value = A.vec_add(A.multiply(value, v), A.scalar_mul(c, A.unit))
+        assert A.vec_is_zero(value)
+        # dim k[v]: the rank of 1, v, ..., v^dim, which span k[v]
+        powers = [A.power(v, e) for e in range(A.dim + 1)]
+        assert len(m) - 1 == la.rank(k, powers)
+
+
+STABLE_IMAGE_FIELDS = {
+    "F2": F2, "F3": F3, "F5": F5, "F4": GaloisField(2, [1, 1, 1]),
+    "F8, sigma x^2": GaloisField(2, [1, 1, 0, 1]),
+    "F8, sigma x^4": GaloisField(2, [1, 1, 0, 1], frobenius_power=2),
+    "F9": GaloisField(3, [1, 0, 1]), "F25": GaloisField(5, [2, 0, 1]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(STABLE_IMAGE_FIELDS))
+def test_strong_core_is_the_stable_image_of_sigma_after_frobenius(name):
+    # over F_q, L(x) = sigma(x^q) is a semilinear ring endomorphism; its
+    # images L^i(A) fall to a subalgebra that holds every strongly
+    # sigma-etale one and is one itself, which is the strong core
+    k = STABLE_IMAGE_FIELDS[name]
+    rng = random.Random(f"stable-image-{name}")
+    for _ in range(25):
+        A = random_valid_algebra(k, rng, max_dim=5)
+        image = _span_of(k, A.dim, [A.basis_vec(i) for i in range(A.dim)])
+        while True:
+            nxt = _span_of(k, A.dim, [A.apply_sigma(A.power(b, k.order))
+                                      for b in image.basis()])
+            if nxt.dim() == image.dim():
+                break
+            image = nxt
+        assert image.equals(strong_core(A).span)
+
+
 def test_restrict_scalars_keeps_strongly_setale():
     K = GaloisField(3, [1, 0, 1])
     rng = random.Random(53)
