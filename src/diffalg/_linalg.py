@@ -9,9 +9,19 @@ dot, which work on whole rows (see exactfield); the generic ones skip zero
 entries, keeping what they would have recomputed.  rank counts and det
 multiplies the pivots of one forward elimination (_pivots), with no
 back-substitution; rref also clears above each pivot.
+
+Eliminations are not repeated.  solver(k, m) runs one rref of [m | I] and
+answers every right-hand side b with the products E b of its right half E,
+so a matrix solved for many b (the comultiplication witnesses, the relative
+coordinates of a field extension) is eliminated once, and one never solved
+is not eliminated; solve and inverse are that elimination too.
+minimal_polynomial runs no rref: it reduces each new power once against
+echelon rows that carry their combinations of the powers before it.
 """
 
 from __future__ import annotations
+
+import functools
 
 
 def zeros(k, rows, cols):
@@ -119,46 +129,75 @@ def det(k, m):
     return acc if r == len(m) else k.zero()
 
 
-def solve(k, m, b):
-    """One solution x of m x = b, or None if inconsistent."""
+def _eliminate(k, m):
+    """(pivots, E) from one rref of [m | I]: E is its right half, so E m is
+    m's reduced row echelon form, its first len(pivots) rows nonzero with
+    those pivot columns, and E's rows past them send m's columns to zero."""
     rows = len(m)
     cols = len(m[0]) if rows else 0
-    aug = [list(r) + [b[i]] for i, r in enumerate(m)]
-    red, pivots = rref(k, aug)
-    for row in red:
-        if k.vec_is_zero(row[:cols]) and not k.is_zero(row[cols]):
+    zero, one = k.zero(), k.one()
+    pad = [zero] * rows
+    red, pivots = rref(k, [list(r) + pad[:i] + [one] + pad[i + 1:] for i, r in enumerate(m)])
+    rank = sum(1 for c in pivots if c < cols)
+    return pivots[:rank], [row[cols:] for row in red]
+
+
+def solver(k, m):
+    """The function b -> one solution x of m x = b, or None if there is none.
+    m is eliminated once, at the first b: x takes (E b)_r at the r-th pivot
+    column and zero at the others, and E's rows past the rank must send b to
+    zero."""
+    cols = len(m[0]) if m else 0
+    eliminated = functools.cache(lambda: _eliminate(k, m))
+
+    def solve_for(b):
+        pivots, E = eliminated()
+        if not k.vec_is_zero(mat_vec(k, E[len(pivots):], b)):
             return None
-    x = [k.zero()] * cols
-    for r, p in enumerate(pivots):
-        if p == cols:
-            return None
-        x[p] = red[r][cols]
-    return x
+        x = [k.zero()] * cols
+        for p, row in zip(pivots, E):
+            x[p] = k.dot(row, b)
+        return x
+
+    return solve_for
+
+
+def solve(k, m, b):
+    """One solution x of m x = b, or None if inconsistent."""
+    return solver(k, m)(b)
 
 
 def minimal_polynomial(k, one, times, coords):
     """Monic coefficients, low degree first, of the minimal polynomial of the
-    element v that times(x) = x v multiplies by: each new power of v is solved
-    for in the ones before it, and the first that solves gives the rest of
-    the polynomial.  one is the ring's unit; coords(x) is x's coordinate
-    vector."""
-    powers, x = [coords(one)], one
+    element v that times(x) = x v multiplies by.  Each power of v is reduced
+    once against one echelon row per earlier power that did not reduce to
+    zero, each row carrying its combination of the powers; the first power
+    from v on that reduces to zero has, as its combination, the monic
+    relation.  A zero unit gives no row.  one is the ring's unit; coords(x)
+    is x's coordinate vector."""
+    zero, rows, x, d = k.zero(), [], one, 0
     while True:
-        x = times(x)
-        cur = coords(x)
-        lower = solve(k, transpose(powers, len(cur)), cur)
-        if lower is not None:
-            return [k.neg(c) for c in lower] + [k.one()]
-        powers.append(cur)
+        cur, combo = coords(x), [zero] * d + [k.one()]
+        for p, row, rc in rows:
+            c = cur[p]
+            if not k.is_zero(c):
+                cur = k.row_sub(cur, c, row)
+                combo[:len(rc)] = k.row_sub(combo, c, rc)
+        lead = k.vec_nonzero(cur)
+        if lead:
+            p, a = lead[0]
+            a = k.inv(a)
+            rows.append((p, k.row_scale(a, cur), k.row_scale(a, combo)))
+        elif d:
+            return combo
+        x, d = times(x), d + 1
 
 
 def inverse(k, m):
-    n = len(m)
-    aug = [list(r) + row for r, row in zip(m, identity(k, n))]
-    red, pivots = rref(k, aug)
-    if pivots[:n] != list(range(n)):
+    pivots, E = _eliminate(k, m)
+    if pivots != list(range(len(m))):
         raise ArithmeticError("matrix is singular")
-    return [row[n:] for row in red]
+    return E
 
 
 class SpanBasis:

@@ -423,6 +423,12 @@ def strong_core_truncated(pres: Presentation, n: int, horizon: int = 64) -> Trun
 
 def sigma_kernel_slice(pres: Presentation, n: int):
     """Basis of the kernel of sigma on the level-n algebra."""
+    return level_sigma_kernel(pres, n)[1]
+
+
+def level_sigma_kernel(pres: Presentation, n: int):
+    """(the level-n LevelAlgebra, the basis sigma_kernel_slice gives), so a
+    caller that also needs the level does not build it again."""
     k = pres.base
     level_n = LevelAlgebra.make(pres, n)
     level_up = LevelAlgebra.make(pres, n + 1)
@@ -436,4 +442,4 @@ def sigma_kernel_slice(pres: Presentation, n: int):
     null = la.nullspace(k, la.transpose(cols, level_up.dim()))
     if k.sigma_inverse is None:
         raise UnsupportedPresentationError("base field without invertible endomorphism")
-    return [level_n.element([k.sigma_inverse(c) for c in w]) for w in null]
+    return level_n, [level_n.element([k.sigma_inverse(c) for c in w]) for w in null]

@@ -34,17 +34,20 @@ c*row, kron(u, v) is [u_i v_j], i major, and bilinear_table(mul) puts the
 structure constants mul[i][j] = e_i e_j in the form that bilinear(u, v,
 table), the product of u and v, reads.  Two more work on dense polynomials
 (_polycore lists): poly_mul(f, g) and poly_divmod(f, g).  DifferenceField
-defines all fourteen as loops over the scalar methods, its table listing
-the nonzero (t, c) of each e_i e_j, except vec_eq, which compares stored
-forms with == on every kind.  PrimeField overrides them with int
-arithmetic, one reduction mod p per output entry, decodes a vector of
-one-digit scalars as bytes, with no call per cell, and encodes through a
-table of strings; GaloisField tests, sums, decodes and encodes whole
-vectors of coordinate tuples, computes the rest over Zech logarithms at
-orders up to TABLE_MAX_ORDER and its products and polynomial kernels on
-packed ints above it.  A JSON scalar of F_p, or coordinate of one of F_q,
-is an integer or a string that int() reads; a float or a boolean is an
-input error, not the integer int() would make of it.
+defines all fourteen as loops over the scalar methods, except vec_eq,
+which compares stored forms with == on every kind.  Every kind's
+bilinear_table has one shape: row i lists (j, cell) for the nonzero
+products e_i e_j only, cell the nonzero (t, c) of e_i e_j = sum c e_t, so
+bilinear never visits an empty product (n^2 - n of them on a point
+algebra); a Zech table stores log c in place of c.  PrimeField overrides
+the kernels with int arithmetic, one reduction mod p per output entry,
+decodes a vector of one-digit scalars as bytes, with no call per cell, and
+encodes through a table of strings; GaloisField tests, sums, decodes and
+encodes whole vectors of coordinate tuples, computes the rest over Zech
+logarithms at orders up to TABLE_MAX_ORDER and its products and polynomial
+kernels on packed ints above it.  A JSON scalar of F_p, or coordinate of
+one of F_q, is an integer or a string that int() reads; a float or a
+boolean is an input error, not the integer int() would make of it.
 """
 
 from __future__ import annotations
@@ -192,24 +195,26 @@ class DifferenceField(pc.Kernels):
 
     def bilinear_table(self, mul):
         """bilinear's table for the structure constants mul[i][j], the
-        vectors e_i e_j: table[i][j] lists the nonzero (t, c) of
-        e_i e_j = sum c e_t.  A kind that overrides bilinear may give its
-        own form."""
-        return [list(map(self.vec_nonzero, row)) for row in mul]
+        vectors e_i e_j: row i lists (j, cell) for each nonzero e_i e_j, cell
+        the nonzero (t, c) of e_i e_j = sum c e_t, so the empty products are
+        not in it.  Every kind keeps this shape; a Zech table stores log c."""
+        nonzero = self.vec_nonzero
+        return [[(j, cell) for j, cell in enumerate(map(nonzero, row)) if cell]
+                for row in mul]
 
     def bilinear(self, u, v, table):
         """sum u_i v_j e_i e_j, table from bilinear_table; terms with u_i or
         v_j zero are skipped."""
         out = [self.zero()] * len(u)
-        for i, a in enumerate(u):
+        for a, row in zip(u, table):
             if self.is_zero(a):
                 continue
-            row = table[i]
-            for j, b in enumerate(v):
+            for j, cell in row:
+                b = v[j]
                 if self.is_zero(b):
                     continue
                 ab = self.mul(a, b)
-                for t, c in row[j]:
+                for t, c in cell:
                     out[t] = self.add(out[t], self.mul(ab, c))
         return out
 
@@ -470,13 +475,14 @@ class PrimeField(DifferenceField):
 
     def bilinear(self, u, v, table):
         out = [0] * len(u)
-        vs = [(j, b) for j, b in enumerate(v) if b]
         for a, row in zip(u, table):
             if a:
-                for j, b in vs:
-                    ab = a * b
-                    for t, c in row[j]:
-                        out[t] += ab * c
+                for j, cell in row:
+                    b = v[j]
+                    if b:
+                        ab = a * b
+                        for t, c in cell:
+                            out[t] += ab * c
         p = self.p
         return [x % p for x in out]
 
@@ -558,8 +564,8 @@ class GaloisField(DifferenceField):
     up in log once, None standing for zero, multiply by adding logs,
     accumulate by the Zech step written out in each loop, and look each
     output entry up in exp once.  bilinear_table stores each structure
-    constant c as log c, skipping the empty products e_i e_j, once per
-    algebra, so bilinear looks up no constant.
+    constant c of the generic table as log c, once per algebra, so bilinear
+    looks up no constant.
 
     Above the cap, such as F_5^6 or a user's F_p^n with large p, there are
     no tables.  Sums stay coordinatewise mod p.  mul, poly_mul and
@@ -602,6 +608,7 @@ class GaloisField(DifferenceField):
         self.order = p ** n
         self.frobenius_power = frobenius_power
         self._zero = (0,) * n
+        self._one = (1,) + self._zero[1:]
         self._q1 = self.order - 1
         self._minus = 0 if p == 2 else self._q1 // 2       # the log of -1
         self._exp, self._log, self._zech = tables or (None, None, None)
@@ -622,7 +629,7 @@ class GaloisField(DifferenceField):
         return self._zero
 
     def one(self):
-        return self._lift([1])
+        return self._one
 
     def generator(self):
         return self._lift([0, 1])
@@ -720,13 +727,10 @@ class GaloisField(DifferenceField):
                 for a in map(log.get, u) for b in lv]
 
     def bilinear_table(self, mul):
-        log = self._log
+        table, log = super().bilinear_table(mul), self._log
         if log is None:
-            return super().bilinear_table(mul)
-        # row i: (j, [(t, log c), ...]) for each nonzero e_i e_j = sum c e_t
-        return [[(j, [(t, log[c]) for t, c in cell])
-                 for j, cell in enumerate(map(self.vec_nonzero, row)) if cell]
-                for row in mul]
+            return table
+        return [[(j, [(t, log[c]) for t, c in cell]) for j, cell in row] for row in table]
 
     def bilinear(self, u, v, table):
         log = self._log
@@ -901,7 +905,7 @@ class GaloisField(DifferenceField):
         return a == self._zero
 
     def from_int(self, n):
-        return self._lift([n % self.p])
+        return (n % self.p,) + self._zero[1:]
 
     def sigma(self, a):
         return self._frobenius(a, self.frobenius_power)

@@ -12,14 +12,19 @@ subalgebra inside the algebra (_split_fixed), by powers of random fixed
 elements alone.
 
 multiply runs the base field's bilinear kernel on the table its
-bilinear_table builds from mul, the nonzero (t, c) pairs of each e_i e_j (c
-as a log on a table F_q), built on the first product and kept off to_json.
-factor memoises factor_over_finite_field on the algebra, so the memo lives
-as long as the algebra: one strong core or one CLI verdict.
+bilinear_table builds from mul: per row i, the nonzero products e_i e_j
+only, each as its nonzero (t, c) pairs (c as a log on a table F_q), so a
+point algebra's row holds one product.  The table is built on the first
+product and kept off to_json.  factor memoises factor_over_finite_field on
+the algebra, so the memo lives as long as the algebra: one strong core or
+one CLI verdict.  minimal_polynomial is _linalg's, one echelon reduction
+per power with no rref.
 The base field's is_finite gates the automatic paths; field_embedding and
 the relative bases read its degree, frobenius_power, power_basis and
 prime_coords, and find the image of the small field's generator once per
 pair of defining polynomials and process (_defpoly_root, a 32-entry LRU).
+A relative basis eliminates its coordinate matrix once (_linalg.solver)
+and answers every scalar its coordinate function is asked for from it.
 
 Every subalgebra or quotient carved out of a bigger ring (the strong core,
 a sigma-closure, the quotient by a sigma-ideal, a presentation's level and
@@ -646,9 +651,10 @@ def _relative_basis(k, K, embed):
     if len(gammas) != N:
         raise AssertionError("failed to build a relative basis")
     m = la.transpose([K.prime_coords(K.mul(eb, g)) for g in gammas for eb in emb_k], S)
+    solve = la.solver(fp, m)
 
     def coord_fn(z):
-        sol = la.solve(fp, m, K.prime_coords(z))
+        sol = solve(K.prime_coords(z))
         if sol is None:
             raise AssertionError("relative coordinate solve failed")
         return [k.dot([k.from_int(c) for c in sol[t * s:(t + 1) * s]], k_basis)

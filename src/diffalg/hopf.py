@@ -12,7 +12,7 @@ from __future__ import annotations
 from . import _linalg as la
 from . import _multipoly as mp
 from . import _polycore as pc
-from .diffpoly import (LevelAlgebra, Presentation, sigma_kernel_slice,
+from .diffpoly import (LevelAlgebra, Presentation, level_sigma_kernel,
                        strong_core_truncated)
 from .findiff import (FinSigmaAlgebra, SigmaAlgebraMorphism, ValidationReport,
                       algebra_validate, strong_core, tensor_product)
@@ -130,9 +130,10 @@ def _comul_witness(k, basis, images):
                   | {key for img in images for key in img})
     key_index = {key: t for t, key in enumerate(keys)}
     matrix = la.transpose([mp.to_dense(k, col, key_index) for col in cols], len(keys))
+    solve = la.solver(k, matrix)
     witness = []
     for img in images:
-        sol = la.solve(k, matrix, mp.to_dense(k, img, key_index))
+        sol = solve(mp.to_dense(k, img, key_index))
         if sol is None:
             return None
         witness.append(k.vec_to_json(sol))
@@ -313,8 +314,7 @@ def union_of_etale_subalgebras_probe(pres: Presentation, level: int) -> dict:
     exactly when gcd(m_a, m_a') = 1.
     """
     k = pres.base
-    slice_basis = sigma_kernel_slice(pres, level)
-    ambient = LevelAlgebra.make(pres, level)
+    ambient, slice_basis = level_sigma_kernel(pres, level)
     certs = []
     for a in slice_basis:
         m = la.minimal_polynomial(k, pres.one(), lambda x: pres.mul(x, a), ambient.coords)
