@@ -306,6 +306,8 @@ def primitive_idempotents(A: FinSigmaAlgebra, supplied=None):
     local factor.  _split_fixed splits B inside the algebra by random
     elements of B, without a minimal polynomial or a factorization.  Over
     other bases a complete orthogonal decomposition must be supplied.
+    Each Frobenius column e_i^q is (e_i^2)^(q//2) e_i^(q%2), e_i^2 being the
+    table entry mul[i][i]: one product fewer than powering e_i, none at q = 2.
     """
     k = A.base
     if supplied is not None:
@@ -316,7 +318,9 @@ def primitive_idempotents(A: FinSigmaAlgebra, supplied=None):
             "idempotent enumeration needs a finite base field or a supplied splitting")
     q = k.order
     # fixed-point subalgebra of x -> x^q
-    phi_cols = [A.power(A.basis_vec(i), q) for i in range(A.dim)]
+    phi_cols = [A.power(A.mul[i][i], q // 2) for i in range(A.dim)]
+    if q % 2:
+        phi_cols = [A.multiply(c, A.basis_vec(i)) for i, c in enumerate(phi_cols)]
     m = [[k.sub(phi_cols[j][i], k.one() if i == j else k.zero())
           for j in range(A.dim)] for i in range(A.dim)]
     fixed = la.nullspace(k, m)
@@ -342,8 +346,10 @@ def _check_supplied_idempotents(A, supplied):
 
 
 # A round of _split_fixed separates two given local factors with probability
-# at least 1/2, so a sound algebra needs about log2 r rounds; an algebra that
-# breaks the axioms fails the checks after this many instead of looping.
+# at least 1/2, so a sound algebra needs about log2 r rounds; _local_factors
+# draws at most this many combinations in search of a residue-primitive
+# element.  An algebra that breaks the axioms fails the checks after this
+# many rounds or draws instead of looping.
 _SPLIT_ROUNDS = 64
 
 
@@ -726,10 +732,20 @@ def _irreducible_part(A, v, unit):
 
 def _local_factors(A):
     """(idempotent, residue degree, residue-primitive element, its minimal
-    polynomial) for every local factor of the algebra."""
+    polynomial) for every local factor of the algebra.
+
+    When the primitive idempotents number A.dim, the e A, whose dimensions
+    sum to A.dim and none of which is 0, are the lines k e: each factor is
+    (e, 1, e, x - 1), with no span and no minimal polynomial.  Otherwise
+    each e A is spanned, and where no basis vector of it is residue-primitive
+    at most _SPLIT_ROUNDS random combinations are tried."""
     k = A.base
+    prims = primitive_idempotents(A)
+    if len(prims) == A.dim:
+        x_minus_1 = Poly.make(k, [k.neg(k.one()), k.one()])
+        return [(e.coords, 1, e.coords, x_minus_1) for e in prims]
     out = []
-    for e in primitive_idempotents(A):
+    for e in prims:
         span = la.SpanBasis(k, A.dim)
         for i in range(A.dim):
             span.add(A.multiply(e.coords, A.basis_vec(i)))
@@ -743,7 +759,7 @@ def _local_factors(A):
                 best = (db, b, mb)
         if best[0] != d:
             rng = random.Random(0xA70A ^ A.dim)
-            while True:
+            for _ in range(_SPLIT_ROUNDS):
                 v = A.zero_vec()
                 for b in basis:
                     v = A.vec_add(v, A.scalar_mul(k.from_int(rng.randrange(k.order)), b))
@@ -751,6 +767,8 @@ def _local_factors(A):
                 if dv == d:
                     best = (d, v, mv)
                     break
+            else:
+                raise AssertionError("no residue-primitive element in a local factor")
         out.append((e.coords, d, best[1], best[2]))
     return out
 
@@ -788,30 +806,32 @@ def _split_primitives_over_extension(AN, K, embed, factors):
     return prim_vecs
 
 
+def _sigma_supports(A, prim_vecs):
+    """For each primitive idempotent e_i, the set of j with e_j in sigma(e_i):
+    the coordinates of sigma(e_i) in the e_j, all solved for from one
+    elimination (_linalg.solver), each of which must be 0 or 1."""
+    k = A.base
+    coords = la.solver(k, la.transpose(prim_vecs, A.dim))
+    one = k.one()
+    supp = []
+    for e in prim_vecs:
+        c = coords(A.apply_sigma(e))
+        T = [] if c is None else k.vec_nonzero(c)
+        if c is None or not all(k.eq(x, one) for _, x in T):
+            raise AssertionError("sigma image is not a sum of primitive idempotents")
+        supp.append(frozenset(j for j, _ in T))
+    return supp
+
+
 def _periodic_idempotent_atoms(A, prim_vecs):
     """Indicator vectors of the atoms of the periodic-subset lattice.
 
     sigma sends each primitive idempotent to a subset-sum of primitive
-    idempotents; periodic sums are exactly the unions of the returned atoms,
-    so the atoms span the space of periodic idempotents.
+    idempotents (_sigma_supports); periodic sums are exactly the unions of
+    the returned atoms, so the atoms span the space of periodic idempotents.
     """
-    k = A.base
     r = len(prim_vecs)
-    supp = []
-    for i, e in enumerate(prim_vecs):
-        s = A.apply_sigma(e)
-        T = []
-        recon = A.zero_vec()
-        for j, f in enumerate(prim_vecs):
-            prod = A.multiply(f, s)
-            if A.vec_eq(prod, f):
-                T.append(j)
-                recon = A.vec_add(recon, f)
-            elif not A.vec_is_zero(prod):
-                raise AssertionError("sigma image is not a sum of primitive idempotents")
-        if not A.vec_eq(recon, s):
-            raise AssertionError("sigma image failed idempotent reconstruction")
-        supp.append(frozenset(T))
+    supp = _sigma_supports(A, prim_vecs)
     # recurrent part
     U = frozenset(range(r))
     while True:
@@ -873,7 +893,9 @@ def _periodic_idempotent_atoms(A, prim_vecs):
 
 def _descend_span(A, K, embed, vectors_over_K):
     """Basis of the k-rational part of a K-subspace of the base-changed
-    algebra, by expanding the membership equations over a relative basis."""
+    algebra, by expanding the membership equations over a relative basis.
+    A subspace with no membership equation is the whole space, and no
+    relative basis is built for it."""
     k = A.base
     n = A.dim
     if K == k:
@@ -884,14 +906,14 @@ def _descend_span(A, K, embed, vectors_over_K):
     if not vectors_over_K:
         return []
     constraints = la.nullspace(K, [list(v) for v in vectors_over_K])
+    if not constraints:
+        return la.identity(k, n)
     gammas, coord_fn = _relative_basis(k, K, embed)
     rows = []
     for w in constraints:
         expanded = [coord_fn(c) for c in w]
         for t in range(len(gammas)):
             rows.append([expanded[i][t] for i in range(n)])
-    if not rows:
-        return la.identity(k, n)
     sols = la.nullspace(k, rows)
     span = la.SpanBasis(k, n)
     for v in sols:

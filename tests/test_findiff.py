@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import diffalg._linalg as la
+from diffalg import findiff
 from diffalg.exactfield import DifferenceField, GaloisField, PrimeField, Rationals
 from diffalg.diffpoly import UnsupportedPresentationError
 from diffalg.findiff import (_SPLIT_ROUNDS, CompatibilityError, FinSigmaAlgebra,
@@ -18,7 +19,8 @@ from diffalg.findiff import (_SPLIT_ROUNDS, CompatibilityError, FinSigmaAlgebra,
                              quotient_by_sigma_ideal, restrict_scalars,
                              sigma_subalgebra_generated, splitting_extension,
                              strong_core, tensor_product, twist_and_psi,
-                             _default_horizon, _relative_basis, _split_fixed)
+                             _default_horizon, _local_factors, _relative_basis,
+                             _split_fixed)
 from diffalg.instances import (conjugate, diagonal_algebra, field_algebra,
                                nilpotent_sigma_separable, random_invertible,
                                random_point_algebra, random_strongly_setale,
@@ -273,6 +275,21 @@ def test_splitter_gives_up_after_its_round_cap():
     with pytest.raises(AssertionError, match="primitive idempotent count mismatch"):
         _split_fixed(A, [A.unit, A.unit])
     assert len(rounds) == _SPLIT_ROUNDS
+
+
+def test_residue_primitive_search_gives_up_after_its_round_cap(monkeypatch):
+    # F_9 over F_3 is one local factor of dimension 2; degrees 2 and 3 claimed
+    # for its basis vectors ask for a degree-6 element that no draw is
+    draws = []
+
+    def claimed_degree(A, v, unit):
+        draws.append(v)
+        return {1: 2, 2: 3}.get(len(draws), 1), None
+
+    monkeypatch.setattr(findiff, "_irreducible_part", claimed_degree)
+    with pytest.raises(AssertionError, match="no residue-primitive element"):
+        _local_factors(field_algebra(3, [1, 0, 1]))
+    assert len(draws) == 2 + _SPLIT_ROUNDS
 
 
 # -- periodicity ----------------------------------------------------------------------
