@@ -7,8 +7,11 @@ the field must supply inv().
 Row operations are the field's own row_sub and row_scale, and mat_vec its
 dot, which work on whole rows (see exactfield); the generic ones skip zero
 entries, keeping what they would have recomputed.  rank counts and det
-multiplies the pivots of one forward elimination (_pivots), with no
-back-substitution; rref also clears above each pivot.
+multiplies the pivots of one forward elimination, the field's pivots(m),
+with no back-substitution: the generic one is a loop over those row
+operations, and PrimeField's eliminates rows packed into ints, XORed at
+p = 2, once a matrix has PACKED_MIN_ROWS rows.  rref also clears above each
+pivot, on lists.
 
 Eliminations are not repeated.  solver(k, m) runs one rref of [m | I] and
 answers every right-hand side b with the products E b of its right half E,
@@ -74,32 +77,9 @@ def rref(k, m):
     return m[:r], pivots
 
 
-def _pivots(k, m):
-    """Yield (column, pivot, swapped: a lower row was swapped up to hold it)
-    for each pivot of m in turn, then clear the entries below it.  Row
-    operations return new rows, so only the list of rows is copied."""
-    m = list(m)
-    rows, r = len(m), 0
-    for c in range(len(m[0]) if rows else 0):
-        for i in range(r, rows):
-            if not k.is_zero(m[i][c]):
-                break
-        else:
-            continue
-        pivot, m[i] = m[i], m[r]        # slot r is never read again
-        yield c, pivot[c], i != r
-        r += 1
-        if r == rows:
-            return
-        pivot = k.row_scale(k.inv(pivot[c]), pivot)
-        for i in range(r, rows):
-            if not k.is_zero(m[i][c]):
-                m[i] = k.row_sub(m[i], m[i][c], pivot)
-
-
 def rank(k, m):
     """The number of pivots forward elimination finds."""
-    return sum(1 for _ in _pivots(k, m))
+    return sum(1 for _ in k.pivots(m))
 
 
 def nullspace(k, m):
@@ -119,9 +99,13 @@ def nullspace(k, m):
 
 
 def det(k, m):
-    """The product of m's pivots, signed by its swaps; zero at a missing one."""
+    """The product of m's pivots, signed by its swaps; zero at a missing one.
+    m must be square."""
+    for row in m:
+        if len(row) != len(m):
+            raise ValueError(f"det of a {len(m)}-row matrix with a row of length {len(row)}")
     acc, r = k.one(), 0
-    for c, a, swapped in _pivots(k, m):
+    for c, a, swapped in k.pivots(m):
         if c != r:
             return k.zero()
         acc = k.mul(acc, k.neg(a) if swapped else a)

@@ -32,22 +32,26 @@ vec_nonzero(v) lists the nonzero (i, v_i), vec_sum(v) is sum v_i, dot(u, v)
 is sum u_i v_i, row_sub(v, c, row) is v - c*row, row_scale(c, row) is
 c*row, kron(u, v) is [u_i v_j], i major, and bilinear_table(mul) puts the
 structure constants mul[i][j] = e_i e_j in the form that bilinear(u, v,
-table), the product of u and v, reads.  Two more work on dense polynomials
-(_polycore lists): poly_mul(f, g) and poly_divmod(f, g).  DifferenceField
-defines all fourteen as loops over the scalar methods, except vec_eq,
-which compares stored forms with == on every kind.  Every kind's
-bilinear_table has one shape: row i lists (j, cell) for the nonzero
-products e_i e_j only, cell the nonzero (t, c) of e_i e_j = sum c e_t, so
-bilinear never visits an empty product (n^2 - n of them on a point
-algebra); a Zech table stores log c in place of c.  PrimeField overrides
-the kernels with int arithmetic, one reduction mod p per output entry,
-decodes a vector of one-digit scalars as bytes, with no call per cell, and
-encodes through a table of strings; GaloisField tests, sums, decodes and
-encodes whole vectors of coordinate tuples, computes the rest over Zech
-logarithms at orders up to TABLE_MAX_ORDER and its products and polynomial
-kernels on packed ints above it.  A JSON scalar of F_p, or coordinate of
-one of F_q, is an integer or a string that int() reads; a float or a
-boolean is an input error, not the integer int() would make of it.
+table), the product of u and v, reads.  One works on a matrix, a list of
+rows: pivots(m) yields the pivots of its forward elimination, which
+_linalg's rank and det read.  Two more work on dense polynomials (_polycore
+lists): poly_mul(f, g) and poly_divmod(f, g).  DifferenceField defines all
+fifteen as loops over the scalar methods, except vec_eq, which compares
+stored forms with == on every kind.  Every kind's bilinear_table has one
+shape: row i lists (j, cell) for the nonzero products e_i e_j only, cell the
+nonzero (t, c) of e_i e_j = sum c e_t, so bilinear never visits an empty
+product (n^2 - n of them on a point algebra); a Zech table stores log c in
+place of c.  PrimeField overrides the kernels with int arithmetic, one
+reduction mod p per output entry, eliminates a matrix of PACKED_MIN_ROWS
+rows or more on rows packed into ints, one int operation per row pair and
+XOR at p = 2, decodes a vector of one-digit scalars as bytes, with no call
+per cell, and encodes through a table of strings; GaloisField tests, sums,
+decodes and encodes whole vectors of coordinate tuples, computes the rest
+over Zech logarithms at orders up to TABLE_MAX_ORDER and its products and
+polynomial kernels on packed ints above it.  A JSON scalar of F_p, or
+coordinate of one of F_q, is an integer or a string that int() reads; a
+float or a boolean is an input error, not the integer int() would make of
+it.
 """
 
 from __future__ import annotations
@@ -133,7 +137,7 @@ class DifferenceField(pc.Kernels):
     #
     # The vector protocol below (vec_from_json, vec_to_json, vec_is_zero,
     # vec_eq, vec_nonzero, vec_sum, dot, row_sub, row_scale, kron,
-    # bilinear_table, bilinear)
+    # bilinear_table, bilinear, pivots)
     # and the polynomial kernels inherited from _polycore.Kernels (poly_mul,
     # poly_divmod) loop over those scalar methods; a subclass may override
     # them with whole-list kernels that give the same results.  Elements are
@@ -217,6 +221,29 @@ class DifferenceField(pc.Kernels):
                 for t, c in cell:
                     out[t] = self.add(out[t], self.mul(ab, c))
         return out
+
+    def pivots(self, m):
+        """Yield (column, pivot, swapped: a lower row was swapped up to hold it)
+        for each pivot of the matrix m in turn, then clear the entries below
+        it: forward elimination, as _linalg's rank and det read it.  Row
+        operations return new rows, so only the list of rows is copied."""
+        m = list(m)
+        rows, r = len(m), 0
+        for c in range(len(m[0]) if rows else 0):
+            for i in range(r, rows):
+                if not self.is_zero(m[i][c]):
+                    break
+            else:
+                continue
+            pivot, m[i] = m[i], m[r]        # slot r is never read again
+            yield c, pivot[c], i != r
+            r += 1
+            if r == rows:
+                return
+            pivot = self.row_scale(self.inv(pivot[c]), pivot)
+            for i in range(r, rows):
+                if not self.is_zero(m[i][c]):
+                    m[i] = self.row_sub(m[i], m[i][c], pivot)
 
     def sub(self, a, b):
         return self.add(a, self.neg(b))
@@ -486,6 +513,54 @@ class PrimeField(DifferenceField):
         p = self.p
         return [x % p for x in out]
 
+    def pivots(self, m):
+        """DifferenceField.pivots's triples, from each row packed into one int
+        with a W-byte slot per column.  At p = 2 a row takes the pivot row by
+        XOR.  At odd p a row is reduced mod p only when it becomes the pivot,
+        and each lower row with y in the pivot column x takes (-y/x mod p) *
+        pivot as one int multiply-add, so a slot stays below (p-1) + rows
+        (p-1)^2; one-byte slots are reduced by one bytes.translate.  Below
+        PACKED_MIN_ROWS rows, or past 8-byte slots, the loop runs."""
+        p, rows = self.p, len(m)
+        W = 1 if p == 2 else _slot_width(p - 1 + rows * (p - 1) ** 2)
+        if rows < PACKED_MIN_ROWS or W > 8:
+            yield from super().pivots(m)
+            return
+        cols, w = len(m[0]), 8 * W
+        mask = (1 << w) - 1
+        packed = [_pack_slots(row, W) for row in m]
+        r = 0
+        for c in range(cols):
+            shift = w * c
+            for i in range(r, rows):
+                if (packed[i] >> shift & mask) % p:
+                    break
+            else:
+                continue
+            pivot, packed[i] = packed[i], packed[r]
+            if p == 2:
+                a = 1
+            elif W == 1:
+                slots = pivot.to_bytes(cols, "little").translate(_residue_bytes(p))
+                pivot, a = int.from_bytes(slots, "little"), slots[c]
+            else:
+                slots = [x % p for x in _unpack_slots(pivot, cols, W)]
+                pivot, a = _pack_slots(slots, W), slots[c]
+            yield c, a, i != r
+            r += 1
+            if r == rows:
+                return
+            if p == 2:
+                for i in range(r, rows):
+                    if packed[i] >> shift & 1:
+                        packed[i] ^= pivot
+                continue
+            minus_inv = p - pow(a, -1, p)
+            for i in range(r, rows):
+                y = (packed[i] >> shift & mask) % p
+                if y:
+                    packed[i] += y * minus_inv % p * pivot
+
     def poly_mul(self, f, g):
         if not f or not g:
             return []
@@ -521,6 +596,9 @@ class PrimeField(DifferenceField):
 # vec_to_json looks values up in a tuple of p strings; above this p they use
 # int() and str() alone, so a large prime costs no memory.
 DECODE_TABLE_MAX_P = 4096
+# PrimeField.pivots packs matrices of at least this many rows; below it the
+# list loop is faster (BENCH_27.json)
+PACKED_MIN_ROWS = 5
 _DIGIT_VALUES = bytes.maketrans(b"0123456789", bytes(range(10)))
 
 
@@ -868,11 +946,7 @@ class GaloisField(DifferenceField):
         """The least W among 1, 2, 4, 8, ... whose slots hold ints below
         bound with room for _unpack's fold, which adds up to n - 1 of them
         times p - 1 to a slot."""
-        bound *= 1 + (self.degree - 1) * (self.p - 1)
-        W = 1
-        while bound >> 8 * W:
-            W *= 2
-        return W
+        return _slot_width(bound * (1 + (self.degree - 1) * (self.p - 1)))
 
     def _product(self, f, g):
         """The coefficients of f g for nonempty f and g: one int product."""
@@ -1003,6 +1077,21 @@ TABLE_MAX_ORDER = 4096
 # array typecodes of unsigned ints of 1, 2, 4 and 8 bytes; slots of these
 # widths convert in one call on a little-endian machine
 _SLOT_CODES = {1: "B", 2: "H", 4: "I", 8: "Q"} if sys.byteorder == "little" else {}
+
+
+def _slot_width(bound):
+    """The least W among 1, 2, 4, 8, ... whose W-byte slots hold ints below
+    bound."""
+    W = 1
+    while bound >> 8 * W:
+        W *= 2
+    return W
+
+
+@functools.lru_cache(maxsize=32)
+def _residue_bytes(p):
+    """The translation table of bytes that sends each byte b to b % p."""
+    return bytes(b % p for b in range(256))
 
 
 def _pack_slots(coords, W):

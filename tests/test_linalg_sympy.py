@@ -5,13 +5,16 @@ that the zero-skipping row operations run, must give the same rref, rank,
 nullspace, determinant, inverse and solvability as sympy, and SpanBasis
 must agree with sympy's rref of the rows it was fed.  rank and det, which
 eliminate forward only, are checked on shaped matrices (rank-deficient,
-zero, empty, wide and tall) against the pivots of rref, sympy over F_p and a
-cofactor expansion.
+zero, empty, wide and tall, up to 30 rows) against the pivots of rref, sympy
+over F_p and, up to 5 rows, a cofactor expansion; there and on random shapes
+PrimeField's packed pivots must yield exactly the triples of the list loop,
+at primes whose slots fit 1 to 8 bytes and at two past them.
 """
 
 from fractions import Fraction
 import random
 
+from hypothesis import given, strategies as st
 import pytest
 
 sympy = pytest.importorskip("sympy")
@@ -19,7 +22,8 @@ sympy = pytest.importorskip("sympy")
 from sympy.polys.matrices import DomainMatrix  # noqa: E402
 
 from diffalg import _linalg as la  # noqa: E402
-from diffalg.exactfield import GaloisField, PrimeField, Rationals  # noqa: E402
+from diffalg.exactfield import (DifferenceField, GaloisField, PrimeField,  # noqa: E402
+                                Rationals)
 
 CASES = 40
 
@@ -151,40 +155,81 @@ def _cofactor_det(k, m):
     return acc
 
 
-def _shaped(k, seed):
-    """(rows, cols, matrix) pairs: random, rank-deficient products, all-zero,
-    0-row, wide and tall, some square."""
+def _shaped(k, seed, max_rows=30):
+    """(rows, cols, matrix) triples: random, rank-deficient products, all-zero,
+    0-row, wide and tall, some square; up to 5 rows, then past the packing
+    crossover up to max_rows."""
     rng = random.Random(seed)
 
     def rand(rows, cols):
         return [[k.zero() if rng.random() < 0.4 else k.sample(rng) for _ in range(cols)]
                 for _ in range(rows)]
 
-    out = [(0, 0, []), (0, 3, []), (3, 3, [[k.zero()] * 3 for _ in range(3)]),
-           (2, 5, [[k.zero()] * 5 for _ in range(2)])]
-    for _ in range(12):
-        rows, cols = rng.randint(1, 5), rng.randint(1, 5)
-        r = rng.randint(1, max(1, min(rows, cols) - 1))
-        out += [(rows, cols, rand(rows, cols)), (rows, rows, rand(rows, rows)),
-                (rows, cols, _product(k, rand(rows, r), rand(r, cols), r))]
-    out += [(2, 6, rand(2, 6)), (6, 2, rand(6, 2)), (4, 4, _product(k, rand(4, 2), rand(2, 4), 2))]
+    def deficient(rows, cols, r):
+        return _product(k, rand(rows, r), rand(r, cols), r)
+
+    def zeros(rows, cols):
+        return [[k.zero()] * cols for _ in range(rows)]
+
+    out = [(0, 0, []), (0, 3, []), (3, 3, zeros(3, 3)), (2, 5, zeros(2, 5))]
+    for top in (5, max_rows):
+        for _ in range(12 if top == 5 else 4):
+            rows, cols = rng.randint(1, top), rng.randint(1, top)
+            r = rng.randint(1, max(1, min(rows, cols) - 1))
+            out += [(rows, cols, rand(rows, cols)), (rows, rows, rand(rows, rows)),
+                    (rows, cols, deficient(rows, cols, r))]
+    out += [(2, 6, rand(2, 6)), (6, 2, rand(6, 2)), (4, 4, deficient(4, 4, 2))]
+    big = max_rows
+    out += [(big, big, zeros(big, big)), (big // 4, big, rand(big // 4, big)),
+            (big, big // 4, rand(big, big // 4)), (big, big, rand(big, big)),
+            (big, big, deficient(big, big, big - 3)), (big, 7, deficient(big, 7, 5))]
     return out
 
 
-@pytest.mark.parametrize("p", [2, 3, 5])
+# 65537 needs 8-byte slots at 30 rows; 2^31 - 1 and 2^61 - 1 are past them
+SHAPED_PRIMES = [2, 3, 5, 7, 65537, 2**31 - 1, 2**61 - 1]
+
+
+@pytest.mark.parametrize("p", SHAPED_PRIMES)
 def test_rank_and_det_against_rref_and_sympy(p):
     k, K = PrimeField(p), sympy.GF(p)
     for rows, cols, m in _shaped(k, f"rank-{p}"):
+        assert list(k.pivots(m)) == list(DifferenceField.pivots(k, m))
         dm = DomainMatrix([[K(a) for a in row] for row in m], (rows, cols), K)
         assert la.rank(k, m) == len(la.rref(k, m)[0]) == dm.rank()
         if rows == cols:
-            assert la.det(k, m) == _cofactor_det(k, m) == int(dm.det()) % p
+            assert la.det(k, m) == int(dm.det()) % p
+            if rows <= 5:
+                assert la.det(k, m) == _cofactor_det(k, m)
+
+
+@given(st.sampled_from(SHAPED_PRIMES), st.integers(0, 30), st.integers(0, 30),
+       st.integers(0, 30), st.sampled_from([0.1, 0.5, 0.9]), st.integers(0, 2**32))
+def test_packed_pivots_on_random_shapes(p, rows, cols, inner, density, seed):
+    """PrimeField.pivots yields the loop's triples, and rank and det agree
+    with sympy, on any shape; inner < min(rows, cols) caps the rank."""
+    k, K, rng = PrimeField(p), sympy.GF(p), random.Random(seed)
+
+    def rand(rows, cols):
+        return [[rng.randrange(1, p) if rng.random() < density else 0 for _ in range(cols)]
+                for _ in range(rows)]
+
+    if inner < min(rows, cols):
+        a, b = rand(rows, inner), rand(inner, cols)
+        m = [[sum(x * b[t][j] for t, x in enumerate(row)) % p for j in range(cols)] for row in a]
+    else:
+        m = rand(rows, cols)
+    assert list(k.pivots(m)) == list(DifferenceField.pivots(k, m))
+    dm = DomainMatrix([[K(a) for a in row] for row in m], (rows, cols), K)
+    assert la.rank(k, m) == dm.rank()
+    if rows == cols:
+        assert la.det(k, m) == int(dm.det()) % p
 
 
 @pytest.mark.parametrize("k", [GaloisField(3, [2, 2, 1]), GaloisField(2, [1, 1, 0, 1]),
                                Rationals()], ids=["F9", "F8", "Q"])
 def test_rank_and_det_against_rref_over_other_fields(k):
-    for rows, cols, m in _shaped(k, f"rank-{k.descriptor()}"):
+    for rows, cols, m in _shaped(k, f"rank-{k.descriptor()}", max_rows=8):
         assert la.rank(k, m) == len(la.rref(k, m)[0])
-        if rows == cols:
+        if rows == cols and rows <= 5:
             assert la.det(k, m) == _cofactor_det(k, m)
