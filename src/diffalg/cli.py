@@ -391,8 +391,9 @@ def _dispatch(args):
         config = {opt.key: getattr(args, opt.key) for opt in cmd.options}
         code, result = execute(cmd.name, payload, config)
         return code, make_certificate(cmd.name, payload, config, code, result)
-    # InputError, FieldError and TowerError are ValueErrors
-    except (ValueError, KeyError, RestrictedAutomationError) as exc:
+    # InputError, FieldError and TowerError are ValueErrors; an engine
+    # AssertionError is an input that broke an axiom the engine relies on
+    except (ValueError, KeyError, AssertionError, RestrictedAutomationError) as exc:
         report = {"error": str(exc) or type(exc).__name__}
         if getattr(exc, "path", None) is not None:
             report["path"] = exc.path

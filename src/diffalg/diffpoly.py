@@ -38,6 +38,15 @@ def _mono_key(m):
     return (sum(e for _, e in m), m)
 
 
+def _monomials(vars_caps):
+    """The monomials prod v^e with 0 <= e < cap over the (v, cap) pairs,
+    sorted by _mono_key."""
+    monos = [()]
+    for v, cap in vars_caps:
+        monos = [mp.mono_mul(m, ((v, e),) if e else ()) for m in monos for e in range(cap)]
+    return sorted(monos, key=_mono_key)
+
+
 class Presentation(mp.Ring):
     """Parsed and validated presentation of k{y_1..y_m}/[generators]."""
 
@@ -216,12 +225,7 @@ class Presentation(mp.Ring):
         return out
 
     def level_monomials(self, n):
-        vars_caps = self.free_variables(n)
-        monos = [()]
-        for v, cap in vars_caps:
-            monos = [mp.mono_mul(m, ((v, e),) if e else ()) for m in monos
-                     for e in range(cap)]
-        return sorted(monos, key=_mono_key)
+        return _monomials(self.free_variables(n))
 
     def level_dimension(self, n):
         return len(self.level_monomials(n))
@@ -383,26 +387,19 @@ def strong_core_truncated(pres: Presentation, n: int, horizon: int = 64) -> Trun
     the status is exact when every variable received a certificate.
     """
     window, transient, unknown = _variable_window(pres, n, horizon)
-    # close the window under sigma inside level n
-    for _ in range(horizon):
-        grew = False
-        for v in sorted(window):
-            img = pres.sigma(pres.var_element(*v))
-            for m in img:
-                for w, _ in m:
-                    if w[1] <= n and w not in window:
-                        window.add(w)
-                        grew = True
-        if not grew:
-            break
+    # close the window under sigma inside level n: each variable's image is
+    # read once, and only finitely many variables have order <= n
+    work = sorted(window)
+    for v in work:
+        for m in pres.sigma(pres.var_element(*v)):
+            for w, _ in m:
+                if w[1] <= n and w not in window:
+                    window.add(w)
+                    work.append(w)
     caps = dict(pres.free_variables(n))
-    monos = [()]
-    for v in sorted(window):
-        if v not in caps:
-            raise UnsupportedPresentationError("window variable outside the free basis")
-        monos = [mp.mono_mul(m, ((v, e),) if e else ()) for m in monos
-                 for e in range(caps[v])]
-    monos = sorted(monos, key=_mono_key)
+    if any(v not in caps for v in window):
+        raise UnsupportedPresentationError("window variable outside the free basis")
+    monos = _monomials((v, caps[v]) for v in sorted(window))
     k = pres.base
     idx = {m: t for t, m in enumerate(monos)}
     A = algebra_on_basis(k, [{m: k.one()} for m in monos], pres.mul, pres.sigma, pres.one(),

@@ -61,7 +61,6 @@ from collections import namedtuple
 import functools
 from itertools import chain, compress
 import operator
-import random
 import sys
 
 from . import _multipoly as mp
@@ -1174,30 +1173,11 @@ def _certify_irreducible_over_prime(fp, poly):
     """Raise FieldError naming a nontrivial factor if poly is reducible."""
     if pc.is_irreducible(fp, poly, fp.p):
         return
-    witness = _find_proper_factor(fp, poly, fp.p)
+    from .poly import Poly, factor_over_finite_field
+
+    witness = list(factor_over_finite_field(Poly.make(fp, poly)).factors[0][0].coeffs)
     raise FieldError(
         f"defining polynomial is reducible; nontrivial factor {witness}")
-
-
-def _find_proper_factor(k, f, q):
-    f = pc.monic(k, f)
-    n = pc.deg(f)
-    df = pc.derivative(k, f)
-    g = pc.gcd(k, f, df)
-    if 0 < pc.deg(g) < n:
-        return g
-    rng = random.Random(0x5EED)
-    x = pc.x_poly(k)
-    for d in range(1, n // 2 + 1):
-        h = pc.mod(k, x, f)
-        for _ in range(d):
-            h = pc.pow_mod(k, h, q, f)
-        g = pc.gcd(k, pc.sub(k, h, x), f)
-        if 0 < pc.deg(g) < n:
-            return g
-        if pc.deg(g) == n and d < n:
-            return pc.equal_degree_split(k, f, d, q, rng)
-    raise AssertionError("reducible polynomial with no findable factor")
 
 
 _X_INDEX = 1 << 60   # reserved multipoly index for the polynomial variable

@@ -5,11 +5,12 @@ endomorphism matrix: mul[i][j] is the coordinate vector of e_i * e_j, and
 sigma is stored transposed, sigma[i][j] being the i-th coordinate of
 sigma(e_j), so its columns are the images of the basis vectors.  This module
 hosts the separability and etale predicates, idempotent enumeration, and the
-strong-core engine: base-change to a splitting extension, the span of
-periodic idempotents there, and exact linear descent back to the ground
-field.  Over F_q the primitive idempotents are split out of the q-power-fixed
-subalgebra inside the algebra (_split_fixed), by powers of random fixed
-elements alone.
+strong-core engine: base-change to a splitting extension, the periodic atoms
+there (the fibres of pi^|U|, pi the predecessor map on the recurrent
+primitive idempotents U), and exact linear descent of their span, which
+hands the core its echelon span.  Over F_q the primitive idempotents are
+split out of the q-power-fixed subalgebra inside the algebra (_split_fixed),
+by powers of random fixed elements alone.
 
 multiply runs the base field's bilinear kernel on the table its
 bilinear_table builds from mul: per row i, the nonzero products e_i e_j
@@ -35,6 +36,7 @@ a list of ambient elements and a coordinate function.
 from __future__ import annotations
 
 import functools
+import math
 import random
 
 from . import _linalg as la
@@ -676,27 +678,20 @@ def strong_core(A: FinSigmaAlgebra, supplied_idempotents=None) -> CoreResult:
     """Largest subalgebra spanned by periodic idempotent data, descended to
     the ground field.
 
-    Over a finite base: base-change to the splitting extension, span the
-    periodic idempotents there (organized through the atom decomposition of
-    the induced dynamics on primitive idempotents), and descend by solving
-    an exact linear system.  The completeness flag is True on that path.
+    Over a finite base: base-change to the splitting extension, take the
+    periodic atoms there (_periodic_idempotent_atoms) and descend their span
+    by an exact linear system, whose echelon span is the core's.  The
+    completeness flag is True on that path.
     Otherwise the sigma-closure of periodic supplied idempotents gives an
     honest lower bound.
     """
     k = A.base
     if k.is_finite:
         factors = _local_factors(A)
-        N = 1
-        for _, d, _, _ in factors:
-            N = _lcm(N, d)
-        K, embed = splitting_extension(k, N)
+        K, embed = splitting_extension(k, math.lcm(*(d for _, d, _, _ in factors)))
         AN = base_change(A, K, embed)
         prim_vecs = _split_primitives_over_extension(AN, K, embed, factors)
-        atom_indicators = _periodic_idempotent_atoms(AN, prim_vecs)
-        rational = _descend_span(A, K, embed, atom_indicators)
-        span = la.SpanBasis(k, A.dim)
-        for v in rational:
-            span.add(v)
+        span = _descend_span(A, K, embed, _periodic_idempotent_atoms(AN, prim_vecs))
         sub, incl = _subalgebra_on_span(A, span)
         return CoreResult(sub, incl, True, span)
     gens = []
@@ -710,12 +705,6 @@ def strong_core(A: FinSigmaAlgebra, supplied_idempotents=None) -> CoreResult:
     for j in range(sub.dim):
         span.add(incl.column(j))
     return CoreResult(sub, incl, False, span)
-
-
-def _lcm(a, b):
-    from math import gcd
-
-    return a * b // gcd(a, b)
 
 
 def _irreducible_part(A, v, unit):
@@ -754,7 +743,7 @@ def _local_factors(A):
         best = None
         for b in basis:
             db, mb = _irreducible_part(A, b, e.coords)
-            d = _lcm(d, db)
+            d = math.lcm(d, db)
             if best is None or db > best[0]:
                 best = (db, b, mb)
         if best[0] != d:
@@ -827,95 +816,51 @@ def _periodic_idempotent_atoms(A, prim_vecs):
     """Indicator vectors of the atoms of the periodic-subset lattice.
 
     sigma sends each primitive idempotent to a subset-sum of primitive
-    idempotents (_sigma_supports); periodic sums are exactly the unions of
-    the returned atoms, so the atoms span the space of periodic idempotents.
+    idempotents (_sigma_supports).  On the recurrent part U each one has a
+    single predecessor pi(j), and pi permutes the cycles, so x and y reach
+    their cycles at one phase exactly when pi^|U|(x) = pi^|U|(y): the atoms
+    are the fibres of pi^|U| on U, and the periodic sums are their unions.
     """
-    r = len(prim_vecs)
     supp = _sigma_supports(A, prim_vecs)
-    # recurrent part
-    U = frozenset(range(r))
+    U = frozenset(range(len(prim_vecs)))
     while True:
         U2 = frozenset(j for i in U for j in supp[i])
         if U2 == U:
             break
         U = U2
-    if not U:
-        return []
     pi = {}
     for j in U:
         owners = [i for i in U if j in supp[i]]
         if len(owners) != 1:
             raise AssertionError("recurrent primitive with non-unique predecessor")
         pi[j] = owners[0]
-    omega = set()
-    for start in U:
-        cur = start
-        seen = {}
-        t = 0
-        while cur not in seen:
-            seen[cur] = t
-            cur = pi[cur]
-            t += 1
-        # cur starts the cycle reached from start
-        cycle = []
-        c = cur
-        while True:
-            cycle.append(c)
-            c = pi[c]
-            if c == cur:
-                break
-        omega.update(cycle)
-    rho_inv = {}
-    for w in omega:
-        rho_inv[pi[w]] = w  # pi(w) <- w means rho(w) = pi(w)
-    anchors = {}
-    for x in U:
-        d = 0
-        b = x
-        while b not in omega:
-            b = pi[b]
-            d += 1
-        a = b
-        for _ in range(d):
-            a = rho_inv[a]
-        anchors[x] = a
     atoms = {}
     for x in U:
-        atoms.setdefault(anchors[x], set()).add(x)
-    out = []
-    for w in sorted(atoms):
-        vec = A.zero_vec()
-        for i in atoms[w]:
-            vec = A.vec_add(vec, prim_vecs[i])
-        out.append(vec)
-    return out
+        a = x
+        for _ in U:
+            a = pi[a]
+        atoms[a] = A.vec_add(atoms.get(a) or A.zero_vec(), prim_vecs[x])
+    return list(atoms.values())
 
 
 def _descend_span(A, K, embed, vectors_over_K):
-    """Basis of the k-rational part of a K-subspace of the base-changed
-    algebra, by expanding the membership equations over a relative basis.
-    A subspace with no membership equation is the whole space, and no
-    relative basis is built for it."""
-    k = A.base
-    n = A.dim
-    if K == k:
-        span = la.SpanBasis(k, n)
-        for v in vectors_over_K:
-            span.add(v)
-        return span.basis()
-    if not vectors_over_K:
-        return []
-    constraints = la.nullspace(K, [list(v) for v in vectors_over_K])
-    if not constraints:
-        return la.identity(k, n)
-    gammas, coord_fn = _relative_basis(k, K, embed)
-    rows = []
-    for w in constraints:
-        expanded = [coord_fn(c) for c in w]
-        for t in range(len(gammas)):
-            rows.append([expanded[i][t] for i in range(n)])
-    sols = la.nullspace(k, rows)
+    """Echelon span (la.SpanBasis) of the k-rational part of a K-subspace
+    of the base-changed algebra, by expanding the membership equations over
+    a relative basis.  A subspace with no membership equation is the whole
+    space, and no relative basis is built for it."""
+    k, n = A.base, A.dim
+    rows = vectors_over_K
+    if K != k and rows:
+        constraints = la.nullspace(K, rows)
+        if constraints:
+            gammas, coord_fn = _relative_basis(k, K, embed)
+            eqs = []
+            for w in constraints:
+                eqs += la.transpose([coord_fn(c) for c in w], len(gammas))
+            rows = la.nullspace(k, eqs)
+        else:
+            rows = la.identity(k, n)
     span = la.SpanBasis(k, n)
-    for v in sols:
+    for v in rows:
         span.add(v)
-    return span.basis()
+    return span

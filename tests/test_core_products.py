@@ -6,12 +6,15 @@ is the line k e, the sigma-supports on the primitive idempotents are their
 coordinates from one elimination, a Frobenius column e_i^q starts from the
 table entry e_i^2, and a span with no membership equation descends without a
 relative basis.  Each is checked against the loop it replaced, kept here as
-the oracle, over F_2, F_3, F_5, F_4, F_8, F_9 and F_25.  The count test
+the oracle, over F_2, F_3, F_5, F_4, F_8, F_9 and F_25.  The periodic atoms,
+now the fibres of a power of the predecessor map, are checked against the
+anchor walk they replaced in the same way.  The count test
 guards the saving itself without timing anything, and the CLI test that no
 invalid algebra gets a core keeps the guards that sit in these phases.
 """
 
 import json
+import math
 import random
 import subprocess
 import sys
@@ -22,7 +25,7 @@ from diffalg import _linalg as la
 from diffalg import findiff
 from diffalg.exactfield import GaloisField, PrimeField
 from diffalg.findiff import (FinSigmaAlgebra, _irreducible_over_prime, _irreducible_part,
-                             _lcm, _local_factors, _sigma_supports,
+                             _local_factors, _periodic_idempotent_atoms, _sigma_supports,
                              _split_primitives_over_extension, base_change,
                              primitive_idempotents, splitting_extension, strong_core,
                              tensor_product)
@@ -68,7 +71,7 @@ def _over_splitting_extension(A, factors):
     idempotents, as strong_core finds them from the local factors."""
     N = 1
     for _, d, _, _ in factors:
-        N = _lcm(N, d)
+        N = math.lcm(N, d)
     K, embed = splitting_extension(A.base, N)
     AN = base_change(A, K, embed)
     return AN, K, embed, _split_primitives_over_extension(AN, K, embed, factors)
@@ -87,7 +90,7 @@ def _local_factors_by_span(A):
         d, best = 1, None
         for b in basis:
             db, mb = _irreducible_part(A, b, e.coords)
-            d = _lcm(d, db)
+            d = math.lcm(d, db)
             if best is None or db > best[0]:
                 best = (db, b, mb)
         if best[0] != d:
@@ -185,6 +188,119 @@ def test_frobenius_columns_match_powering_each_basis_vector(name, monkeypatch):
         assert seen == [want]
 
 
+def _atoms_by_anchor_walk(A, prim_vecs):
+    """The earlier loop: walk each recurrent primitive idempotent along its
+    predecessor map pi to its cycle, collect the cycles, and take as the
+    atom of x the cycle point that pi takes in d steps to where x is after
+    its d steps to the cycle."""
+    supp = _sigma_supports(A, prim_vecs)
+    U = frozenset(range(len(prim_vecs)))
+    while True:
+        U2 = frozenset(j for i in U for j in supp[i])
+        if U2 == U:
+            break
+        U = U2
+    if not U:
+        return []
+    pi = {}
+    for j in U:
+        owners = [i for i in U if j in supp[i]]
+        if len(owners) != 1:
+            raise AssertionError("recurrent primitive with non-unique predecessor")
+        pi[j] = owners[0]
+    omega = set()
+    for start in U:
+        cur, seen = start, set()
+        while cur not in seen:
+            seen.add(cur)
+            cur = pi[cur]
+        c = cur                      # on the cycle reached from start
+        while True:
+            omega.add(c)
+            c = pi[c]
+            if c == cur:
+                break
+    rho_inv = {pi[w]: w for w in omega}
+    atoms = {}
+    for x in U:
+        d, b = 0, x
+        while b not in omega:
+            b, d = pi[b], d + 1
+        for _ in range(d):
+            b = rho_inv[b]
+        atoms.setdefault(b, set()).add(x)
+    out = []
+    for w in sorted(atoms):
+        vec = A.zero_vec()
+        for i in atoms[w]:
+            vec = A.vec_add(vec, prim_vecs[i])
+        out.append(vec)
+    return out
+
+
+# point maps with tails into several cycles: 0 -> 1 -> 2 -> 0 and 5 <-> 6 with
+# 4 -> 3 -> 0 and 8 -> 7 -> 5; a fixed point and a 2-cycle, each with tails of
+# lengths 1 and 2; a 3-cycle with tails of lengths 1 to 3 and a 2-cycle with none
+TAILED_POINT_MAPS = ([1, 2, 0, 0, 3, 6, 5, 5, 7], [0, 0, 1, 4, 3, 4, 5],
+                     [1, 2, 0, 0, 3, 4, 2, 8, 7, 1])
+
+
+def _cycle_points(point_map):
+    """The points on a cycle of the map: those its |map|-th power reaches."""
+    out = set(range(len(point_map)))
+    for _ in point_map:
+        out = {point_map[i] for i in out}
+    return out
+
+
+def _tailed_point_algebras(k, rng):
+    """(algebra, the number of its atoms, or None where not fixed here): the
+    tailed point maps hidden by a change of basis, whose periodic atoms are
+    as many as their points on cycles, and seeded maps of dimension 6 to 8."""
+    out = [(conjugate(diagonal_algebra(k, pm), random_invertible(k, len(pm), rng)),
+            len(_cycle_points(pm))) for pm in TAILED_POINT_MAPS]
+    return out + [(random_point_algebra(k, rng, d), None) for d in (6, 7, 8)]
+
+
+def _atom_family(family):
+    rng = random.Random(f"atoms-{family}")
+    if family == "points":
+        return [A for name in ("F2", "F3", "F5") for A in _tailed_point_algebras(FIELDS[name], rng)]
+    if family == "base-changed":
+        return [(base_change(A, FIELDS[big]), count)
+                for small, bigs in (("F2", ("F4", "F8")), ("F3", ("F9",)))
+                for A, count in _tailed_point_algebras(FIELDS[small], rng) for big in bigs]
+    return [(A, None) for A in _count_algebras()]
+
+
+@pytest.mark.parametrize("family", ["points", "base-changed", "seeded"])
+def test_atoms_are_the_anchor_walks_atoms(family):
+    merged = 0
+    for A, count in _atom_family(family):
+        AN, K, _, prims = _over_splitting_extension(A, _local_factors(A))
+        got, want = _periodic_idempotent_atoms(AN, prims), _atoms_by_anchor_walk(AN, prims)
+        # the same atoms, perhaps in another order, so the same span
+        assert sorted(map(K.vec_to_json, got)) == sorted(map(K.vec_to_json, want))
+        spans = [la.SpanBasis(K, AN.dim) for _ in (got, want)]
+        for span, atoms in zip(spans, (got, want)):
+            for v in atoms:
+                span.add(v)
+        assert spans[0].equals(spans[1])
+        if count is not None:
+            assert len(got) == count
+        merged += len(got) < len(prims)
+    # some atom joins a tail point to a cycle point
+    assert merged
+
+
+def test_a_non_multiplicative_sigma_is_refused_by_both_atom_finders():
+    A = FinSigmaAlgebra.from_json(INVALID["sigma-multiplicativity"])
+    AN, _, _, prims = _over_splitting_extension(A, _local_factors(A))
+    for atoms in (_periodic_idempotent_atoms, _atoms_by_anchor_walk):
+        with pytest.raises(AssertionError, match="non-unique predecessor"):
+            atoms(AN, prims)
+
+
 @pytest.mark.parametrize("name", ["F4", "F9"])
 def test_a_core_with_no_membership_equation_builds_no_relative_basis(name, monkeypatch):
     # sigma is bijective on both (a point permutation; Frobenius on F_(p^3)
@@ -236,7 +352,9 @@ def test_core_never_certifies_an_invalid_algebra(name, tmp_path):
     path.write_text(json.dumps(INVALID[name]))
     proc = subprocess.run([sys.executable, "-m", "diffalg.cli", "core", str(path),
                            "--format", "json"], capture_output=True, text=True, timeout=60)
-    assert proc.returncode != 0
+    # an input error, reported as JSON, not a traceback
+    assert (proc.returncode, proc.stderr) == (1, "")
+    assert "error" in json.loads(proc.stdout)
 
 
 # -- product counts --------------------------------------------------------------------
@@ -263,8 +381,9 @@ def _count_algebras():
 
 
 # The counts this strong core reaches on _count_algebras(); the loops it
-# replaced made 2,174 products and 583 span insertions on the same list.
-MULTIPLY_BOUND, SPAN_ADD_BOUND = 1_300, 318
+# replaced made 2,174 products and 583 span insertions on the same list, and
+# 318 insertions were made while the core re-spanned the descent's basis.
+MULTIPLY_BOUND, SPAN_ADD_BOUND = 1_300, 243
 
 
 def test_strong_core_product_and_span_counts(monkeypatch):

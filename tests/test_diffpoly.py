@@ -314,3 +314,90 @@ def test_classify_idempotent_matches_the_orbit_walk_it_replaced():
                     outcomes.add(got[0] if got[2] is None else got[2])
     assert outcomes == {"periodic", "unknown", "orbit-hits-zero",
                         "orbit-cycles-without-start", "support-shift"}
+
+
+# -- pinned windowed cores ---------------------------------------------------------------
+
+TRUNCATED_PRESENTATIONS = {
+    "product": lambda: product_carrier(5),
+    "collapsed": lambda: collapsed_line(5),
+    "free": lambda: free_line(5),
+    "swap": lambda: swap_presentation(5),
+    "y3": lambda: Presentation(F5, ["y"], ["y0^2-1", "y3-y0"]),
+    "yz": lambda: Presentation(PrimeField(3), ["y", "z"],
+                               ["y0^3-y0", "z0^3-z0", "z2-y0", "y2-1"]),
+}
+Y3_WINDOW, YZ_WINDOW = [(0, 0), (0, 1), (0, 2)], [(0, 0), (0, 1), (1, 0), (1, 1)]
+Y3_CORE = ["1", "y0", "y1", "y2", "y0*y1", "y0*y2", "y1*y2", "y0*y1*y2"]
+# (presentation, level, horizon): (status, window variables, transient and
+# unknown variables, window dimension, core basis), as strong_core_truncated
+# gave them when it closed the window under sigma in rounds capped at the
+# horizon; the worklist that replaced the rounds must give the same
+TRUNCATED_CORES = {
+    ("product", 1, 1): ("lower-bound", [(0, 0)], [], [1], 2, ["1"]),
+    ("product", 1, 2): ("exact", [(0, 0)], [1], [], 2, ["1"]),
+    ("product", 1, 64): ("exact", [(0, 0)], [1], [], 2, ["1"]),
+    ("product", 2, 1): ("lower-bound", [(0, 0)], [], [1], 2, ["1"]),
+    ("product", 2, 2): ("lower-bound", [(0, 0)], [], [1], 2, ["1"]),
+    ("product", 2, 64): ("exact", [(0, 0)], [1], [], 2, ["1"]),
+    ("product", 3, 1): ("lower-bound", [(0, 0)], [], [1], 2, ["1"]),
+    ("product", 3, 2): ("lower-bound", [(0, 0)], [], [1], 2, ["1"]),
+    ("product", 3, 64): ("exact", [(0, 0)], [1], [], 2, ["1"]),
+    ("collapsed", 1, 1): ("exact", [(0, 0)], [], [], 2, ["1"]),
+    ("collapsed", 1, 2): ("exact", [(0, 0)], [], [], 2, ["1"]),
+    ("collapsed", 1, 64): ("exact", [(0, 0)], [], [], 2, ["1"]),
+    ("collapsed", 2, 1): ("exact", [(0, 0)], [], [], 2, ["1"]),
+    ("collapsed", 2, 2): ("exact", [(0, 0)], [], [], 2, ["1"]),
+    ("collapsed", 2, 64): ("exact", [(0, 0)], [], [], 2, ["1"]),
+    ("collapsed", 3, 1): ("exact", [(0, 0)], [], [], 2, ["1"]),
+    ("collapsed", 3, 2): ("exact", [(0, 0)], [], [], 2, ["1"]),
+    ("collapsed", 3, 64): ("exact", [(0, 0)], [], [], 2, ["1"]),
+    ("free", 1, 1): ("lower-bound", [], [], [0], 1, ["1"]),
+    ("free", 1, 2): ("exact", [], [0], [], 1, ["1"]),
+    ("free", 1, 64): ("exact", [], [0], [], 1, ["1"]),
+    ("free", 2, 1): ("lower-bound", [], [], [0], 1, ["1"]),
+    ("free", 2, 2): ("lower-bound", [], [], [0], 1, ["1"]),
+    ("free", 2, 64): ("exact", [], [0], [], 1, ["1"]),
+    ("free", 3, 1): ("lower-bound", [], [], [0], 1, ["1"]),
+    ("free", 3, 2): ("lower-bound", [], [], [0], 1, ["1"]),
+    ("free", 3, 64): ("exact", [], [0], [], 1, ["1"]),
+    ("swap", 1, 1): ("lower-bound", [], [], [0], 1, ["1"]),
+    ("swap", 1, 2): ("exact", [(0, 0)], [], [], 2, ["1", "y0"]),
+    ("swap", 1, 64): ("exact", [(0, 0)], [], [], 2, ["1", "y0"]),
+    ("swap", 2, 1): ("lower-bound", [], [], [0], 1, ["1"]),
+    ("swap", 2, 2): ("exact", [(0, 0)], [], [], 2, ["1", "y0"]),
+    ("swap", 2, 64): ("exact", [(0, 0)], [], [], 2, ["1", "y0"]),
+    ("swap", 3, 1): ("lower-bound", [], [], [0], 1, ["1"]),
+    ("swap", 3, 2): ("exact", [(0, 0)], [], [], 2, ["1", "y0"]),
+    ("swap", 3, 64): ("exact", [(0, 0)], [], [], 2, ["1", "y0"]),
+    ("y3", 1, 1): ("lower-bound", [], [], [0], 1, ["1"]),
+    ("y3", 1, 2): ("lower-bound", [], [], [0], 1, ["1"]),
+    ("y3", 1, 64): ("lower-bound", [], [], [0], 1, ["1"]),
+    ("y3", 2, 1): ("lower-bound", [], [], [0], 1, ["1"]),
+    ("y3", 2, 2): ("lower-bound", [], [], [0], 1, ["1"]),
+    ("y3", 2, 64): ("exact", Y3_WINDOW, [], [], 8, Y3_CORE),
+    ("y3", 3, 1): ("lower-bound", [], [], [0], 1, ["1"]),
+    ("y3", 3, 2): ("lower-bound", [], [], [0], 1, ["1"]),
+    ("y3", 3, 64): ("exact", Y3_WINDOW, [], [], 8, Y3_CORE),
+    ("yz", 1, 1): ("lower-bound", [], [], [0, 1], 1, ["1"]),
+    ("yz", 1, 2): ("lower-bound", [(0, 0), (0, 1)], [], [1], 9, ["1"]),
+    ("yz", 1, 64): ("exact", YZ_WINDOW, [], [], 81, ["1"]),
+    ("yz", 2, 1): ("lower-bound", [], [], [0, 1], 1, ["1"]),
+    ("yz", 2, 2): ("lower-bound", [(0, 0), (0, 1)], [], [1], 9, ["1"]),
+    ("yz", 2, 64): ("exact", YZ_WINDOW, [], [], 81, ["1"]),
+    ("yz", 3, 1): ("lower-bound", [], [], [0, 1], 1, ["1"]),
+    ("yz", 3, 2): ("lower-bound", [(0, 0), (0, 1)], [], [1], 9, ["1"]),
+    ("yz", 3, 64): ("exact", YZ_WINDOW, [], [], 81, ["1"]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(TRUNCATED_CORES))
+def test_strong_core_truncated_results_are_pinned(case):
+    name, n, horizon = case
+    pres = TRUNCATED_PRESENTATIONS[name]()
+    status, window, transient, unknown, window_dim, core = TRUNCATED_CORES[case]
+    r = strong_core_truncated(pres, n, horizon)
+    assert (r.status, r.window_vars) == (status, window)
+    assert r.details == {"transient_vars": transient, "unknown_vars": unknown,
+                         "window_dim": window_dim}
+    assert r.basis == [pres.normalize(pres.parse(text)) for text in core]
