@@ -47,11 +47,10 @@ rows or more on rows packed into ints, one int operation per row pair and
 XOR at p = 2, decodes a vector of one-digit scalars as bytes, with no call
 per cell, and encodes through a table of strings; GaloisField tests, sums,
 decodes and encodes whole vectors of coordinate tuples, computes the rest
-over Zech logarithms at orders up to TABLE_MAX_ORDER and its products and
-polynomial kernels on packed ints above it.  A JSON scalar of F_p, or
-coordinate of one of F_q, is an integer or a string that int() reads; a
-float or a boolean is an input error, not the integer int() would make of
-it.
+over Zech logarithms at orders up to TABLE_MAX_ORDER and its products on
+coordinate lists above it.  A JSON scalar of F_p, or coordinate of one of
+F_q, is an integer or a string that int() reads; a float or a boolean is an
+input error, not the integer int() would make of it.
 """
 
 from __future__ import annotations
@@ -645,15 +644,12 @@ class GaloisField(DifferenceField):
     looks up no constant.
 
     Above the cap, such as F_5^6 or a user's F_p^n with large p, there are
-    no tables.  Sums stay coordinatewise mod p.  mul, poly_mul and
-    poly_divmod pack the F_p coordinates into ints (Kronecker substitution,
-    see _pack): a product of polynomials over F_q, mul being the one of two
-    constants, is one int product, folded mod defpoly by the precomputed
-    rows of x^n, ..., x^(2n-2) and reduced mod p once per output
-    coefficient; long division keeps its remainder packed and reduces only
-    the leading coefficient each step reads.  inv is one extended Euclid on
-    coordinate lists, sigma repeated p-th powers.  The other vector kernels
-    are the generic loops over these.
+    no tables.  Sums stay coordinatewise mod p.  mul multiplies the
+    coordinate lists over the ints, folds the coefficients of x^n, ...,
+    x^(2n-2) back by the precomputed rows of their residues mod defpoly and
+    reduces each coordinate mod p once; inv is one extended Euclid on
+    coordinate lists, sigma repeated p-th powers.  The vector and
+    polynomial kernels are the generic loops over these.
 
     The tables are also the certificate that defpoly is irreducible:
     g^(q-1) = 1 with q - 1 distinct powers makes every nonzero class of
@@ -696,7 +692,7 @@ class GaloisField(DifferenceField):
             for _ in range(n - 1):
                 rows.append(top)
                 top = [(a + top[-1] * b) % p for a, b in zip([0] + top[:-1], rows[0])]
-            self._rows, self._packed_rows = rows, {}
+            self._rows = rows
 
     def _lift(self, coeffs):
         c = list(coeffs) + [0] * (self.degree - len(coeffs))
@@ -832,10 +828,8 @@ class GaloisField(DifferenceField):
 
     def poly_mul(self, f, g):
         log = self._log
-        if not f or not g:
-            return []
-        if log is None:
-            return pc.trim(self, self._product(f, g))
+        if log is None or not f or not g:
+            return super().poly_mul(f, g)
         zech, q1, acc = self._zech, self._q1, [None] * (len(f) + len(g) - 1)
         lg = [(j, b) for j, b in enumerate(map(log.get, g)) if b is not None]
         for i, a in enumerate(map(log.get, f)):
@@ -851,10 +845,8 @@ class GaloisField(DifferenceField):
 
     def poly_divmod(self, f, g):
         log = self._log
-        if not g or len(f) < len(g):
+        if log is None or not g or len(f) < len(g):
             return super().poly_divmod(f, g)
-        if log is None:
-            return self._packed_divmod(f, g)
         n, acc, lg = len(g) - 1, list(map(log.get, f)), list(map(log.get, g))
         lc = lg[n]
         if lc is None:
@@ -880,9 +872,20 @@ class GaloisField(DifferenceField):
         zero, log = self._zero, self._log
         if a == zero or b == zero:
             return zero
-        if log is None:
-            return self._product([a], [b])[0]
-        return self._exp[(log[a] + log[b]) % self._q1]
+        if log is not None:
+            return self._exp[(log[a] + log[b]) % self._q1]
+        n = self.degree
+        c = [0] * (2 * n - 1)
+        for i, x in enumerate(a):
+            if x:
+                for j, y in enumerate(b, i):
+                    c[j] += x * y
+        for x, row in zip(c[n:], self._rows):
+            if x:
+                for t, r in enumerate(row):
+                    c[t] += x * r
+        p = self.p
+        return tuple(x % p for x in c[:n])
 
     def inv(self, a):
         if a == self._zero:
@@ -909,67 +912,6 @@ class GaloisField(DifferenceField):
             raise ZeroDivisionError("element not invertible modulo the defining polynomial")
         c = pow(r1[0], -1, p)
         return self._lift([c * b % p for b in s1])
-
-    # -- kernels above the cap, on F_p coordinates packed into ints ----------
-    #
-    # Kronecker substitution (von zur Gathen and Gerhard, Modern Computer
-    # Algebra, 8.4): a polynomial over F_q packs into one int whose block i,
-    # 2n - 1 slots of W bytes, holds coefficient i's coordinates in its low n
-    # slots.  The product of two packed ints packs the product polynomial,
-    # each coefficient a polynomial in x of degree <= 2n - 2 with no
-    # reduction yet.  Every slot holds a nonnegative int, and W is picked
-    # from a bound on every slot, after the fold too, so no slot carries
-    # into the next.
-
-    def _pack(self, elems, W):
-        pad = (0,) * (self.degree - 1)
-        return _pack_slots([*chain.from_iterable(a + pad for a in elems)], W)
-
-    def _unpack(self, x, blocks, W):
-        """The elements in the low `blocks` blocks of x: each block's slots
-        n .. 2n-2, the coefficients of x^n .. x^(2n-2), are folded into its
-        low n slots by the rows of their residues mod defpoly, added to
-        every block at once, and the low slots are reduced mod p."""
-        n, p, w = self.degree, self.p, 8 * W
-        rows = self._packed_rows.get(W)
-        if rows is None:
-            rows = self._packed_rows[W] = [_pack_slots(r, W) for r in self._rows]
-        span = 2 * n - 1
-        ones = int.from_bytes((b"\xff" * W + bytes(W * (span - 1))) * blocks, "little")
-        for k, row in enumerate(rows, n):
-            x += (x >> (w * k) & ones) * row
-        s = [c % p for c in _unpack_slots(x, blocks * span, W)]
-        return [tuple(s[i:i + n]) for i in range(0, blocks * span, span)]
-
-    def _width(self, bound):
-        """The least W among 1, 2, 4, 8, ... whose slots hold ints below
-        bound with room for _unpack's fold, which adds up to n - 1 of them
-        times p - 1 to a slot."""
-        return _slot_width(bound * (1 + (self.degree - 1) * (self.p - 1)))
-
-    def _product(self, f, g):
-        """The coefficients of f g for nonempty f and g: one int product."""
-        W = self._width(min(len(f), len(g)) * self.degree * (self.p - 1) ** 2)
-        return self._unpack(self._pack(f, W) * self._pack(g, W), len(f) + len(g) - 1, W)
-
-    def _packed_divmod(self, f, g):
-        """Long division with the remainder packed: step d reduces only the
-        leading coefficient it reads, q_d times 1/lc(g), and adds the packed
-        product of -q_d and g less its leading term, shifted d blocks."""
-        n, p, lg = self.degree, self.p, len(g)
-        steps = len(f) - lg + 1
-        inv_lc, one = self.inv(g[-1]), self.one()
-        W = self._width(p - 1 + min(steps, lg - 1) * n * (p - 1) ** 2)
-        bits = 8 * W * (2 * n - 1)
-        rest, head, block = self._pack(f, W), self._pack(g[:-1], W), (1 << bits) - 1
-        q = [self._zero] * steps
-        for d in range(steps - 1, -1, -1):
-            c = self._unpack(rest >> bits * (d + lg - 1) & block, 1, W)[0]
-            if any(c):
-                c = q[d] = c if inv_lc == one else self.mul(c, inv_lc)
-                rest += _pack_slots([(-x) % p for x in c], W) * head << bits * d
-        r = self._unpack(rest & ((1 << bits * (lg - 1)) - 1), lg - 1, W)
-        return pc.trim(self, q), pc.trim(self, r)
 
     def eq(self, a, b):
         return a == b

@@ -28,7 +28,7 @@ Q = Rationals()
 FINITE = {
     "F2": PrimeField(2), "F3": PrimeField(3), "F5": PrimeField(5),
     "F4": GaloisField(2, [1, 1, 1]), "F9": GaloisField(3, [1, 0, 1]),
-    # order 5^6, above the table cap: the kernels on packed ints
+    # order 5^6, above the table cap: the generic loops over a coordinate-list mul
     "F5^6": GaloisField(5, [2, 1, 0, 0, 0, 0, 1]),
 }
 FIELDS = {**FINITE, "Q": Q}

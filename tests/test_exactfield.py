@@ -264,12 +264,13 @@ def test_zech_table_is_the_log_of_one_plus_each_power(p, defpoly):
         [0 if p == 2 else (F.order - 1) // 2]
 
 
-# -- Zech-log and packed kernels against the generic loops --------------------------
+# -- Zech-log kernels against the generic loops, and identities above the cap -------
 
-# F_625, F_729 and F_4096 have tables.  Above the cap mul, inv, poly_mul and
-# poly_divmod work on packed F_p coordinates: F_15625, F_2^13 and F_3^8 give
-# each of p = 5, 2, 3 a field there, so the slot widths of each are packed,
-# and the slots of F_p^3 for p = 2^61 - 1 are too wide for an array typecode.
+# F_625, F_729 and F_4096 have tables.  Above the cap the kernels are the
+# generic loops themselves, over a coordinate-list mul and an extended-Euclid
+# inv: F_15625, F_2^13 and F_3^8 give each of p = 5, 2, 3 a field there, and
+# F_p^3 for p = 2^61 - 1 one whose coordinate products pass 64 bits.  There
+# the loops are checked by identities that hold whatever computes them.
 ABOVE_CAP_FIELDS = [(2, [1, 1, 0, 1, 1] + [0] * 8 + [1]), (3, [2, 0, 1] + [0] * 5 + [1]),
                     (2 ** 61 - 1, [2, 2, 0, 1])]
 KERNEL_FIELDS = ZECH_FIELDS + LARGE_FIELDS + ABOVE_CAP_FIELDS
@@ -283,6 +284,18 @@ def _field_id(p, defpoly):
 def _seeded_poly(F, rng, top):
     f = [F.zero() if rng.random() < 0.3 else F.sample(rng) for _ in range(rng.randint(0, top))]
     return pc.trim(F, f)
+
+
+def _check_poly_identities(F, f, g, points):
+    """(f g)(a) = f(a) g(a) at each point a, and f = q g + r with
+    deg r < deg g for (q, r) = F.poly_divmod(f, g) if g is nonzero."""
+    h = F.poly_mul(f, g)
+    for a in points:
+        assert pc.evaluate(F, h, a) == F.mul(pc.evaluate(F, f, a), pc.evaluate(F, g, a))
+    if g:
+        q, r = F.poly_divmod(f, g)
+        assert pc.deg(r) < pc.deg(g)
+        assert pc.add(F, F.poly_mul(q, g), r) == f
 
 
 @pytest.mark.parametrize("p, defpoly", KERNEL_FIELDS,
@@ -327,21 +340,24 @@ def test_galois_kernels_equal_the_generic_loops(p, defpoly):
         G.bilinear(F, one, one, G.bilinear_table(F, cancel))
     # polynomials, empty and constant ones included
     polys = [_seeded_poly(F, rng, 7) for _ in range(30)] + [[], [a], [F.zero(), a]]
+    points = [F.zero(), a, F.sample(rng)]
     for f in polys:
         for g in polys:
             assert F.poly_mul(f, g) == G.poly_mul(F, f, g)
             if g:
                 assert F.poly_divmod(f, g) == G.poly_divmod(F, f, g)
-    # long operands with every coordinate p - 1, whose slot sums come near
-    # the bounds the packed kernels pick their slot widths from
+            _check_poly_identities(F, f, g, points)
+    # long operands with every coordinate p - 1, the largest integer
+    # products a coordinate-list mul sums before it reduces mod p
     top = (p - 1,) * F.degree
     for lf, lg in ((24, 1), (24, 12), (12, 24), (30, 9), (30, 2)):
         f, g = [top] * lf, [top] * lg
         for h in (g, [F.sample(rng) for _ in range(lg - 1)] + [top]):
             assert F.poly_mul(f, h) == G.poly_mul(F, f, h)
             assert F.poly_divmod(f, h) == G.poly_divmod(F, f, h)
+            _check_poly_identities(F, f, h, points)
     # quotient coefficients (1, ..., 1) over a divisor head of all p - 1:
-    # each step of the division adds the largest product to the most slots
+    # the division gives back the quotient and a zero remainder
     ones = (1,) * F.degree
     for lq, lg in ((20, 12), (12, 20), (25, 3)):
         q, g = [ones] * lq, [top] * (lg - 1) + [F.one()]

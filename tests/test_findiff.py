@@ -721,7 +721,8 @@ def test_algebra_on_basis_raises_the_given_error(error, law):
 # -- the sparse product kernel and the factor memo ---------------------------------
 
 
-# F_5^6 is above TABLE_MAX_ORDER, so it multiplies and adds on coordinate tuples
+# F_5^6 is above TABLE_MAX_ORDER: no log tables, so its kernels are the generic
+# loops over a coordinate-list mul and a coordinatewise add
 KERNEL_FIELDS = {"F2": F2, "F7": PrimeField(7), "F4": GaloisField(2, [1, 1, 1]),
                  "F9": GaloisField(3, [1, 0, 1]), "F625": GaloisField(5, [4, 1, 0, 0, 1]),
                  "F5^6": GaloisField(5, [2, 1, 0, 0, 0, 0, 1]), "Q": Rationals()}

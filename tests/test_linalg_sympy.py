@@ -186,8 +186,9 @@ def _shaped(k, seed, max_rows=30):
     return out
 
 
-# 65537 needs 8-byte slots at 30 rows; 2^31 - 1 and 2^61 - 1 are past them
-SHAPED_PRIMES = [2, 3, 5, 7, 65537, 2**31 - 1, 2**61 - 1]
+# PrimeField.pivots packs 2, 3, 5 and 7 into 1- or 2-byte slots, 257 into 4
+# and 65537 into 8 at 30 rows; 2^31 - 1 and 2^61 - 1 are past them, on the loop
+SHAPED_PRIMES = [2, 3, 5, 7, 257, 65537, 2**31 - 1, 2**61 - 1]
 
 
 @pytest.mark.parametrize("p", SHAPED_PRIMES)
