@@ -45,7 +45,7 @@ place of c.  PrimeField overrides the kernels with int arithmetic, one
 reduction mod p per output entry, eliminates a matrix of PACKED_MIN_ROWS
 rows or more on rows packed into ints, one int operation per row pair and
 XOR at p = 2, decodes a vector of one-digit scalars as bytes, with no call
-per cell, and encodes through a table of strings; GaloisField tests, sums,
+per cell, and encodes through a table of strings; GaloisField tests,
 decodes and encodes whole vectors of coordinate tuples, computes the rest
 over Zech logarithms at orders up to TABLE_MAX_ORDER and its products on
 coordinate lists above it.  A JSON scalar of F_p, or coordinate of one of
@@ -460,13 +460,6 @@ class PrimeField(DifferenceField):
                 raw = b""  # a cell that is no ASCII string: decode as below
             if len(raw) == 2 * len(cells) - 1 and not raw[::2].translate(None, b"0123456789"[:p]):
                 return list(raw[::2].translate(_DIGIT_VALUES))
-        # the type test keeps booleans and floats, which hash like the ints
-        # they equal, out of the table
-        if p <= DECODE_TABLE_MAX_P and {*map(type, cells)} <= {int, str}:
-            try:
-                return list(map(_decode_table(p).__getitem__, cells))
-            except KeyError:
-                pass  # a cell outside the table: decode each one as below
         return list(map(self.scalar_from_json, cells))
 
     def vec_to_json(self, v):
@@ -590,23 +583,14 @@ class PrimeField(DifferenceField):
 
 
 # PrimeField.vec_from_json maps one-digit cells to their values with
-# _DIGIT_VALUES and looks other cells up in a table of 2p entries, and
-# vec_to_json looks values up in a tuple of p strings; above this p they use
-# int() and str() alone, so a large prime costs no memory.
+# _DIGIT_VALUES and decodes any other cell by scalar_from_json;
+# vec_to_json looks values up in a tuple of p strings, and above this p uses
+# str() alone, so a large prime costs no memory.
 DECODE_TABLE_MAX_P = 4096
 # PrimeField.pivots packs matrices of at least this many rows; below it the
 # list loop is faster (BENCH_27.json)
 PACKED_MIN_ROWS = 5
 _DIGIT_VALUES = bytes.maketrans(b"0123456789", bytes(range(10)))
-
-
-@functools.lru_cache(maxsize=32)
-def _decode_table(p):
-    """Each canonical JSON scalar of F_p, "0".."p-1" and 0..p-1, mapped to
-    the value int(c) % p gives it."""
-    table = {str(i): i for i in range(p)}
-    table.update((i, i) for i in range(p))
-    return table
 
 
 @functools.lru_cache(maxsize=32)
@@ -636,7 +620,7 @@ class GaloisField(DifferenceField):
     adds 33 KB at q = 2^12.
 
     Below the cap, the vector and polynomial kernels (dot, row_sub,
-    row_scale, kron, bilinear, poly_mul, poly_divmod) look each input entry
+    row_scale, bilinear, poly_mul, poly_divmod) look each input entry
     up in log once, None standing for zero, multiply by adding logs,
     accumulate by the Zech step written out in each loop, and look each
     output entry up in exp once.  bilinear_table stores each structure
@@ -790,14 +774,6 @@ class GaloisField(DifferenceField):
             return super().row_scale(c, row)
         lc = log[c]
         return [a if a == zero else exp[(log[a] + lc) % self._q1] for a in row]
-
-    def kron(self, u, v):
-        log, exp, zero = self._log, self._exp, self._zero
-        if log is None:
-            return super().kron(u, v)
-        q1, lv = self._q1, list(map(log.get, v))
-        return [zero if a is None or b is None else exp[(a + b) % q1]
-                for a in map(log.get, u) for b in lv]
 
     def bilinear_table(self, mul):
         table, log = super().bilinear_table(mul), self._log
@@ -993,17 +969,13 @@ class GaloisField(DifferenceField):
         return list(map(list, v))
 
     # stored elements are coordinate tuples, so a zero is one with no nonzero
-    # coordinate and a sum is the coordinatewise sum mod p, tables or not
+    # coordinate, tables or not
 
     def vec_is_zero(self, v):
         return not any(map(any, v))
 
     def vec_nonzero(self, v):
         return list(compress(enumerate(v), map(any, v)))
-
-    def vec_sum(self, v):
-        p = self.p
-        return tuple(sum(c) % p for c in zip(self._zero, *v))
 
     def descriptor(self):
         return {

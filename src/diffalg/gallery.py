@@ -13,6 +13,7 @@ from .diffpoly import Presentation
 from .exactfield import FunctionField, PrimeField, ShiftField
 from .findiff import FinSigmaAlgebra
 from .hopf import SigmaHopf, TruncatedGroupLikeHopf
+from .instances import diagonal_algebra
 from .towers import (BabbittChain, TowerExtension, benign_make,
                      stacked_radical_tower, tower_from_json, tower_make)
 
@@ -67,21 +68,11 @@ def group_dual_hopf(char: int, shape, endo) -> SigmaHopf:
     index = {g: i for i, g in enumerate(elems)}
     n = len(elems)
 
-    def add(g, h):
-        return tuple((a + b) % m for a, b, m in zip(g, h, shape))
-
     def neg(g):
         return tuple((-a) % m for a, m in zip(g, shape))
 
     z, o = k.zero(), k.one()
-    mul = [[[o if (i == j and t == i) else z for t in range(n)]
-            for j in range(n)] for i in range(n)]
-    unit = [o] * n
-    sigma = [[z] * n for _ in range(n)]
-    for h in elems:
-        g = endo(h)
-        sigma[index[h]][index[g]] = o
-    carrier = FinSigmaAlgebra(k, mul, unit, sigma)
+    carrier = diagonal_algebra(k, [index[endo(h)] for h in elems])
     comul = [[z] * n for _ in range(n * n)]
     for g in elems:
         for h1 in elems:

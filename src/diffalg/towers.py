@@ -1,9 +1,17 @@
 """Difference field extensions as lazily materialized algebraic towers.
 
-A tower adjoins generators one level at a time; each level carries a monic
-minimal polynomial over the prefix, a sigma rule (an expression that may
-reference later levels, materialized on demand), and an irreducibility
-certificate.  Four certificates are supported:
+A tower is its document.  tower_from_json, the one loader, keeps the
+document's explicit levels, families (each name once: a radical block, a
+radical family on another family, or a specialization-verified family),
+explicit groups and family groups (one per family) as the tower's only state
+besides the levels made so far, and tower_to_json writes them back, so a
+tower and its JSON certify the same limit degree.  Every constructor here
+writes a document and loads it; a family's level i is made from its entry
+when an expression first names it.
+
+Each level carries a monic minimal polynomial over the levels below it, a
+sigma rule (an expression that may reference later levels, materialized on
+demand), and an irreducibility certificate.  Four certificates are supported:
 
   * "finite"        Rabin's test run over the prefix field (finite bases),
                     over the base field itself at level zero,
@@ -79,11 +87,13 @@ class TowerExtension(mp.Ring):
         self.base = base
         self.levels: list[TowerLevel] = []
         self.by_name: dict[str, int] = {}
-        self.families: dict[str, object] = {}   # name -> rule(index) -> level spec
-        self.family_min: dict[str, int] = {}
-        self.schedule = None      # explicit groups (list of name lists) or None
-        self.group_rule = None    # callable(g) -> list of names, for lazy towers
-        self.certified_kind = None  # "finite-levels" | "radical" | "mixed-radical" | None
+        # the tower's document, which tower_from_json alone fills
+        self.explicit_specs: list[dict] = []
+        self.families: dict[str, dict] = {}     # name -> its document entry
+        self.explicit_groups: list[list[str]] = []
+        self.family_groups: list[dict] = []
+        self.family_min: dict[str, int] = {}    # name -> its least level index
+        self.certified_kind = None  # "finite-levels" | "mixed-radical" | None
 
     # -- naming --------------------------------------------------------------
 
@@ -106,9 +116,8 @@ class TowerExtension(mp.Ring):
         if name in self.by_name:
             return self.by_name[name]
         for fam, i in self._family_candidates(name):
-            if fam in self.families and i >= self.family_min.get(fam, 0):
-                spec = self.families[fam](i)
-                return self._add_level(name, fam, i, spec)
+            if fam in self.families and i >= self.family_min[fam]:
+                return self._add_level(name, fam, i, _family_level(self, self.families[fam], i))
         raise TowerError(f"unknown tower generator {name!r}")
 
     def add_explicit_level(self, name, minpoly_exprs, sigma_text, cert=None):
@@ -147,15 +156,18 @@ class TowerExtension(mp.Ring):
         return idx
 
     def materialize_family(self, fam, upto):
-        for i in range(self.family_min.get(fam, 0), upto + 1):
+        for i in range(self.family_min[fam], upto + 1):
             self.ensure_name(self.level_name(fam, i))
 
     def group_names(self, g):
-        if self.schedule is not None:
-            return list(self.schedule[g]) if g < len(self.schedule) else []
-        if self.group_rule is not None:
-            return self.group_rule(g)
-        return [lv.name for lv in self.levels] if g == 0 else []
+        """The g-th transform group: the g-th explicit group, then each
+        family's level start + g; with no families and no explicit groups,
+        every level at g = 0."""
+        groups = self.explicit_groups or ([] if self.families
+                                          else [[lv.name for lv in self.levels]])
+        if g < len(groups):
+            return list(groups[g])
+        return [self.level_name(f["family"], f["start"] + g) for f in self.family_groups]
 
     # -- element arithmetic ----------------------------------------------------
 
@@ -467,19 +479,6 @@ def tower_make(base, levels) -> TowerExtension:
                             "explicit_groups": [[spec["name"] for spec in levels]]})
 
 
-def _install_radical_block(T, family, r, start):
-    base = T.base
-
-    def rule(i, _r=r, _fam=family):
-        return {"minpoly": [T.neg(T.const(base.t(i)))]
-                + [T.zero()] * (_r - 1) + [T.one()],
-                "sigma": TowerExtension.level_name(_fam, i + 1),
-                "cert": "radical-fresh"}
-
-    T.families[family] = rule
-    T.family_min[family] = start
-
-
 def benign_make(base, minpoly, kind="radical", family="b") -> TowerExtension:
     """Lazy tower adjoining the transforms of one finite Galois extension.
 
@@ -511,9 +510,7 @@ def benign_make(base, minpoly, kind="radical", family="b") -> TowerExtension:
             "base": base,
             "families": [{"name": family, "kind": "radical-block", "r": deg, "var_start": j0}],
             "family_groups": [{"family": family, "start": j0}]})
-        T.certified_kind = "radical"
-        T.materialize_family(family, j0)
-        _verify_galois_level(T, T.levels[T.by_name[TowerExtension.level_name(family, j0)]])
+        _verify_galois_level(T, T.levels[T.ensure_name(TowerExtension.level_name(family, j0))])
         return T
 
     if kind != "specialization-verified":
@@ -523,24 +520,6 @@ def benign_make(base, minpoly, kind="radical", family="b") -> TowerExtension:
         "families": [{"name": family, "kind": "specialization-verified",
                       "minpoly": base.vec_to_json(scalar_coeffs)}],
         "family_groups": [{"family": family, "start": 0}]})
-
-
-def _install_specialization(T, family, coeffs):
-    """Level i of the family is cut out by coeffs with sigma^i applied."""
-    def rule(i, _c=coeffs, _fam=family):
-        k = T.base
-        twisted = []
-        for c in _c:
-            v = c
-            for _ in range(i):
-                v = k.sigma(v)
-            twisted.append(v)
-        return {"minpoly": [T.const(v) for v in twisted],
-                "sigma": TowerExtension.level_name(_fam, i + 1),
-                "cert": "specialized"}
-
-    T.families[family] = rule
-    T.family_min[family] = 0
 
 
 def _assert_root(T, lv, cand):
@@ -560,7 +539,6 @@ def stacked_radical_tower(base, r1=2, r2=2, shift=1, fam1="a", fam2="c") -> Towe
         "explicit_groups": [[TowerExtension.level_name(fam1, i) for i in range(shift + 1)]
                             + [TowerExtension.level_name(fam2, 0)]],
         "family_groups": [{"family": fam1, "start": shift}, {"family": fam2, "start": 0}]})
-    T.certified_kind = "radical"
     T.materialize_family(fam1, shift)
     T.materialize_family(fam2, 0)
     _verify_galois_level(T, T.levels[T.by_name[TowerExtension.level_name(fam1, 0)]])
@@ -606,7 +584,7 @@ def limit_degree(T: TowerExtension, horizon: int = 6, window: int = 4) -> LimitD
     while s > 0 and seq[s - 1] == seq[-1]:
         s -= 1
     observed = len(seq) - s
-    certified = T.certified_kind in ("finite-levels", "radical", "mixed-radical")
+    certified = T.certified_kind in ("finite-levels", "mixed-radical")
     value = seq[-1] if (certified or observed >= window) else None
     return LimitDegreeReport(d_sequence=seq, stabilized_at=s,
                              value=value, certified=certified,
@@ -768,9 +746,9 @@ def inversive_closure(obj, depth: int = 1):
 
     Fields answer through DifferenceField.inversive_closure: finite fields,
     Q and Moebius function fields are already inversive; shift fields deepen
-    their index range; expanding function fields are unsupported.  Towers:
-    radical families extend to negative family indices over the deepened
-    base.
+    their index range; expanding function fields are unsupported.  A tower of
+    radical blocks is its document over the deepened base, each family
+    starting at index -depth.
     """
     if depth < 0:
         raise TowerError(f"closure depth must be >= 0, not {depth}")
@@ -784,64 +762,58 @@ def inversive_closure(obj, depth: int = 1):
 
 
 def _tower_inversive_closure(T, depth):
-    if T.levels and any(lv.family is None for lv in T.levels):
+    if T.explicit_specs:
         raise TowerError("inversive closure of explicit towers is unsupported")
-    specs = getattr(T, "family_specs", None)
-    if not specs or any(s.get("kind") != "radical-block" for s in specs):
+    fams = list(T.families.values())
+    if not fams or any(f["kind"] != "radical-block" for f in fams):
         raise TowerError("inversive closure needs radical families")
-    out = TowerExtension(inversive_closure(T.base, depth))
-    out.family_specs = specs
-    out.group_rule = T.group_rule
-    out.certified_kind = T.certified_kind
-    for s in specs:
-        _install_radical_block(out, s["name"], s["r"], -depth)
-        out.materialize_family(s["name"], 0)
-    out.inversive_depth = depth
-    return out
+    return tower_from_json(dict(tower_to_json(T), base=inversive_closure(T.base, depth),
+                                families=[dict(f, var_start=-depth) for f in fams]))
 
 
 # -- serialization -----------------------------------------------------------------
 
 
-def _make_group_rule(T, explicit_groups, family_groups):
-    def rule(g):
-        if g < len(explicit_groups):
-            return list(explicit_groups[g])
-        return [TowerExtension.level_name(f["family"], f["start"] + g)
-                for f in family_groups]
-
-    return rule
-
-
-def _install_radical_on(T, family, r, on, shift):
-    def rule(i, _r=r, _on=on, _shift=shift, _fam=family):
-        dep = TowerExtension.level_name(_on, i + _shift)
-        T.ensure_name(dep)
-        return {"minpoly": [T.neg(T.gen_by_name(dep))]
-                + [T.zero()] * (_r - 1) + [T.one()],
-                "sigma": TowerExtension.level_name(_fam, i + 1),
-                "cert": "radical-chain"}
-
-    T.families[family] = rule
-    T.family_min[family] = 0
+def _family_level(T, entry, i):
+    """The level spec of level i of the family whose document entry is entry,
+    sigma sending it to level i + 1: x^r - t_i for a radical block, x^r - b
+    for b level i + shift of the family a radical-on family is on, and the
+    entry's minimal polynomial with sigma^i applied to its coefficients for a
+    specialization-verified family."""
+    k, sigma = T.base, TowerExtension.level_name(entry["name"], i + 1)
+    if entry["kind"] == "specialization-verified":
+        coeffs = k.vec_from_json(entry["minpoly"])
+        for _ in range(i):
+            coeffs = list(map(k.sigma, coeffs))
+        return {"minpoly": [T.const(c) for c in coeffs], "sigma": sigma, "cert": "specialized"}
+    if entry["kind"] == "radical-block":
+        u, cert = T.const(k.t(i)), "radical-fresh"
+    else:
+        on = TowerExtension.level_name(entry["on"], i + entry.get("shift", 1))
+        u, cert = T.gen_by_name(on), "radical-chain"
+    return {"minpoly": [T.neg(u)] + [T.zero()] * (entry["r"] - 1) + [T.one()],
+            "sigma": sigma, "cert": cert}
 
 
 def tower_to_json(T: TowerExtension) -> dict:
     return {
         "base": T.base.descriptor(),
-        "levels": list(getattr(T, "explicit_specs", [])),
-        "families": list(getattr(T, "family_specs", [])),
-        "explicit_groups": list(getattr(T, "explicit_groups", [])),
-        "family_groups": list(getattr(T, "family_groups", [])),
+        "levels": [dict(s) for s in T.explicit_specs],
+        "families": [dict(f) for f in T.families.values()],
+        "explicit_groups": [list(g) for g in T.explicit_groups],
+        "family_groups": [dict(g) for g in T.family_groups],
     }
 
 
 def tower_from_json(data) -> TowerExtension:
-    """Load a tower from a plain JSON value or a _load.Cursor."""
+    """Load a tower from a plain JSON value or a _load.Cursor.  This is the
+    one constructor of towers: it fills the document fields of the tower,
+    which tower_to_json writes back, and the certified kind they imply.
+    Family names are unique, and each family has exactly one family group."""
     doc = cursor(data)
     T = TowerExtension(field_make(doc.key("base")))
     levels = doc.get("levels", []).each()
-    T.explicit_specs = [lv.value for lv in levels]
+    T.explicit_specs = [dict(lv.value) for lv in levels]
     for lv in levels:
         name, sigma = lv.key("name").of(str), lv.key("sigma").of(str)
         minpoly = lv.key("minpoly").array((str, int))
@@ -851,20 +823,21 @@ def tower_from_json(data) -> TowerExtension:
         with lv.key("sigma").blame():
             T._sigma_gen(t)
     fams = doc.get("families", []).each()
-    T.family_specs = [f.value for f in fams]
     for f in fams:
         kind = f.key("kind")
         if kind.of(str) not in ("radical-block", "radical-on", "specialization-verified"):
             raise kind.error("must be 'radical-block', 'radical-on' or "
                              f"'specialization-verified', not {kind.value!r}")
-        name = f.key("name").of(str)
+        f.key("name").of(str)
+        if kind.value == "specialization-verified":
+            f.key("minpoly").scalars(T.base, None)
+            continue
+        f.key("r").of(int)
         if kind.value == "radical-block":
-            _install_radical_block(T, name, f.key("r").of(int), f.get("var_start", 0).of(int))
-        elif kind.value == "radical-on":
-            _install_radical_on(T, name, f.key("r").of(int), f.key("on").of(str),
-                                f.get("shift", 1).of(int))
+            f.get("var_start", 0).of(int)
         else:
-            _install_specialization(T, name, f.key("minpoly").scalars(T.base, None))
+            f.key("on").of(str)
+            f.get("shift", 1).of(int)
     T.explicit_groups = [list(g.array(str))
                          for g in doc.get("explicit_groups", []).each(list)]
     groups = doc.get("family_groups", []).each()
@@ -872,17 +845,26 @@ def tower_from_json(data) -> TowerExtension:
         g.key("family").of(str)
         g.key("start").of(int)
     T.family_groups = [dict(g.value) for g in groups]
-    if fams:
-        T.group_rule = _make_group_rule(T, T.explicit_groups, T.family_groups)
-        spec = [f for f in fams if f.value["kind"] == "specialization-verified"]
-        T.certified_kind = None if spec else "mixed-radical"
-        for f in spec:      # certified at level zero only, and Galois there
-            with f.blame():
-                level0 = TowerExtension.level_name(f.value["name"], 0)
-                _verify_galois_level(T, T.levels[T.ensure_name(level0)])
-    else:
-        T.schedule = T.explicit_groups or [[lv.name for lv in T.levels]]
-        T.certified_kind = "finite-levels"
+    grouped = [g["family"] for g in T.family_groups]
+    for f in fams:
+        name = f.value["name"]
+        if name in T.families:
+            raise f.key("name").error(f"names the family {name!r} a second time")
+        if grouped.count(name) != 1:
+            raise f.error(f"needs one family_groups entry for {name!r}, "
+                          f"not {grouped.count(name)}")
+        T.families[name] = dict(f.value)
+        radical_block = f.value["kind"] == "radical-block"
+        T.family_min[name] = f.value.get("var_start", 0) if radical_block else 0
+    for g in groups:
+        if g.value["family"] not in T.families:
+            raise g.key("family").error(f"names {g.value['family']!r}, which is no family")
+    spec = [f for f in fams if f.value["kind"] == "specialization-verified"]
+    T.certified_kind = None if spec else "mixed-radical" if fams else "finite-levels"
+    for f in spec:      # certified at level zero only, and Galois there
+        with f.blame():
+            level0 = TowerExtension.level_name(f.value["name"], 0)
+            _verify_galois_level(T, T.levels[T.ensure_name(level0)])
     return T
 
 

@@ -178,6 +178,7 @@ QT_BASES = [{"kind": "Qt", "sigma_t": 5},
             {"kind": "Qt", "sigma_t": {"num": ["1", "1"], "den": 7}}]
 QT_PATHS = ["base.sigma_t", "base.sigma_t.num", "base.sigma_t.den"]
 SHIFT_BAD_MIN_INDEX = {"kind": "shift", "p": 5, "min_index": "x"}
+RADICAL_BLOCK_A = {"name": "a", "kind": "radical-block", "r": 2, "var_start": 0}
 
 
 @pytest.mark.parametrize("argv, make, field, value, path", [
@@ -218,13 +219,23 @@ SHIFT_BAD_MIN_INDEX = {"kind": "shift", "p": 5, "min_index": "x"}
     *[(["ld"], _tower, "base", b, path) for b, path in zip(QT_BASES, QT_PATHS)],
     (["core"], _algebra, "base", SHIFT_BAD_MIN_INDEX, "base.min_index"),
     (["ld"], _radical_tower, "base", SHIFT_BAD_MIN_INDEX, "base.min_index"),
+    # radical_tower_f5 whose families and family groups do not match one to one
+    (["ld"], _radical_tower, "families", [RADICAL_BLOCK_A, RADICAL_BLOCK_A],
+     "families[1].name"),
+    (["ld"], _radical_tower, "family_groups", [], "families[0]"),
+    (["ld"], _radical_tower, "family_groups",
+     [{"family": "a", "start": 0}, {"family": "a", "start": 1}], "families[0]"),
+    (["ld"], _radical_tower, "family_groups",
+     [{"family": "a", "start": 0}, {"family": "b", "start": 0}], "family_groups[1].family"),
 ], ids=["algebra-mul", "tower-levels", "presentation-poly", "hopf-comul",
         "hopf-null-scalar", "babbitt-chain", "mul-null-scalar", "base-p-string",
         "defpoly-string", "tower-level-sigma", "tower-level-name", "tower-level-minpoly",
         "tower-level-minpoly-null", "family-r", "family-var-start", "family-group-start",
         "family-shift", "explicit-group-name", "qt-sigma-t-algebra",
         "qt-num-algebra", "qt-den-algebra", "qt-sigma-t-tower", "qt-num-tower",
-        "qt-den-tower", "shift-min-index-algebra", "shift-min-index-tower"])
+        "qt-den-tower", "shift-min-index-algebra", "shift-min-index-tower",
+        "family-named-twice", "family-without-group", "family-with-two-groups",
+        "group-without-family"])
 def test_field_of_wrong_json_type_is_an_input_error(tmp_path, argv, make, field,
                                                     value, path):
     doc = dict(make(), **{field: value})

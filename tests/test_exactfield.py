@@ -13,7 +13,7 @@ from diffalg._load import Cursor, InputError
 from diffalg.exactfield import (DECODE_TABLE_MAX_P, PRIME_BOUND, TABLE_MAX_ORDER,
                                 DifferenceField, FieldError, FrobeniusDescriptor,
                                 FunctionField, GaloisField, PrimeField, Rationals,
-                                ShiftField, _decode_table, _is_prime, _log_tables,
+                                ShiftField, _is_prime, _log_tables,
                                 field_make, is_inversive, sigma_apply)
 from diffalg.findiff import FinSigmaAlgebra
 
@@ -600,12 +600,6 @@ def test_prime_vector_kernels_equal_the_generic_loops(p):
             assert k.vec_from_json(cells) == slow.vec_from_json(cells) == v
 
 
-def test_prime_decode_table_maps_canonical_scalars_to_themselves():
-    for p in (2, 5, 7):
-        assert _decode_table(p) == dict([(str(i), i) for i in range(p)]
-                                        + [(i, i) for i in range(p)])
-
-
 def _same_outcome(fast, slow):
     """fast() returns what slow() returns, or raises the same exception type
     with the same text; the common value, or None."""
@@ -641,8 +635,8 @@ def test_prime_vec_from_json_reduces_and_fails_like_scalar_decode(p):
     ([1], "a list"), ({}, "an object"), ("1.5", "'1.5'"), ("x" * 40, "'" + "x" * 19 + "..."),
 ], ids=["true", "false", "1.0", "0.0", "null", "list", "object", "1.5", "long-string"])
 def test_prime_decode_rejects_what_is_no_integer(p, cell, shown):
-    # the decode table holds 1 and 0, which True, 1.0, False and 0.0 hash
-    # and compare like, and int() takes a float or a boolean
+    # True, 1.0, False and 0.0 hash and compare like 1 and 0, and int()
+    # takes a float or a boolean
     k, said = PrimeField(p), f"an element of F_{p} is an integer, as a JSON number or string"
     for cells in ([cell], ["0", cell], [cell, 1]):
         with pytest.raises(ValueError) as err:

@@ -623,19 +623,29 @@ def test_compatibility_rejects_mixed_bases():
 # -- serialization -----------------------------------------------------------------------------
 
 
-def test_tower_json_round_trip_explicit_and_lazy():
-    for T in (frobenius_tower(3, [1, 0, 1], 1), radical_tower_f5(),
-              stacked_tower_f5()):
-        blob = tower_to_json(T)
-        again = tower_from_json(blob)
-        r1 = limit_degree(T, horizon=3)
-        r2 = limit_degree(again, horizon=3)
-        assert r1.d_sequence == r2.d_sequence
-
-
 def _specialization_tower():
     return benign_make(FunctionField(F5, [0, 1], [1, 1]), ["-t", 0, 1],
                        kind="specialization-verified")
+
+
+def test_tower_json_round_trip_explicit_and_lazy():
+    # a tower and the tower its document loads write the same document and
+    # certify the same limit degree, kind included; a specialization family
+    # certifies level zero only
+    for T, horizon in ((frobenius_tower(3, [1, 0, 1], 1), 3), (radical_tower_f5(), 3),
+                       (cubic_tower_f7(), 3), (stacked_tower_f5(), 3),
+                       (_specialization_tower(), 0), (corrupted_chain().tower, 3),
+                       (inversive_closure(radical_tower_f5(), 2), 3)):
+        blob = tower_to_json(T)
+        again = tower_from_json(blob)
+        assert tower_to_json(again) == blob
+        assert limit_degree(again, horizon=horizon).to_json() == \
+            limit_degree(T, horizon=horizon).to_json()
+    # the closure's document still names a_m2, and certifies limit degree 2
+    closure = tower_from_json(tower_to_json(inversive_closure(radical_tower_f5(), 2)))
+    am2 = closure.gen_by_name("a_m2")
+    assert closure.eq(closure.mul(am2, am2), closure.const(closure.base.t(-2)))
+    assert limit_degree(closure).value == 2
 
 
 def test_specialization_tower_loads_the_json_it_writes():
