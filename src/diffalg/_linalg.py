@@ -20,11 +20,17 @@ coordinates of a field extension) is eliminated once, and one never solved
 is not eliminated; solve and inverse are that elimination too.
 minimal_polynomial runs no rref: it reduces each new power once against
 echelon rows that carry their combinations of the powers before it.
+
+split_idempotents is the one Cantor-Zassenhaus splitter over F_q: findiff's
+algebras and poly's F_q[x]/(g) both run it, each passing its product.
 """
 
 from __future__ import annotations
 
 import functools
+import random
+
+from . import _multipoly as mp
 
 
 def zeros(k, rows, cols):
@@ -175,6 +181,63 @@ def minimal_polynomial(k, one, times, coords):
         elif d:
             return combo
         x, d = times(x), d + 1
+
+
+# A round of split_idempotents separates two given local factors with
+# probability at least 1/2, so a sound algebra needs about log2 r rounds;
+# findiff's _local_factors draws at most this many combinations in search of
+# a residue-primitive element.  An algebra that breaks the axioms fails the
+# checks after this many rounds or draws instead of looping.
+_SPLIT_ROUNDS = 64
+
+
+def split_idempotents(k, unit, fixed, mul):
+    """The primitive idempotents of the commutative algebra over k = F_q
+    whose product is mul and whose unit is unit, cut out of its q-power-fixed
+    subalgebra B ~ F_q^r spanned by fixed, r = len(fixed).
+
+    Each round draws a random b in B and cuts every part u by idempotents
+    read off b's coordinates (Cantor-Zassenhaus).  For odd q, h = b^((q-1)/2)
+    has coordinates in {0, 1, -1}, so with s = h^2 the cuts are (s + h)/2 and
+    (s - h)/2, the rest of u being where b vanishes; for q = 2^m the trace
+    b + b^2 + ... + b^(2^(m-1)) has coordinates in F_2 and is the one cut.
+    """
+    q, r, n = k.order, len(fixed), len(unit)
+    one, minus_one = k.one(), k.neg(k.one())
+    rng = random.Random(0xA70A ^ n)
+    parts = [list(unit)]
+    for _ in range(_SPLIT_ROUNDS):
+        if len(parts) >= r:
+            break
+        b = [k.zero()] * n
+        for f in fixed:
+            b = k.row_sub(b, minus_one, k.row_scale(k.sample(rng), f))
+        if q % 2:
+            h = mp.power(b, (q - 1) // 2, list(unit), mul)
+            s = mul(h, h)
+            plus = k.row_scale(k.inv(k.from_int(2)), k.row_sub(s, minus_one, h))
+            cuts = [plus, k.row_sub(s, one, plus)]
+        else:
+            t = cur = b
+            for _ in range(k.degree - 1):
+                cur = mul(cur, cur)
+                t = k.row_sub(t, minus_one, cur)
+            cuts = [t]
+        split = []
+        for u in parts:
+            for e in cuts:
+                ue = mul(u, e)
+                u = k.row_sub(u, one, ue)
+                split.append(ue)
+            split.append(u)
+        parts = [u for u in split if not k.vec_is_zero(u)]
+    total = [k.zero()] * n
+    for u in parts:
+        total = k.row_sub(total, minus_one, u)
+    if (len(parts) != r or not k.vec_eq(total, unit)
+            or not all(k.vec_eq(mul(u, u), u) for u in parts)):
+        raise AssertionError("primitive idempotent count mismatch")
+    return parts
 
 
 def inverse(k, m):

@@ -212,38 +212,6 @@ def random_irreducible(k, degree, q, rng):
             return f
 
 
-def equal_degree_split(k, f, d, q, rng):
-    """One proper monic factor of f, a squarefree product of >= 2 monic
-    irreducibles all of degree d over a field with q elements."""
-    n = deg(f)
-    x = x_poly(k)
-    while True:
-        a = trim(k, [k.sample(rng) for _ in range(n)])
-        if deg(a) < 1:
-            continue
-        g = gcd(k, a, f)
-        if 0 < deg(g) < n:
-            return g
-        if q % 2 == 1:
-            t = pow_mod(k, a, (q ** d - 1) // 2, f)
-            g = gcd(k, sub(k, t, const(k, k.one())), f)
-        else:
-            # char 2: use the trace map sum a^(2^i) for i < s*d, q = 2^s
-            s = 0
-            qq = q
-            while qq > 1:
-                qq //= 2
-                s += 1
-            t = mod(k, a, f)
-            acc = t
-            for _ in range(s * d - 1):
-                t = pow_mod(k, t, 2, f)
-                acc = add(k, acc, t)
-            g = gcd(k, acc, f)
-        if 0 < deg(g) < n:
-            return g
-
-
 class Kernels:
     """The generic poly_mul and poly_divmod, loops over the scalar operations
     of the class that inherits them (DifferenceField and _multipoly.Ring)."""

@@ -9,8 +9,9 @@ strong-core engine: base-change to a splitting extension, the periodic atoms
 there (the fibres of pi^|U|, pi the predecessor map on the recurrent
 primitive idempotents U), and exact linear descent of their span, which
 hands the core its echelon span.  Over F_q the primitive idempotents are
-split out of the q-power-fixed subalgebra inside the algebra (_split_fixed),
-by powers of random fixed elements alone.
+split out of the q-power-fixed subalgebra inside the algebra, by powers of
+random fixed elements alone (_linalg.split_idempotents, the splitter that
+factor_over_finite_field also runs).
 
 multiply runs the base field's bilinear kernel on the table its
 bilinear_table builds from mul: per row i, the nonzero products e_i e_j
@@ -305,9 +306,10 @@ def primitive_idempotents(A: FinSigmaAlgebra, supplied=None):
 
     Over a finite base F_q this is fully automatic through Berlekamp's
     subalgebra B = {x : x^q = x}, a copy of F_q^r with one coordinate per
-    local factor.  _split_fixed splits B inside the algebra by random
-    elements of B, without a minimal polynomial or a factorization.  Over
-    other bases a complete orthogonal decomposition must be supplied.
+    local factor.  _linalg.split_idempotents splits B inside the algebra by
+    random elements of B, without a minimal polynomial or a factorization,
+    as factor_over_finite_field splits F_q[x]/(g).  Over other bases a
+    complete orthogonal decomposition must be supplied.
     Each Frobenius column e_i^q is (e_i^2)^(q//2) e_i^(q%2), e_i^2 being the
     table entry mul[i][i]: one product fewer than powering e_i, none at q = 2.
     """
@@ -326,7 +328,7 @@ def primitive_idempotents(A: FinSigmaAlgebra, supplied=None):
     m = [[k.sub(phi_cols[j][i], k.one() if i == j else k.zero())
           for j in range(A.dim)] for i in range(A.dim)]
     fixed = la.nullspace(k, m)
-    prims = _split_fixed(A, fixed)
+    prims = la.split_idempotents(k, A.unit, fixed, A.multiply)
     prims.sort(key=lambda v: repr(k.vec_to_json(v)))
     return [Idempotent(v, primitive=True) for v in prims]
 
@@ -345,63 +347,6 @@ def _check_supplied_idempotents(A, supplied):
                 raise ValueError(f"supplied elements {j},{i} are not orthogonal")
     if not A.vec_eq(total, A.unit):
         raise ValueError("supplied idempotents do not sum to the unit")
-
-
-# A round of _split_fixed separates two given local factors with probability
-# at least 1/2, so a sound algebra needs about log2 r rounds; _local_factors
-# draws at most this many combinations in search of a residue-primitive
-# element.  An algebra that breaks the axioms fails the checks after this
-# many rounds or draws instead of looping.
-_SPLIT_ROUNDS = 64
-
-
-def _split_fixed(A, fixed):
-    """The primitive idempotents of A, cut out of the q-power-fixed
-    subalgebra B ~ F_q^r spanned by fixed, r = len(fixed).
-
-    Each round draws a random b in B and cuts every part u by idempotents
-    read off b's coordinates (Cantor-Zassenhaus).  For odd q, h = b^((q-1)/2)
-    has coordinates in {0, 1, -1}, so with s = h^2 the cuts are (s + h)/2 and
-    (s - h)/2, the rest of u being where b vanishes; for q = 2^m the trace
-    b + b^2 + ... + b^(2^(m-1)) has coordinates in F_2 and is the one cut.
-    """
-    k = A.base
-    q, r = k.order, len(fixed)
-    one = k.one()
-    rng = random.Random(0xA70A ^ A.dim)
-    parts = [list(A.unit)]
-    for _ in range(_SPLIT_ROUNDS):
-        if len(parts) >= r:
-            break
-        b = A.zero_vec()
-        for f in fixed:
-            b = A.vec_add(b, A.scalar_mul(k.sample(rng), f))
-        if q % 2:
-            h = A.power(b, (q - 1) // 2)
-            s = A.multiply(h, h)
-            plus = k.row_scale(k.inv(k.from_int(2)), A.vec_add(s, h))
-            cuts = [plus, k.row_sub(s, one, plus)]
-        else:
-            t = cur = b
-            for _ in range(k.degree - 1):
-                cur = A.multiply(cur, cur)
-                t = A.vec_add(t, cur)
-            cuts = [t]
-        split = []
-        for u in parts:
-            for e in cuts:
-                ue = A.multiply(u, e)
-                u = k.row_sub(u, one, ue)
-                split.append(ue)
-            split.append(u)
-        parts = [u for u in split if not A.vec_is_zero(u)]
-    total = A.zero_vec()
-    for u in parts:
-        total = A.vec_add(total, u)
-    if (len(parts) != r or not A.vec_eq(total, A.unit)
-            or not all(A.is_idempotent(u) for u in parts)):
-        raise AssertionError("primitive idempotent count mismatch")
-    return parts
 
 
 def orbit(v, step, eq, is_zero, horizon, drifted=None) -> PeriodicityResult:
@@ -727,7 +672,7 @@ def _local_factors(A):
     sum to A.dim and none of which is 0, are the lines k e: each factor is
     (e, 1, e, x - 1), with no span and no minimal polynomial.  Otherwise
     each e A is spanned, and where no basis vector of it is residue-primitive
-    at most _SPLIT_ROUNDS random combinations are tried."""
+    at most _linalg._SPLIT_ROUNDS random combinations are tried."""
     k = A.base
     prims = primitive_idempotents(A)
     if len(prims) == A.dim:
@@ -748,7 +693,7 @@ def _local_factors(A):
                 best = (db, b, mb)
         if best[0] != d:
             rng = random.Random(0xA70A ^ A.dim)
-            for _ in range(_SPLIT_ROUNDS):
+            for _ in range(la._SPLIT_ROUNDS):
                 v = A.zero_vec()
                 for b in basis:
                     v = A.vec_add(v, A.scalar_mul(k.from_int(rng.randrange(k.order)), b))

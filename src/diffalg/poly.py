@@ -1,18 +1,17 @@
 """Univariate polynomials over a difference field.
 
 Dense representation, low degree first.  Finite-field factorization runs
-squarefree decomposition, then distinct-degree splitting, then seeded
-equal-degree splitting, so identical seeds give identical factor orderings.
+squarefree decomposition, then splits F_q[x]/(g) for each squarefree part g
+with _linalg.split_idempotents, as findiff splits its algebras: each
+primitive idempotent e gives the irreducible factor gcd(g, e - 1).
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
-import random
 
+from . import _linalg as la
 from . import _polycore as pc
-
-DEFAULT_FACTOR_SEED = 0x0D1FFA17
 
 
 class UnsupportedBaseError(ValueError):
@@ -206,50 +205,40 @@ def _squarefree_decomposition(base, f):
     return out
 
 
-def _distinct_degree(base, f, q):
-    """Split a squarefree monic f into (product-of-degree-d-factors, d)."""
-    pieces = []
-    x = pc.x_poly(base)
-    h = pc.mod(base, x, f)
-    d = 0
-    rest = list(f)
-    while pc.deg(rest) > 0:
-        d += 1
-        if 2 * d > pc.deg(rest):
-            pieces.append((rest, pc.deg(rest)))
-            break
-        h = pc.pow_mod(base, h, q, rest)
-        g = pc.gcd(base, pc.sub(base, h, x), rest)
-        if pc.deg(g) > 0:
-            pieces.append((g, d))
-            rest = pc.divmod_(base, rest, g)[0]
-            h = pc.mod(base, h, rest)
-    return pieces
+def _berlekamp_split(base, g):
+    """The monic irreducible factors of a squarefree monic g of degree n >= 2:
+    the primitive idempotents e of F_q[x]/(g), split out of Berlekamp's
+    subalgebra {h : h^q = h}, each giving gcd(g, e - 1).  Its matrix has
+    the columns x^(qi) mod g, since h(x)^q = h(x^q) over F_q; elements are
+    coordinate vectors padded to n, which the product kernels accept."""
+    n, zero, one = pc.deg(g), base.zero(), base.one()
+
+    def mul(u, v):
+        r = pc.mod(base, pc.mul(base, u, v), g)
+        return r + [zero] * (n - len(r))
+
+    xq = pc.pow_mod(base, pc.x_poly(base), base.order, g)
+    cols = [[one] + [zero] * (n - 1)]
+    for _ in range(n - 1):
+        cols.append(mul(cols[-1], xq))
+    m = [[base.sub(c[i], one if i == j else zero) for j, c in enumerate(cols)]
+         for i in range(n)]
+    prims = la.split_idempotents(base, cols[0], la.nullspace(base, m), mul)
+    return [pc.gcd(base, g, pc.sub(base, e, [one])) for e in prims]
 
 
-def _equal_degree_all(base, f, d, q, rng):
-    if pc.deg(f) == d:
-        return [f]
-    g = pc.equal_degree_split(base, f, d, q, rng)
-    rest = pc.divmod_(base, f, g)[0]
-    return _equal_degree_all(base, g, d, q, rng) + _equal_degree_all(base, rest, d, q, rng)
-
-
-def factor_over_finite_field(f: Poly, seed: int | None = None) -> FactorList:
+def factor_over_finite_field(f: Poly) -> FactorList:
     """Complete monic irreducible factorization with multiplicities."""
     base = f.base
     _require_finite(base)
     if f.is_zero():
         raise ValueError("cannot factor the zero polynomial")
-    rng = random.Random(DEFAULT_FACTOR_SEED if seed is None else seed)
-    q = base.order
     unit = f.leading()
     work = pc.monic(base, list(f.coeffs))
     factors = []
     for sqf, mult in _squarefree_decomposition(base, work):
-        for piece, d in _distinct_degree(base, sqf, q):
-            for irr in _equal_degree_all(base, piece, d, q, rng):
-                factors.append((Poly(tuple(pc.monic(base, irr)), base), mult))
+        pieces = [sqf] if pc.deg(sqf) == 1 else _berlekamp_split(base, sqf)
+        factors.extend((Poly(tuple(irr), base), mult) for irr in pieces)
     factors.sort(key=lambda fm: (fm[0].degree(), repr(fm[0].to_json()), fm[1]))
     result = FactorList(unit, tuple(factors))
     if result.expand(base) != f:
@@ -265,10 +254,10 @@ def is_irreducible(f: Poly) -> bool:
     return pc.is_irreducible(f.base, list(f.coeffs), f.base.order)
 
 
-def roots(f: Poly, seed: int | None = None):
+def roots(f: Poly):
     """Roots in the base field with multiplicities, via full factorization."""
     out = []
-    for g, m in factor_over_finite_field(f, seed=seed).factors:
+    for g, m in factor_over_finite_field(f).factors:
         if g.degree() == 1:
             out.append((f.base.neg(g.coeffs[0]), m))
     return out

@@ -112,12 +112,16 @@ class TowerExtension(mp.Ring):
 
     # -- materialization -----------------------------------------------------
 
+    def _family_levels(self, name):
+        """Each (family, index) that reads name as a level ensure_name can make."""
+        return [(fam, i) for fam, i in self._family_candidates(name)
+                if fam in self.families and i >= self.family_min[fam]]
+
     def ensure_name(self, name):
         if name in self.by_name:
             return self.by_name[name]
-        for fam, i in self._family_candidates(name):
-            if fam in self.families and i >= self.family_min[fam]:
-                return self._add_level(name, fam, i, _family_level(self, self.families[fam], i))
+        for fam, i in self._family_levels(name):
+            return self._add_level(name, fam, i, _family_level(self, self.families[fam], i))
         raise TowerError(f"unknown tower generator {name!r}")
 
     def add_explicit_level(self, name, minpoly_exprs, sigma_text, cert=None):
@@ -601,16 +605,14 @@ class RadicialVerdict:
         self.status, self.exponents, self.evidence = status, exponents, evidence
 
 
-def is_sigma_radicial(T: TowerExtension, horizon: int = 6,
-                      subfield=None) -> RadicialVerdict:
+def is_sigma_radicial(T: TowerExtension, horizon: int = 6) -> RadicialVerdict:
     """Search sigma powers of every materialized generator for membership in
-    the base (or a given subfield span)."""
+    the base."""
     exps = {}
     evidence = {}
     ok = True
     for lv in list(T.levels):
-        found = _least_sigma_power(T, T.gen(T.by_name[lv.name]), horizon,
-                                   lambda el: _member(T, el, subfield))
+        found = _least_sigma_power(T, T.gen(T.by_name[lv.name]), horizon, T.in_base)
         if found is None:
             ok = False
             evidence[lv.name] = {
@@ -631,14 +633,6 @@ def _least_sigma_power(T, g, horizon, inside):
             return n
         cur = T.sigma(cur)
     return None
-
-
-def _member(T, el, subfield):
-    if subfield is None:
-        return T.in_base(el)
-    span, monos, index = subfield
-    cv = T.coords(T._reduce(el), monos, index)
-    return cv is not None and span.contains(cv)
 
 
 def field_sigma_radicial_over(K_star, K) -> RadicialVerdict:
@@ -667,8 +661,7 @@ class FiniteCoreResult:
         self.strongly_sigma_etale = strongly_sigma_etale
 
 
-def strong_core_finite_ext(T: TowerExtension, over=None,
-                           level_count=None) -> FiniteCoreResult:
+def strong_core_finite_ext(T: TowerExtension, level_count=None) -> FiniteCoreResult:
     """Stabilize the decreasing chain of sigma-image subfields and certify.
 
     Returns the stabilized subfield as an algebra over the base together
@@ -680,20 +673,18 @@ def strong_core_finite_ext(T: TowerExtension, over=None,
     n_levels = len(T.levels) if level_count is None else level_count
     monos = T.monomials(n_levels)
     index = {m: t for t, m in enumerate(monos)}
-    over_gens = [T._reduce(g) for g in (over or [])]
     # each stage is K[gens]; sigma is a ring map, so the next one is
-    # K[over, sigma(gens)], and sigma(K[gens]) stays in the prefix exactly
-    # when sigma(gens) does
+    # K[sigma(gens)], and sigma(K[gens]) stays in the prefix exactly when
+    # sigma(gens) does
     gens = [T.gen(t) for t in range(n_levels)]
     dims = [len(monos)]
     prev_span = None
     while True:
-        images = [T.sigma(g) for g in gens]
-        for el in images:
+        gens = [T.sigma(g) for g in gens]
+        for el in gens:
             if T.coords(el, monos, index) is None:
                 raise TowerError("sigma images escape the finite prefix; "
                                  "the extension is not sigma-closed")
-        gens = over_gens + images
         new_span, _, _ = T.subalgebra_span(gens, n_levels)
         dims.append(new_span.dim())
         if dims[-1] == dims[-2]:
@@ -707,12 +698,15 @@ def strong_core_finite_ext(T: TowerExtension, over=None,
         v = T.coords(x, monos, index)
         return None if v is None else span.coordinates(v)
 
+    def in_core(el):
+        v = T.coords(T._reduce(el), monos, index)
+        return v is not None and span.contains(v)
+
     algebra = algebra_on_basis(T.base, core_basis, T.mul, T.sigma, T.one(), coords)
     ssetale = is_strongly_sigma_etale(algebra)
     exps = {}
     for lv in T.levels[:n_levels]:
-        found = _least_sigma_power(T, T.gen(T.by_name[lv.name]), stabilized + 1,
-                                   lambda el: _member(T, el, (span, monos, index)))
+        found = _least_sigma_power(T, T.gen(T.by_name[lv.name]), stabilized + 1, in_core)
         if found is None:
             raise AssertionError("generator sigma power failed to land in the core")
         exps[lv.name] = found
@@ -748,7 +742,7 @@ def inversive_closure(obj, depth: int = 1):
     Q and Moebius function fields are already inversive; shift fields deepen
     their index range; expanding function fields are unsupported.  A tower of
     radical blocks is its document over the deepened base, each family
-    starting at index -depth.
+    starting depth below its var_start.
     """
     if depth < 0:
         raise TowerError(f"closure depth must be >= 0, not {depth}")
@@ -768,7 +762,8 @@ def _tower_inversive_closure(T, depth):
     if not fams or any(f["kind"] != "radical-block" for f in fams):
         raise TowerError("inversive closure needs radical families")
     return tower_from_json(dict(tower_to_json(T), base=inversive_closure(T.base, depth),
-                                families=[dict(f, var_start=-depth) for f in fams]))
+                                families=[dict(f, var_start=f.get("var_start", 0) - depth)
+                                          for f in fams]))
 
 
 # -- serialization -----------------------------------------------------------------
@@ -859,6 +854,15 @@ def tower_from_json(data) -> TowerExtension:
     for g in groups:
         if g.value["family"] not in T.families:
             raise g.key("family").error(f"names {g.value['family']!r}, which is no family")
+    for f in fams:
+        if f.value["kind"] != "specialization-verified" and f.value["r"] < 2:
+            raise f.key("r").error(f"must be at least 2, not {f.value['r']}")
+        if f.value["kind"] == "radical-on" and f.value["on"] not in T.families:
+            raise f.key("on").error(f"names {f.value['on']!r}, which is no family")
+    for g in doc.get("explicit_groups", []).each(list):
+        for name in g.each(str):
+            if name.value not in T.by_name and not T._family_levels(name.value):
+                raise name.error(f"names {name.value!r}, which is no level")
     spec = [f for f in fams if f.value["kind"] == "specialization-verified"]
     T.certified_kind = None if spec else "mixed-radical" if fams else "finite-levels"
     for f in spec:      # certified at level zero only, and Galois there

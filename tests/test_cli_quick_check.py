@@ -227,6 +227,13 @@ RADICAL_BLOCK_A = {"name": "a", "kind": "radical-block", "r": 2, "var_start": 0}
      [{"family": "a", "start": 0}, {"family": "a", "start": 1}], "families[0]"),
     (["ld"], _radical_tower, "family_groups",
      [{"family": "a", "start": 0}, {"family": "b", "start": 0}], "family_groups[1].family"),
+    # names the loader resolves without making a level
+    (["ld"], _radical_tower, "families",
+     [{"name": "a", "kind": "radical-block", "r": 1, "var_start": 0}], "families[0].r"),
+    (["ld"], _stacked_tower, "families",
+     [{"name": "a", "kind": "radical-block", "r": 2, "var_start": 0},
+      {"name": "c", "kind": "radical-on", "r": 2, "on": "q", "shift": 1}], "families[1].on"),
+    (["ld"], _stacked_tower, "explicit_groups", [["a0", "zz"]], "explicit_groups[0][1]"),
 ], ids=["algebra-mul", "tower-levels", "presentation-poly", "hopf-comul",
         "hopf-null-scalar", "babbitt-chain", "mul-null-scalar", "base-p-string",
         "defpoly-string", "tower-level-sigma", "tower-level-name", "tower-level-minpoly",
@@ -235,7 +242,8 @@ RADICAL_BLOCK_A = {"name": "a", "kind": "radical-block", "r": 2, "var_start": 0}
         "qt-num-algebra", "qt-den-algebra", "qt-sigma-t-tower", "qt-num-tower",
         "qt-den-tower", "shift-min-index-algebra", "shift-min-index-tower",
         "family-named-twice", "family-without-group", "family-with-two-groups",
-        "group-without-family"])
+        "group-without-family", "family-r-below-two", "radical-on-no-family",
+        "explicit-group-no-level"])
 def test_field_of_wrong_json_type_is_an_input_error(tmp_path, argv, make, field,
                                                     value, path):
     doc = dict(make(), **{field: value})

@@ -7,10 +7,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import diffalg._linalg as la
+import diffalg._multipoly as mp
 from diffalg import findiff
 from diffalg.exactfield import DifferenceField, GaloisField, PrimeField, Rationals
 from diffalg.diffpoly import UnsupportedPresentationError
-from diffalg.findiff import (_SPLIT_ROUNDS, CompatibilityError, FinSigmaAlgebra,
+from diffalg.findiff import (CompatibilityError, FinSigmaAlgebra,
                              RestrictedAutomationError, ZeroRingError, algebra_on_basis,
                              algebra_validate, base_change, field_embedding,
                              is_etale, is_periodic, is_sigma_reduced,
@@ -19,8 +20,7 @@ from diffalg.findiff import (_SPLIT_ROUNDS, CompatibilityError, FinSigmaAlgebra,
                              quotient_by_sigma_ideal, restrict_scalars,
                              sigma_subalgebra_generated, splitting_extension,
                              strong_core, tensor_product, twist_and_psi,
-                             _default_horizon, _local_factors, _relative_basis,
-                             _split_fixed)
+                             _default_horizon, _local_factors, _relative_basis)
 from diffalg.instances import (conjugate, diagonal_algebra, field_algebra,
                                nilpotent_sigma_separable, random_invertible,
                                random_point_algebra, random_strongly_setale,
@@ -267,14 +267,15 @@ def test_non_associative_input_raises_instead_of_hanging():
         primitive_idempotents(A)
 
 
-def test_splitter_gives_up_after_its_round_cap():
+def test_splitter_gives_up_after_its_round_cap(monkeypatch):
     # a field claimed to have two local factors never splits
     A = field_algebra(3, [1, 0, 1])
-    rounds = []
-    A.power = lambda v, e: rounds.append(e) or FinSigmaAlgebra.power(A, v, e)
+    rounds, power = [], mp.power
+    monkeypatch.setattr(mp, "power",
+                        lambda f, e, one, mul: rounds.append(e) or power(f, e, one, mul))
     with pytest.raises(AssertionError, match="primitive idempotent count mismatch"):
-        _split_fixed(A, [A.unit, A.unit])
-    assert len(rounds) == _SPLIT_ROUNDS
+        la.split_idempotents(A.base, A.unit, [A.unit, A.unit], A.multiply)
+    assert len(rounds) == la._SPLIT_ROUNDS
 
 
 def test_residue_primitive_search_gives_up_after_its_round_cap(monkeypatch):
@@ -289,7 +290,7 @@ def test_residue_primitive_search_gives_up_after_its_round_cap(monkeypatch):
     monkeypatch.setattr(findiff, "_irreducible_part", claimed_degree)
     with pytest.raises(AssertionError, match="no residue-primitive element"):
         _local_factors(field_algebra(3, [1, 0, 1]))
-    assert len(draws) == 2 + _SPLIT_ROUNDS
+    assert len(draws) == 2 + la._SPLIT_ROUNDS
 
 
 # -- periodicity ----------------------------------------------------------------------

@@ -83,7 +83,7 @@ def test_factorization_roundtrip_500_random():
             f = Poly.make(k, coeffs)
             if f.is_zero():
                 continue
-            fl = factor_over_finite_field(f, seed=99)
+            fl = factor_over_finite_field(f)
             assert fl.expand(k) == f
             for g, _ in fl.factors:
                 assert is_irreducible(g) and g.is_monic()
@@ -98,12 +98,42 @@ def test_factorization_over_extension_field():
     assert fl.expand(F9) == f
 
 
+@pytest.mark.parametrize("p, defpoly", [(2, [1, 1, 1]), (2, [1, 1, 0, 1]), (3, [1, 0, 1]),
+                                        (5, [2, 1, 1]), (5, [2, 1, 0, 0, 0, 0, 1])],
+                         ids=["F4", "F8", "F9", "F25", "F5^6"])
+def test_factorization_over_extension_fields_is_unique(p, defpoly):
+    # seeded products with repeated factors and a p-th power; the factorization
+    # is unique, so the product, monic factors that differ and Rabin's test
+    # pin it down; F_5^6 is above the log-table cap
+    F = GaloisField(p, defpoly)
+    rng = random.Random(4200 + F.order)
+    for _ in range(6 if F.order < 1000 else 3):
+        unit = next(c for c in iter(lambda: F.sample(rng), None) if not F.is_zero(c))
+        coeffs = [unit]
+        for _ in range(rng.randint(2, 3)):
+            g = [F.sample(rng) for _ in range(rng.randint(1, 3))] + [F.one()]
+            for _ in range(rng.randint(1, 2)):
+                coeffs = pc.mul(F, coeffs, g)
+        root = [F.sample(rng), F.one()]
+        for _ in range(p):
+            coeffs = pc.mul(F, coeffs, root)
+        fl = factor_over_finite_field(Poly.make(F, coeffs))
+        product = [fl.unit]
+        for g, m in fl.factors:
+            assert g.is_monic() and pc.is_irreducible(F, list(g.coeffs), F.order)
+            for _ in range(m):
+                product = pc.mul(F, product, list(g.coeffs))
+        assert pc.eq(F, product, coeffs)
+        assert len({g for g, _ in fl.factors}) == len(fl.factors)
+        assert max(m for _, m in fl.factors) >= p
+
+
 def test_factorization_deterministic_under_seed():
     rng = random.Random(5)
     k = PrimeField(3)
     f = Poly.make(k, [k.sample(rng) for _ in range(7)] + [k.one()])
-    a = factor_over_finite_field(f, seed=7)
-    b = factor_over_finite_field(f, seed=7)
+    a = factor_over_finite_field(f)
+    b = factor_over_finite_field(f)
     assert [(g.to_json(), m) for g, m in a.factors] == \
         [(g.to_json(), m) for g, m in b.factors]
 
