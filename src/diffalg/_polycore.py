@@ -7,10 +7,10 @@ operations (zero, one, add, sub, neg, mul, inv, eq, is_zero, from_int) and
 the two kernels everything here is built on, poly_mul(f, g) and
 poly_divmod(f, g).  Kernels below holds their generic loops over the scalar
 operations; a field may override them with kernels that give the same
-results (F_p sums machine ints, a table F_q works on Zech logarithms, see
-exactfield).  This module is internal plumbing shared by the field
-constructors, the public polynomial layer and the tower machinery; a tower
-passes itself as the field, its elements being the coefficients.
+results (a table F_q divides on Zech logarithms, see exactfield).  This
+module is internal plumbing shared by the field constructors, the public
+polynomial layer and the tower machinery; a tower passes itself as the
+field, its elements being the coefficients.
 """
 
 from __future__ import annotations

@@ -243,10 +243,10 @@ class Presentation(mp.Ring):
                 "gens": [{"poly": t} for t in self.generator_texts]}
 
     @staticmethod
-    def from_json(data, base=None):
+    def from_json(data):
         """Load a presentation from a plain JSON value or a _load.Cursor."""
         doc = cursor(data)
-        base = base if base is not None else field_make(doc.key("base"))
+        base = field_make(doc.key("base"))
         gens = [g.key("poly").of(str) for g in doc.key("gens").each()]
         var_names = doc.key("vars").array(str)
         with doc.blame():

@@ -41,16 +41,17 @@ stored forms with == on every kind.  Every kind's bilinear_table has one
 shape: row i lists (j, cell) for the nonzero products e_i e_j only, cell the
 nonzero (t, c) of e_i e_j = sum c e_t, so bilinear never visits an empty
 product (n^2 - n of them on a point algebra); a Zech table stores log c in
-place of c.  PrimeField overrides the kernels with int arithmetic, one
-reduction mod p per output entry, eliminates a matrix of PACKED_MIN_ROWS
-rows or more on rows packed into ints, one int operation per row pair and
-XOR at p = 2, decodes a vector of one-digit scalars as bytes, with no call
-per cell, and encodes through a table of strings; GaloisField tests,
-decodes and encodes whole vectors of coordinate tuples, computes the rest
-over Zech logarithms at orders up to TABLE_MAX_ORDER and its products on
-coordinate lists above it.  A JSON scalar of F_p, or coordinate of one of
-F_q, is an integer or a string that int() reads; a float or a boolean is an
-input error, not the integer int() would make of it.
+place of c.  PrimeField overrides the vector kernels with int arithmetic,
+one reduction mod p per output entry, eliminates a matrix of
+PACKED_MIN_ROWS rows or more on rows packed into ints, one int operation
+per row pair and XOR at p = 2, decodes a vector of one-digit scalars as
+bytes, with no call per cell, and encodes through a table of strings;
+GaloisField decodes and encodes whole vectors of coordinate tuples and, at
+orders up to TABLE_MAX_ORDER, computes row_sub, bilinear and poly_divmod
+over Zech logarithms.  Every other kernel of the two is the generic loop
+over the field's own scalar methods.  A JSON scalar of F_p, or coordinate
+of one of F_q, is an integer or a string that int() reads; a float or a
+boolean is an input error, not the integer int() would make of it.
 """
 
 from __future__ import annotations
@@ -552,32 +553,6 @@ class PrimeField(DifferenceField):
                 if y:
                     packed[i] += y * minus_inv % p * pivot
 
-    def poly_mul(self, f, g):
-        if not f or not g:
-            return []
-        out = [0] * (len(f) + len(g) - 1)
-        for i, a in enumerate(f):
-            if a:
-                for j, b in enumerate(g, i):
-                    out[j] += a * b
-        p = self.p
-        return pc.trim(self, [x % p for x in out])
-
-    def poly_divmod(self, f, g):
-        if not g or len(f) < len(g):
-            return super().poly_divmod(f, g)
-        p, n = self.p, len(g) - 1
-        m = p - self.inv(g[-1])          # -1/lc(g)
-        f, q = list(f), [0] * (len(f) - n)
-        head = list(enumerate(g[:n]))
-        for d in range(len(f) - 1 - n, -1, -1):
-            c = f[d + n] * m % p         # -(quotient coefficient)
-            if c:
-                q[d] = p - c
-                for i, b in head:
-                    f[d + i] += c * b
-        return pc.trim(self, q), pc.trim(self, [x % p for x in f[:n]])
-
     def descriptor(self):
         return {"kind": "Fq", "p": self.p, "frobenius_power": self.frobenius_power}
 
@@ -619,13 +594,13 @@ class GaloisField(DifferenceField):
     2.7 MB at q = 5^6, and zech, a tuple of q - 1 references to log's ints,
     adds 33 KB at q = 2^12.
 
-    Below the cap, the vector and polynomial kernels (dot, row_sub,
-    row_scale, bilinear, poly_mul, poly_divmod) look each input entry
-    up in log once, None standing for zero, multiply by adding logs,
-    accumulate by the Zech step written out in each loop, and look each
-    output entry up in exp once.  bilinear_table stores each structure
-    constant c of the generic table as log c, once per algebra, so bilinear
-    looks up no constant.
+    Below the cap, three kernels (row_sub, bilinear and poly_divmod) look
+    each input entry up in log once, None standing for zero, multiply by
+    adding logs, accumulate by the Zech step written out in each loop, and
+    look each output entry up in exp once.  bilinear_table stores each
+    structure constant c of the generic table as log c, once per algebra,
+    so bilinear looks up no constant.  The other kernels are the generic
+    loops over mul and add, which read the same tables.
 
     Above the cap, such as F_5^6 or a user's F_p^n with large p, there are
     no tables.  Sums stay coordinatewise mod p.  mul multiplies the
@@ -726,29 +701,16 @@ class GaloisField(DifferenceField):
 
     # -- kernels on Zech logarithms; None is the log of zero -----------------
     #
-    # Each kernel adds g^e to an accumulated log s with the Zech step written
-    # out: s = e mod (q-1) if s is None, else s + zech[e - s], None for zero.
+    # row_sub, bilinear and poly_divmod each add g^e to an accumulated log s
+    # with the Zech step written out: s = e mod (q-1) if s is None, else
+    # s + zech[e - s], None for zero.
 
-    def _exps(self, logs, trim=False):
-        """The elements with these logs, less trailing zeros if trim."""
-        while trim and logs and logs[-1] is None:
+    def _exps(self, logs):
+        """The elements with these logs, less trailing zeros."""
+        while logs and logs[-1] is None:
             logs.pop()
         exp, zero = self._exp, self._zero
         return [zero if i is None else exp[i] for i in logs]
-
-    def dot(self, u, v):
-        log = self._log
-        if log is None:
-            return super().dot(u, v)
-        zech, q1, s = self._zech, self._q1, None
-        for a, b in zip(map(log.get, u), map(log.get, v)):
-            if a is not None and b is not None:
-                if s is None:
-                    s = (a + b) % q1
-                else:
-                    z = zech[(a + b - s) % q1]
-                    s = None if z is None else (s + z) % q1
-        return self._zero if s is None else self._exp[s]
 
     def row_sub(self, v, c, row):
         log, zero = self._log, self._zero
@@ -767,13 +729,6 @@ class GaloisField(DifferenceField):
                     a = zero if z is None else exp[(s + z) % q1]
             out.append(a)
         return out
-
-    def row_scale(self, c, row):
-        log, exp, zero = self._log, self._exp, self._zero
-        if log is None or c == zero:
-            return super().row_scale(c, row)
-        lc = log[c]
-        return [a if a == zero else exp[(log[a] + lc) % self._q1] for a in row]
 
     def bilinear_table(self, mul):
         table, log = super().bilinear_table(mul), self._log
@@ -802,23 +757,6 @@ class GaloisField(DifferenceField):
                                 acc[t] = None if z is None else (s + z) % q1
         return [zero if s is None else exp[s] for s in acc]
 
-    def poly_mul(self, f, g):
-        log = self._log
-        if log is None or not f or not g:
-            return super().poly_mul(f, g)
-        zech, q1, acc = self._zech, self._q1, [None] * (len(f) + len(g) - 1)
-        lg = [(j, b) for j, b in enumerate(map(log.get, g)) if b is not None]
-        for i, a in enumerate(map(log.get, f)):
-            if a is not None:
-                for j, b in lg:
-                    s = acc[i + j]
-                    if s is None:
-                        acc[i + j] = (a + b) % q1
-                    else:
-                        z = zech[(a + b - s) % q1]
-                        acc[i + j] = None if z is None else (s + z) % q1
-        return self._exps(acc, trim=True)
-
     def poly_divmod(self, f, g):
         log = self._log
         if log is None or not g or len(f) < len(g):
@@ -842,7 +780,7 @@ class GaloisField(DifferenceField):
                     else:
                         z = zech[(e + b - s) % q1]
                         acc[d + i] = None if z is None else (s + z) % q1
-        return self._exps(q, trim=True), self._exps(acc[:n], trim=True)
+        return self._exps(q), self._exps(acc[:n])
 
     def mul(self, a, b):
         zero, log = self._zero, self._log
@@ -967,15 +905,6 @@ class GaloisField(DifferenceField):
 
     def vec_to_json(self, v):
         return list(map(list, v))
-
-    # stored elements are coordinate tuples, so a zero is one with no nonzero
-    # coordinate, tables or not
-
-    def vec_is_zero(self, v):
-        return not any(map(any, v))
-
-    def vec_nonzero(self, v):
-        return list(compress(enumerate(v), map(any, v)))
 
     def descriptor(self):
         return {

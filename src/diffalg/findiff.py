@@ -122,9 +122,8 @@ class FinSigmaAlgebra:
     def is_idempotent(self, v):
         return self.vec_eq(self.multiply(v, v), v)
 
-    def evaluate_poly(self, f: Poly, v, unit=None):
+    def evaluate_poly(self, f: Poly, v, unit):
         """f(v) inside the algebra, the constant term times the given unit."""
-        unit = self.unit if unit is None else unit
         acc = self.zero_vec()
         for c in reversed(list(f.coeffs)):
             acc = self.multiply(acc, v)

@@ -675,22 +675,20 @@ def strong_core_finite_ext(T: TowerExtension, level_count=None) -> FiniteCoreRes
     index = {m: t for t, m in enumerate(monos)}
     # each stage is K[gens]; sigma is a ring map, so the next one is
     # K[sigma(gens)], and sigma(K[gens]) stays in the prefix exactly when
-    # sigma(gens) does
+    # sigma(gens) does.  Stage s+1 lies in stage s, so equal dimensions mean
+    # the same subspace, whose reduced echelon rows the last span holds
     gens = [T.gen(t) for t in range(n_levels)]
     dims = [len(monos)]
-    prev_span = None
     while True:
         gens = [T.sigma(g) for g in gens]
         for el in gens:
             if T.coords(el, monos, index) is None:
                 raise TowerError("sigma images escape the finite prefix; "
                                  "the extension is not sigma-closed")
-        new_span, _, _ = T.subalgebra_span(gens, n_levels)
-        dims.append(new_span.dim())
+        span, _, _ = T.subalgebra_span(gens, n_levels)
+        dims.append(span.dim())
         if dims[-1] == dims[-2]:
-            span = prev_span if prev_span is not None else new_span
             break
-        prev_span = new_span
     stabilized = len(dims) - 2
     core_basis = [T.from_coords(v, monos) for v in span.basis()]
 

@@ -1,6 +1,7 @@
 """Field constructions, endomorphism laws, canonical forms, serialization."""
 
 import ast
+import functools
 import itertools
 import json
 import random
@@ -264,13 +265,16 @@ def test_zech_table_is_the_log_of_one_plus_each_power(p, defpoly):
         [0 if p == 2 else (F.order - 1) // 2]
 
 
-# -- Zech-log kernels against the generic loops, and identities above the cap -------
+# -- F_q kernels against the generic loops and F_p oracles, and identities ---------
 
-# F_625, F_729 and F_4096 have tables.  Above the cap the kernels are the
-# generic loops themselves, over a coordinate-list mul and an extended-Euclid
-# inv: F_15625, F_2^13 and F_3^8 give each of p = 5, 2, 3 a field there, and
-# F_p^3 for p = 2^61 - 1 one whose coordinate products pass 64 bits.  There
-# the loops are checked by identities that hold whatever computes them.
+# The Zech-log kernels (row_sub, bilinear, poly_divmod) are checked against
+# the generic loops, and the kernels that are those loops against sums of
+# products computed over F_p.  F_625, F_729 and F_4096 have tables.  Above
+# the cap every kernel is a generic loop, over a coordinate-list mul and an
+# extended-Euclid inv: F_15625, F_2^13 and F_3^8 give each of p = 5, 2, 3 a
+# field there, and F_p^3 for p = 2^61 - 1 one whose coordinate products pass
+# 64 bits.  There the loops are also checked by identities that hold
+# whatever computes them.
 ABOVE_CAP_FIELDS = [(2, [1, 1, 0, 1, 1] + [0] * 8 + [1]), (3, [2, 0, 1] + [0] * 5 + [1]),
                     (2 ** 61 - 1, [2, 2, 0, 1])]
 KERNEL_FIELDS = ZECH_FIELDS + LARGE_FIELDS + ABOVE_CAP_FIELDS
@@ -284,6 +288,29 @@ def _field_id(p, defpoly):
 def _seeded_poly(F, rng, top):
     f = [F.zero() if rng.random() < 0.3 else F.sample(rng) for _ in range(rng.randint(0, top))]
     return pc.trim(F, f)
+
+
+def _coordinate_kernels(F):
+    """dot(u, v) and poly_mul(f, g) over F from _oracle(F)'s product, with
+    sums taken coordinate by coordinate mod p; mul is that product."""
+    mul, p = _oracle(F)[0], F.p
+
+    def add(x, y):
+        return tuple((s + t) % p for s, t in zip(x, y))
+
+    def dot(u, v):
+        return functools.reduce(add, map(mul, u, v), F.zero())
+
+    def poly_mul(f, g):
+        out = [F.zero()] * (len(f) + len(g) - 1 if f and g else 0)
+        for i, a in enumerate(f):
+            for j, b in enumerate(g, i):
+                out[j] = add(out[j], mul(a, b))
+        while out and not any(out[-1]):
+            out.pop()
+        return out
+
+    return mul, dot, poly_mul
 
 
 def _check_poly_identities(F, f, g, points):
@@ -306,8 +333,10 @@ def test_galois_kernels_equal_the_generic_loops(p, defpoly):
     a, b = F.sample(rng), F.sample(rng)
     while F.is_zero(a) or F.is_zero(b):
         a, b = F.sample(rng), F.sample(rng)
-    # products and inverses against _polycore over F_p
-    mul, fp = _oracle(F)[0], F.prime
+    # products and inverses against _polycore over F_p; dot, row_scale, kron
+    # and poly_mul, the generic loops over F's scalars, against coordinate
+    # sums of those products
+    (mul, dot, poly_mul), fp = _coordinate_kernels(F), F.prime
     elems = [F.zero(), F.one(), F.generator(), a, b] + [F.sample(rng) for _ in range(40)]
     for x in elems:
         assert [F.mul(x, y) for y in elems[:9]] == [mul(x, y) for y in elems[:9]]
@@ -318,14 +347,14 @@ def test_galois_kernels_equal_the_generic_loops(p, defpoly):
     for v in vectors:
         row = [F.zero() if rng.random() < 0.3 else F.sample(rng) for _ in v]
         for c in (F.sample(rng), F.zero(), F.one()):
-            assert F.dot(v, row) == G.dot(F, v, row)
+            assert F.dot(v, row) == dot(v, row)
             assert F.row_sub(v, c, row) == G.row_sub(F, v, c, row)
-            assert F.row_scale(c, v) == G.row_scale(F, c, v)
-        assert F.kron(v, row) == G.kron(F, v, row) == [F.mul(x, y) for x in v for y in row]
+            assert F.row_scale(c, v) == [mul(c, x) for x in v]
+        assert F.kron(v, row) == [mul(x, y) for x in v for y in row]
         assert F.row_sub(v, a, v) == G.row_sub(F, v, a, v)
         assert F.row_sub(row, F.one(), row) == [F.zero()] * len(row)    # cancels
     # a b + a (-b) = 0
-    assert F.dot([a, a], [b, F.neg(b)]) == G.dot(F, [a, a], [b, F.neg(b)]) == F.zero()
+    assert F.dot([a, a], [b, F.neg(b)]) == dot([a, a], [b, F.neg(b)]) == F.zero()
     # structure constants with zeros, each side on the table it builds
     n, z = 4, F.zero()
     mul = [[[F.sample(rng) if rng.random() < 0.4 else z for _ in range(n)]
@@ -343,7 +372,7 @@ def test_galois_kernels_equal_the_generic_loops(p, defpoly):
     points = [F.zero(), a, F.sample(rng)]
     for f in polys:
         for g in polys:
-            assert F.poly_mul(f, g) == G.poly_mul(F, f, g)
+            assert F.poly_mul(f, g) == poly_mul(f, g)
             if g:
                 assert F.poly_divmod(f, g) == G.poly_divmod(F, f, g)
             _check_poly_identities(F, f, g, points)
@@ -353,7 +382,7 @@ def test_galois_kernels_equal_the_generic_loops(p, defpoly):
     for lf, lg in ((24, 1), (24, 12), (12, 24), (30, 9), (30, 2)):
         f, g = [top] * lf, [top] * lg
         for h in (g, [F.sample(rng) for _ in range(lg - 1)] + [top]):
-            assert F.poly_mul(f, h) == G.poly_mul(F, f, h)
+            assert F.poly_mul(f, h) == poly_mul(f, h)
             assert F.poly_divmod(f, h) == G.poly_divmod(F, f, h)
             _check_poly_identities(F, f, h, points)
     # quotient coefficients (1, ..., 1) over a divisor head of all p - 1:
@@ -361,10 +390,10 @@ def test_galois_kernels_equal_the_generic_loops(p, defpoly):
     ones = (1,) * F.degree
     for lq, lg in ((20, 12), (12, 20), (25, 3)):
         q, g = [ones] * lq, [top] * (lg - 1) + [F.one()]
-        assert F.poly_divmod(G.poly_mul(F, q, g), g) == (q, [])
+        assert F.poly_divmod(poly_mul(q, g), g) == (q, [])
     # (x + a)(x - a) = x^2 - a^2: the middle coefficient cancels
     plus, minus = [a, F.one()], [F.neg(a), F.one()]
-    assert F.poly_mul(plus, minus) == G.poly_mul(F, plus, minus) \
+    assert F.poly_mul(plus, minus) == poly_mul(plus, minus) \
         == [F.neg(F.mul(a, a)), F.zero(), F.one()]
     assert F.poly_divmod(F.poly_mul(plus, minus), minus) == ([a, F.one()], [])
     with pytest.raises(ZeroDivisionError):
@@ -374,16 +403,28 @@ def test_galois_kernels_equal_the_generic_loops(p, defpoly):
 @pytest.mark.parametrize("p", [2, 5, 7])
 def test_prime_polynomial_kernels_equal_the_generic_loops(p):
     k, rng = PrimeField(p), random.Random(1900 + p)
+
+    def convolution(f, g):
+        """f g by a plain int convolution mod p, trailing zeros dropped."""
+        out = [0] * (len(f) + len(g) - 1 if f and g else 0)
+        for i, a in enumerate(f):
+            for j, b in enumerate(g, i):
+                out[j] = (out[j] + a * b) % p
+        while out and not out[-1]:
+            out.pop()
+        return out
+
     polys = [_seeded_poly(k, rng, 9) for _ in range(40)] + [[], [1], [0, 1]]
     for f in polys:
         for g in polys:
-            assert k.poly_mul(f, g) == DifferenceField.poly_mul(k, f, g)
+            assert k.poly_mul(f, g) == convolution(f, g)
             if not g:
                 continue
+            # canonical q and r with f = q g + r and deg r < deg g are unique
             q, r = k.poly_divmod(f, g)
-            assert (q, r) == DifferenceField.poly_divmod(k, f, g)
+            assert all(c == pc.trim(k, [x % p for x in c]) for c in (q, r))
             assert len(r) < len(g)
-            assert pc.add(k, k.poly_mul(q, g), r) == f     # f = q g + r
+            assert pc.add(k, convolution(q, g), r) == f     # f = q g + r
     with pytest.raises(ZeroDivisionError):
         k.poly_divmod([1], [])
 
