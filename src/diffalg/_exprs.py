@@ -69,10 +69,12 @@ def evaluate(text, ops):
     # caret powers get Python's exponent precedence
     source = text.replace("^", "**")
     try:
-        tree = ast.parse(source, mode="eval")
+        return _ev(ast.parse(source, mode="eval").body, ops)
     except SyntaxError as exc:
         raise ExpressionError(f"cannot parse {text!r}: {exc}") from exc
-    return _ev(tree.body, ops)
+    except (RecursionError, MemoryError) as exc:
+        # the parser and _ev recurse once per level of nesting
+        raise ExpressionError("expression nests too deeply") from exc
 
 
 def _int_literal(node):

@@ -42,26 +42,25 @@ shape: row i lists (j, cell) for the nonzero products e_i e_j only, cell the
 nonzero (t, c) of e_i e_j = sum c e_t, so bilinear never visits an empty
 product (n^2 - n of them on a point algebra); a Zech table stores log c in
 place of c.  PrimeField overrides the vector kernels with int arithmetic,
-one reduction mod p per output entry, eliminates a matrix of
-PACKED_MIN_ROWS rows or more on rows packed into ints, one int operation
-per row pair and XOR at p = 2, decodes a vector of one-digit scalars as
-bytes, with no call per cell, and encodes through a table of strings;
-GaloisField decodes and encodes whole vectors of coordinate tuples and, at
-orders up to TABLE_MAX_ORDER, computes row_sub, bilinear and poly_divmod
-over Zech logarithms.  Every other kernel of the two is the generic loop
-over the field's own scalar methods.  A JSON scalar of F_p, or coordinate
-of one of F_q, is an integer or a string that int() reads; a float or a
-boolean is an input error, not the integer int() would make of it.
+one reduction mod p per output entry, eliminates a matrix of PACKED_MIN_ROWS
+rows or more at p <= 13 on rows packed into ints, a byte per column, one int
+operation per row pair and XOR at p = 2 (above 13 one pivot could overflow a
+byte, and the loop runs), decodes a vector of one-digit scalars as bytes,
+with no call per cell, and encodes through a table of strings; GaloisField
+decodes and encodes whole vectors of coordinate tuples and, at orders up to
+TABLE_MAX_ORDER, computes row_sub, bilinear and poly_divmod over Zech
+logarithms.  Every other kernel of the two is the generic loop over the
+field's own scalar methods.  A JSON scalar of F_p, or coordinate of one of
+F_q, is an integer or a string that int() reads; a float or a boolean is an
+input error, not the integer int() would make of it.
 """
 
 from __future__ import annotations
 
-from array import array
 from collections import namedtuple
 import functools
 from itertools import chain, compress
 import operator
-import sys
 
 from . import _multipoly as mp
 from . import _polycore as pc
@@ -507,37 +506,35 @@ class PrimeField(DifferenceField):
 
     def pivots(self, m):
         """DifferenceField.pivots's triples, from each row packed into one int
-        with a W-byte slot per column.  At p = 2 a row takes the pivot row by
-        XOR.  At odd p a row is reduced mod p only when it becomes the pivot,
-        and each lower row with y in the pivot column x takes (-y/x mod p) *
-        pivot as one int multiply-add, so a slot stays below (p-1) + rows
-        (p-1)^2; one-byte slots are reduced by one bytes.translate.  Below
-        PACKED_MIN_ROWS rows, or past 8-byte slots, the loop runs."""
+        with a byte per column.  At p = 2 a row takes the pivot row by XOR.  At
+        odd p each lower row with y in the pivot column x takes (-y/x mod p) *
+        pivot as one int multiply-add, which adds at most (p-1)^2 to a slot.
+        The pivot row is reduced mod p by one bytes.translate when it is
+        chosen, and every row below it after each every = (256-p) // (p-1)^2
+        pivots, so a slot stays at most (p-1) + every (p-1)^2 <= 255 and never
+        carries.  Below PACKED_MIN_ROWS rows, or at p above 13, where one pivot
+        could overflow a byte, the loop runs."""
         p, rows = self.p, len(m)
-        W = 1 if p == 2 else _slot_width(p - 1 + rows * (p - 1) ** 2)
-        if rows < PACKED_MIN_ROWS or W > 8:
+        every = (256 - p) // (p - 1) ** 2
+        if rows < PACKED_MIN_ROWS or every < 1:
             yield from super().pivots(m)
             return
-        cols, w = len(m[0]), 8 * W
-        mask = (1 << w) - 1
-        packed = [_pack_slots(row, W) for row in m]
+        cols, residues = len(m[0]), _residue_bytes(p)
+        packed = [int.from_bytes(bytes(row), "little") for row in m]
         r = 0
         for c in range(cols):
-            shift = w * c
+            shift = 8 * c
             for i in range(r, rows):
-                if (packed[i] >> shift & mask) % p:
+                if (packed[i] >> shift & 255) % p:
                     break
             else:
                 continue
             pivot, packed[i] = packed[i], packed[r]
             if p == 2:
                 a = 1
-            elif W == 1:
-                slots = pivot.to_bytes(cols, "little").translate(_residue_bytes(p))
-                pivot, a = int.from_bytes(slots, "little"), slots[c]
             else:
-                slots = [x % p for x in _unpack_slots(pivot, cols, W)]
-                pivot, a = _pack_slots(slots, W), slots[c]
+                slots = pivot.to_bytes(cols, "little").translate(residues)
+                pivot, a = int.from_bytes(slots, "little"), slots[c]
             yield c, a, i != r
             r += 1
             if r == rows:
@@ -549,9 +546,12 @@ class PrimeField(DifferenceField):
                 continue
             minus_inv = p - pow(a, -1, p)
             for i in range(r, rows):
-                y = (packed[i] >> shift & mask) % p
+                y = (packed[i] >> shift & 255) % p
                 if y:
                     packed[i] += y * minus_inv % p * pivot
+            if r % every == 0:
+                packed[r:] = [int.from_bytes(x.to_bytes(cols, "little").translate(residues),
+                                             "little") for x in packed[r:]]
 
     def descriptor(self):
         return {"kind": "Fq", "p": self.p, "frobenius_power": self.frobenius_power}
@@ -916,42 +916,12 @@ class GaloisField(DifferenceField):
 
 
 TABLE_MAX_ORDER = 4096
-# array typecodes of unsigned ints of 1, 2, 4 and 8 bytes; slots of these
-# widths convert in one call on a little-endian machine
-_SLOT_CODES = {1: "B", 2: "H", 4: "I", 8: "Q"} if sys.byteorder == "little" else {}
-
-
-def _slot_width(bound):
-    """The least W among 1, 2, 4, 8, ... whose W-byte slots hold ints below
-    bound."""
-    W = 1
-    while bound >> 8 * W:
-        W *= 2
-    return W
 
 
 @functools.lru_cache(maxsize=32)
 def _residue_bytes(p):
     """The translation table of bytes that sends each byte b to b % p."""
     return bytes(b % p for b in range(256))
-
-
-def _pack_slots(coords, W):
-    """The int whose W-byte slots, least significant first, hold coords,
-    nonnegative ints below 256^W."""
-    code = _SLOT_CODES.get(W)
-    if code:
-        return int.from_bytes(array(code, coords), "little")
-    return int.from_bytes(b"".join(c.to_bytes(W, "little") for c in coords), "little")
-
-
-def _unpack_slots(x, count, W):
-    """The count W-byte slots of x, least significant first."""
-    raw = x.to_bytes(count * W, "little")
-    code = _SLOT_CODES.get(W)
-    if code:
-        return array(code, raw)
-    return [int.from_bytes(raw[i:i + W], "little") for i in range(0, len(raw), W)]
 
 
 # what a JSON scalar that is no list is called in an error

@@ -67,7 +67,8 @@ class NotGaloisError(TowerError):
 
 class TowerLevel:
     """One level: minpoly holds its monic minimal polynomial's coefficients as
-    elements of the levels below, sigma_elem caches the parsed sigma rule,
+    elements of the levels below, sigma_elem caches the parsed sigma rule
+    (reading is True while it is parsed, so a rule needing itself is caught),
     power_rule the reduction rule of the generator's degree-th power, and cert
     is the certificate kind, picked when the level is certified if None."""
 
@@ -75,7 +76,7 @@ class TowerLevel:
                  sigma_elem=None):
         self.name, self.family, self.index, self.minpoly = name, family, index, minpoly
         self.sigma_text, self.cert, self.degree = sigma_text, cert, degree
-        self.sigma_elem = sigma_elem
+        self.sigma_elem, self.reading = sigma_elem, False
         self.power_rule = None
 
 
@@ -273,7 +274,13 @@ class TowerExtension(mp.Ring):
     def _sigma_gen(self, t):
         lv = self.levels[t]
         if lv.sigma_elem is None:
-            lv.sigma_elem = self.parse(lv.sigma_text)
+            if lv.reading:
+                raise TowerError(f"sigma rule for {lv.name!r} needs sigma of {lv.name!r}")
+            lv.reading = True
+            try:
+                lv.sigma_elem = self.parse(lv.sigma_text)
+            finally:
+                lv.reading = False
             self._check_sigma_consistency(t)
         return lv.sigma_elem
 
@@ -853,8 +860,12 @@ def tower_from_json(data) -> TowerExtension:
         if g.value["family"] not in T.families:
             raise g.key("family").error(f"names {g.value['family']!r}, which is no family")
     for f in fams:
-        if f.value["kind"] != "specialization-verified" and f.value["r"] < 2:
-            raise f.key("r").error(f"must be at least 2, not {f.value['r']}")
+        if f.value["kind"] != "specialization-verified":
+            r = f.value["r"]
+            if r < 2:
+                raise f.key("r").error(f"must be at least 2, not {r}")
+            if r > _exprs.MAX_LITERAL:      # x^r - u has an exponent literal
+                raise f.key("r").error(f"must be at most {_exprs.MAX_LITERAL}, not {r}")
         if f.value["kind"] == "radical-on" and f.value["on"] not in T.families:
             raise f.key("on").error(f"names {f.value['on']!r}, which is no family")
     for g in doc.get("explicit_groups", []).each(list):

@@ -234,6 +234,10 @@ RADICAL_BLOCK_A = {"name": "a", "kind": "radical-block", "r": 2, "var_start": 0}
      [{"name": "a", "kind": "radical-block", "r": 2, "var_start": 0},
       {"name": "c", "kind": "radical-on", "r": 2, "on": "q", "shift": 1}], "families[1].on"),
     (["ld"], _stacked_tower, "explicit_groups", [["a0", "zz"]], "explicit_groups[0][1]"),
+    # x^r - t_i has an exponent literal, so r has the literal cap
+    (["ld"], _radical_tower, "families",
+     [{"name": "a", "kind": "radical-block", "r": 10 ** 30, "var_start": 0}],
+     "families[0].r"),
 ], ids=["algebra-mul", "tower-levels", "presentation-poly", "hopf-comul",
         "hopf-null-scalar", "babbitt-chain", "mul-null-scalar", "base-p-string",
         "defpoly-string", "tower-level-sigma", "tower-level-name", "tower-level-minpoly",
@@ -243,7 +247,7 @@ RADICAL_BLOCK_A = {"name": "a", "kind": "radical-block", "r": 2, "var_start": 0}
         "qt-den-tower", "shift-min-index-algebra", "shift-min-index-tower",
         "family-named-twice", "family-without-group", "family-with-two-groups",
         "group-without-family", "family-r-below-two", "radical-on-no-family",
-        "explicit-group-no-level"])
+        "explicit-group-no-level", "family-r-above-cap"])
 def test_field_of_wrong_json_type_is_an_input_error(tmp_path, argv, make, field,
                                                     value, path):
     doc = dict(make(), **{field: value})
@@ -380,6 +384,39 @@ def test_negative_sigma_count_is_an_input_error(tmp_path, doc, ok, path):
         assert code == 0
     else:
         assert code == 1 and _input_error(rep, path) and "sigma" in rep["error"]
+
+
+# a level's sigma rule may read sigma of the levels it names, so the rules
+# can ask for themselves, directly or through another level's rule
+@pytest.mark.parametrize("doc", [
+    _tower_with("sigma(a)^2-1"),
+    {"base": {"kind": "Fq", "p": 5},
+     "levels": [{"name": "a", "minpoly": ["-2", 0, 1], "sigma": "sigma(b)"},
+                {"name": "b", "minpoly": [1, 1, 0, 1], "sigma": "sigma(a)"}]},
+], ids=["self", "mutual"])
+def test_sigma_rule_that_needs_itself_is_an_input_error(tmp_path, capsys, doc):
+    p = tmp_path / "doc.json"
+    p.write_text(json.dumps(doc))
+    code = main(["core", str(p), "--format", "json"])
+    out, err = capsys.readouterr()
+    rep = json.loads(out)
+    assert code == 1 and err == ""
+    assert _input_error(rep, "levels[0].sigma") and "needs sigma of 'a'" in rep["error"]
+
+
+# the parser and the evaluator recurse once per level of nesting
+@pytest.mark.parametrize("poly", ["-" * 3000 + "y0^2-1", "y0" + "*y0" * 3000 + "-1",
+                                  "+" * 100000 + "y0^2-1"],
+                         ids=["unary-minus", "product", "unary-plus"])
+def test_deeply_nested_expression_is_an_input_error(tmp_path, capsys, poly):
+    doc = _presentation()
+    doc["gens"][0]["poly"] = poly
+    p = tmp_path / "doc.json"
+    p.write_text(json.dumps(doc))
+    code = main(["core", str(p), "--format", "json"])
+    out, err = capsys.readouterr()
+    assert code == 1 and err == ""
+    assert json.loads(out)["error"] == "expression nests too deeply"
 
 
 def _non_commutative(unit):

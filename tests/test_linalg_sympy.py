@@ -8,7 +8,8 @@ eliminate forward only, are checked on shaped matrices (rank-deficient,
 zero, empty, wide and tall, up to 30 rows) against the pivots of rref, sympy
 over F_p and, up to 5 rows, a cofactor expansion; there and on random shapes
 PrimeField's packed pivots must yield exactly the triples of the list loop,
-at primes whose slots fit 1 to 8 bytes and at two past them.
+at every prime whose one-byte slots it reduces (after each pivot at 13) and
+at primes from 17 up, where it runs the loop itself.
 """
 
 from fractions import Fraction
@@ -186,9 +187,10 @@ def _shaped(k, seed, max_rows=30):
     return out
 
 
-# PrimeField.pivots packs 2, 3, 5 and 7 into 1- or 2-byte slots, 257 into 4
-# and 65537 into 8 at 30 rows; 2^31 - 1 and 2^61 - 1 are past them, on the loop
-SHAPED_PRIMES = [2, 3, 5, 7, 257, 65537, 2**31 - 1, 2**61 - 1]
+# PrimeField.pivots packs 2 to 13 into one-byte slots, reducing the rows
+# below the pivot after every 63 pivots at 3, 15 at 5, 6 at 7, 2 at 11 and 1
+# at 13; from 17 up, where one pivot could overflow a byte, it runs the loop
+SHAPED_PRIMES = [2, 3, 5, 7, 11, 13, 17, 257, 65537, 2**31 - 1, 2**61 - 1]
 
 
 @pytest.mark.parametrize("p", SHAPED_PRIMES)

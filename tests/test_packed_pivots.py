@@ -7,8 +7,8 @@ test_linalg_sympy for the differential tests).  These count tests guard the
 saving itself without timing anything: on point-algebra tensors of
 dimensions 9, 18 and 27 the eliminations behind is_etale and
 is_sigma_separable make no scalar row operation, while other fields, and
-prime fields past 8-byte slots, still run the loop.  det refuses a matrix
-that is not square before it eliminates.
+prime fields above 13, where one pivot could overflow a one-byte slot, still
+run the loop.  det refuses a matrix that is not square before it eliminates.
 """
 
 from collections import Counter
@@ -65,8 +65,9 @@ def test_predicates_make_no_scalar_row_operation(monkeypatch, p, d2, bijective):
     assert not loop
 
 
-@pytest.mark.parametrize("k", [GaloisField(3, [2, 2, 1]), Rationals(), PrimeField(2**31 - 1)],
-                         ids=["F9", "Q", "F_2^31-1"])
+@pytest.mark.parametrize("k", [GaloisField(3, [2, 2, 1]), Rationals(), PrimeField(17),
+                               PrimeField(65537), PrimeField(2**31 - 1)],
+                         ids=["F9", "Q", "F17", "F65537", "F_2^31-1"])
 def test_other_fields_keep_the_list_loop(monkeypatch, k):
     rng = random.Random(f"loop-{k.descriptor()}")
     m = [[k.sample(rng) if rng.random() < 0.7 else k.zero() for _ in range(8)]
@@ -77,7 +78,7 @@ def test_other_fields_keep_the_list_loop(monkeypatch, k):
     assert sum(loop.values()) == 2
 
 
-@pytest.mark.parametrize("p", [2, 3, 65537])
+@pytest.mark.parametrize("p", [2, 3, 13])
 def test_prime_fields_pack_from_the_crossover(monkeypatch, p):
     k, rng = PrimeField(p), random.Random(f"crossover-{p}")
     loop = _count_loop(monkeypatch)
