@@ -6,24 +6,26 @@ mapping monomials to nonzero field elements; {} is zero.  Variable indices
 are arbitrary integers, which lets the shift fields address transforms
 t_i for i < 0 after inversive-closure deepening.
 
-This is the package's one sparse-polynomial kernel: iadd/add, mul, power, eq
-and normal_form, the one rewriter, also serve presentations (((j, i), exp)
+This is the package's one sparse-polynomial kernel: iadd/add, mul, eq and
+normal_form, the one rewriter, also serve presentations (((j, i), exp)
 pairs), towers (dense exponent tuples) and the Hopf tensors (tuples of basis
-keys): mul and normal_form take the monomial product, power the ring product.
-to_dense and from_dense are the one map between these sparse dicts and
-coordinate vectors over a list of monomials, for every kind of key.  Ring
-holds the ring operations over a base field once, for the presentation and
-tower classes that differ only in their product.
+keys): mul and normal_form take the monomial product.  power is _polycore's
+binary powering, under whatever ring product its caller passes.  to_dense
+and from_dense are the one map between these sparse dicts and coordinate
+vectors over a list of monomials, for every kind of key.  Ring holds the
+ring operations over a base field once, for the presentation and tower
+classes that differ only in their product.
 
-The gcd is the classical primitive-PRS recursion on the largest variable.
-Degrees stay tiny in this artifact, so simplicity wins over asymptotics.
+The gcd is the classical primitive-PRS recursion on the largest variable,
+its univariate views (lists of coefficient dicts, low degree first) handled
+by _polycore's dense-list functions over a Ring.  Degrees stay tiny in this
+artifact, so simplicity wins over asymptotics.
 """
 
 from __future__ import annotations
 
-import copy
-
-from ._polycore import Kernels
+from . import _polycore as pc
+from ._polycore import Kernels, power
 
 
 def mono_mul(m1, m2):
@@ -144,20 +146,6 @@ def normal_form(k, f, rule, mono_mul=mono_mul):
     return out
 
 
-def power(f, e, one, mul):
-    """f^e by binary powering under the ring product mul; one, the unit, is
-    the answer at e = 0 and is never multiplied in.  The product starts from
-    a shallow copy of its first factor, so it is never the caller's f."""
-    acc = None
-    while e:
-        if e & 1:
-            acc = copy.copy(f) if acc is None else mul(acc, f)
-        e >>= 1
-        if e:
-            f = mul(f, f)
-    return one if acc is None else acc
-
-
 def eq(k, f, g):
     if len(f) != len(g):
         return False
@@ -239,27 +227,6 @@ def from_univariate(cs, v):
     return out
 
 
-def _uni_trim(cs):
-    cs = list(cs)
-    while cs and not cs[-1]:
-        cs.pop()
-    return cs
-
-
-def _uni_scale(k, a, c):
-    return _uni_trim([mul(k, ci, c) for ci in a])
-
-
-def _uni_sub(k, a, b):
-    n = max(len(a), len(b))
-    out = []
-    for i in range(n):
-        ca = a[i] if i < len(a) else {}
-        cb = b[i] if i < len(b) else {}
-        out.append(sub(k, ca, cb))
-    return _uni_trim(out)
-
-
 def content(k, f, v):
     """gcd of the coefficients of f viewed in the main variable v."""
     cs = to_univariate(f, v)
@@ -279,51 +246,43 @@ def _normalize_leading(k, f):
     return scale(k, f, k.inv(c))
 
 
-def _prem(k, f_uni, g_uni):
-    """Pseudo-remainder: lc(g)^(deg f - deg g + 1) * f mod g, univariate views."""
-    f = _uni_trim(list(f_uni))
-    g = _uni_trim(list(g_uni))
+def _prem(R, f, g):
+    """Pseudo-remainder: lc(g)^(deg f - deg g + 1) * f mod g, univariate
+    views with coefficients in the ring R."""
+    f, g = pc.trim(R, f), pc.trim(R, g)
     lc = g[-1]
     delta = len(f) - len(g)
     scalings = 0
     while f and len(f) >= len(g):
-        d = len(f) - len(g)
         top = f[-1]
-        f = _uni_scale(k, f, lc)
+        f = pc.sub(R, pc.scale(R, f, lc), pc.scale(R, pc.shift(R, g, len(f) - len(g)), top))
         scalings += 1
-        sub_term = _uni_scale(k, [({} if i < d else g[i - d])
-                                  for i in range(len(g) + d)], top)
-        f = _uni_sub(k, f, sub_term)
     for _ in range(delta + 1 - scalings):
-        f = _uni_scale(k, f, lc)
+        f = pc.scale(R, f, lc)
     return f
 
 
 def _subresultant_last(k, a, b, v):
     """Last nonzero member of the subresultant remainder sequence in v."""
+    R = Ring(k)
     r0 = to_univariate(a, v)
     r1 = to_univariate(b, v)
     if len(r0) < len(r1):
         r0, r1 = r1, r0
-    g_ = const(k, k.one())
-    h = const(k, k.one())
-
-    def pw(f, e):
-        return power(f, e, const(k, k.one()), lambda x, y: mul(k, x, y))
-
+    g_ = h = R.one()
     while True:
         if not r1:
             return from_univariate(r0, v)
         if len(r1) == 1:
             return from_univariate(r1, v)
         d = len(r0) - len(r1)
-        rem = _prem(k, r0, r1)
-        divisor = mul(k, g_, pw(h, d))
+        rem = _prem(R, r0, r1)
+        divisor = mul(k, g_, R.power(h, d))
         rem = [exact_div(k, c, divisor) for c in rem]
         r0, r1 = r1, rem
         g_ = r0[-1]
         if d > 0:
-            h = exact_div(k, pw(g_, d), pw(h, d - 1))
+            h = exact_div(k, R.power(g_, d), R.power(h, d - 1))
 
 
 def gcd(k, f, g):
@@ -357,8 +316,7 @@ def exact_div(k, f, g):
         return {}
     if is_const(g):
         return scale(k, f, k.inv(const_value(k, g)))
-    vs = variables(g)
-    v = max(vs)
+    R, v = Ring(k), max(variables(g))
     a = to_univariate(f, v)
     b = to_univariate(g, v)
     q = [{} for _ in range(len(a) - len(b) + 1)]
@@ -366,10 +324,8 @@ def exact_div(k, f, g):
         if len(a) < len(b):
             raise ArithmeticError("exact_div: division is not exact")
         d = len(a) - len(b)
-        qc = exact_div(k, a[-1], b[-1])
-        q[d] = qc
-        sub_term = _uni_scale(k, [({} if i < d else b[i - d]) for i in range(len(b) + d)], qc)
-        a = _uni_sub(k, a, sub_term)
+        q[d] = exact_div(k, a[-1], b[-1])
+        a = pc.sub(R, a, pc.scale(R, pc.shift(R, b, d), q[d]))
     return from_univariate(q, v)
 
 
@@ -396,10 +352,13 @@ def to_terms(f):
 
 
 class Ring(Kernels):
-    """The sparse-polynomial ring operations over the field self.base, shared
-    by presentations and towers; a subclass supplies mul, which multiplies
-    and brings the product to its normal form.  A tower is also a field, and
-    the generic dense-polynomial kernels of _polycore run over it."""
+    """The sparse-polynomial ring over the field base.  Presentations and
+    towers subclass it with a mul that brings the product to its normal form;
+    a tower is also a field, and the dense-polynomial functions of _polycore
+    run over it, as they run over a plain Ring for _prem and exact_div."""
+
+    def __init__(self, base):
+        self.base = base
 
     def zero(self):
         return {}
@@ -425,6 +384,9 @@ class Ring(Kernels):
 
     def scale(self, f, c):
         return scale(self.base, f, c)
+
+    def mul(self, f, g):
+        return mul(self.base, f, g)
 
     def power(self, f, e):
         return power(f, e, self.one(), self.mul)

@@ -11,9 +11,17 @@ results (a table F_q divides on Zech logarithms, see exactfield).  This
 module is internal plumbing shared by the field constructors, the public
 polynomial layer and the tower machinery; a tower passes itself as the
 field, its elements being the coefficients.
+
+Each generic ring algorithm is written here once: power, binary powering
+under any ring product (f^e mod m in pow_mod, and field elements, sparse
+polynomials and algebra vectors elsewhere); invmod, the extended Euclid
+(inverses in F_q above the table cap and in a tower); and the coefficient
+list steps, which _multipoly's pseudo-remainders run over a Ring.
 """
 
 from __future__ import annotations
+
+import copy
 
 
 def trim(k, c):
@@ -114,27 +122,18 @@ def gcd(k, f, g):
     return monic(k, f)
 
 
-def xgcd(k, f, g):
-    """Return (d, s, t) with s*f + t*g = d and d monic (or zero)."""
+def invmod(k, f, g):
+    """The inverse of f modulo g by the extended Euclid, which follows only
+    the cofactor s of f: s f = r mod g for each remainder r."""
     r0, r1 = list(f), list(g)
     s0, s1 = [k.one()], []
-    t0, t1 = [], [k.one()]
     while r1:
         q, r = divmod_(k, r0, r1)
         r0, r1 = r1, r
         s0, s1 = s1, sub(k, s0, mul(k, q, s1))
-        t0, t1 = t1, sub(k, t0, mul(k, q, t1))
-    if not r0:
-        return [], s0, t0
-    c = k.inv(r0[-1])
-    return scale(k, r0, c), scale(k, s0, c), scale(k, t0, c)
-
-
-def invmod(k, f, g):
-    d, s, _ = xgcd(k, f, g)
-    if deg(d) != 0:
+    if deg(r0) != 0:
         raise ZeroDivisionError("element not invertible modulo the given polynomial")
-    return mod(k, s, g)
+    return mod(k, scale(k, s0, k.inv(r0[0])), g)
 
 
 def evaluate(k, f, a):
@@ -151,16 +150,23 @@ def derivative(k, f):
     return trim(k, out)
 
 
-def pow_mod(k, f, e, m):
-    """f^e mod m for a nonnegative integer e."""
-    result = const(k, k.one())
-    base = mod(k, f, m)
+def power(f, e, one, mul):
+    """f^e by binary powering under the ring product mul; one, the unit, is
+    the answer at e = 0 and is never multiplied in.  The product starts from
+    a shallow copy of its first factor, so it is never the caller's f."""
+    acc = None
     while e:
         if e & 1:
-            result = mod(k, mul(k, result, base), m)
-        base = mod(k, mul(k, base, base), m)
+            acc = copy.copy(f) if acc is None else mul(acc, f)
         e >>= 1
-    return result
+        if e:
+            f = mul(f, f)
+    return one if acc is None else acc
+
+
+def pow_mod(k, f, e, m):
+    """f^e mod m for a nonnegative integer e."""
+    return power(mod(k, f, m), e, const(k, k.one()), lambda a, b: mod(k, mul(k, a, b), m))
 
 
 def is_irreducible(k, f, q):

@@ -53,7 +53,7 @@ class Presentation(mp.Ring):
     def __init__(self, base, var_names, generator_texts):
         if not base.is_finite and base.characteristic() != 0:
             raise UnsupportedPresentationError("unsupported base field")
-        self.base = base
+        super().__init__(base)
         self.var_names = list(var_names)
         self.generator_texts = list(generator_texts)
         # per variable j: (start_order, degree, rhs coefficients low..deg-1)

@@ -252,13 +252,7 @@ class DifferenceField(pc.Kernels):
     def pow(self, a, e):
         if e < 0:
             return self.pow(self.inv(a), -e)
-        acc = self.one()
-        while e:
-            if e & 1:
-                acc = self.mul(acc, a)
-            a = self.mul(a, a)
-            e >>= 1
-        return acc
+        return pc.power(a, e, self.one(), self.mul)
 
     def is_inversive(self):
         raise NotImplementedError
@@ -606,9 +600,9 @@ class GaloisField(DifferenceField):
     no tables.  Sums stay coordinatewise mod p.  mul multiplies the
     coordinate lists over the ints, folds the coefficients of x^n, ...,
     x^(2n-2) back by the precomputed rows of their residues mod defpoly and
-    reduces each coordinate mod p once; inv is one extended Euclid on
-    coordinate lists, sigma repeated p-th powers.  The vector and
-    polynomial kernels are the generic loops over these.
+    reduces each coordinate mod p once; inv is _polycore's invmod over F_p,
+    sigma repeated p-th powers.  The vector and polynomial kernels are the
+    generic loops over these.
 
     The tables are also the certificate that defpoly is irreducible:
     g^(q-1) = 1 with q - 1 distinct powers makes every nonzero class of
@@ -806,26 +800,7 @@ class GaloisField(DifferenceField):
             raise ZeroDivisionError("inverse of zero")
         if self._log is not None:
             return self._exp[-self._log[a] % self._q1]
-        # extended Euclid on coordinate lists, one leading term at a time:
-        # s0 a = r0 and s1 a = r1 mod defpoly throughout
-        p = self.p
-        r0, s0 = list(self.defpoly), []
-        r1, s1 = pc.trim(self.prime, a), [1]
-        while len(r1) > 1:
-            j, c = len(r0) - len(r1), r0[-1] * pow(r1[-1], -1, p) % p
-            s0 += [0] * (j + len(s1) - len(s0))
-            for i, b in enumerate(r1, j):
-                r0[i] = (r0[i] - c * b) % p
-            for i, b in enumerate(s1, j):
-                s0[i] = (s0[i] - c * b) % p
-            while r0 and not r0[-1]:
-                r0.pop()
-            if len(r0) < len(r1):
-                r0, s0, r1, s1 = r1, s1, r0, s0
-        if not r1:
-            raise ZeroDivisionError("element not invertible modulo the defining polynomial")
-        c = pow(r1[0], -1, p)
-        return self._lift([c * b % p for b in s1])
+        return self._lift(pc.invmod(self.prime, pc.trim(self.prime, a), list(self.defpoly)))
 
     def eq(self, a, b):
         return a == b

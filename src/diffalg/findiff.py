@@ -583,25 +583,15 @@ def restrict_scalars(A: FinSigmaAlgebra, k) -> FinSigmaAlgebra:
 
 
 def _relative_basis(k, K, embed):
-    """A k-basis of K and a coordinate function K -> k^N."""
+    """A k-basis of K and a coordinate function K -> k^N.  The basis is
+    1, x, ..., x^(N-1), N = [K:k]: x generates K over F_p, so also over k,
+    and its minimal polynomial over k has degree N."""
     fp = PrimeField(K.p)
     s, S = k.degree, K.degree
     N = S // s
     k_basis = k.power_basis()
     emb_k = [embed(b) for b in k_basis]
-    span = la.SpanBasis(fp, S)
-    gammas = []
-    for g in K.power_basis():
-        grew = False
-        for eb in emb_k:
-            if span.add(K.prime_coords(K.mul(eb, g))):
-                grew = True
-        if grew:
-            gammas.append(g)
-        if len(gammas) == N:
-            break
-    if len(gammas) != N:
-        raise AssertionError("failed to build a relative basis")
+    gammas = K.power_basis()[:N]
     m = la.transpose([K.prime_coords(K.mul(eb, g)) for g in gammas for eb in emb_k], S)
     solve = la.solver(fp, m)
 

@@ -85,7 +85,7 @@ class TowerExtension(mp.Ring):
     tower is itself a field (inv), so _polycore runs over it directly."""
 
     def __init__(self, base: DifferenceField):
-        self.base = base
+        super().__init__(base)
         self.levels: list[TowerLevel] = []
         self.by_name: dict[str, int] = {}
         # the tower's document, which tower_from_json alone fills
@@ -226,23 +226,18 @@ class TowerExtension(mp.Ring):
         return lv.power_rule
 
     def inv(self, a):
-        """The inverse through the extended gcd with the top level's minimal
-        polynomial, over the tower below that level."""
+        """The inverse modulo the top level's minimal polynomial, _polycore's
+        invmod over the tower below that level."""
         if self.is_zero(a):
             raise ZeroDivisionError("inverse of zero in tower")
         top = self.max_level(a)
         if top < 0:
             return self.const(self.base.inv(self.base_value(a)))
-        m_uni = [dict(c) for c in self.levels[top].minpoly]
-        d, s, _ = pc.xgcd(self, _as_univariate(a, top), m_uni)
-        if pc.deg(d) != 0:
-            raise ZeroDivisionError("element not invertible; level polynomial reducible?")
-        inv_c = self.inv(d[0])
         out = self.zero()
-        for e, c in enumerate(s):
+        for e, c in enumerate(pc.invmod(self, _as_univariate(a, top), self.levels[top].minpoly)):
             term = self.mul(c, {tuple([0] * top + [e]) if e else (): self.base.one()})
             out = self.add(out, term)
-        return self.mul(out, inv_c)
+        return out
 
     def in_base(self, f):
         return all(not m for m in f)
@@ -866,6 +861,9 @@ def tower_from_json(data) -> TowerExtension:
                 raise f.key("r").error(f"must be at least 2, not {r}")
             if r > _exprs.MAX_LITERAL:      # x^r - u has an exponent literal
                 raise f.key("r").error(f"must be at most {_exprs.MAX_LITERAL}, not {r}")
+            p = T.base.characteristic()
+            if p and r % p == 0:            # x^r - u is then inseparable
+                raise f.key("r").error(f"must be prime to the characteristic {p}, not {r}")
         if f.value["kind"] == "radical-on" and f.value["on"] not in T.families:
             raise f.key("on").error(f"names {f.value['on']!r}, which is no family")
     for g in doc.get("explicit_groups", []).each(list):

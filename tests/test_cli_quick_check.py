@@ -238,6 +238,14 @@ RADICAL_BLOCK_A = {"name": "a", "kind": "radical-block", "r": 2, "var_start": 0}
     (["ld"], _radical_tower, "families",
      [{"name": "a", "kind": "radical-block", "r": 10 ** 30, "var_start": 0}],
      "families[0].r"),
+    # x^r - u is inseparable when the characteristic 5 divides r
+    (["ld"], _radical_tower, "families",
+     [{"name": "a", "kind": "radical-block", "r": 5, "var_start": 0}], "families[0].r"),
+    (["ld"], _radical_tower, "families",
+     [{"name": "a", "kind": "radical-block", "r": 10, "var_start": 0}], "families[0].r"),
+    (["ld"], _stacked_tower, "families",
+     [{"name": "a", "kind": "radical-block", "r": 2, "var_start": 0},
+      {"name": "c", "kind": "radical-on", "r": 5, "on": "a", "shift": 1}], "families[1].r"),
 ], ids=["algebra-mul", "tower-levels", "presentation-poly", "hopf-comul",
         "hopf-null-scalar", "babbitt-chain", "mul-null-scalar", "base-p-string",
         "defpoly-string", "tower-level-sigma", "tower-level-name", "tower-level-minpoly",
@@ -247,7 +255,8 @@ RADICAL_BLOCK_A = {"name": "a", "kind": "radical-block", "r": 2, "var_start": 0}
         "qt-den-tower", "shift-min-index-algebra", "shift-min-index-tower",
         "family-named-twice", "family-without-group", "family-with-two-groups",
         "group-without-family", "family-r-below-two", "radical-on-no-family",
-        "explicit-group-no-level", "family-r-above-cap"])
+        "explicit-group-no-level", "family-r-above-cap", "family-r-characteristic",
+        "family-r-twice-characteristic", "radical-on-r-characteristic"])
 def test_field_of_wrong_json_type_is_an_input_error(tmp_path, argv, make, field,
                                                     value, path):
     doc = dict(make(), **{field: value})

@@ -270,8 +270,8 @@ def test_zech_table_is_the_log_of_one_plus_each_power(p, defpoly):
 # The Zech-log kernels (row_sub, bilinear, poly_divmod) are checked against
 # the generic loops, and the kernels that are those loops against sums of
 # products computed over F_p.  F_625, F_729 and F_4096 have tables.  Above
-# the cap every kernel is a generic loop, over a coordinate-list mul and an
-# extended-Euclid inv: F_15625, F_2^13 and F_3^8 give each of p = 5, 2, 3 a
+# the cap every kernel is a generic loop, over a coordinate-list mul and
+# _polycore's invmod: F_15625, F_2^13 and F_3^8 give each of p = 5, 2, 3 a
 # field there, and F_p^3 for p = 2^61 - 1 one whose coordinate products pass
 # 64 bits.  There the loops are also checked by identities that hold
 # whatever computes them.
@@ -333,14 +333,20 @@ def test_galois_kernels_equal_the_generic_loops(p, defpoly):
     a, b = F.sample(rng), F.sample(rng)
     while F.is_zero(a) or F.is_zero(b):
         a, b = F.sample(rng), F.sample(rng)
-    # products and inverses against _polycore over F_p; dot, row_scale, kron
+    # products against _polycore over F_p; inverses too where the Zech
+    # tables compute them, and above the cap, where F.inv is _polycore's
+    # invmod, by x inv(x) = 1 under the fold-rows mul; dot, row_scale, kron
     # and poly_mul, the generic loops over F's scalars, against coordinate
     # sums of those products
     (mul, dot, poly_mul), fp = _coordinate_kernels(F), F.prime
     elems = [F.zero(), F.one(), F.generator(), a, b] + [F.sample(rng) for _ in range(40)]
     for x in elems:
         assert [F.mul(x, y) for y in elems[:9]] == [mul(x, y) for y in elems[:9]]
-        if not F.is_zero(x):
+        if F.is_zero(x):
+            continue
+        if F.order > TABLE_MAX_ORDER:
+            assert F.mul(x, F.inv(x)) == F.one()
+        else:
             inverse = pc.invmod(fp, pc.trim(fp, list(x)), list(F.defpoly))
             assert F.inv(x) == tuple(inverse) + (0,) * (F.degree - len(inverse))
     vectors = _seeded_vectors(F, rng) + [[], [F.zero()] * 5]

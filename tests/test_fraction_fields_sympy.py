@@ -12,6 +12,7 @@ import pytest
 
 sympy = pytest.importorskip("sympy")
 
+from diffalg import _polycore as pc  # noqa: E402
 from diffalg._multipoly import mono_key  # noqa: E402
 from diffalg.exactfield import (FunctionField, PrimeField, Rationals,  # noqa: E402
                                 ShiftField)
@@ -120,3 +121,43 @@ def test_fraction_field_arithmetic_matches_sympy_cancel(name):
             cases.append(("inv", F.inv(a), _inv(A)))
         for op, got, want in cases:
             assert _as_polys(F, got) == _cancelled(F, want), (op, a, b)
+
+
+
+# poly_gcd over the fraction fields against sympy's gcd over QQ(t0) and
+# GF(5)(t0, ..., t3), on dense polynomials in X of degree at most 4 with
+# sampled coefficients: the shift field's gcds in four variables, ours and
+# sympy's, take seconds to minutes on quotients of samples or degree 5
+X = sympy.Symbol("X")
+GCD_SAMPLES = 8
+
+
+def _as_sympy_poly(F, f):
+    """A dense list over F, low degree first, as a Poly in X over F's
+    fraction field in sympy."""
+    p = F.characteristic()
+    D = (sympy.GF(p) if p else sympy.QQ).frac_field(*_gens(F))
+    ring = D.field.ring
+    coeffs = [D.field(ring.from_dict(num.as_dict())) / D.field(ring.from_dict(den.as_dict()))
+              for num, den in (_as_polys(F, c) for c in reversed(f))]
+    return sympy.Poly.from_list(coeffs or [D.zero], X, domain=D)
+
+
+@pytest.mark.parametrize("name", ["Q(t), t -> (t^2+1)/(t-2)", "F5(t), t -> t^2",
+                                  "F5(t_i : i >= 0), shift"])
+def test_poly_gcd_matches_sympy_over_the_fraction_field(name):
+    F = FIELDS[name]
+    rng = random.Random(3404)
+
+    def draw(top):
+        return pc.trim(F, [F.sample(rng) for _ in range(rng.randint(1, top))] + [F.one()])
+
+    for _ in range(GCD_SAMPLES):
+        h, a, b = draw(1), draw(1), draw(2)
+        f, g = pc.mul(F, h, a), pc.mul(F, h, b)
+        for x, y in ((f, g), (a, b), (f, []), (g, f)):
+            got = F.poly_gcd(x, y)
+            assert pc.deg(got) >= 0 and F.eq(got[-1], F.one())
+            # sympy's fractions are not normalized, so compare by difference
+            want = sympy.gcd(_as_sympy_poly(F, x), _as_sympy_poly(F, y))
+            assert (_as_sympy_poly(F, got) - want).is_zero, (x, y)

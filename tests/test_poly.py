@@ -17,6 +17,28 @@ F2 = PrimeField(2)
 F5 = PrimeField(5)
 
 
+@pytest.mark.parametrize("k", [Q, F5, GaloisField(3, [1, 0, 1]),
+                               GaloisField(5, [2, 1, 0, 0, 0, 0, 1])],
+                         ids=["Q", "F5", "F9", "F5^6"])
+def test_pow_mod_equals_repeated_products(k):
+    # f^e mod m against e products, each reduced mod m, at e = 0, 1, 2, 7;
+    # f = 0, f = m and f = m g are 0 mod m
+    rng = random.Random(3402)
+
+    def draw(n):
+        return pc.trim(k, [k.sample(rng) for _ in range(n)])
+
+    for _ in range(4):
+        m = draw(rng.randint(2, 4)) + [k.one()]
+        fs = [draw(rng.randint(1, 7)) for _ in range(4)] + [[], m, pc.mul(k, m, draw(3))]
+        for f in fs:
+            want = [k.one()]
+            for e in range(8):
+                if e in (0, 1, 2, 7):
+                    assert pc.pow_mod(k, f, e, m) == want, (f, e, m)
+                want = pc.mod(k, pc.mul(k, want, f), m)
+
+
 def test_gcd_shared_root_over_q():
     f = Poly.from_ints(Q, [-1, 0, 1])     # x^2 - 1
     g = Poly.from_ints(Q, [-1, 1])        # x - 1

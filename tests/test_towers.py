@@ -203,6 +203,18 @@ def test_tower_inverse_of_element_over_two_levels():
     assert T.eq(T.mul(T.inv(x), x), T.one())
 
 
+def test_tower_inverse_times_element_is_one_on_seeded_elements():
+    # a inv(a) = 1 under the tower's own product, on up to three terms with
+    # nonzero integer coefficients (sampled rational functions make one
+    # inverse in the stacked tower take minutes)
+    rng = random.Random(3403)
+    towers = _finite_towers() + [radical_tower_f5(), stacked_tower_f5(), cubic_tower_f7()]
+    for T in towers:
+        for _ in range(4):
+            a = _random_element(T, rng, len(T.levels), rng.randint(1, 3))
+            assert T.eq(T.mul(a, T.inv(a)), T.one())
+
+
 def test_tower_inverse_of_zero_raises():
     T = stacked_tower_f5()
     with pytest.raises(ZeroDivisionError):
