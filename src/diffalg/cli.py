@@ -163,7 +163,7 @@ def _gallery(payload, cfg):
     hopf_cert = strong_core_is_hopf_subalgebra_truncated(
         gallery.product_carrier_hopf(char), level)
     ok = (len(core.basis) == 1 and core.status == "exact"
-          and probe["slice_dimension"] >= 2 ** level
+          and probe["slice_dimension"] >= 2 ** level and probe["all_etale"]
           and hopf_cert["status"] == "verified")
     return (0 if ok else 2), {
         "char": char, "level": level, "core_dimension": len(core.basis),
@@ -308,17 +308,41 @@ class _ArgumentParser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-def build_parser():
+def build_parser(argv=None):
+    """The parser for argv; None gives the parser of every command."""
     try:
         seed = int(os.environ.get("DIFFALG_SEED", SEED.default))
     except ValueError:
         seed = SEED.default
-    return _parser(seed)
+    return _parser(seed, _command_word(argv))
 
 
-@functools.lru_cache(maxsize=8)
-def _parser(seed):
-    """The parser with default seed `seed`; parse_args leaves it unchanged."""
+# the first word of every argv path, in table order
+TOP_WORDS = tuple(dict.fromkeys(c.argv.partition(" ")[0] for c in COMMANDS.values())) \
+    + ("verify-cert",)
+
+
+def _command_word(argv):
+    """The top-level word argv names, read past the top-level --format and
+    --seed and their values; None for a top-level -h, no command or a word
+    that names no command, so the full parser answers those."""
+    args = iter(argv or ())
+    for arg in args:
+        if arg in ("--format", "--seed"):
+            next(args, None)
+        elif not arg.startswith(("--format=", "--seed=")):
+            return arg if arg in TOP_WORDS else None
+    return None
+
+
+# every argv path stays cached: a process running many commands keeps all
+# of them for up to eight environment seeds
+@functools.lru_cache(maxsize=8 * (len(TOP_WORDS) + 1))
+def _parser(seed, word=None):
+    """The parser with default seed `seed` and only the sub-command `word`
+    (every one if None); parse_args leaves it unchanged.  A parser with one
+    sub-command still names them all in its usage line, so its usage errors
+    read as the full parser's."""
     parser = _ArgumentParser(
         prog="diffalg",
         description="exact difference-algebra decision procedures with "
@@ -330,8 +354,12 @@ def _parser(seed):
         p.add_argument("--format", choices=["json", "text"], default=fmt)
         p.add_argument("--seed", type=int, default=default,
                        help=f"PRNG seed (default: DIFFALG_SEED or {SEED.default})")
-    subs, leaves = {"": parser.add_subparsers(dest="command", required=True)}, {}
+    metavar = None if word is None else "{" + ",".join(TOP_WORDS) + "}"
+    subs = {"": parser.add_subparsers(dest="command", required=True, metavar=metavar)}
+    leaves = {}
     for cmd in COMMANDS.values():
+        if word not in (None, cmd.argv.partition(" ")[0]):
+            continue
         group, _, name = cmd.argv.rpartition(" ")
         if group not in subs:
             subs[group] = subs[""].add_parser(
@@ -348,8 +376,9 @@ def _parser(seed):
             if opt.arg.startswith("-"):
                 kw.update(default=opt.default, required=opt.default is None)
             leaves[cmd.argv].add_argument(opt.arg, **kw)
-    subs[""].add_parser("verify-cert", parents=[common],
-                        help="re-verify an emitted certificate").add_argument("file")
+    if word in (None, "verify-cert"):
+        subs[""].add_parser("verify-cert", parents=[common],
+                            help="re-verify an emitted certificate").add_argument("file")
     return parser
 
 
@@ -364,7 +393,7 @@ def _load_json(path):
 
 def run(argv):
     """Parse arguments, dispatch, and return (exit_code, report)."""
-    return _dispatch(build_parser().parse_args(argv))
+    return _dispatch(build_parser(argv).parse_args(argv))
 
 
 def _load_payload(files, args):
@@ -401,7 +430,8 @@ def _dispatch(args):
 
 
 def main(argv=None):
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = build_parser(argv).parse_args(argv)
     code, report = _dispatch(args)
     emit(report, args.format)
     return code

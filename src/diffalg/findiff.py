@@ -290,7 +290,12 @@ def is_etale(A: FinSigmaAlgebra) -> bool:
 
 
 def is_strongly_sigma_etale(A: FinSigmaAlgebra) -> bool:
-    return is_etale(A) and is_sigma_separable(A)
+    """Etale with sigma injective.  Sigma's rank comes first: it is one
+    elimination of the n x n sigma matrix, while etaleness builds the trace
+    form (n(n+1)/2 dot products) before its determinant, so the trace form
+    is built only when sigma is injective.  Both tests are exact and raise
+    nothing on a loaded algebra, so the order changes no verdict."""
+    return is_sigma_separable(A) and is_etale(A)
 
 
 def minimal_polynomial(A: FinSigmaAlgebra, v, unit=None) -> Poly:

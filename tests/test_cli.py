@@ -121,6 +121,32 @@ def test_gallery_command_reports_bound():
     assert code7 == 0
 
 
+def test_gallery_refutes_a_probe_without_etale_certificates(monkeypatch):
+    from diffalg import hopf
+
+    real = hopf.union_of_etale_subalgebras_probe
+    monkeypatch.setattr(hopf, "union_of_etale_subalgebras_probe",
+                        lambda pres, level: dict(real(pres, level), all_etale=False))
+    code, rep = run(["gallery", "example-core-not-hopf", "--level", "1",
+                     "--char", "5"])
+    assert code == 2 and rep["result"]["etale_union_lower_bound"] >= 2
+
+
+@pytest.mark.parametrize("point_map, built", [([0, 0, 1], 0), ([1, 2, 0], 1)])
+def test_ssetale_builds_a_trace_form_only_when_sigma_is_injective(monkeypatch, point_map,
+                                                                   built):
+    from diffalg import findiff
+    from diffalg.cli import execute
+
+    real, calls = findiff.trace_gram_matrix, []
+    monkeypatch.setattr(findiff, "trace_gram_matrix",
+                        lambda A: calls.append(A.dim) or real(A))
+    code, result = execute("check", diagonal_algebra(F5, point_map).to_json(),
+                           {"predicate": "ssetale"})
+    assert (code, result["value"]) == ((0, True) if built else (2, False))
+    assert len(calls) == built
+
+
 def test_gallery_unknown_name_is_input_error():
     code, rep = run(["gallery", "no-such-thing"])
     assert code == 1 and "error" in rep
@@ -286,3 +312,75 @@ def test_cached_parser_follows_the_environment_seed(monkeypatch, capsys):
             main(["--help"])
         assert exc.value.code == 0
         assert "usage: diffalg" in capsys.readouterr().out
+
+
+ALL_COMMANDS = ("check", "core", "ld", "babbitt", "compat", "hopf", "gallery", "suite",
+                "verify-cert")
+# an argv on every argv path, and one of each shape the benchmark's
+# cli-gallery workload runs; parsing reads no file, so any name will do
+PARSE_ARGVS = [
+    ["check", "a.json", "--predicate", "ssetale"],
+    ["core", "a.json"],
+    ["core", "p.json", "--level", "3", "--horizon", "9"],
+    ["ld", "t.json", "--horizon", "5", "--window", "3"],
+    ["babbitt", "verify", "c.json", "--horizon", "2"],
+    ["babbitt", "search", "t.json", "--candidates", "c.json"],
+    ["compat", "a.json", "b.json"],
+    ["hopf", "validate", "h.json", "--level", "1"],
+    ["hopf", "core-check", "h.json", "--level", "2"],
+    ["gallery", "example-core-not-hopf", "--level", "4", "--char", "7"],
+    ["suite", "hopf", "--seed", "3"],
+    ["suite", "all"],
+    ["verify-cert", "cert.json"],
+    ["--format", "json", "--seed", "9", "check", "a.json", "--predicate", "etale"],
+    ["--seed=9", "--format=text", "core", "a.json", "--format", "json"],
+]
+
+
+@pytest.mark.parametrize("argv", PARSE_ARGVS + [a + ["--format", "json"] for a in PARSE_ARGVS])
+def test_narrow_parser_reads_argv_as_the_full_parser(argv):
+    from diffalg.cli import build_parser
+
+    narrow, full = build_parser(argv), build_parser(None)
+    assert narrow is not full
+    assert vars(narrow.parse_args(argv)) == vars(full.parse_args(argv))
+
+
+def test_parse_argvs_cover_every_argv_path_and_stay_cached():
+    from diffalg.cli import COMMANDS, build_parser
+
+    parsers = [build_parser(argv) for argv in PARSE_ARGVS]
+    paths = {getattr(p.parse_args(a), "argv", a[0]) for p, a in zip(parsers, PARSE_ARGVS)}
+    assert paths == {c.argv for c in COMMANDS.values()} | {"verify-cert"}
+    # a process running every command rebuilds none of their parsers
+    assert all(build_parser(a) is p for a, p in zip(PARSE_ARGVS, parsers))
+
+
+@pytest.mark.parametrize("argv", [
+    ["--help"], [], ["frobnicate"], ["--seed", "1", "frobnicate"],
+    ["babbitt", "--help"], ["babbitt"], ["hopf", "nope"],
+    ["check", "a.json"], ["check", "--help"],
+    ["check", "a.json", "--predicate", "etale", "--bogus"],
+    ["--seed", "--format", "check", "a.json"],
+])
+def test_narrow_parser_usage_and_help_match_the_full_parser(capsys, argv):
+    from diffalg.cli import build_parser
+
+    outs = []
+    for parser in (build_parser(argv), build_parser(None)):
+        with pytest.raises(SystemExit) as exc:
+            parser.parse_args(argv)
+        outs.append((exc.value.code, capsys.readouterr()))
+    assert outs[0] == outs[1]
+
+
+def test_top_level_help_and_unknown_command_list_every_command(capsys):
+    from diffalg.cli import build_parser, main
+
+    for argv, code, stream in ((["--help"], 0, "out"), (["frobnicate"], 1, "err")):
+        assert build_parser(argv) is build_parser(None)
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        text = getattr(capsys.readouterr(), stream)
+        assert exc.value.code == code
+        assert all(name in text for name in ALL_COMMANDS), text

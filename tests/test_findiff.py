@@ -124,6 +124,25 @@ def test_nilpotent_sigma_separable_profile():
     assert is_sigma_separable(A) and not is_etale(A)
 
 
+def test_strongly_sigma_etale_is_etale_and_sigma_separable():
+    # sigma's rank is decided before the trace form; the verdict is still
+    # the conjunction, on every combination of the two
+    rng = random.Random(35)
+    F9 = GaloisField(3, [1, 0, 1])
+    algebras = [random_valid_algebra(k, rng, max_dim=4)
+                for k in (F2, F3, F5, F9) for _ in range(40)]
+    algebras += [nilpotent_sigma_separable(k, c)
+                 for k in (F3, F5, F9) for c in (k.zero(), k.one())]
+    algebras += [diagonal_algebra(k, pm) for k in (F3, F5, F9)
+                 for pm in ([1, 2, 0], [1, 0], [0], [0, 0, 1], [0, 0])]
+    seen = set()
+    for A in algebras:
+        parts = is_etale(A), is_sigma_separable(A)
+        assert is_strongly_sigma_etale(A) == all(parts)
+        seen.add(parts)
+    assert len(seen) == 4
+
+
 def test_separability_reduction_equivalence_over_inversive_bases():
     rng = random.Random(17)
     for _ in range(200):
